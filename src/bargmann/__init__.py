@@ -74,11 +74,9 @@ from .transforms import (
     forward_map,
     inverse_integral,
     inverse_series,
-    isometry_check,
     isometry_norms,
     make_transform,
     monomial_normalizer,
-    pairing_residual,
     pairing_residuals,
     reverse_pairing_residual,
     round_trip_integral,

@@ -12,13 +12,14 @@ echoed into the report metadata.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .kernels import KernelFamily, kernel_matrix
+from .kernels import FAMILIES, KernelFamily, kernel_matrix
 from .operators import DiskOperator, MonomialExpansion, apply_exact, apply_fd, casimir
 from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 from .special import basis_matrix
@@ -28,46 +29,34 @@ from .verify import SUITES, RunConfig, run_suite
 __all__ = ["build_parser", "main"]
 
 
+def _finite(text: str) -> float:
+    """Parse a finite real number; nan and inf would only come back as NaN."""
+    value = float(text)  # argparse reports the ValueError of a malformed number
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _point(text: str) -> complex:
-    """Parse 're,im' into a complex number."""
+    """Parse 're,im' into a complex number with finite parts."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-_FAMILIES = (
-    "classical",
-    "second",
-    "generalized_second",
-    "dirichlet",
-    "gen_bergman_dirichlet",
-)
+    return complex(_finite(parts[0]), _finite(parts[1]))
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=_FAMILIES)
-    parser.add_argument("--delta", type=float, help="second-kind weight exponent")
-    parser.add_argument("--nu", type=float, help="generalized-second parameter")
-    parser.add_argument("--ell", type=int, help="generalized-second level")
-    parser.add_argument("--alpha", type=float, help="Bergman-Dirichlet weight exponent")
-    parser.add_argument("--m", type=int, help="Bergman-Dirichlet derivative order")
+    parser.add_argument("--family", required=True, choices=list(FAMILIES))
+    for spec in FAMILIES.values():
+        for name, cast, text in spec.params:
+            parser.add_argument(f"--{name}", type=_finite if cast is float else cast,
+                                help=text)
 
 
 def _family_params(args: argparse.Namespace) -> tuple:
     """Collect the positional parameters the chosen family requires."""
-    needed = {
-        "classical": (),
-        "second": ("delta",),
-        "generalized_second": ("nu", "ell"),
-        "dirichlet": (),
-        "gen_bergman_dirichlet": ("alpha", "m"),
-    }[args.family]
     values = []
-    for name in needed:
+    for name, _, _ in FAMILIES[args.family].params:
         value = getattr(args, name)
         if value is None:
             raise ValueError(f"family {args.family!r} needs --{name}")
@@ -180,28 +169,11 @@ def _cmd_operator(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONFIG_FLAGS = (
-    "plane_order",
-    "disk_radial",
-    "disk_angular",
-    "source_order",
-    "series_truncation",
-    "omega_tmax",
-    "omega_h",
-    "fd_step",
-    "tolerance_scale",
-)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     path = args.config or os.environ.get("BARGMANN_CONFIG")
     cfg = RunConfig.from_file(path) if path else RunConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name) is not None
-    }
-    cfg = cfg.with_overrides(overrides)
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    cfg = cfg.with_overrides({k: v for k, v in overrides.items() if v is not None})
     cfg.validate()
     report = run_suite(args.suite, cfg)
     _emit(report.to_json())
@@ -225,18 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True,
                    choices=["line", "halfline", "disk", "plane"])
     p.add_argument("--n", type=int, help="order for line/halfline/plane rules")
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--alpha", type=_finite, default=0.0,
                    help="halfline measure exponent (default 0)")
     p.add_argument("--radial", type=int, help="disk rule radial order")
     p.add_argument("--angular", type=int, help="disk rule angular order")
-    p.add_argument("--gamma", type=float, default=0.0,
+    p.add_argument("--gamma", type=_finite, default=0.0,
                    help="disk weight exponent (default 0)")
     p.set_defaults(func=_cmd_nodes)
 
     p = sub.add_parser("kernel-eval", help="evaluate a transform kernel K(z, x)")
     _add_family_arguments(p)
     p.add_argument("--z", required=True, type=_point, help="target point re,im")
-    p.add_argument("--x", required=True, type=float, help="source point")
+    p.add_argument("--x", required=True, type=_finite, help="source point")
     p.add_argument("--cross-check", action="store_true",
                    help="also evaluate by truncated basis series and report "
                         "the discrepancy")
@@ -255,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("operator", help="apply an invariant disk operator to a "
                                         "monomial expansion")
-    p.add_argument("--gamma", required=True, type=float)
+    p.add_argument("--gamma", required=True, type=_finite)
     p.add_argument("--casimir", action="store_true",
                    help="use the shifted (Casimir) form of the operator")
     p.add_argument("--apply", required=True,
@@ -264,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate by centered finite differences at --at "
                         "instead of symbolically")
     p.add_argument("--at", type=_point, help="evaluation point re,im for --fd")
-    p.add_argument("--h", type=float, default=1e-3,
+    p.add_argument("--h", type=_finite, default=1e-3,
                    help="finite-difference step (default 1e-3)")
     p.set_defaults(func=_cmd_operator)
 
@@ -274,15 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config",
                    help="flat 'key = value' config file (default: "
                         "$BARGMANN_CONFIG if set)")
-    p.add_argument("--plane-order", type=int)
-    p.add_argument("--disk-radial", type=int)
-    p.add_argument("--disk-angular", type=int)
-    p.add_argument("--source-order", type=int)
-    p.add_argument("--series-truncation", type=int)
-    p.add_argument("--omega-tmax", type=float)
-    p.add_argument("--omega-h", type=float)
-    p.add_argument("--fd-step", type=float)
-    p.add_argument("--tolerance-scale", type=float)
+    for f in dataclasses.fields(RunConfig):   # one flag per configuration key
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       help=f.metadata.get("help"))
     p.set_defaults(func=_cmd_verify)
 
     return parser

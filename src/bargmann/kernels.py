@@ -15,6 +15,7 @@ orders dominate the truncation index.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from scipy.special import zeta as _hurwitz_zeta
 from . import special
 from .special import (
     BasisFamily,
+    _check_disk_point,
     bargmann_fock,
     basis_matrix,
     bergman,
@@ -35,6 +37,7 @@ from .special import (
     jacobi,
     laguerre,
     laguerre_l2,
+    laguerre_sequence,
     log_gamma,
 )
 from .quadrature import QuadratureRule, gauss_halfline
@@ -49,6 +52,8 @@ __all__ = [
     "generalized_second_kernel",
     "dirichlet_kernel",
     "gen_dirichlet_kernel",
+    "FamilySpec",
+    "FAMILIES",
     "KernelFamily",
     "kernel_matrix",
     "kernel_series",
@@ -103,21 +108,6 @@ class OmegaWeight:
     @property
     def tmax(self) -> float:
         return (self.values.shape[0] - 1) * self.h
-
-    def thinned(self, stride: int) -> "OmegaWeight":
-        """Every stride-th sample, for cheaper downstream t-integrals.
-
-        The samples themselves are exact to rounding, so thinning only
-        coarsens downstream trapezoids — the kernel's is endpoint-corrected
-        to h^(2m - 1/2) (see gen_dirichlet_kernel) — while cutting the
-        memory and time of vectorized kernel evaluation by the stride
-        factor.
-        """
-        stride = int(stride)
-        if stride < 1 or (self.values.shape[0] - 1) % stride:
-            raise ValueError("stride must divide the number of grid intervals")
-        return OmegaWeight(self.alpha, self.m, self.h * stride,
-                           self.values[::stride].copy())
 
 
 def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
@@ -222,18 +212,11 @@ def classical_kernel(z, x):
     return np.pi ** -0.75 * np.exp(np.sqrt(2.0) * x * z - 0.5 * z * z)
 
 
-def _check_unit_disk(z):
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("kernel requires |z| < 1")
-    return z
-
-
 def second_kernel(delta: float, z, x):
     """K(z, x) = Gamma(delta+1)^(-1/2) (1-z)^(-delta-1) exp(-xz/(1-z))."""
     if delta <= 0.0:
         raise ValueError("second_kernel requires delta > 0")
-    z = _check_unit_disk(z)
+    z = _check_disk_point(z)
     x = np.asarray(x, dtype=float)
     return (
         np.exp(-0.5 * log_gamma(delta + 1.0))
@@ -258,7 +241,7 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
     ell = int(ell)
     if ell < 0 or ell > int(np.floor(nu - 0.5)):
         raise ValueError("generalized_second_kernel requires 0 <= ell <= floor(nu-1/2)")
-    z = _check_unit_disk(z)
+    z = _check_disk_point(z)
     x = np.asarray(x, dtype=float)
     beta_p = 2.0 * (nu - ell) - 1.0
     s = (1.0 - np.abs(z) ** 2) / np.abs(1.0 - z) ** 2
@@ -323,7 +306,7 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
     the half-line; the sqrt(t)e^-t factor is the rule's weight (alpha=1/2),
     the rest decays like powers of e^-t and is resolved spectrally.
     """
-    z = _check_unit_disk(z)
+    z = _check_disk_point(z)
     x = np.asarray(x, dtype=float)
     if rule is None:
         rule = _default_t_rule()
@@ -338,17 +321,6 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
 
     integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
     return (1.0 + z * integral / np.exp(log_gamma(1.5))) / np.sqrt(np.pi)
-
-
-def _laguerre_complex(m: int, alpha: float, y: np.ndarray) -> np.ndarray:
-    # recurrence as in special.laguerre, but for complex arguments
-    out0 = np.ones_like(y)
-    if m == 0:
-        return out0
-    out1 = 1.0 + alpha - y
-    for k in range(1, m):
-        out0, out1 = out1, ((2.0 * k + alpha + 1.0 - y) * out1 - (k + alpha) * out0) / (k + 1.0)
-    return out1
 
 
 def gen_dirichlet_kernel(alpha: float, m: int, z, x,
@@ -367,7 +339,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     m = int(m)
     if m < 2:
         raise ValueError("gen_dirichlet_kernel requires m >= 2")
-    z = _check_unit_disk(z)
+    z = _check_disk_point(z)
     x = np.asarray(x, dtype=float)
     if weight is None:
         weight = _default_omega(alpha, m)
@@ -376,9 +348,10 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
 
     lg_a1 = log_gamma(alpha + 1.0)
     norm = np.exp(-0.5 * (_LOG_PI + lg_a1))
+    lag = laguerre_sequence(m - 1, alpha, x)
     head = np.zeros(np.broadcast(z, x).shape, dtype=complex)
     for j in range(m):
-        head = head + np.sqrt(j + alpha + 1.0) * z**j * laguerre(j, alpha, x)
+        head = head + np.sqrt(j + alpha + 1.0) * z**j * lag[..., j]
     head = head * norm
 
     t = weight.grid
@@ -389,7 +362,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         g = (
             one_minus_v ** (-alpha - m - 1.0)
             * np.exp(-(xx[..., None]) * v / one_minus_v)
-            * _laguerre_complex(m, alpha, xx[..., None] / one_minus_v)
+            * laguerre(m, alpha, xx[..., None] / one_minus_v)
         )
         return np.trapezoid(weight.values * g, t, axis=-1)
 
@@ -404,7 +377,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     g0 = (
         (1.0 - z) ** (-alpha - m - 1.0)
         * np.exp(-x * z / (1.0 - z))
-        * _laguerre_complex(m, alpha, x / (1.0 - z) + 0j)
+        * laguerre(m, alpha, x / (1.0 - z) + 0j)
     )
     integral = integral - (
         _zeta_negative(exponent) * weight.h ** (exponent + 1.0) * c_origin * g0
@@ -420,70 +393,100 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 
 
 # ---------------------------------------------------------------------------
-# Uniform kernel-family interface (closed / series / integral routes)
+# The five transform families and their uniform interface
 # ---------------------------------------------------------------------------
 
-_KERNEL_KINDS = {
-    "classical",
-    "second",
-    "generalized_second",
-    "dirichlet",
-    "gen_bergman_dirichlet",
+@dataclass(frozen=True)
+class FamilySpec:
+    """One transform family, with kernel K(z, x) = sum_j conj(phi_j(x)) psi_j(z).
+
+    ``params``: (name, type, description) per parameter; the names are also
+    the CLI flags.  ``source``/``target`` build the bases phi_j/psi_j from
+    the parameters.  ``evaluate(params, z, x, rule, weight)`` is the primary
+    route, 'closed' or 'integral' as ``primary`` says; ``weighted`` marks the
+    route that integrates against the convolution weight omega_(alpha, m).
+    ``evaluate`` looks the kernel functions up by their module-level names
+    at call time, so code that rebinds those names (a tracer wrapping each
+    layer, a test double) sees every call.
+    """
+
+    params: tuple
+    source: Callable
+    target: Callable
+    primary: str
+    evaluate: Callable
+    weighted: bool = False
+
+
+def _bergman_dirichlet_target(alpha: float, m: int) -> BasisFamily:
+    if m < 2:
+        raise ValueError("gen_bergman_dirichlet transforms require m >= 2")
+    return gen_dirichlet(alpha, m)
+
+
+FAMILIES = {
+    "classical": FamilySpec(
+        (), hermite_l2, bargmann_fock, "closed",
+        lambda p, z, x, rule, weight: classical_kernel(z, x)),
+    "second": FamilySpec(
+        (("delta", float, "second-kind weight exponent"),),
+        laguerre_l2, bergman, "closed",
+        lambda p, z, x, rule, weight: second_kernel(*p, z, x)),
+    "generalized_second": FamilySpec(
+        (("nu", float, "generalized-second parameter"),
+         ("ell", int, "generalized-second level")),
+        lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen, "closed",
+        lambda p, z, x, rule, weight: generalized_second_kernel(*p, z, x)),
+    "dirichlet": FamilySpec(
+        (), lambda: laguerre_l2(0.0), dirichlet, "integral",
+        lambda p, z, x, rule, weight: dirichlet_kernel(z, x, rule=rule)),
+    "gen_bergman_dirichlet": FamilySpec(
+        (("alpha", float, "Bergman-Dirichlet weight exponent"),
+         ("m", int, "Bergman-Dirichlet derivative order")),
+        lambda alpha, m: laguerre_l2(alpha), _bergman_dirichlet_target, "integral",
+        lambda p, z, x, rule, weight: gen_dirichlet_kernel(*p, z, x, weight=weight),
+        weighted=True),
 }
 
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """One of the five transform kernels, with its evaluation strategies.
-
-    kinds and parameters: 'classical' (), 'second' (delta,),
-    'generalized_second' (nu, ell), 'dirichlet' (),
-    'gen_bergman_dirichlet' (alpha, m).
-
-    The primary strategy is the closed form for the first three kinds and
-    the integral representation for the two Dirichlet-type kinds; a
-    truncated basis series is available for all five.
-    """
+    """One of the five transform kernels, named by a key of ``FAMILIES``,
+    with its strategies: the family's primary route (closed form or integral
+    representation) and a truncated basis series.  ``params`` follows the
+    family's parameter list and is converted to its types."""
 
     kind: str
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KERNEL_KINDS:
+        spec = FAMILIES.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown kernel family {self.kind!r}")
+        if len(self.params) != len(spec.params):
+            raise ValueError(
+                f"kernel family {self.kind!r} takes {len(spec.params)} "
+                f"parameter(s), got {len(self.params)}")
+        object.__setattr__(self, "params", tuple(
+            cast(value) for (_, cast, _), value in zip(spec.params, self.params)))
         # run the parameter validation of the underlying families
         self.source_basis()
         self.target_basis()
 
     def source_basis(self) -> BasisFamily:
-        if self.kind == "classical":
-            return hermite_l2()
-        if self.kind == "second":
-            return laguerre_l2(self.params[0])
-        if self.kind == "generalized_second":
-            nu, ell = self.params
-            return laguerre_l2(2.0 * (nu - ell) - 1.0)
-        if self.kind == "dirichlet":
-            return laguerre_l2(0.0)
-        return laguerre_l2(self.params[0])
+        return FAMILIES[self.kind].source(*self.params)
 
     def target_basis(self) -> BasisFamily:
-        if self.kind == "classical":
-            return bargmann_fock()
-        if self.kind == "second":
-            return bergman(self.params[0])
-        if self.kind == "generalized_second":
-            return disk_eigen(*self.params)
-        if self.kind == "dirichlet":
-            return dirichlet()
-        alpha, m = self.params
-        if m < 2:
-            raise ValueError("gen_bergman_dirichlet transforms require m >= 2")
-        return gen_dirichlet(alpha, m)
+        return FAMILIES[self.kind].target(*self.params)
 
     @property
     def primary_strategy(self) -> str:
-        return "integral" if self.kind in ("dirichlet", "gen_bergman_dirichlet") else "closed"
+        return FAMILIES[self.kind].primary
+
+    def omega_weight(self, **grid) -> OmegaWeight | None:
+        """``omega(alpha, m, **grid)`` for the family whose primary route
+        integrates against that weight; None for the others."""
+        return omega(*self.params, **grid) if FAMILIES[self.kind].weighted else None
 
     def __str__(self):
         if not self.params:
@@ -496,34 +499,18 @@ def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
                   weight: OmegaWeight | None = None):
     """K(z_i, x_k) for arrays of targets z and sources x.
 
-    strategy: 'primary', 'closed', 'series', or 'integral'.  'closed' and
-    'integral' are only defined where the family has that representation.
+    strategy: 'primary', 'series', or the primary route's own name
+    ('closed' or 'integral', see ``FAMILIES``).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if strategy == "primary":
-        strategy = family.primary_strategy
-
     if strategy == "series":
         return kernel_series(family, z, x, J)
-
-    kind = family.kind
-    if strategy == "closed":
-        if kind == "classical":
-            return classical_kernel(z[:, None], x[None, :])
-        if kind == "second":
-            return second_kernel(family.params[0], z[:, None], x[None, :])
-        if kind == "generalized_second":
-            return generalized_second_kernel(*family.params, z[:, None], x[None, :])
-        raise ValueError(f"{kind} kernel has no closed-form strategy")
-    if strategy == "integral":
-        if kind == "dirichlet":
-            return dirichlet_kernel(z[:, None], x[None, :], rule=rule)
-        if kind == "gen_bergman_dirichlet":
-            return gen_dirichlet_kernel(*family.params, z[:, None], x[None, :],
-                                        weight=weight)
-        raise ValueError(f"{kind} kernel has no integral representation")
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in ("primary", family.primary_strategy):
+        raise ValueError(f"{family.kind} kernel has no {strategy!r} strategy; its "
+                         f"routes are {family.primary_strategy!r} and 'series'")
+    return FAMILIES[family.kind].evaluate(family.params, z[:, None], x[None, :],
+                                          rule, weight)
 
 
 def kernel_series(family: KernelFamily, z, x, J: int = 120):
@@ -539,13 +526,15 @@ def kernel_series(family: KernelFamily, z, x, J: int = 120):
 # Reproducing kernels
 # ---------------------------------------------------------------------------
 
-_RK_KINDS = {
-    "bargmann_fock",
-    "bergman",
-    "weighted_bergman",
-    "disk_eigen",
-    "dirichlet",
-    "gen_bergman_dirichlet",
+# each space's orthonormal family, whose Papadakis sum converges to its
+# kernel; None where none is catalogued here
+_SPACE_BASES = {
+    "bargmann_fock": bargmann_fock,
+    "bergman": bergman,
+    "weighted_bergman": None,
+    "disk_eigen": disk_eigen,
+    "dirichlet": dirichlet,
+    "gen_bergman_dirichlet": gen_dirichlet,
 }
 
 
@@ -563,22 +552,15 @@ class KernelSpace:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _RK_KINDS:
+        if self.kind not in _SPACE_BASES:
             raise ValueError(f"unknown kernel space {self.kind!r}")
 
     def basis(self) -> BasisFamily:
         """The orthonormal family whose Papadakis sum converges to the kernel."""
-        if self.kind == "bargmann_fock":
-            return bargmann_fock()
-        if self.kind == "bergman":
-            return bergman(self.params[0])
-        if self.kind == "disk_eigen":
-            return disk_eigen(*self.params)
-        if self.kind == "dirichlet":
-            return dirichlet()
-        if self.kind == "gen_bergman_dirichlet":
-            return gen_dirichlet(*self.params)
-        raise ValueError(f"{self.kind} has no catalogued orthonormal basis here")
+        basis = _SPACE_BASES[self.kind]
+        if basis is None:
+            raise ValueError(f"{self.kind} has no catalogued orthonormal basis here")
+        return basis(*self.params)
 
 
 def reproducing_kernel(space: KernelSpace, z, w):
@@ -589,8 +571,8 @@ def reproducing_kernel(space: KernelSpace, z, w):
     if kind == "bargmann_fock":
         return np.exp(z * np.conj(w)) / np.pi
     u = z * np.conj(w)
-    if np.any(np.abs(u) >= 1.0):
-        raise ValueError("disk kernels require |z conj(w)| < 1")
+    if not np.all(np.abs(u) < 1.0):  # NaN fails this too
+        raise ValueError("disk kernels require finite |z conj(w)| < 1")
     if kind == "bergman":
         (delta,) = space.params
         return (1.0 - u) ** (-delta - 1.0)

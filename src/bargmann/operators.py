@@ -160,11 +160,11 @@ def apply_fd(op: DiskOperator, F, z, h: float = 1e-3):
     the error is O(h^2) for C^4 integrands.
     """
     h = float(h)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("step must be positive")
     scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) + 2.0 * h >= 1.0):
+    if not np.all(np.abs(z) + 2.0 * h < 1.0):  # NaN fails this too
         raise ValueError("finite-difference stencil leaves the unit disk")
     f0 = F(z)
     fpx, fmx = F(z + h), F(z - h)

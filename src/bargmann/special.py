@@ -116,12 +116,21 @@ def hermite_sequence(jmax: int, x):
 
 
 def laguerre(j: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1."""
-    return laguerre_sequence(j, alpha, x)[..., j]
+    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1, for real
+    or complex x.  Only two degrees are held at a time, so wide arguments
+    (the kernels' t-integrands) need no (j+1)-fold scratch array."""
+    for value in _laguerre_degrees(j, alpha, x):
+        pass
+    return value
 
 
 def laguerre_sequence(jmax: int, alpha: float, x):
-    """L_0^(alpha)(x) .. L_jmax^(alpha)(x) stacked along the last axis.
+    """L_0^(alpha)(x) .. L_jmax^(alpha)(x) stacked along the last axis."""
+    return np.stack(list(_laguerre_degrees(jmax, alpha, x)), axis=-1)
+
+
+def _laguerre_degrees(jmax: int, alpha: float, x):
+    """Yield L_0^(alpha)(x) .. L_jmax^(alpha)(x) in turn.
 
     Recurrence: (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}.
     """
@@ -129,24 +138,24 @@ def laguerre_sequence(jmax: int, alpha: float, x):
         raise ValueError("Laguerre parameter must satisfy alpha > -1")
     if jmax < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (jmax + 1,))
-    out[..., 0] = 1.0
-    if jmax >= 1:
-        out[..., 1] = 1.0 + alpha - x
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float), copy=False)
+    prev = np.ones_like(x)
+    yield prev
+    if jmax == 0:
+        return
+    cur = 1.0 + alpha - x
+    yield cur
     for k in range(1, jmax):
-        out[..., k + 1] = (
-            (2.0 * k + alpha + 1.0 - x) * out[..., k]
-            - (k + alpha) * out[..., k - 1]
-        ) / (k + 1.0)
-    return out
+        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        yield cur
 
 
 def jacobi(j: int, a: float, b: float, x):
     """Jacobi polynomial P_j^(a,b)(x) for a, b > -1.
 
     Negative-integer first parameters (which occur in the disk eigenfunction
-    family) are handled separately inside ``basis_eval`` through a
+    family) are handled separately inside ``_disk_eigen_matrix`` through a
     terminating hypergeometric form; this entry point insists on the
     classical parameter range where the recurrence is valid.
     """
@@ -226,7 +235,6 @@ def hyp_series(kind: str, upper: Sequence[float], lower: Sequence[float],
     x = complex(x)
     term: complex = 1.0 + 0.0j
     total: complex = term
-    prev_mag = abs(term)
     used = 1
     for k in range(truncation - 1):
         num = 1.0
@@ -240,7 +248,6 @@ def hyp_series(kind: str, upper: Sequence[float], lower: Sequence[float],
             # exact termination: a nonpositive-integer upper parameter ran out
             return HypResult(_realify(total), 0.0, used)
         total += term
-        prev_mag, mag = abs(term), abs(term)
         used += 1
     # first omitted term
     num = 1.0
@@ -370,9 +377,11 @@ def gen_dirichlet(alpha: float, m: int) -> BasisFamily:
 
 
 def _check_disk_point(z):
+    """z as a complex array, after checking every point is finite and in the unit disk."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("disk bases are only defined for |z| < 1")
+    # written as a negated "< 1" so that NaN, which compares false, fails too
+    if not np.all(np.abs(z) < 1.0):
+        raise ValueError("disk points must be finite with |z| < 1")
     return z
 
 

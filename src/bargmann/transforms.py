@@ -33,7 +33,7 @@ from .special import (
     log_gamma,
 )
 from .quadrature import QuadratureRule, disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
-from .kernels import KernelFamily, OmegaWeight, kernel_matrix, omega
+from .kernels import KernelFamily, OmegaWeight, kernel_matrix
 
 __all__ = [
     "TargetSpace",
@@ -54,9 +54,7 @@ __all__ = [
     "taylor_to_basis",
     "basis_to_taylor",
     "target_coefficients",
-    "isometry_check",
     "isometry_norms",
-    "pairing_residual",
     "pairing_residuals",
     "reverse_pairing_residual",
     "forward_gram",
@@ -158,7 +156,6 @@ class TransformOperator:
     target: TargetSpace
     series_truncation: int = 64
     inverse_truncation: int = 100
-    t_rule: QuadratureRule | None = field(default=None, repr=False)
     weight: OmegaWeight | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -176,18 +173,37 @@ class TransformOperator:
                 )
 
 
+def _target_space(basis: BasisFamily, disk_orders: tuple[int, int],
+                  plane_order: int) -> tuple[TargetSpace, int]:
+    """The target space of an orthonormal target family, and the default
+    inverse truncation its rule integrates exactly."""
+    if basis.kind == "bargmann_fock":
+        return TargetSpace("plane", gaussian_plane_rule(plane_order)), 100
+    if basis.kind == "bergman":
+        (delta,) = basis.params
+        return TargetSpace("disk", disk_rule(*disk_orders, delta - 1.0),
+                           scale=delta / np.pi), 110
+    if basis.kind == "disk_eigen":
+        nu, ell = basis.params
+        return TargetSpace("disk", disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell),
+                           fold=ell), 110
+    # Dirichlet-type families: norms on Taylor coefficients, no integral inverse
+    return TargetSpace(basis.kind, params=basis.params), 0
+
+
 def make_transform(kind: str, *params, source_order: int = 120,
                    disk_orders: tuple[int, int] = (120, 256),
                    plane_order: int = 60,
                    series_truncation: int = 64,
                    inverse_truncation: int | None = None,
                    weight: OmegaWeight | None = None,
-                   omega_step: float = 2e-3,
-                   omega_stride: int = 1) -> TransformOperator:
+                   omega_step: float = 2e-3) -> TransformOperator:
     """Build one of the five transforms with default discretizations.
 
-    kinds: 'classical'; 'second' (delta); 'generalized_second' (nu, ell);
-    'dirichlet'; 'gen_bergman_dirichlet' (alpha, m).
+    ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
+    source rule matches the measure of its source basis (Gauss-Hermite on
+    the line, generalized Gauss-Laguerre on the half-line) and the target
+    space follows its target basis.
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
@@ -196,56 +212,21 @@ def make_transform(kind: str, *params, source_order: int = 120,
     carries a sampled convolution weight; the samples are exact to
     rounding, so the step matters only through the kernel's
     endpoint-corrected t-trapezoid (an h^(2m - 1/2) effect, ~1e-9 relative
-    at the default).  A stride > 1 thins an externally supplied finer
-    weight the same way.
+    at the default).
     """
-    arity = {"classical": 0, "second": 1, "generalized_second": 2,
-             "dirichlet": 0, "gen_bergman_dirichlet": 2}
-    if kind in arity and len(params) != arity[kind]:
-        raise ValueError(
-            f"transform kind {kind!r} takes {arity[kind]} parameter(s), "
-            f"got {len(params)}")
-    t_rule = None
-    if kind == "classical":
-        kernel = KernelFamily("classical")
+    kernel = KernelFamily(kind, params)
+    src = kernel.source_basis()
+    if src.kind == "hermite_l2":
         source = gauss_line(source_order)
-        target = TargetSpace("plane", gaussian_plane_rule(plane_order))
-        j_inv = 100
-    elif kind == "second":
-        delta = float(params[0])
-        kernel = KernelFamily("second", (delta,))
-        source = gauss_halfline(source_order, delta)
-        target = TargetSpace("disk", disk_rule(*disk_orders, delta - 1.0),
-                             scale=delta / np.pi)
-        j_inv = 110
-    elif kind == "generalized_second":
-        nu, ell = float(params[0]), int(params[1])
-        kernel = KernelFamily("generalized_second", (nu, ell))
-        beta_p = 2.0 * (nu - ell) - 1.0
-        source = gauss_halfline(source_order, beta_p)
-        target = TargetSpace("disk", disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell),
-                             fold=ell)
-        j_inv = 110
-    elif kind == "dirichlet":
-        kernel = KernelFamily("dirichlet")
-        source = gauss_halfline(source_order, 0.0)
-        target = TargetSpace("dirichlet")
-        t_rule = gauss_halfline(200, 0.5)
-        j_inv = 0
-    elif kind == "gen_bergman_dirichlet":
-        alpha, m = float(params[0]), int(params[1])
-        kernel = KernelFamily("gen_bergman_dirichlet", (alpha, m))
-        source = gauss_halfline(source_order, alpha)
-        target = TargetSpace("gen_dirichlet", params=(alpha, m))
-        if weight is None:
-            weight = omega(alpha, m, h=omega_step).thinned(omega_stride)
-        j_inv = 0
     else:
-        raise ValueError(f"unknown transform kind {kind!r}")
+        source = gauss_halfline(source_order, *src.params)
+    target, j_inv = _target_space(kernel.target_basis(), disk_orders, plane_order)
+    if weight is None:
+        weight = kernel.omega_weight(h=omega_step)
     if inverse_truncation is None:
         inverse_truncation = j_inv
     return TransformOperator(kernel, source, target, series_truncation,
-                             inverse_truncation, t_rule, weight)
+                             inverse_truncation, weight)
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:
@@ -269,7 +250,7 @@ def forward_map(op: TransformOperator, z, strategy: str = "primary") -> np.ndarr
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     kmat = kernel_matrix(op.kernel, zz, op.source_rule.nodes, strategy=strategy,
-                         J=op.series_truncation, rule=op.t_rule, weight=op.weight)
+                         J=op.series_truncation, weight=op.weight)
     return kmat * op.source_rule.weights
 
 
@@ -427,17 +408,22 @@ def taylor_from_circle(F, J: int, radius: float = 0.5, n_points: int = 256) -> n
 _EXTRACTION_RADIUS = 0.75
 
 
-def _extraction_points(J: int, radius: float = _EXTRACTION_RADIUS) -> int:
-    """Sample count for degree-J circle extraction at the given radius.
+def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> np.ndarray:
+    """Taylor coefficients a_0..a_J of B[f] from forward values on the
+    extraction circle, for f given by its values on the source nodes (one
+    column per function).
 
     Extraction divides the k-th FFT bin by radius^k, amplifying the float64
     noise of the sampled values by radius^(-J); a larger radius tames that
     but needs more samples, since aliasing folds coefficient k+N back onto
-    k with the factor radius^N.  The guard keeps the fold below double
-    rounding for every retained coefficient.
+    k with the factor radius^N.  The guard on the sample count keeps the
+    fold below double rounding for every retained coefficient.
     """
+    radius = _EXTRACTION_RADIUS
     guard = int(np.ceil(np.log(1e-15) / np.log(radius))) + J + 1
-    return max(64, 4 * (J + 1), guard)
+    n_points = max(64, 4 * (J + 1), guard)
+    vals = forward_map(op, circle_points(radius, n_points)) @ source_values
+    return taylor_from_circle(vals, J, radius, n_points)
 
 
 def monomial_normalizer(family: BasisFamily, J: int) -> np.ndarray:
@@ -465,9 +451,7 @@ def basis_to_taylor(c: CoefficientVector) -> np.ndarray:
     return c.values * n
 
 
-def target_coefficients(op: TransformOperator, f, J: int | None = None,
-                        radius: float = _EXTRACTION_RADIUS,
-                        n_points: int | None = None) -> CoefficientVector:
+def target_coefficients(op: TransformOperator, f, J: int | None = None) -> CoefficientVector:
     """<B[f], psi_j> for a Dirichlet-type target, via circle extraction.
 
     Evaluates the forward transform on a circle, reads off Taylor
@@ -479,11 +463,7 @@ def target_coefficients(op: TransformOperator, f, J: int | None = None,
         raise ValueError("target_coefficients is for Dirichlet-type targets")
     if J is None:
         J = op.series_truncation
-    if n_points is None:
-        n_points = _extraction_points(J, radius)
-    fv = _source_values(op, f)
-    vals = forward_map(op, circle_points(radius, n_points)) @ fv
-    a = taylor_from_circle(vals, J, radius, n_points)
+    a = _circle_taylor(op, _source_values(op, f), J)
     return taylor_to_basis(a, op.kernel.target_basis())
 
 
@@ -514,11 +494,6 @@ def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
     got = forward_map(op, zz) @ phi
     want = basis_matrix(op.kernel.target_basis(), jmax, zz)
     return np.max(np.abs(got - want), axis=0)
-
-
-def pairing_residual(op: TransformOperator, j: int, z) -> float:
-    """max_z |B[phi_j](z) - psi_j(z)| over the given target points."""
-    return float(pairing_residuals(op, j, z)[j])
 
 
 def reverse_pairing_residual(op: TransformOperator, j: int, x=None) -> float:
@@ -564,22 +539,10 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
         norm_target = np.sqrt((op.target.node_weights() @ np.abs(T) ** 2).real)
     else:
         J_t = J + 8
-        n_points = _extraction_points(J_t)
-        vals = forward_map(op, circle_points(_EXTRACTION_RADIUS, n_points)) @ FV
-        a = taylor_from_circle(vals, J_t, _EXTRACTION_RADIUS, n_points)
+        a = _circle_taylor(op, FV, J_t)
         w = dirichlet_monomial_weights(J_t, *op.target.params)
         norm_target = np.sqrt((w @ np.abs(a) ** 2).real)
     return norm_source, norm_target
-
-
-def isometry_check(op: TransformOperator, c: CoefficientVector) -> dict:
-    """Compare ||f||_source (quadrature) with ||B f||_target for one vector."""
-    src, tgt = isometry_norms(op, c.values)
-    return {
-        "source_norm": float(src[0]),
-        "target_norm": float(tgt[0]),
-        "discrepancy": float(abs(src[0] - tgt[0])),
-    }
 
 
 def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
@@ -590,9 +553,7 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
         Bphi = forward_map(op, tz, strategy=_norm_strategy(op)) @ phi
         psi = basis_matrix(op.kernel.target_basis(), J, tz)
         return np.conj(psi).T @ (op.target.node_weights()[:, None] * Bphi)
-    n_points = _extraction_points(J)
-    Bphi = forward_map(op, circle_points(_EXTRACTION_RADIUS, n_points)) @ phi
-    a = taylor_from_circle(Bphi, J, _EXTRACTION_RADIUS, n_points)
+    a = _circle_taylor(op, phi, J)
     w = dirichlet_monomial_weights(J, *op.target.params)
     n = monomial_normalizer(op.kernel.target_basis(), J)
     # <F, psi_j> = w_j a_j n_j for diagonal psi_j = n_j z^j

@@ -219,3 +219,17 @@ def test_bad_point_syntax_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["kernel-eval", "--family", "classical", "--z", "0.3", "--x", "1"])
     assert info.value.code == 2
+
+
+def test_non_finite_input_is_usage_error(capsys):
+    # json.dump would print a NaN result as the non-JSON token NaN
+    for argv in (["--family", "dirichlet", "--z", "nan,0", "--x", "1"],
+                 ["--family", "classical", "--z", "0.1,inf", "--x", "1"],
+                 ["--family", "classical", "--z", "0.1,0", "--x", "-inf"],
+                 ["--family", "second", "--delta", "nan", "--z", "0.1,0", "--x", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(["kernel-eval"] + argv)
+        assert info.value.code == 2, argv
+    with pytest.raises(SystemExit) as info:
+        main(["operator", "--gamma", "nan", "--apply", "unread.json"])
+    assert info.value.code == 2

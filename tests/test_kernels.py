@@ -127,6 +127,11 @@ def test_kernel_domain_validation():
         generalized_second_kernel(1.0, 2, 0.3, 0.5)  # level above floor(nu-1/2)
     with pytest.raises(ValueError):
         KernelFamily("heat")
+    with pytest.raises(ValueError):
+        second_kernel(1.5, np.nan, 1.0)  # NaN compares false against |z| < 1
+    for kind, params in (("second", ()), ("classical", (1.0,)), ("dirichlet", (7, 8))):
+        with pytest.raises(ValueError):
+            KernelFamily(kind, params)  # wrong parameter count
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +156,6 @@ def test_omega_grid_and_thinning():
     assert np.all(w.values >= 0.0)
     assert_allclose(w.grid[-1], 20.0)
     assert_allclose(w.tmax, 20.0)
-    thin = w.thinned(5)
-    assert thin.h == pytest.approx(5e-2)
-    assert_allclose(thin.values, w.values[::5])
-    with pytest.raises(ValueError):
-        w.thinned(7)  # does not divide the interval count
-    with pytest.raises(ValueError):
-        w.thinned(0)
 
 
 def test_omega_small_t_power_law():
@@ -260,6 +258,8 @@ def test_weighted_bergman_reproduces_polynomials():
 def test_disk_kernels_reject_boundary():
     with pytest.raises(ValueError):
         reproducing_kernel(KernelSpace("bergman", (1.0,)), 0.8, 1.3)
+    with pytest.raises(ValueError):
+        reproducing_kernel(KernelSpace("bergman", (1.0,)), np.nan, 0.5)
 
 
 def test_dirichlet_kernel_custom_rule():

@@ -149,6 +149,8 @@ def test_fd_domain_guards():
         apply_fd(op, f, 0.3, h=0.0)
     with pytest.raises(ValueError):
         apply_fd(op, f, 0.995, h=1e-2)  # stencil leaves the disk
+    with pytest.raises(ValueError):
+        apply_fd(op, f, complex(np.nan, 0.1))
 
 
 def test_operator_sample_points_stay_inside():

@@ -11,6 +11,7 @@ from bargmann import (
     HypSeriesError,
     basis_eval,
     basis_matrix,
+    bergman,
     beta,
     gamma_ratio,
     gauss_halfline,
@@ -222,3 +223,9 @@ def test_basis_eval_matches_matrix_column():
     M = basis_matrix(fam, 6, x)
     for j in (0, 2, 6):
         assert_allclose(basis_eval(fam, j, x), M[:, j], rtol=1e-13)
+
+
+def test_disk_bases_reject_points_off_the_open_disk():
+    for z in (1.0 + 0j, np.nan + 0j, complex(0.1, np.inf)):
+        with pytest.raises(ValueError):
+            basis_matrix(bergman(1.5), 2, np.array([z]))
