@@ -3,8 +3,10 @@ and reproducing kernels.
 
 Every kernel has at least two independent evaluation routes:
 
-- a primary route (closed form, or a quadrature/trapezoid evaluation of an
-  integral representation for the two Dirichlet-type families), and
+- a primary route (closed form, or a Gauss-rule evaluation of an integral
+  representation for the two Dirichlet-type families: a generalized
+  Gauss-Laguerre rule in t for the plain one, the convolution weight's
+  compressed trapezoid measure in s = e^-t for the generalized one), and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -40,7 +42,7 @@ from .special import (
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import QuadratureRule, gauss_halfline
+from .quadrature import QuadratureRule, _golub_welsch, gauss_halfline
 
 __all__ = [
     "OmegaWeight",
@@ -83,6 +85,48 @@ def _zeta_negative(nu: float) -> float:
 # Convolution weight omega_(alpha, m)
 # ---------------------------------------------------------------------------
 
+def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
+    """n-point Gauss rule of the discrete measure sum_k masses_k delta(s - atoms_k).
+
+    Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, 2004, sec. 2.2), run on the vectors
+    u_k = sqrt(masses_k) p_j(atoms_k): the three-term recurrence forms each
+    new orthogonal polynomial and scales it to unit norm in the measure, so
+    its values neither under- nor overflow.  Golub-Welsch then solves the
+    Jacobi matrix.  O(n N) for N atoms.  Without reorthogonalization the
+    recurrence may repeat a node the rule has already resolved; the
+    eigenvector weights stay right for the sum, splitting that node's
+    weight between the copies.
+    """
+    mu0 = float(masses.sum())
+    diag = np.empty(n)
+    off = np.empty(n - 1)
+    u = np.sqrt(masses / mu0)
+    u_prev = np.zeros_like(atoms)
+    q = np.empty_like(atoms)
+    # np.dot, not @: with the other core busy, matmul products were
+    # measured to stall ~8 ms each in the threaded BLAS, at this length and
+    # at the kernel's (1, 120, 89) x (89,) alike; np.dot took ~10 us
+    for j in range(n):
+        np.multiply(atoms, u, out=q)
+        diag[j] = np.dot(q, u)
+        if j == n - 1:
+            break
+        q -= diag[j] * u
+        if j:
+            q -= off[j - 1] * u_prev
+        off[j] = np.sqrt(np.dot(q, q))
+        q /= off[j]
+        u_prev, u, q = u, q, u_prev
+    return _golub_welsch(diag, off, mu0)
+
+
+# OmegaWeight.s_rule: atoms kept below this t, and the size of the Gauss
+# rule that replaces the others
+_S_RULE_SPLIT = 0.05
+_S_RULE_NODES = 64
+
+
 @dataclass(frozen=True)
 class OmegaWeight:
     """The weight omega_(alpha,m) sampled on the uniform grid k*h, k=0..T/h.
@@ -92,8 +136,8 @@ class OmegaWeight:
     bracket collapses in closed form to a single smooth factor, and the outer
     convolutions are carried out exactly in the factored form
     t^(2m-3/2) e^-t H(t) with H entire (see ``omega``), so the samples are
-    accurate to rounding and the grid step only matters to downstream
-    trapezoid consumers.
+    accurate to rounding.  The grid step h sets the trapezoid measure that
+    ``s_rule`` compresses and that ``omega_laplace`` integrates against.
     """
 
     alpha: float
@@ -108,6 +152,33 @@ class OmegaWeight:
     @property
     def tmax(self) -> float:
         return (self.values.shape[0] - 1) * self.h
+
+    @cached_property
+    def s_rule(self) -> QuadratureRule:
+        """The trapezoid measure of the weight in s = e^-t, compressed.
+
+        The trapezoid sum h sum_k'' omega(kh) f(kh) is the discrete measure
+        with masses h omega(kh), halved at both ends, at the atoms
+        s_k = e^(-kh).  Atoms with t < 0.05, where the kernel's integrand
+        peaks as |z| -> 1, are kept as nodes; the others are replaced by
+        the 64-point Gauss rule of their own masses.  For f analytic in s
+        beyond [0, e^-0.05], such as the kernel's integrand (its
+        singularity s = 1/z lies past s = 1 for every |z| < 1), the rule
+        reproduces the trapezoid sum to rounding, so no size has to be
+        chosen from |z|.  Built once per weight, on first use.
+        """
+        masses = self.h * self.values
+        masses[[0, -1]] *= 0.5
+        atoms = np.exp(-self.grid)
+        k = int(np.searchsorted(self.grid, _S_RULE_SPLIT))
+        if atoms.shape[0] - k <= _S_RULE_NODES:   # too few atoms to compress
+            k = atoms.shape[0]
+            nodes, weights = atoms, masses
+        else:
+            s, w = _discrete_gauss(atoms[k:], masses[k:], _S_RULE_NODES)
+            nodes, weights = np.concatenate([atoms[:k], s]), np.concatenate([masses[:k], w])
+        return QuadratureRule("omega_s", nodes, weights,
+                              {"atoms": k, "gauss": nodes.shape[0] - k, "h": self.h})
 
 
 def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
@@ -128,15 +199,15 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
     Gauss-Legendre rule resolves them to machine precision, and each H is
     entire with exponential rates at most m + alpha - 1, so one Chebyshev
     table per level captures it to rounding on [0, T].  The returned grid
-    samples therefore carry no h-dependent build error; h only matters to
-    downstream trapezoid consumers such as the kernel's t-integral.
+    samples therefore carry no h-dependent build error; h only sets the
+    trapezoid measure the kernel's t-integral and ``omega_laplace`` use.
     """
-    if alpha <= -1.0:
-        raise ValueError("omega requires alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("omega requires finite alpha > -1")
     if m < 2:
         raise ValueError("omega requires m >= 2")
-    if T <= 0.0 or h <= 0.0:
-        raise ValueError("omega requires positive T and h")
+    if not (0.0 < T < np.inf and 0.0 < h < np.inf):
+        raise ValueError("omega requires finite positive T and h")
     x, w = np.polynomial.legendre.leggauss(order)
     theta = (x + 1.0) * (np.pi / 4.0)
     wq = w * (np.pi / 4.0)
@@ -214,8 +285,8 @@ def classical_kernel(z, x):
 
 def second_kernel(delta: float, z, x):
     """K(z, x) = Gamma(delta+1)^(-1/2) (1-z)^(-delta-1) exp(-xz/(1-z))."""
-    if delta <= 0.0:
-        raise ValueError("second_kernel requires delta > 0")
+    if not 0.0 < delta < np.inf:  # NaN fails this too
+        raise ValueError("second_kernel requires finite delta > 0")
     z = _check_disk_point(z)
     x = np.asarray(x, dtype=float)
     return (
@@ -236,8 +307,8 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
     bilateral generating function collapses the series, and the sign must
     stay with the kernel for the pairing B[phi_j] = psi_j to hold.
     """
-    if 2.0 * nu <= 1.0:
-        raise ValueError("generalized_second_kernel requires nu > 1/2")
+    if not 0.5 < nu < np.inf:  # NaN fails this too
+        raise ValueError("generalized_second_kernel requires finite nu > 1/2")
     ell = int(ell)
     if ell < 0 or ell > int(np.floor(nu - 0.5)):
         raise ValueError("generalized_second_kernel requires 0 <= ell <= floor(nu-1/2)")
@@ -270,7 +341,7 @@ def _blocked(z, x, nt, evaluate):
     """Evaluate a (z, x)-broadcast t-integral in blocks of z rows.
 
     The integral representations build arrays of shape broadcast(z, x) x nt;
-    a full target rule against a full source rule would need tens of GB, so
+    a full target rule against a full source rule would need several GB, so
     the z axis is processed in slices that keep the scratch below
     ~_BLOCK_ENTRIES complex values.  Slicing z alone (rather than
     broadcasting it against x first) matters: the powers of (1 - z e^-t)
@@ -331,11 +402,13 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     (each term is conj(phi_j) psi_j for the orthonormal families, which is
     what the pairing and isometry checks require; see the decision notes on
     the head normalization).  Tail: m! Gamma(3/2)^-m Gamma(1/2)^(1-m) /
-    sqrt(pi Gamma(1+alpha)) times z^m times the omega-weighted t-integral,
-    evaluated by trapezoid on the weight's own grid.
+    sqrt(pi Gamma(1+alpha)) times z^m times the omega-weighted t-integral:
+    the trapezoid on the weight's own grid, with an endpoint correction,
+    evaluated through the weight's compressed rule in s = e^-t
+    (``OmegaWeight.s_rule``).
     """
-    if alpha <= -1.0:
-        raise ValueError("gen_dirichlet_kernel requires alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("gen_dirichlet_kernel requires finite alpha > -1")
     m = int(m)
     if m < 2:
         raise ValueError("gen_dirichlet_kernel requires m >= 2")
@@ -354,19 +427,20 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         head = head + np.sqrt(j + alpha + 1.0) * z**j * lag[..., j]
     head = head * norm
 
-    t = weight.grid
+    rule = weight.s_rule
 
     def evaluate(zz, xx):
-        v = zz[..., None] * np.exp(-t)
+        v = zz[..., None] * rule.nodes
         one_minus_v = 1.0 - v
+        xx = xx[..., None]
         g = (
             one_minus_v ** (-alpha - m - 1.0)
-            * np.exp(-(xx[..., None]) * v / one_minus_v)
-            * laguerre(m, alpha, xx[..., None] / one_minus_v)
+            * np.exp(-xx * (v / one_minus_v))
+            * laguerre(m, alpha, xx / one_minus_v)
         )
-        return np.trapezoid(weight.values * g, t, axis=-1)
+        return np.dot(g, rule.weights)   # not @: see _discrete_gauss
 
-    integral = _blocked(z, x, t.shape[0], evaluate)
+    integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
     # The weight behaves like c t^(2m - 3/2) at the origin (the product of
     # the factor transforms says its Laplace transform decays like
     # s^(1/2 - 2m)), so the trapezoid leaves a zeta(3/2 - 2m) h^(2m - 1/2)

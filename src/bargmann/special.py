@@ -324,8 +324,8 @@ def hermite_l2() -> BasisFamily:
 def laguerre_l2(alpha: float) -> BasisFamily:
     """sqrt(j! / Gamma(alpha+j+1)) L_j^(alpha), orthonormal against
     x^alpha e^{-x} dx on the half-line."""
-    if alpha <= -1.0:
-        raise ValueError("laguerre_l2 requires alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("laguerre_l2 requires finite alpha > -1")
     return BasisFamily("laguerre_l2", (float(alpha),))
 
 
@@ -337,8 +337,8 @@ def bargmann_fock() -> BasisFamily:
 def bergman(delta: float) -> BasisFamily:
     """sqrt(Gamma(1+delta+j) / (j! Gamma(delta+1))) z^j, orthonormal for the
     probability measure (delta/pi)(1-|z|^2)^(delta-1) dA on the disk."""
-    if delta <= 0.0:
-        raise ValueError("bergman requires delta > 0")
+    if not 0.0 < delta < np.inf:  # NaN fails this too
+        raise ValueError("bergman requires finite delta > 0")
     return BasisFamily("bergman", (float(delta),))
 
 
@@ -348,8 +348,8 @@ def disk_eigen(nu: float, ell: int) -> BasisFamily:
     Requires 2 nu > 1 and 0 <= ell <= floor(nu - 1/2); orthonormal in
     L^2 of the disk with weight (1-|z|^2)^(2 nu - 2) dA.
     """
-    if 2.0 * nu <= 1.0:
-        raise ValueError("disk_eigen requires nu > 1/2")
+    if not 0.5 < nu < np.inf:  # NaN fails this too
+        raise ValueError("disk_eigen requires finite nu > 1/2")
     ell = int(ell)
     if ell < 0 or ell > int(np.floor(nu - 0.5)):
         raise ValueError("disk_eigen requires 0 <= ell <= floor(nu - 1/2)")
@@ -368,8 +368,8 @@ def gen_dirichlet(alpha: float, m: int) -> BasisFamily:
     Low indices j < m are weighted-Bergman monomials; from j = m onward the
     normalization switches to the derivative pairing of order m.
     """
-    if alpha <= -1.0:
-        raise ValueError("gen_dirichlet requires alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("gen_dirichlet requires finite alpha > -1")
     m = int(m)
     if m < 1:
         raise ValueError("gen_dirichlet requires m >= 1")

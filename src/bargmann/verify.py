@@ -156,12 +156,13 @@ class RunConfig:
             raise ValueError("series_truncation must be at least 8")
         if not 0.0 < self.omega_h <= 0.5:
             raise ValueError("omega_h must lie in (0, 0.5]")
-        if self.omega_tmax < 10.0:
-            raise ValueError("omega_tmax must be at least 10")
+        # written as negated ranges so that NaN, which compares false, fails too
+        if not 10.0 <= self.omega_tmax < np.inf:
+            raise ValueError("omega_tmax must be finite and at least 10")
         if not 0.0 < self.fd_step <= 0.1:
             raise ValueError("fd_step must lie in (0, 0.1]")
-        if self.tolerance_scale <= 0.0:
-            raise ValueError("tolerance_scale must be positive")
+        if not 0.0 < self.tolerance_scale < np.inf:
+            raise ValueError("tolerance_scale must be finite and positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

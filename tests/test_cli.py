@@ -201,6 +201,17 @@ def test_verify_bad_config_values(tmp_path, capsys):
     code, _, _ = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
     assert code == 2
 
+    # NaN compares false against every range check and would reach the
+    # report as the non-JSON token NaN
+    cfg.write_text("tolerance_scale = nan\n")
+    code, _, _ = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
+    assert code == 2
+    for flag in ("--omega-tmax", "--tolerance-scale"):
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(capsys, ["verify", "quadrature", flag, value])
+            assert code == 2, (flag, value)
+            assert out == "" and "error:" in err
+
 
 def test_verify_missing_config_file(capsys):
     code, _, err = run_cli(capsys, ["verify", "quadrature",

@@ -11,6 +11,8 @@ from scipy.special import gammaln
 from bargmann import (
     KernelFamily,
     KernelSpace,
+    OmegaWeight,
+    QuadratureRule,
     classical_kernel,
     dirichlet_kernel,
     gauss_halfline,
@@ -25,11 +27,16 @@ from bargmann import (
     reproducing_kernel,
     second_kernel,
     disk_rule,
+    forward_map,
+    laguerre,
+    make_transform,
 )
+from bargmann import kernels
 
 # one coarse weight shared by the generalized-kernel tests below; the grid
-# step only enters through the endpoint-corrected trapezoid, so 5e-3 still
-# leaves headroom under the 1e-5 agreements tested here
+# step only sets the endpoint-corrected t-trapezoid that the weight's s-rule
+# reproduces, and at 5e-3 that trapezoid still leaves headroom under the
+# 1e-5 agreements tested here
 W_COARSE = omega(0.5, 2, T=40.0, h=5e-3)
 
 
@@ -102,6 +109,73 @@ def test_gen_dirichlet_integral_agrees_with_series():
         assert np.max(np.abs(integral - series)) < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# the omega t-integral: the s-rule against the trapezoid it compresses
+# ---------------------------------------------------------------------------
+
+def _omega_integrand(alpha, m, z, x, s):
+    """The kernel's tail integrand at s = e^-t for points z[:, None], x[None, :]."""
+    v = z[:, None, None] * s
+    xx = x[None, :, None]
+    return ((1.0 - v) ** (-alpha - m - 1.0) * np.exp(-xx * v / (1.0 - v))
+            * laguerre(m, alpha, xx / (1.0 - v)))
+
+
+def _trapezoid_rule(weight):
+    """The uncompressed t-trapezoid of a weight as a rule in s = e^-t."""
+    masses = weight.h * weight.values
+    masses[[0, -1]] *= 0.5
+    return QuadratureRule("omega_s", np.exp(-weight.grid), masses)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_omega_s_rule_reproduces_trapezoid(m):
+    # point-queries' (alpha, m) pairs at both grid steps in use (kernel-eval
+    # 1e-3, transforms 2e-3); angle 0 puts the singularity s = 1/z nearest
+    # the atoms
+    z = np.array([0.5, 0.75 * np.exp(2.2j), 0.95, 0.99, 0.999])
+    x = np.array([0.0, 3.0, 30.0])
+    for alpha in (0.0, 0.5, 1.5, 3.0):
+        fine = omega(alpha, m, h=1e-3)
+        g = _omega_integrand(alpha, m, z, x, np.exp(-fine.grid))
+        # every other sample of the fine weight is the weight at step 2e-3
+        for weight, g_grid in ((fine, g), (OmegaWeight(alpha, m, 2e-3, fine.values[::2]),
+                                           g[..., ::2])):
+            want = np.trapezoid(weight.values * g_grid, weight.grid, axis=-1)
+            rule = weight.s_rule
+            got = _omega_integrand(alpha, m, z, x, rule.nodes) @ rule.weights
+            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert err.max() < 1e-12, (alpha, m, weight.h, z[err.argmax()])
+            assert rule.nodes.shape[0] < 128
+
+
+def test_forward_map_rows_match_trapezoid_route():
+    # circle-map rows: the transform's own weight (h = 2e-3) at r = 0.75,
+    # against the same kernel run on the uncompressed trapezoid
+    op = make_transform("gen_bergman_dirichlet", 0.5, 2)
+    reference = omega(0.5, 2, h=2e-3)
+    vars(reference)["s_rule"] = _trapezoid_rule(reference)   # fills the cached property
+    z = np.array([0.75 * np.exp(2.9j)])
+    got = forward_map(op, z)
+    want = kernel_matrix(op.kernel, z, op.source_rule.nodes,
+                         weight=reference) * op.source_rule.weights
+    err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert err.max() < 1e-13
+
+
+def test_omega_s_rule_is_built_once_per_weight(monkeypatch):
+    calls = []
+    build = kernels._discrete_gauss
+    monkeypatch.setattr(kernels, "_discrete_gauss",
+                        lambda *args: calls.append(1) or build(*args))
+    weight = omega(0.5, 2, T=40.0, h=5e-3)
+    first = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
+    second = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
+    assert len(calls) == 1
+    assert first == second
+    assert weight.s_rule is weight.s_rule
+
+
 def test_kernel_matrix_strategies():
     fam = KernelFamily("second", (1.5,))
     z = np.array([0.2 + 0.1j, -0.3j])
@@ -132,6 +206,15 @@ def test_kernel_domain_validation():
     for kind, params in (("second", ()), ("classical", (1.0,)), ("dirichlet", (7, 8))):
         with pytest.raises(ValueError):
             KernelFamily(kind, params)  # wrong parameter count
+    # family parameters: NaN compares false against every range check
+    for kind, params in (("second", (np.nan,)), ("second", (np.inf,)),
+                         ("generalized_second", (np.nan, 0)),
+                         ("gen_bergman_dirichlet", (np.nan, 2)),
+                         ("gen_bergman_dirichlet", (np.inf, 2))):
+        with pytest.raises(ValueError):
+            KernelFamily(kind, params)
+    with pytest.raises(ValueError):
+        gen_dirichlet_kernel(np.nan, 2, 0.3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +230,9 @@ def test_omega_validation():
         omega(0.5, 2, T=-1.0)
     with pytest.raises(ValueError):
         omega(0.5, 2, h=0.0)
+    for bad in ({"alpha": np.nan}, {"alpha": np.inf}, {"T": np.nan}, {"h": np.inf}):
+        with pytest.raises(ValueError):
+            omega(**{"alpha": 0.5, "m": 2, **bad})
 
 
 def test_omega_grid_and_thinning():

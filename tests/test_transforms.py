@@ -69,6 +69,9 @@ def test_make_transform_validation():
         make_transform("second")  # missing delta
     with pytest.raises(ValueError):
         make_transform("generalized_second", 1.0, 2)  # ell above floor(nu-1/2)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            make_transform("second", value)  # range checks compare false on NaN
 
 
 def test_pairing_on_plane_target():
