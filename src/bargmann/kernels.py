@@ -3,10 +3,12 @@ and reproducing kernels.
 
 Every kernel has at least two independent evaluation routes:
 
-- a primary route (closed form, or a Gauss-rule evaluation of an integral
-  representation for the two Dirichlet-type families: a generalized
-  Gauss-Laguerre rule in t for the plain one, the convolution weight's
-  compressed trapezoid measure in s = e^-t for the generalized one), and
+- a primary route (closed form, or a quadrature of an integral
+  representation for the two Dirichlet-type families: both t-integrals run
+  on a trapezoid measure written in s = e^-t and compressed by keeping its
+  atoms near s = 1 and replacing the rest by a Gauss rule, the trapezoid in
+  u = sqrt(t) of sqrt(t)e^-t dt for the plain family and the convolution
+  weight's own t-trapezoid for the generalized one), and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -28,6 +30,7 @@ from . import special
 from .special import (
     BasisFamily,
     _check_disk_point,
+    _check_source_point,
     bargmann_fock,
     basis_matrix,
     bergman,
@@ -42,7 +45,7 @@ from .special import (
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import QuadratureRule, _golub_welsch, gauss_halfline
+from .quadrature import QuadratureRule, _golub_welsch
 
 __all__ = [
     "OmegaWeight",
@@ -121,10 +124,34 @@ def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
     return _golub_welsch(diag, off, mu0)
 
 
-# OmegaWeight.s_rule: atoms kept below this t, and the size of the Gauss
-# rule that replaces the others
+# compressed rules in s = e^-t: atoms kept below this t, and the size of the
+# Gauss rule that replaces the others
 _S_RULE_SPLIT = 0.05
 _S_RULE_NODES = 64
+
+
+def _compressed_s_rule(kind: str, t: np.ndarray, masses: np.ndarray,
+                       meta: dict) -> QuadratureRule:
+    """The discrete measure sum_k masses_k delta(s - e^(-t_k)), compressed.
+
+    ``t`` is ascending.  Atoms with t < 0.05, where a kernel's integrand
+    peaks as |z| -> 1, are kept as nodes; the others are replaced by the
+    64-point Gauss rule of their own masses (``_discrete_gauss``).  For f
+    analytic in s beyond [0, e^-0.05], such as the kernels' integrands
+    (their singularity s = 1/z lies past s = 1 for every |z| < 1), the rule
+    reproduces the discrete sum to rounding, so no size has to be chosen
+    from |z|.  A measure with at most 64 atoms past t = 0.05 keeps them all.
+    """
+    atoms = np.exp(-t)
+    k = int(np.searchsorted(t, _S_RULE_SPLIT))
+    if atoms.shape[0] - k <= _S_RULE_NODES:   # too few atoms to compress
+        k = atoms.shape[0]
+        nodes, weights = atoms, masses
+    else:
+        s, w = _discrete_gauss(atoms[k:], masses[k:], _S_RULE_NODES)
+        nodes, weights = np.concatenate([atoms[:k], s]), np.concatenate([masses[:k], w])
+    return QuadratureRule(kind, nodes, weights,
+                          {"atoms": k, "gauss": nodes.shape[0] - k, **meta})
 
 
 @dataclass(frozen=True)
@@ -159,26 +186,12 @@ class OmegaWeight:
 
         The trapezoid sum h sum_k'' omega(kh) f(kh) is the discrete measure
         with masses h omega(kh), halved at both ends, at the atoms
-        s_k = e^(-kh).  Atoms with t < 0.05, where the kernel's integrand
-        peaks as |z| -> 1, are kept as nodes; the others are replaced by
-        the 64-point Gauss rule of their own masses.  For f analytic in s
-        beyond [0, e^-0.05], such as the kernel's integrand (its
-        singularity s = 1/z lies past s = 1 for every |z| < 1), the rule
-        reproduces the trapezoid sum to rounding, so no size has to be
-        chosen from |z|.  Built once per weight, on first use.
+        s_k = e^(-kh); ``_compressed_s_rule`` keeps its atoms below t = 0.05
+        and compresses the rest.  Built once per weight, on first use.
         """
         masses = self.h * self.values
         masses[[0, -1]] *= 0.5
-        atoms = np.exp(-self.grid)
-        k = int(np.searchsorted(self.grid, _S_RULE_SPLIT))
-        if atoms.shape[0] - k <= _S_RULE_NODES:   # too few atoms to compress
-            k = atoms.shape[0]
-            nodes, weights = atoms, masses
-        else:
-            s, w = _discrete_gauss(atoms[k:], masses[k:], _S_RULE_NODES)
-            nodes, weights = np.concatenate([atoms[:k], s]), np.concatenate([masses[:k], w])
-        return QuadratureRule("omega_s", nodes, weights,
-                              {"atoms": k, "gauss": nodes.shape[0] - k, "h": self.h})
+        return _compressed_s_rule("omega_s", self.grid, masses, {"h": self.h})
 
 
 def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
@@ -279,7 +292,7 @@ def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
 def classical_kernel(z, x):
     """K(z, x) = pi^(-3/4) exp(sqrt(2) x z - z^2/2) on C x R."""
     z = np.asarray(z, dtype=complex)
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     return np.pi ** -0.75 * np.exp(np.sqrt(2.0) * x * z - 0.5 * z * z)
 
 
@@ -288,7 +301,7 @@ def second_kernel(delta: float, z, x):
     if not 0.0 < delta < np.inf:  # NaN fails this too
         raise ValueError("second_kernel requires finite delta > 0")
     z = _check_disk_point(z)
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     return (
         np.exp(-0.5 * log_gamma(delta + 1.0))
         * (1.0 - z) ** (-delta - 1.0)
@@ -313,7 +326,7 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
     if ell < 0 or ell > int(np.floor(nu - 0.5)):
         raise ValueError("generalized_second_kernel requires 0 <= ell <= floor(nu-1/2)")
     z = _check_disk_point(z)
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     beta_p = 2.0 * (nu - ell) - 1.0
     s = (1.0 - np.abs(z) ** 2) / np.abs(1.0 - z) ** 2
     pref = (-1.0) ** ell * np.exp(
@@ -328,9 +341,26 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
     )
 
 
-@lru_cache(maxsize=8)
-def _default_t_rule(n: int = 200) -> QuadratureRule:
-    return gauss_halfline(n, 0.5)
+# the plain Dirichlet kernel's measure sqrt(t) e^-t dt as a trapezoid in
+# u = sqrt(t): the step, and the last node (the measure beyond it is ~1e-16)
+_DIRICHLET_U_STEP = 0.01
+_DIRICHLET_U_MAX = 6.2
+
+
+@lru_cache(maxsize=1)
+def _default_t_rule() -> QuadratureRule:
+    """The plain Dirichlet kernel's t-integral as a compressed rule in s = e^-t.
+
+    With t = u^2 the measure sqrt(t) e^-t dt becomes 2 u^2 e^(-u^2) du,
+    whose integrands are even and analytic in u, so the trapezoid in u
+    converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
+    masses 2 h u_k^2 e^(-u_k^2) at the atoms s_k = e^(-u_k^2), u_k = k h.
+    ``_compressed_s_rule`` then keeps the 22 atoms below t = 0.05 and
+    compresses the rest into 64 Gauss nodes.
+    """
+    h = _DIRICHLET_U_STEP
+    t = (np.arange(1, int(round(_DIRICHLET_U_MAX / h)) + 1) * h) ** 2
+    return _compressed_s_rule("dirichlet_s", t, 2.0 * h * t * np.exp(-t), {"h_u": h})
 
 
 # cap on the (points x t-grid) scratch arrays formed by the integral kernels
@@ -373,24 +403,30 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
     Laplace-type integral representation.
 
     K(z,x) = (1/sqrt(pi)) [1 + (z/Gamma(3/2)) I(z,x)] where I integrates
-    sqrt(t)e^-t (1-ze^-t)^-2 exp(-xze^-t/(1-ze^-t)) L_1(x/(1-ze^-t)) over
-    the half-line; the sqrt(t)e^-t factor is the rule's weight (alpha=1/2),
-    the rest decays like powers of e^-t and is resolved spectrally.
+    (1-v)^-2 exp(-xv/(1-v)) L_1(x/(1-v)), v = ze^-t, against sqrt(t)e^-t dt
+    over the half-line.  The integrand is analytic in s = e^-t on the closed
+    unit interval, and the default rule is the measure's trapezoid in
+    u = sqrt(t), compressed in s (``_default_t_rule``, 86 nodes).  ``rule``
+    may instead be a half-line rule with alpha = 1/2, evaluated at s = e^-t.
     """
     z = _check_disk_point(z)
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     if rule is None:
         rule = _default_t_rule()
-    elif rule.kind != "halfline" or abs(rule.meta.get("alpha", -1.0) - 0.5) > 1e-14:
+        s = rule.nodes
+    elif rule.kind == "halfline" and abs(rule.meta.get("alpha", -1.0) - 0.5) <= 1e-14:
+        s = np.exp(-rule.nodes)
+    else:
         raise ValueError("dirichlet_kernel needs a half-line rule with alpha = 1/2")
 
     def evaluate(zz, xx):
-        v = zz[..., None] * np.exp(-rule.nodes)
-        y = xx[..., None] / (1.0 - v)
-        g = (1.0 - v) ** -2.0 * np.exp(-(xx[..., None]) * v / (1.0 - v)) * (1.0 - y)
-        return g @ rule.weights
+        v = zz[..., None] * s
+        w = 1.0 / (1.0 - v)
+        xx = xx[..., None]
+        g = w * w * np.exp(-xx * (v * w)) * (1.0 - xx * w)
+        return np.dot(g, rule.weights)   # not @: see _discrete_gauss
 
-    integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
+    integral = _blocked(z, x, s.shape[0], evaluate)
     return (1.0 + z * integral / np.exp(log_gamma(1.5))) / np.sqrt(np.pi)
 
 
@@ -413,7 +449,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     if m < 2:
         raise ValueError("gen_dirichlet_kernel requires m >= 2")
     z = _check_disk_point(z)
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     if weight is None:
         weight = _default_omega(alpha, m)
     if weight.m != m or abs(weight.alpha - alpha) > 1e-14:

@@ -141,8 +141,8 @@ def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     """n-point generalized Gauss-Laguerre rule for x^alpha exp(-x) dx."""
     if n < 1:
         raise ValueError("rule order must be positive")
-    if alpha <= -1.0:
-        raise ValueError("gauss_halfline requires alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("gauss_halfline requires finite alpha > -1")
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     j = np.arange(1, n + 1, dtype=float)
@@ -193,8 +193,8 @@ def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
     """
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule orders must be positive")
-    if gamma <= -1.0:
-        raise ValueError("disk_rule requires gamma > -1")
+    if not -1.0 < gamma < np.inf:  # NaN fails this too
+        raise ValueError("disk_rule requires finite gamma > -1")
     u, wu = _gauss_jacobi01(n_r, gamma)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     r = np.sqrt(u)

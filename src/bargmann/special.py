@@ -385,6 +385,14 @@ def _check_disk_point(z):
     return z
 
 
+def _check_source_point(x):
+    """x as a float array, after checking every point is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("source points must be finite")
+    return x
+
+
 def basis_eval(family: BasisFamily, j: int, point):
     """Evaluate the j-th member of an orthonormal family at a point (or array)."""
     if j < 0:

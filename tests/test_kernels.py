@@ -192,6 +192,68 @@ def test_kernel_matrix_strategies():
         kernel_matrix(KernelFamily("dirichlet"), z, x, strategy="closed")
 
 
+# ---------------------------------------------------------------------------
+# the plain Dirichlet t-integral: the compressed rule against the u-trapezoid
+# it compresses and against an mpmath quadrature
+# ---------------------------------------------------------------------------
+
+def _dirichlet_u_trapezoid(z, x, h=0.01, umax=6.2):
+    """K(z[:, None], x[None, :]) with the t-integral on the uncompressed
+    trapezoid in u = sqrt(t): masses 2 h u^2 e^(-u^2) at u = h, 2h, ..."""
+    u = np.arange(1, int(round(umax / h)) + 1) * h
+    v = z[:, None, None] * np.exp(-u * u)
+    xx = x[None, :, None]
+    g = (1.0 - v) ** -2.0 * np.exp(-xx * v / (1.0 - v)) * (1.0 - xx / (1.0 - v))
+    integral = g @ (2.0 * h * u * u * np.exp(-u * u))
+    return (1.0 + z[:, None] * integral / np.exp(gammaln(1.5))) / np.sqrt(np.pi)
+
+
+def test_dirichlet_kernel_matches_mpmath_quadrature():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def oracle(z, x):
+        z, x = mp.mpc(z.real, z.imag), mp.mpf(x)
+
+        def f(t):
+            v = z * mp.exp(-t)
+            return (mp.sqrt(t) * mp.exp(-t) * (1 - v) ** -2
+                    * mp.exp(-x * v / (1 - v)) * (1 - x / (1 - v)))
+
+        integral = mp.quad(f, [0, 0.05, 1, 5, 20, mp.inf])
+        return complex((1 + z * integral / mp.gamma(1.5)) / mp.sqrt(mp.pi))
+
+    for z in (0.9 * np.exp(1j), 0.95 * np.exp(2j), 0.99 * np.exp(0.5j), 0.99 + 0j):
+        want = oracle(z, 30.0)
+        got = complex(dirichlet_kernel(z, 30.0))
+        assert abs(got - want) < 1e-13 * abs(want), z
+
+
+def test_dirichlet_rule_reproduces_u_trapezoid():
+    # angle 0 puts the singularity s = 1/z nearest the atoms
+    x = np.array([0.0, 1.0, 3.0, 10.0, 30.0])
+    angles = np.exp(1j * np.array([0.0, 0.5, 1.0, 2.0, 3.0, np.pi, -1.3]))
+    for r in (0.5, 0.75, 0.9, 0.95, 0.99):
+        z = r * angles
+        want = _dirichlet_u_trapezoid(z, x)
+        got = dirichlet_kernel(z[:, None], x[None, :])
+        err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert err.max() < 5e-14, (r, z[err.argmax()])
+    assert kernels._default_t_rule().nodes.shape[0] < 128
+
+
+def test_dirichlet_forward_map_rows_match_u_trapezoid():
+    # forward-map rows over the 120 source nodes (x up to ~450) on the
+    # r = 0.75 circle, weighted by the source rule
+    op = make_transform("dirichlet")
+    x, w = op.source_rule.nodes, op.source_rule.weights
+    z = 0.75 * np.exp(1j * np.array([0.0, 0.5, 1.0, 2.0, 2.9, np.pi, -1.3]))
+    got = forward_map(op, z)
+    want = _dirichlet_u_trapezoid(z, x) * w
+    err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert err.max() < 1e-14
+
+
 def test_kernel_domain_validation():
     with pytest.raises(ValueError):
         second_kernel(1.5, 1.1, 0.5)  # outside the unit disk
@@ -215,6 +277,16 @@ def test_kernel_domain_validation():
             KernelFamily(kind, params)
     with pytest.raises(ValueError):
         gen_dirichlet_kernel(np.nan, 2, 0.3, 0.5)
+    # source points: NaN and inf would flow through as NaN
+    for bad in (np.nan, np.inf, [0.5, -np.inf]):
+        for kernel in (classical_kernel, dirichlet_kernel,
+                       lambda z, x: second_kernel(1.5, z, x),
+                       lambda z, x: generalized_second_kernel(1.0, 0, z, x),
+                       lambda z, x: gen_dirichlet_kernel(0.5, 2, z, x, weight=W_COARSE)):
+            with pytest.raises(ValueError):
+                kernel(0.3, bad)
+    with pytest.raises(ValueError):
+        dirichlet_kernel(0.3, 0.5, rule=gauss_halfline(40, 0.0))  # wrong measure
 
 
 # ---------------------------------------------------------------------------

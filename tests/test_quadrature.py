@@ -127,6 +127,12 @@ def test_validation():
         disk_rule(4, 8, -1.5)
     with pytest.raises(ValueError):
         gaussian_plane_rule(0)
+    # NaN compares false against "alpha <= -1"-style checks
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            gauss_halfline(4, bad)
+        with pytest.raises(ValueError, match="gamma"):
+            disk_rule(4, 8, bad)
 
 
 def test_total_mass():
