@@ -52,10 +52,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def log_gamma(x):
-    """log Gamma(x) for x > 0 (scalar or array)."""
+    """log Gamma(x) for finite x > 0 (scalar or array)."""
+    if isinstance(x, (float, np.floating)):
+        # the basis recurrences call this once per degree with a float;
+        # the same ufunc without the array round trip
+        if not 0.0 < x < np.inf:  # NaN fails this too
+            raise ValueError("log_gamma requires finite, strictly positive arguments")
+        return float(gammaln(x))
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires strictly positive arguments")
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise ValueError("log_gamma requires finite, strictly positive arguments")
     out = gammaln(x)
     return float(out) if out.ndim == 0 else out
 
@@ -513,6 +519,8 @@ def _disk_eigen_matrix(params, jmax, points):
 
     lg_bl = log_gamma(beta_p + 1.0 + ell)
     lg_l = log_gamma(ell + 1.0)
+    fold = one_minus_u ** (-ell)
+    zp = np.ones_like(z)      # z^(j - ell), advanced once per degree j > ell
     for j in range(jmax + 1):
         lognorm = 0.5 * (
             np.log(beta_p / np.pi)
@@ -528,19 +536,16 @@ def _disk_eigen_matrix(params, jmax, points):
                 term = term * ((-ell + k) * (1.0 + beta_p + j + k)
                                / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
                 f = f + term
-            out[..., j] = (
-                np.exp(lognorm + logbin)
-                * z ** (j - ell)
-                * one_minus_u ** (-ell)
-                * f
-            )
+            if j > ell:
+                zp = zp * z
+            out[..., j] = np.exp(lognorm + logbin) * zp * fold * f
         else:
             pj = jacobi(j, ell - j, beta_p, 1.0 - 2.0 * u)
             out[..., j] = (
                 (-1.0) ** j
                 * np.exp(lognorm)
                 * np.conj(z) ** (ell - j)
-                * one_minus_u ** (-ell)
+                * fold
                 * pj
             )
     return out

@@ -19,6 +19,13 @@ in float64 even though the underlying integral is fine.  The truncated
 kernel keeps the same action on every basis element below the truncation
 index — and there the polar rules are *exact*, by the Hermitian moment
 structure — while staying polynomially bounded.
+
+Because the truncated kernel is a basis sum psi_J(z) phi_J(x)^T, both series
+routes contract through the (J+1) basis coefficients instead of forming a
+target x source kernel matrix: forward is psi_J(z) (phi_J(x)^T (w * f)) and
+the inverse is phi_J(x) (psi_J(z)^H (w_t * F)).  On a full disk rule that
+is two basis matrices in place of a matrix as large as the rule times the
+source nodes.
 """
 
 from __future__ import annotations
@@ -231,8 +238,10 @@ def make_transform(kind: str, *params, source_order: int = 120,
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:
+    """Values on the source nodes: a vector, or a matrix with one column per
+    function."""
     values = f(op.source_rule.nodes) if callable(f) else np.asarray(f)
-    if values.shape != op.source_rule.nodes.shape:
+    if values.ndim == 0 or values.shape[0] != op.source_rule.nodes.shape[0]:
         raise ValueError("source values must live on the source rule's nodes")
     return values
 
@@ -244,10 +253,11 @@ def _source_values(op: TransformOperator, f) -> np.ndarray:
 def forward_map(op: TransformOperator, z, strategy: str = "primary") -> np.ndarray:
     """Matrix M with (M @ f_nodes)[i] = B[f](z_i); the discretized operator.
 
-    Building the map once and applying it to many coefficient vectors is
-    how the batched checks (isometry over a family of random vectors, Gram
-    matrices) stay affordable: for the generalized family each kernel row
-    costs a t-integral per source node.
+    Each entry is a kernel value K(z_i, x_k) times a source weight, so the
+    map costs one kernel evaluation per target point and source node (for
+    the integral families, a t-integral each).  ``forward`` applies the
+    primary route through this matrix; its series route contracts through
+    basis coefficients and never forms it.
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     kmat = kernel_matrix(op.kernel, zz, op.source_rule.nodes, strategy=strategy,
@@ -258,11 +268,24 @@ def forward_map(op: TransformOperator, z, strategy: str = "primary") -> np.ndarr
 def forward(op: TransformOperator, f, z, strategy: str = "primary"):
     """B[f](z) = sum_i w_i K(z, x_i) f(x_i) over the source rule.
 
-    ``f`` is a callable on the source domain or an array of values on the
-    source nodes; ``z`` is a point or array in the target domain.
+    ``f`` is a callable on the source domain, an array of values on the
+    source nodes, or a matrix of such values with one column per function;
+    ``z`` is a point or array in the target domain.
+
+    The series kernel is the truncated sum psi_J(z) phi_J(x)^T, so the
+    series route contracts through its (J+1) x k coefficients,
+    psi_J(z) (phi_J(x)^T (w * f)), at the cost of the two basis matrices;
+    the other routes apply ``forward_map``.
     """
     fv = _source_values(op, f)
-    out = forward_map(op, z, strategy) @ fv
+    if strategy == "series":
+        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        J = op.series_truncation
+        phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
+        coef = (op.source_rule.weights[:, None] * phi).T @ fv
+        out = basis_matrix(op.kernel.target_basis(), J, zz) @ coef
+    else:
+        out = forward_map(op, z, strategy) @ fv
     return out[0] if np.ndim(z) == 0 else out
 
 
@@ -270,7 +293,8 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     """B^(-1)[F](x) = sum_i w_i conj(K(z_i, x)) F(z_i) over the target rule.
 
     Only available for L2-type targets.  Uses the series-truncated kernel
-    (see the module docstring); J defaults to the operator's
+    (see the module docstring), contracted through its coefficients:
+    phi_J(x) (psi_J(z)^H (w * F)).  J defaults to the operator's
     inverse_truncation, which is sized so the target rule integrates the
     truncated integrand exactly.
     """
@@ -286,8 +310,9 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if J is None:
         J = op.inverse_truncation
-    kmat = kernel_matrix(op.kernel, nodes, xx, strategy="series", J=J)
-    out = (op.target.node_weights() * Fv) @ np.conj(kmat)
+    psi = basis_matrix(op.kernel.target_basis(), J, nodes)
+    coef = np.conj(psi).T @ (op.target.node_weights() * Fv)
+    out = basis_matrix(op.kernel.source_basis(), J, xx) @ coef
     return out[0] if np.ndim(x) == 0 else out
 
 
@@ -423,7 +448,7 @@ def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> 
     radius = _EXTRACTION_RADIUS
     guard = int(np.ceil(np.log(1e-15) / np.log(radius))) + J + 1
     n_points = max(64, 4 * (J + 1), guard)
-    vals = forward_map(op, circle_points(radius, n_points)) @ source_values
+    vals = forward(op, source_values, circle_points(radius, n_points))
     return taylor_from_circle(vals, J, radius, n_points)
 
 
@@ -492,7 +517,7 @@ def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
     """max_z |B[phi_j](z) - psi_j(z)| for each j = 0..jmax, sharing one map."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     phi = basis_matrix(op.kernel.source_basis(), jmax, op.source_rule.nodes)
-    got = forward_map(op, zz) @ phi
+    got = forward(op, phi, zz)
     want = basis_matrix(op.kernel.target_basis(), jmax, zz)
     return np.max(np.abs(got - want), axis=0)
 
@@ -526,8 +551,8 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     take a quadrature norm of forward values on the target nodes;
     Dirichlet-type targets evaluate the forward transform on a circle,
     extract Taylor coefficients, and use the coefficient inner product.
-    Neither side looks at sum |c_j|^2.  The forward map is built once and
-    shared by all columns.
+    Neither side looks at sum |c_j|^2.  One ``forward`` call serves all
+    columns.
     """
     C = np.asarray(C, dtype=complex)
     if C.ndim == 1:
@@ -536,7 +561,7 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     FV = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
     norm_source = np.sqrt(op.source_rule.weights @ np.abs(FV) ** 2)
     if op.target.quadrature_based:
-        T = forward_map(op, op.target.rule.nodes, strategy=_norm_strategy(op)) @ FV
+        T = forward(op, FV, op.target.rule.nodes, strategy=_norm_strategy(op))
         norm_target = np.sqrt((op.target.node_weights() @ np.abs(T) ** 2).real)
     else:
         J_t = J + 8
@@ -551,7 +576,7 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
     phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
     if op.target.quadrature_based:
         tz = op.target.rule.nodes
-        Bphi = forward_map(op, tz, strategy=_norm_strategy(op)) @ phi
+        Bphi = forward(op, phi, tz, strategy=_norm_strategy(op))
         psi = basis_matrix(op.kernel.target_basis(), J, tz)
         return np.conj(psi).T @ (op.target.node_weights()[:, None] * Bphi)
     a = _circle_taylor(op, phi, J)
@@ -576,7 +601,7 @@ def round_trip_integral(op: TransformOperator, c: CoefficientVector, x=None) -> 
         x = op.source_rule.nodes
     fv = basis_matrix(op.kernel.source_basis(), c.truncation,
                       op.source_rule.nodes) @ c.values
-    Fv = forward_map(op, op.target.rule.nodes, strategy="series") @ fv
+    Fv = forward(op, fv, op.target.rule.nodes, strategy="series")
     back = inverse_integral(op, Fv, x)
     fx = basis_matrix(op.kernel.source_basis(), c.truncation, x) @ c.values
     return float(np.max(np.abs(back - fx)))

@@ -2,17 +2,21 @@
 
 Every check compares one measured quantity against a tolerance, and a
 suite report is the ordered list of check results plus the effective
-configuration and wall time.  All randomness is seeded, so a report is
+configuration, the wall time, and the library versions, platform and BLAS
+thread settings it ran under.  All randomness is seeded, so a report is
 reproducible bit-for-bit on one platform for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .special import (
     hermite_sequence,
@@ -746,6 +750,22 @@ SUITES = {
 
 _SUITE_ORDER = ("special", "quadrature", "kernels", "transforms", "operators")
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                          "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment() -> dict:
+    """Library versions, platform and thread settings, which the measured
+    values (through the BLAS) and the wall time depend on."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+    }
+
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     """Run one suite (or 'all') and assemble its report."""
@@ -764,5 +784,5 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     elapsed = time.perf_counter() - start
     return VerificationReport(
         name, tuple(checks),
-        {"config": cfg.to_dict(), "wall_time_s": elapsed},
+        {"config": cfg.to_dict(), "wall_time_s": elapsed, **_environment()},
     )

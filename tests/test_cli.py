@@ -156,6 +156,20 @@ def test_verify_quadrature_passes(capsys):
     assert report.metadata["config"]["source_order"] == 120
 
 
+def test_verify_report_records_environment(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code, out, _ = run_cli(capsys, ["verify", "special"])
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert {"config", "wall_time_s", "python", "numpy", "scipy", "platform",
+            "cpu_count", "blas_threads"} <= set(meta)
+    assert meta["numpy"] == np.__version__
+    assert meta["cpu_count"] >= 1
+    assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(meta["blas_threads"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS"}
+
+
 def test_verify_flag_overrides_config_file(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# narrow run\nsource_order = 80\nplane_order = 30\n")

@@ -13,6 +13,8 @@ from bargmann import (
     basis_matrix,
     bergman,
     beta,
+    disk_eigen,
+    disk_rule,
     gamma_ratio,
     gauss_halfline,
     gauss_line,
@@ -196,6 +198,18 @@ def test_gamma_helpers():
     assert_allclose(log_gamma(6.0), np.log(120.0), rtol=1e-13)
 
 
+def test_log_gamma_scalar_matches_array_route_and_rejects_non_finite():
+    for x in (0.5, 7.5, np.float64(123.25), 1e-3):
+        got = log_gamma(x)
+        assert type(got) is float
+        assert got == float(gammaln(np.asarray(x, dtype=float)))
+    assert_allclose(log_gamma(np.array([1.0, 6.0])), [0.0, np.log(120.0)], rtol=1e-13)
+    for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan), 0.0, -1.5,
+                np.array([1.0, np.nan]), np.array([np.inf]), np.array(-np.inf)):
+        with pytest.raises(ValueError):
+            log_gamma(bad)
+
+
 # ---------------------------------------------------------------------------
 # orthonormal families
 # ---------------------------------------------------------------------------
@@ -223,6 +237,38 @@ def test_basis_eval_matches_matrix_column():
     M = basis_matrix(fam, 6, x)
     for j in (0, 2, 6):
         assert_allclose(basis_eval(fam, j, x), M[:, j], rtol=1e-13)
+
+
+def _disk_eigen_per_degree_powers(nu, ell, jmax, z):
+    """The j >= ell disk eigenfunctions with z^(j - ell) and (1-u)^(-ell)
+    raised separately for each degree, as a reference for the running
+    product the library uses."""
+    beta_p = 2.0 * (nu - ell) - 1.0
+    u = (z * np.conj(z)).real
+    one_minus_u = 1.0 - u
+    out = np.full(z.shape + (jmax + 1,), np.nan, dtype=complex)
+    for j in range(ell, jmax + 1):
+        lognorm = 0.5 * (np.log(beta_p / np.pi) + gammaln(j + 1.0)
+                         + gammaln(beta_p + 1.0 + ell) - gammaln(ell + 1.0)
+                         - gammaln(beta_p + 1.0 + j))
+        logbin = gammaln(j + beta_p + 1.0) - gammaln(j + 1.0) - gammaln(beta_p + 1.0)
+        f = np.ones_like(u)
+        term = np.ones_like(u)
+        for k in range(ell):
+            term = term * ((-ell + k) * (1.0 + beta_p + j + k)
+                           / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
+            f = f + term
+        out[..., j] = (np.exp(lognorm + logbin) * z ** (j - ell)
+                       * one_minus_u ** (-ell) * f)
+    return out
+
+
+@pytest.mark.parametrize("nu, ell", [(3.0, 2), (2.3, 1), (1.7, 0)])
+def test_disk_eigen_running_powers_match_per_degree_powers(nu, ell):
+    z = disk_rule(120, 256, 2.0 * nu - 2.0 - 2 * ell).nodes
+    got = basis_matrix(disk_eigen(nu, ell), 64, z)[:, ell:]
+    want = _disk_eigen_per_degree_powers(nu, ell, 64, z)[:, ell:]
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def test_disk_bases_reject_points_off_the_open_disk():

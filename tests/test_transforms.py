@@ -6,6 +6,8 @@ products go through the weighted Taylor coefficients; the structural tests
 here pin the monomial weights and normalizers those routines rely on.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,10 +27,12 @@ from bargmann import (
     forward_gram,
     forward_map,
     gauss_halfline,
+    gauss_line,
     gen_dirichlet,
     inverse_integral,
     inverse_series,
     isometry_norms,
+    kernel_matrix,
     laguerre_l2,
     make_transform,
     monomial_normalizer,
@@ -181,6 +185,60 @@ def test_forward_evaluates_series_consistently():
     # and both match the image series evaluated directly
     direct = series_transform(c, op.kernel.target_basis(), z)
     assert np.max(np.abs(primary - direct)) < 1e-9
+
+
+# The series routes contract through basis coefficients; these pin them to
+# the target x source kernel matrix they replace, on the default operators'
+# full target rules.
+SERIES_CASES = [("second", (1.5,)), ("generalized_second", (3.0, 2)),
+                ("generalized_second", (2.3, 1)), ("classical", ())]
+
+
+@cache
+def default_op(kind, params):
+    return make_transform(kind, *params)
+
+
+@pytest.mark.parametrize("kind, params", SERIES_CASES)
+def test_series_forward_matches_forward_map(kind, params):
+    op = default_op(kind, params)
+    z = op.target.rule.nodes
+    rng = np.random.default_rng(21)
+    V = rng.standard_normal((120, 9)) + 1j * rng.standard_normal((120, 9))
+    got = forward(op, V, z, strategy="series")
+    want = forward_map(op, z, strategy="series") @ V
+    assert got.shape == want.shape == (z.shape[0], 9)
+    err = np.max(np.abs(got - want), axis=0)
+    assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=0)), err
+    # a single column and a single point keep their shapes
+    assert_allclose(forward(op, V[:, 3], z[:5], strategy="series"), want[:5, 3],
+                    rtol=0, atol=1e-13 * np.max(np.abs(want[:, 3])))
+    assert forward(op, V, z[0], strategy="series").shape == (9,)
+
+
+@pytest.mark.parametrize("kind, params", SERIES_CASES)
+def test_inverse_integral_matches_series_kernel_matrix(kind, params):
+    op = default_op(kind, params)
+    z = op.target.rule.nodes
+    alpha = op.kernel.source_basis().params
+    # points of modest magnitude, as reverse_pairing_residual documents
+    x = gauss_line(12).nodes if kind == "classical" else gauss_halfline(12, *alpha).nodes
+    rng = np.random.default_rng(22)
+    F = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+    got = inverse_integral(op, F, x)
+    kmat = kernel_matrix(op.kernel, z, x, strategy="series", J=op.inverse_truncation)
+    want = (op.target.node_weights() * F) @ np.conj(kmat)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_forward_rejects_wrong_leading_dimension():
+    op = OPS["second"]
+    n = op.source_rule.nodes.shape[0]
+    z = np.array([0.1 + 0.2j])
+    for values in (np.ones(n + 1), np.ones((n - 1, 3)), np.ones((3, n)), np.array(1.0)):
+        for strategy in ("primary", "series"):
+            with pytest.raises(ValueError):
+                forward(op, values, z, strategy=strategy)
 
 
 # ---------------------------------------------------------------------------
