@@ -12,7 +12,6 @@ from .special import (
     HypResult,
     HypSeriesError,
     bargmann_fock,
-    basis_eval,
     basis_matrix,
     bergman,
     beta,
@@ -20,19 +19,18 @@ from .special import (
     disk_eigen,
     gamma_ratio,
     gen_dirichlet,
-    hermite,
     hermite_l2,
     hermite_sequence,
     hyp1f1,
     hyp2f1,
     hyp3f2,
     hyp_series,
-    jacobi,
     jacobi_sequence,
     laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
+    monomial_normalizer,
     pochhammer,
 )
 from .quadrature import (
@@ -47,6 +45,7 @@ from .kernels import (
     KernelFamily,
     KernelSpace,
     OmegaWeight,
+    TargetSpace,
     classical_kernel,
     dirichlet_kernel,
     gen_dirichlet_kernel,
@@ -62,7 +61,6 @@ from .kernels import (
 )
 from .transforms import (
     CoefficientVector,
-    TargetSpace,
     TransformOperator,
     basis_to_taylor,
     circle_points,
@@ -73,10 +71,8 @@ from .transforms import (
     forward_gram,
     forward_map,
     inverse_integral,
-    inverse_series,
     isometry_norms,
     make_transform,
-    monomial_normalizer,
     pairing_residuals,
     reverse_pairing_residual,
     round_trip_integral,

@@ -1,5 +1,6 @@
 """Transform kernels, the convolution weight for the generalized family,
-and reproducing kernels.
+the family table with each family's bases and target space, and
+reproducing kernels.
 
 Every kernel has at least two independent evaluation routes:
 
@@ -20,7 +21,7 @@ orders dominate the truncation index.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -29,6 +30,8 @@ from scipy.special import zeta as _hurwitz_zeta
 from . import special
 from .special import (
     BasisFamily,
+    _LOG_PI,
+    _abs2,
     _check_disk_point,
     _check_source_point,
     bargmann_fock,
@@ -39,13 +42,13 @@ from .special import (
     gen_dirichlet,
     hermite_l2,
     hyp3f2,
-    jacobi,
+    jacobi_sequence,
     laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import QuadratureRule, _golub_welsch
+from .quadrature import QuadratureRule, _golub_welsch, disk_rule, gaussian_plane_rule
 
 __all__ = [
     "OmegaWeight",
@@ -57,6 +60,7 @@ __all__ = [
     "generalized_second_kernel",
     "dirichlet_kernel",
     "gen_dirichlet_kernel",
+    "TargetSpace",
     "FamilySpec",
     "FAMILIES",
     "KernelFamily",
@@ -66,8 +70,6 @@ __all__ = [
     "reproducing_kernel",
     "papadakis_sum",
 ]
-
-_LOG_PI = float(np.log(np.pi))
 
 
 def _zeta_negative(nu: float) -> float:
@@ -503,6 +505,63 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 
 
 # ---------------------------------------------------------------------------
+# Target spaces
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TargetSpace:
+    """Where a transform lands: a quadrature rule for the target measure and
+    the effective weights of integrals against that measure on its nodes.
+
+    ``node_weights`` already carry whatever turns the rule's weights into
+    the measure that makes the target basis orthonormal (see the builders
+    below).  The two Dirichlet-type targets have neither: ``rule`` is None,
+    and their norm is the sum over Taylor coefficients with the weights
+    n_j^(-2) of the target basis psi_j = n_j z^j
+    (``special.monomial_normalizer``).
+    """
+
+    rule: QuadratureRule | None = None
+    node_weights: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.rule is None) != (self.node_weights is None) or (
+                self.rule is not None
+                and self.node_weights.shape != self.rule.weights.shape):
+            raise ValueError("a target space has one weight per rule node, or no rule")
+
+
+def _plane_target(params, disk_orders, plane_order) -> TargetSpace:
+    """Gaussian plane measure exp(-|z|^2) dA, as the Fock basis needs."""
+    rule = gaussian_plane_rule(plane_order)
+    return TargetSpace(rule, rule.weights)
+
+
+def _bergman_target(params, disk_orders, plane_order) -> TargetSpace:
+    """(delta/pi)(1-|z|^2)^(delta-1) dA: the probability normalization is
+    what makes the Bergman monomial basis orthonormal."""
+    (delta,) = params
+    rule = disk_rule(*disk_orders, delta - 1.0)
+    return TargetSpace(rule, rule.weights * (delta / np.pi))
+
+
+def _disk_eigen_target(params, disk_orders, plane_order) -> TargetSpace:
+    """(1-|z|^2)^(2 nu - 2) dA, folded: the eigenspace basis carries a factor
+    (1-|z|^2)^(-ell), so the rule is built for the reduced exponent
+    2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the nodes.
+    Pointwise this is an identity; on polynomials it restores exactness that
+    the raw weight cannot offer."""
+    nu, ell = params
+    rule = disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell)
+    return TargetSpace(rule, rule.weights * (1.0 - _abs2(rule.nodes)) ** (2 * ell))
+
+
+def _coefficient_target(params, disk_orders, plane_order) -> TargetSpace:
+    """A Dirichlet-type target: norms on Taylor coefficients, no rule."""
+    return TargetSpace()
+
+
+# ---------------------------------------------------------------------------
 # The five transform families and their uniform interface
 # ---------------------------------------------------------------------------
 
@@ -518,6 +577,13 @@ class FamilySpec:
     ``evaluate`` looks the kernel functions up by their module-level names
     at call time, so code that rebinds those names (a tracer wrapping each
     layer, a test double) sees every call.
+
+    ``target_space(params, disk_orders, plane_order)`` builds the
+    :class:`TargetSpace` of the target basis: a plane or disk rule with the
+    basis' measure folded into its weights, or no rule for the Dirichlet-type
+    targets.  ``inverse_truncation`` is the default truncation of the
+    integral inverse, one the default target rule integrates exactly (0 where
+    there is no rule).
     """
 
     params: tuple
@@ -525,6 +591,8 @@ class FamilySpec:
     target: Callable
     primary: str
     evaluate: Callable
+    target_space: Callable = _coefficient_target
+    inverse_truncation: int = 0
     weighted: bool = False
 
 
@@ -537,16 +605,19 @@ def _bergman_dirichlet_target(alpha: float, m: int) -> BasisFamily:
 FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock, "closed",
-        lambda p, z, x, rule, weight: classical_kernel(z, x)),
+        lambda p, z, x, rule, weight: classical_kernel(z, x),
+        _plane_target, 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman, "closed",
-        lambda p, z, x, rule, weight: second_kernel(*p, z, x)),
+        lambda p, z, x, rule, weight: second_kernel(*p, z, x),
+        _bergman_target, 110),
     "generalized_second": FamilySpec(
         (("nu", float, "generalized-second parameter"),
          ("ell", int, "generalized-second level")),
         lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen, "closed",
-        lambda p, z, x, rule, weight: generalized_second_kernel(*p, z, x)),
+        lambda p, z, x, rule, weight: generalized_second_kernel(*p, z, x),
+        _disk_eigen_target, 110),
     "dirichlet": FamilySpec(
         (), lambda: laguerre_l2(0.0), dirichlet, "integral",
         lambda p, z, x, rule, weight: dirichlet_kernel(z, x, rule=rule)),
@@ -699,7 +770,7 @@ def reproducing_kernel(space: KernelSpace, z, w):
             (beta_p / np.pi)
             * (1.0 - u) ** (-2.0 * nu)
             * (b / a) ** ell
-            * jacobi(ell, 0.0, beta_p, 2.0 * a / b - 1.0)
+            * jacobi_sequence(ell, 0.0, beta_p, 2.0 * a / b - 1.0)[..., ell]
         )
     if kind == "dirichlet":
         return (1.0 + np.log(1.0 / (1.0 - u))) / np.pi

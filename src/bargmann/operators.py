@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import disk_rule
-from .special import basis_eval, disk_eigen
+from .special import basis_matrix, disk_eigen
 from .transforms import dirichlet_monomial_weights
 
 __all__ = [
@@ -205,7 +205,7 @@ def eigen_check(nu: float, ell: int, j: int, points=None, h: float = 1e-3) -> di
     points = np.asarray(points, dtype=complex)
 
     def F(w):
-        return basis_eval(family, j, w)
+        return basis_matrix(family, j, w)[..., j]
 
     coarse = apply_fd(op, F, points, h)
     fine = apply_fd(op, F, points, h / 2.0)

@@ -18,11 +18,9 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "hermite",
     "hermite_sequence",
     "laguerre",
     "laguerre_sequence",
-    "jacobi",
     "jacobi_sequence",
     "log_gamma",
     "beta",
@@ -42,8 +40,8 @@ __all__ = [
     "disk_eigen",
     "dirichlet",
     "gen_dirichlet",
-    "basis_eval",
     "basis_matrix",
+    "monomial_normalizer",
 ]
 
 
@@ -99,11 +97,6 @@ def pochhammer(a: float, n: int) -> float:
 # Classical orthogonal polynomials via three-term recurrences
 # ---------------------------------------------------------------------------
 
-def hermite(j: int, x):
-    """Physicists' Hermite polynomial H_j(x)."""
-    return hermite_sequence(j, x)[..., j]
-
-
 def hermite_sequence(jmax: int, x):
     """H_0(x) .. H_jmax(x) stacked along the last axis.
 
@@ -111,7 +104,7 @@ def hermite_sequence(jmax: int, x):
     """
     if jmax < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     out = np.empty(x.shape + (jmax + 1,))
     out[..., 0] = 1.0
     if jmax >= 1:
@@ -132,6 +125,8 @@ def laguerre(j: int, alpha: float, x):
 
 def laguerre_sequence(jmax: int, alpha: float, x):
     """L_0^(alpha)(x) .. L_jmax^(alpha)(x) stacked along the last axis."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Laguerre points must be finite")
     return np.stack(list(_laguerre_degrees(jmax, alpha, x)), axis=-1)
 
 
@@ -140,8 +135,8 @@ def _laguerre_degrees(jmax: int, alpha: float, x):
 
     Recurrence: (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}.
     """
-    if alpha <= -1.0:
-        raise ValueError("Laguerre parameter must satisfy alpha > -1")
+    if not -1.0 < alpha < np.inf:  # NaN fails this too
+        raise ValueError("Laguerre parameter must satisfy finite alpha > -1")
     if jmax < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x)
@@ -157,24 +152,19 @@ def _laguerre_degrees(jmax: int, alpha: float, x):
         yield cur
 
 
-def jacobi(j: int, a: float, b: float, x):
-    """Jacobi polynomial P_j^(a,b)(x) for a, b > -1.
+def jacobi_sequence(jmax: int, a: float, b: float, x):
+    """P_0^(a,b)(x) .. P_jmax^(a,b)(x) stacked along the last axis, a, b > -1.
 
     Negative-integer first parameters (which occur in the disk eigenfunction
-    family) are handled separately inside ``_disk_eigen_matrix`` through a
-    terminating hypergeometric form; this entry point insists on the
-    classical parameter range where the recurrence is valid.
+    family) are handled inside ``_disk_eigen_matrix`` through a terminating
+    hypergeometric form; this entry point insists on the classical parameter
+    range where the recurrence is valid.
     """
-    return jacobi_sequence(j, a, b, x)[..., j]
-
-
-def jacobi_sequence(jmax: int, a: float, b: float, x):
-    """P_0^(a,b)(x) .. P_jmax^(a,b)(x) stacked along the last axis."""
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError("Jacobi parameters must satisfy a, b > -1")
+    if not (-1.0 < a < np.inf and -1.0 < b < np.inf):  # NaN fails this too
+        raise ValueError("Jacobi parameters must satisfy finite a, b > -1")
     if jmax < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = _check_source_point(x)
     out = np.empty(x.shape + (jmax + 1,))
     out[..., 0] = 1.0
     if jmax >= 1:
@@ -232,6 +222,8 @@ def hyp_series(kind: str, upper: Sequence[float], lower: Sequence[float],
     for c in lower:
         if float(c) <= 0.0 and float(c) == int(c):
             raise ValueError("lower parameters must not be nonpositive integers")
+    if not np.isfinite(x):
+        raise ValueError("hypergeometric argument must be finite")
     terminating = any(float(a) == int(a) and float(a) <= 0.0 for a in upper)
     if nu == nl + 1 and not terminating and abs(x) >= 1.0:
         raise HypSeriesError(
@@ -382,6 +374,51 @@ def gen_dirichlet(alpha: float, m: int) -> BasisFamily:
     return BasisFamily("gen_dirichlet", (float(alpha), m))
 
 
+_LOG_PI = float(np.log(np.pi))
+
+
+def _gen_dirichlet_log_norms(j, alpha, m):
+    """Weighted-Bergman monomial norms below j = m, those of the order-m
+    derivative pairing from j = m on."""
+    lg_a1 = log_gamma(alpha + 1.0)
+    head = log_gamma(j + alpha + 2.0) - log_gamma(j + 1.0) - lg_a1
+    k = np.maximum(j - m, 0.0)
+    tail = log_gamma(k + 1.0) + log_gamma(k + alpha + 2.0) - 2.0 * log_gamma(j + 1.0) - lg_a1
+    return 0.5 * np.where(j < m, head, tail) - 0.5 * _LOG_PI
+
+
+# log n_j with psi_j(z) = n_j z^j for the families diagonal in the monomials,
+# as functions of the degrees j (a float array) and the family's parameters
+_LOG_MONOMIAL_NORMS = {
+    "bargmann_fock": lambda j: -0.5 * (_LOG_PI + log_gamma(j + 1.0)),
+    "bergman": lambda j, delta: 0.5 * (
+        log_gamma(j + delta + 1.0) - log_gamma(j + 1.0) - log_gamma(delta + 1.0)),
+    "dirichlet": lambda j: -0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0))),
+    "gen_dirichlet": _gen_dirichlet_log_norms,
+}
+
+
+def monomial_normalizer(family: BasisFamily, J: int) -> np.ndarray:
+    """n_j with psi_j(z) = n_j z^j, j = 0..J, for the families diagonal in
+    the monomials: bargmann_fock, bergman, dirichlet and gen_dirichlet.
+
+    The norms are formed in log space, so they neither under- nor overflow
+    on the way; their relative error is the rounding of the cancelling
+    log-Gamma values (~2e-12 at J = 1100).  Where a norm itself leaves the
+    normal float64 range (Fock from J = 301) a ValueError is raised rather
+    than a subnormal or zero returned.
+    """
+    log_norms = _LOG_MONOMIAL_NORMS.get(family.kind)
+    if log_norms is None:
+        raise ValueError(f"{family.kind} basis is not diagonal in the monomials")
+    if J < 0:
+        raise ValueError("J must be nonnegative")
+    n = np.exp(log_norms(np.arange(J + 1, dtype=float), *family.params))
+    if not np.all((n >= np.finfo(float).tiny) & (n < np.inf)):
+        raise ValueError(f"{family} monomial norms leave the float64 range by degree {J}")
+    return n
+
+
 def _check_disk_point(z):
     """z as a complex array, after checking every point is finite and in the unit disk."""
     z = np.asarray(z, dtype=complex)
@@ -391,19 +428,21 @@ def _check_disk_point(z):
     return z
 
 
+def _abs2(z):
+    """|z|^2 as (z conj(z)).real.  The disk eigenfunctions' factor
+    (1-|z|^2)^(-ell) and the eigenspace target's weight factor
+    (1-|z|^2)^(2 ell) both take |z|^2 from here: near the boundary,
+    np.abs(z)**2 differs from it by ~1e-11 relative in 1-|z|^2, enough to
+    stop the two factors cancelling on the rule nodes."""
+    return (z * np.conj(z)).real
+
+
 def _check_source_point(x):
     """x as a float array, after checking every point is finite."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("source points must be finite")
     return x
-
-
-def basis_eval(family: BasisFamily, j: int, point):
-    """Evaluate the j-th member of an orthonormal family at a point (or array)."""
-    if j < 0:
-        raise ValueError("basis index must be nonnegative")
-    return basis_matrix(family, j, point)[..., j]
 
 
 def basis_matrix(family: BasisFamily, jmax: int, points):
@@ -418,7 +457,7 @@ def basis_matrix(family: BasisFamily, jmax: int, points):
         raise ValueError("jmax must be nonnegative")
 
     if kind == "hermite_l2":
-        x = np.asarray(points, dtype=float)
+        x = _check_source_point(points)
         out = np.empty(x.shape + (jmax + 1,))
         out[..., 0] = np.pi ** -0.25
         if jmax >= 1:
@@ -432,7 +471,7 @@ def basis_matrix(family: BasisFamily, jmax: int, points):
 
     if kind == "laguerre_l2":
         (alpha,) = family.params
-        x = np.asarray(points, dtype=float)
+        x = _check_source_point(points)
         out = np.empty(x.shape + (jmax + 1,))
         out[..., 0] = np.exp(-0.5 * log_gamma(alpha + 1.0))
         if jmax >= 1:
@@ -464,37 +503,14 @@ def basis_matrix(family: BasisFamily, jmax: int, points):
     if kind == "disk_eigen":
         return _disk_eigen_matrix(family.params, jmax, points)
 
-    if kind == "dirichlet":
+    if kind in ("dirichlet", "gen_dirichlet"):
+        # the powers z^j times the log-space norms n_j
         z = _check_disk_point(points)
         out = np.empty(z.shape + (jmax + 1,), dtype=complex)
-        out[..., 0] = np.pi ** -0.5
-        zj = np.ones_like(z)
-        for k in range(1, jmax + 1):
-            zj = zj * z
-            out[..., k] = zj / np.sqrt(np.pi * k)
-        return out
-
-    if kind == "gen_dirichlet":
-        alpha, m = family.params
-        z = _check_disk_point(points)
-        out = np.empty(z.shape + (jmax + 1,), dtype=complex)
-        lg_a1 = log_gamma(alpha + 1.0)
-        zj = np.ones_like(z)
-        for k in range(jmax + 1):
-            if k > 0:
-                zj = zj * z
-            if k < m:
-                lognorm = 0.5 * (
-                    log_gamma(k + alpha + 2.0) - log_gamma(k + 1.0) - lg_a1
-                ) - 0.5 * np.log(np.pi)
-            else:
-                lognorm = 0.5 * (
-                    log_gamma(k - m + 1.0)
-                    + log_gamma(k - m + alpha + 2.0)
-                    - 2.0 * log_gamma(k + 1.0)
-                    - lg_a1
-                ) - 0.5 * np.log(np.pi)
-            out[..., k] = zj * np.exp(lognorm)
+        out[..., 0] = 1.0
+        for k in range(jmax):
+            out[..., k + 1] = out[..., k] * z
+        out *= monomial_normalizer(family, jmax)
         return out
 
     raise ValueError(f"unknown basis family {kind!r}")
@@ -513,7 +529,7 @@ def _disk_eigen_matrix(params, jmax, points):
     ell = int(ell)
     beta_p = 2.0 * (nu - ell) - 1.0
     z = _check_disk_point(points)
-    u = (z * np.conj(z)).real
+    u = _abs2(z)
     one_minus_u = 1.0 - u
     out = np.empty(z.shape + (jmax + 1,), dtype=complex)
 
@@ -540,7 +556,7 @@ def _disk_eigen_matrix(params, jmax, points):
                 zp = zp * z
             out[..., j] = np.exp(lognorm + logbin) * zp * fold * f
         else:
-            pj = jacobi(j, ell - j, beta_p, 1.0 - 2.0 * u)
+            pj = jacobi_sequence(j, ell - j, beta_p, 1.0 - 2.0 * u)[..., j]
             out[..., j] = (
                 (-1.0) ** j
                 * np.exp(lognorm)

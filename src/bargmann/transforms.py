@@ -2,14 +2,15 @@
 and the pairing/isometry machinery.
 
 A :class:`TransformOperator` bundles a kernel family with a source
-quadrature rule (matching the kernel's source measure) and a target-space
-descriptor.  Targets come in two flavours:
-
-- L2-type (Gaussian plane, weighted disk): carry a quadrature rule, so both
-  ``forward`` and ``inverse_integral`` are discretized integrals;
-- Dirichlet-type: the norm is a weighted sum over Taylor coefficients, not
-  an integral, so inversion is series-only (``inverse_series``) and norms go
-  through ``dirichlet_inner``.
+quadrature rule (matching the kernel's source measure) and the family's
+target space (``kernels.TargetSpace``, built by ``kernels.FAMILIES``).  A
+target with a rule (Gaussian plane, weighted disk) integrates against its
+node weights, so both ``forward`` and ``inverse_integral`` are discretized
+integrals.  A Dirichlet-type target has no rule: its norm is a weighted sum
+over Taylor coefficients, read off the forward image on a circle
+(``target_coefficients``), with the weights n_j^(-2) of the target basis
+psi_j = n_j z^j.  The transform carries phi_j to psi_j, so those target
+coefficients are also the source coefficients of the inverse.
 
 Inversion quadrature deliberately uses the *series-truncated* kernel rather
 than the closed form.  The closed kernels grow double-exponentially in the
@@ -37,13 +38,14 @@ import numpy as np
 from .special import (
     BasisFamily,
     basis_matrix,
-    log_gamma,
+    dirichlet,
+    gen_dirichlet,
+    monomial_normalizer,
 )
-from .quadrature import QuadratureRule, disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
-from .kernels import KernelFamily, OmegaWeight, kernel_matrix
+from .quadrature import QuadratureRule, gauss_halfline, gauss_line
+from .kernels import FAMILIES, KernelFamily, OmegaWeight, TargetSpace, kernel_matrix
 
 __all__ = [
-    "TargetSpace",
     "TransformOperator",
     "CoefficientVector",
     "make_transform",
@@ -52,10 +54,8 @@ __all__ = [
     "inverse_integral",
     "coefficients",
     "series_transform",
-    "inverse_series",
     "dirichlet_inner",
     "dirichlet_monomial_weights",
-    "monomial_normalizer",
     "circle_points",
     "taylor_from_circle",
     "taylor_to_basis",
@@ -68,61 +68,6 @@ __all__ = [
     "round_trip_integral",
     "round_trip_series",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Target spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TargetSpace:
-    """Where a transform lands, and how to integrate / take norms there.
-
-    kind 'plane' or 'disk': quadrature-based L2 space.  ``scale`` is a
-    constant measure normalization (e.g. delta/pi for the Bergman target
-    whose probability-normalized measure makes the monomial basis
-    orthonormal).  ``fold`` handles the eigenspace targets: their basis
-    functions carry a factor (1-|z|^2)^(-fold), so the stored rule is built
-    for the reduced exponent gamma - 2*fold and integrands are multiplied
-    by (1-|z|^2)^(2*fold) on the nodes.  Pointwise this is an identity;
-    on polynomials it restores exactness that the raw weight cannot offer.
-
-    kind 'dirichlet' or 'gen_dirichlet': norm defined directly on Taylor
-    coefficients; no rule.
-    """
-
-    kind: str
-    rule: QuadratureRule | None = None
-    scale: float = 1.0
-    fold: int = 0
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("plane", "disk", "dirichlet", "gen_dirichlet"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.quadrature_based and self.rule is None:
-            raise ValueError(f"{self.kind} target needs a quadrature rule")
-
-    @property
-    def quadrature_based(self) -> bool:
-        return self.kind in ("plane", "disk")
-
-    def node_weights(self) -> np.ndarray:
-        """Effective quadrature weights for integrals against the target measure."""
-        if not self.quadrature_based:
-            raise ValueError(f"{self.kind} target has no quadrature representation")
-        w = self.rule.weights * self.scale
-        if self.fold:
-            u = np.abs(self.rule.nodes) ** 2
-            w = w * (1.0 - u) ** (2 * self.fold)
-        return w
-
-    def norm(self, values: np.ndarray) -> float:
-        if self.quadrature_based:
-            return float(np.sqrt(np.sum(self.node_weights() * np.abs(values) ** 2).real))
-        # values are Taylor coefficients here
-        a = np.asarray(values)
-        return float(np.sqrt(dirichlet_inner(a, a, *self.params).real))
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +125,6 @@ class TransformOperator:
                 )
 
 
-def _target_space(basis: BasisFamily, disk_orders: tuple[int, int],
-                  plane_order: int) -> tuple[TargetSpace, int]:
-    """The target space of an orthonormal target family, and the default
-    inverse truncation its rule integrates exactly."""
-    if basis.kind == "bargmann_fock":
-        return TargetSpace("plane", gaussian_plane_rule(plane_order)), 100
-    if basis.kind == "bergman":
-        (delta,) = basis.params
-        return TargetSpace("disk", disk_rule(*disk_orders, delta - 1.0),
-                           scale=delta / np.pi), 110
-    if basis.kind == "disk_eigen":
-        nu, ell = basis.params
-        return TargetSpace("disk", disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell),
-                           fold=ell), 110
-    # Dirichlet-type families: norms on Taylor coefficients, no integral inverse
-    return TargetSpace(basis.kind, params=basis.params), 0
-
-
 def make_transform(kind: str, *params, source_order: int = 120,
                    disk_orders: tuple[int, int] = (120, 256),
                    plane_order: int = 60,
@@ -209,8 +136,8 @@ def make_transform(kind: str, *params, source_order: int = 120,
 
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
     source rule matches the measure of its source basis (Gauss-Hermite on
-    the line, generalized Gauss-Laguerre on the half-line) and the target
-    space follows its target basis.
+    the line, generalized Gauss-Laguerre on the half-line); the target space
+    and the default inverse truncation are the family's (``FAMILIES``).
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
@@ -228,11 +155,12 @@ def make_transform(kind: str, *params, source_order: int = 120,
         source = gauss_line(source_order)
     else:
         source = gauss_halfline(source_order, *src.params)
-    target, j_inv = _target_space(kernel.target_basis(), disk_orders, plane_order)
+    spec = FAMILIES[kernel.kind]
+    target = spec.target_space(kernel.params, disk_orders, plane_order)
     if weight is None:
         weight = kernel.omega_weight(h=omega_step)
     if inverse_truncation is None:
-        inverse_truncation = j_inv
+        inverse_truncation = spec.inverse_truncation
     return TransformOperator(kernel, source, target, series_truncation,
                              inverse_truncation, weight)
 
@@ -292,16 +220,16 @@ def forward(op: TransformOperator, f, z, strategy: str = "primary"):
 def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     """B^(-1)[F](x) = sum_i w_i conj(K(z_i, x)) F(z_i) over the target rule.
 
-    Only available for L2-type targets.  Uses the series-truncated kernel
+    Only available for targets with a rule.  Uses the series-truncated kernel
     (see the module docstring), contracted through its coefficients:
     phi_J(x) (psi_J(z)^H (w * F)).  J defaults to the operator's
     inverse_truncation, which is sized so the target rule integrates the
     truncated integrand exactly.
     """
-    if not op.target.quadrature_based:
+    if op.target.rule is None:
         raise ValueError(
-            "integral inversion needs an L2-type target; Dirichlet-type "
-            "targets invert by coefficients via inverse_series"
+            "integral inversion needs a target rule; Dirichlet-type targets "
+            "invert by coefficients via target_coefficients"
         )
     nodes = op.target.rule.nodes
     Fv = F(nodes) if callable(F) else np.asarray(F)
@@ -311,7 +239,7 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     if J is None:
         J = op.inverse_truncation
     psi = basis_matrix(op.kernel.target_basis(), J, nodes)
-    coef = np.conj(psi).T @ (op.target.node_weights() * Fv)
+    coef = np.conj(psi).T @ (op.target.node_weights * Fv)
     out = basis_matrix(op.kernel.source_basis(), J, xx) @ coef
     return out[0] if np.ndim(x) == 0 else out
 
@@ -337,17 +265,6 @@ def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
     return out[0] if np.ndim(z) == 0 else out
 
 
-def inverse_series(F: CoefficientVector, source_basis: BasisFamily) -> CoefficientVector:
-    """Re-base target coefficients <F, psi_j> as source coefficients.
-
-    The transform carries phi_j to psi_j unitarily, so the inverse of
-    sum c_j psi_j is sum c_j phi_j: the numbers are unchanged and only the
-    basis tag moves.  All the analytic work (extracting <F, psi_j>) happens
-    upstream, e.g. in target_coefficients.
-    """
-    return CoefficientVector(F.values.copy(), source_basis, F.truncation)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-type inner products on Taylor coefficients
 # ---------------------------------------------------------------------------
@@ -356,32 +273,17 @@ def dirichlet_monomial_weights(J: int, alpha: float | None = None,
                                 m: int | None = None) -> np.ndarray:
     """Weights w_j with <f, g> = sum_j w_j a_j conj(b_j) on Taylor coefficients.
 
-    Plain Dirichlet: w_0 = pi and w_j = pi j.  The constant's weight pi is
-    forced by the reproducing kernel (1/pi)(1 + log 1/(1-z conj(w))) and
-    the unit vector 1/sqrt(pi).
-
-    Generalized (alpha, m): below the split index, the weighted-Bergman
-    monomial norms pi j! Gamma(alpha+1) / Gamma(j+alpha+2); from m on, the
-    norms of the m-th derivative pairing,
-    pi (j!)^2 Gamma(alpha+1) / ((j-m)! Gamma(j-m+alpha+2)).
+    w_j = n_j^(-2) for the orthonormal family psi_j = n_j z^j of the space:
+    ``dirichlet()`` when alpha is None (w_0 = pi, w_j = pi j), else
+    ``gen_dirichlet(alpha, m)``.
     """
-    j = np.arange(J + 1, dtype=float)
     if alpha is None:
-        w = np.pi * j
-        w[0] = np.pi
-        return w
-    if m is None:
+        family = dirichlet()
+    elif m is None:
         raise ValueError("generalized weights need both alpha and m")
-    lg_a1 = log_gamma(alpha + 1.0)
-    w = np.empty(J + 1)
-    for k in range(J + 1):
-        if k < m:
-            w[k] = np.exp(np.log(np.pi) + log_gamma(k + 1.0) + lg_a1
-                          - log_gamma(k + alpha + 2.0))
-        else:
-            w[k] = np.exp(np.log(np.pi) + 2.0 * log_gamma(k + 1.0) + lg_a1
-                          - log_gamma(k - m + 1.0) - log_gamma(k - m + alpha + 2.0))
-    return w
+    else:
+        family = gen_dirichlet(alpha, m)
+    return monomial_normalizer(family, J) ** -2.0
 
 
 def dirichlet_inner(a, b, alpha: float | None = None, m: int | None = None) -> complex:
@@ -452,17 +354,6 @@ def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> 
     return taylor_from_circle(vals, J, radius, n_points)
 
 
-def monomial_normalizer(family: BasisFamily, J: int) -> np.ndarray:
-    """n_j with psi_j(z) = n_j z^j, for the diagonal (monomial) disk families."""
-    if family.kind not in ("bargmann_fock", "bergman", "dirichlet", "gen_dirichlet"):
-        raise ValueError(f"{family.kind} basis is not diagonal in the monomials")
-    # evaluate at a single real point and divide out the powers; exact for
-    # diagonal families and cheaper than duplicating the normalizations here
-    r = 0.5
-    row = basis_matrix(family, J, np.array([r + 0j]))[0]
-    return row.real / r ** np.arange(J + 1)
-
-
 def taylor_to_basis(a: np.ndarray, family: BasisFamily) -> CoefficientVector:
     """Coefficients in a diagonal orthonormal family from Taylor coefficients."""
     a = np.asarray(a, dtype=complex)
@@ -485,7 +376,7 @@ def target_coefficients(op: TransformOperator, f, J: int | None = None) -> Coeff
     the honest dual route for isometry and round-trip checks: it never
     consults the source coefficients of f.
     """
-    if op.target.quadrature_based:
+    if op.target.rule is not None:
         raise ValueError("target_coefficients is for Dirichlet-type targets")
     if J is None:
         J = op.series_truncation
@@ -510,7 +401,7 @@ def _norm_strategy(op: TransformOperator) -> str:
     oscillation frequency at the rule's extent), so the primary kernel is
     fine everywhere it is sampled.
     """
-    return "series" if op.target.kind == "disk" else "primary"
+    return "series" if op.target.rule.kind == "disk" else "primary"
 
 
 def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
@@ -531,11 +422,11 @@ def reverse_pairing_residual(op: TransformOperator, j: int, x=None) -> float:
     region, so callers evaluate at the nodes of a low-order rule for the
     same measure.
     """
-    if not op.target.quadrature_based:
+    if op.target.rule is None:
         raise ValueError(
-            "reverse pairing integrates over the target space and needs an "
-            "L2-type target; Dirichlet-type targets invert by coefficients "
-            "via inverse_series")
+            "reverse pairing integrates over the target space and needs a "
+            "target rule; Dirichlet-type targets invert by coefficients via "
+            "target_coefficients")
     if x is None:
         x = op.source_rule.nodes
     psi = basis_matrix(op.kernel.target_basis(), j, op.target.rule.nodes)[:, j]
@@ -560,13 +451,13 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     J = C.shape[0] - 1
     FV = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
     norm_source = np.sqrt(op.source_rule.weights @ np.abs(FV) ** 2)
-    if op.target.quadrature_based:
+    if op.target.rule is not None:
         T = forward(op, FV, op.target.rule.nodes, strategy=_norm_strategy(op))
-        norm_target = np.sqrt((op.target.node_weights() @ np.abs(T) ** 2).real)
+        norm_target = np.sqrt((op.target.node_weights @ np.abs(T) ** 2).real)
     else:
         J_t = J + 8
         a = _circle_taylor(op, FV, J_t)
-        w = dirichlet_monomial_weights(J_t, *op.target.params)
+        w = monomial_normalizer(op.kernel.target_basis(), J_t) ** -2.0
         norm_target = np.sqrt((w @ np.abs(a) ** 2).real)
     return norm_source, norm_target
 
@@ -574,16 +465,14 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
 def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
     """G[j, k] = <B[phi_k], psi_j>_target; the identity up to truncation."""
     phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
-    if op.target.quadrature_based:
+    if op.target.rule is not None:
         tz = op.target.rule.nodes
         Bphi = forward(op, phi, tz, strategy=_norm_strategy(op))
         psi = basis_matrix(op.kernel.target_basis(), J, tz)
-        return np.conj(psi).T @ (op.target.node_weights()[:, None] * Bphi)
+        return np.conj(psi).T @ (op.target.node_weights[:, None] * Bphi)
     a = _circle_taylor(op, phi, J)
-    w = dirichlet_monomial_weights(J, *op.target.params)
-    n = monomial_normalizer(op.kernel.target_basis(), J)
-    # <F, psi_j> = w_j a_j n_j for diagonal psi_j = n_j z^j
-    return (w * n)[:, None] * a
+    # <F, psi_j> = n_j^(-2) a_j n_j for diagonal psi_j = n_j z^j
+    return a / monomial_normalizer(op.kernel.target_basis(), J)[:, None]
 
 
 def round_trip_integral(op: TransformOperator, c: CoefficientVector, x=None) -> float:
@@ -608,8 +497,11 @@ def round_trip_integral(op: TransformOperator, c: CoefficientVector, x=None) -> 
 
 
 def round_trip_series(op: TransformOperator, c: CoefficientVector) -> float:
-    """max_j |c_out - c_in| through forward + circle extraction + re-basing."""
+    """max_j |c_out - c_in| through forward and circle extraction.
+
+    The transform carries phi_j to psi_j, so the target coefficients
+    <B[f], psi_j> are the source coefficients of the inverse image.
+    """
     ct = target_coefficients(op, lambda x: basis_matrix(
         op.kernel.source_basis(), c.truncation, x) @ c.values, J=c.truncation)
-    back = inverse_series(ct, c.basis)
-    return float(np.max(np.abs(back.values - c.values)))
+    return float(np.max(np.abs(ct.values - c.values)))

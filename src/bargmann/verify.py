@@ -489,9 +489,8 @@ def _roundtrip_op(cfg: RunConfig, kind: str, params: tuple):
 
 
 def _target_points(op) -> np.ndarray:
-    if op.target.kind == "plane":
-        return _sample_disk((0.5, 1.0), per_circle=5, rmax=1.2)
-    return _sample_disk((0.5, 1.0), per_circle=5, rmax=0.55)
+    plane = op.target.rule is not None and op.target.rule.kind == "plane"
+    return _sample_disk((0.5, 1.0), per_circle=5, rmax=1.2 if plane else 0.55)
 
 
 def suite_transforms(cfg: RunConfig) -> list:
@@ -499,10 +498,10 @@ def suite_transforms(cfg: RunConfig) -> list:
     scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED)
     ops = {kind: _default_op(cfg, kind, params) for kind, params, _, _ in _TRANSFORM_CASES}
-    # the integral inverse needs an L2-type target
+    # the integral inverse needs a target rule
     small_ops = {kind: _roundtrip_op(cfg, kind, params)
                  for kind, params, _, _ in _TRANSFORM_CASES
-                 if ops[kind].target.quadrature_based}
+                 if ops[kind].target.rule is not None}
 
     for kind, op in ops.items():
         z = _target_points(op)
@@ -558,7 +557,7 @@ def suite_transforms(cfg: RunConfig) -> list:
         ))
 
     for kind, op in ops.items():
-        if op.target.quadrature_based:
+        if op.target.rule is not None:
             continue
         values = np.zeros(16, dtype=complex)
         values[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)

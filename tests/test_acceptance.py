@@ -139,7 +139,8 @@ def test_criterion_5_pairing(default_ops, roundtrip_ops):
     start = time.perf_counter()
     worst_forward = 0.0
     for kind, op in default_ops.items():
-        rmax = 1.2 if op.target.kind == "plane" else 0.55
+        plane = op.target.rule is not None and op.target.rule.kind == "plane"
+        rmax = 1.2 if plane else 0.55
         z = _sample_disk((0.5, 1.0), per_circle=5, rmax=rmax)
         worst_forward = max(worst_forward, float(np.max(pairing_residuals(op, 8, z))))
     assert worst_forward <= 1e-7, worst_forward

@@ -10,7 +10,7 @@ from bargmann import (
     MonomialExpansion,
     apply_exact,
     apply_fd,
-    basis_eval,
+    basis_matrix,
     casimir,
     disk_eigen,
     eigen_check,
@@ -169,9 +169,9 @@ def test_eigenfunctions_satisfy_equation_pointwise():
     fam = disk_eigen(nu, ell)
     op = hyperbolic_landau(nu)
     pts = operator_sample_points(radii=(0.35, 0.55), per_circle=6)
-    psi = basis_eval(fam, j, pts)
-    coarse = apply_fd(op, lambda w: basis_eval(fam, j, w), pts, 1e-3)
-    fine = apply_fd(op, lambda w: basis_eval(fam, j, w), pts, 5e-4)
+    psi = basis_matrix(fam, j, pts)[:, j]
+    coarse = apply_fd(op, lambda w: basis_matrix(fam, j, w)[..., j], pts, 1e-3)
+    fine = apply_fd(op, lambda w: basis_matrix(fam, j, w)[..., j], pts, 5e-4)
     applied = (4.0 * fine - coarse) / 3.0
     lam = landau_eigenvalue(nu, ell)
     assert np.max(np.abs(applied - lam * psi)) / np.max(np.abs(psi)) < 1e-6

@@ -9,30 +9,33 @@ from scipy.special import eval_genlaguerre, eval_hermite, eval_jacobi, gammaln
 
 from bargmann import (
     HypSeriesError,
-    basis_eval,
+    bargmann_fock,
     basis_matrix,
     bergman,
     beta,
+    dirichlet,
     disk_eigen,
     disk_rule,
     gamma_ratio,
     gauss_halfline,
     gauss_line,
-    hermite,
+    gen_dirichlet,
     hermite_l2,
     hermite_sequence,
     hyp1f1,
     hyp2f1,
     hyp3f2,
     hyp_series,
-    jacobi,
     jacobi_sequence,
     laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
+    monomial_normalizer,
     pochhammer,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_hermite_low_orders_explicit():
@@ -48,7 +51,7 @@ def test_hermite_low_orders_explicit():
 def test_hermite_matches_scipy():
     x = np.linspace(-3.0, 3.0, 9)
     for j in (0, 1, 5, 12, 25):
-        assert_allclose(hermite(j, x), eval_hermite(j, x), rtol=1e-12)
+        assert_allclose(hermite_sequence(j, x)[:, j], eval_hermite(j, x), rtol=1e-12)
 
 
 def test_laguerre_low_orders_explicit():
@@ -83,7 +86,7 @@ def test_jacobi_matches_scipy():
     for a, b in ((0.0, 0.0), (0.5, 1.5), (2.0, 0.0)):
         for j in (1, 4, 11):
             # atol covers the exact zeros of the odd Legendre members at x = 0
-            assert_allclose(jacobi(j, a, b, x), eval_jacobi(j, a, b, x),
+            assert_allclose(jacobi_sequence(j, a, b, x)[:, j], eval_jacobi(j, a, b, x),
                             rtol=1e-11, atol=1e-14)
 
 
@@ -92,7 +95,7 @@ def test_jacobi_value_at_one():
     for a, b in ((0.0, 0.5), (1.5, 2.0)):
         for n in range(8):
             want = pochhammer(a + 1.0, n) / np.exp(gammaln(n + 1.0))
-            assert_allclose(jacobi(n, a, b, np.array([1.0]))[0], want, rtol=1e-12)
+            assert_allclose(jacobi_sequence(n, a, b, np.array([1.0]))[0, n], want, rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,8 +107,8 @@ def test_jacobi_value_at_one():
 )
 def test_jacobi_reflection_symmetry(n, a, b, x):
     # P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x)
-    left = jacobi(n, a, b, np.array([-x]))[0]
-    right = (-1.0) ** n * jacobi(n, b, a, np.array([x]))[0]
+    left = jacobi_sequence(n, a, b, np.array([-x]))[0, n]
+    right = (-1.0) ** n * jacobi_sequence(n, b, a, np.array([x]))[0, n]
     assert_allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
@@ -116,6 +119,26 @@ def test_sequence_validation():
         laguerre_sequence(3, -1.0, 0.5)
     with pytest.raises(ValueError):
         jacobi_sequence(3, -1.2, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: hermite_sequence(3, [0.5, NAN]), id="hermite-x"),
+    pytest.param(lambda: hermite_sequence(3, INF), id="hermite-x-inf"),
+    pytest.param(lambda: laguerre_sequence(3, 0.5, [1.0, NAN]), id="laguerre-x"),
+    pytest.param(lambda: laguerre_sequence(3, NAN, 1.0), id="laguerre-alpha"),
+    pytest.param(lambda: laguerre_sequence(3, INF, 1.0), id="laguerre-alpha-inf"),
+    pytest.param(lambda: jacobi_sequence(3, 0.5, 0.5, [0.1, -INF]), id="jacobi-x"),
+    pytest.param(lambda: jacobi_sequence(3, NAN, 0.5, 0.1), id="jacobi-a"),
+    pytest.param(lambda: jacobi_sequence(3, 0.5, NAN, 0.1), id="jacobi-b"),
+    pytest.param(lambda: hyp_series("1F1", (0.5,), (1.5,), NAN), id="hyp-x"),
+    pytest.param(lambda: hyp_series("2F1", (0.5, 0.5), (1.5,), complex(NAN, 0.1)),
+                 id="hyp-x-complex"),
+    pytest.param(lambda: basis_matrix(hermite_l2(), 4, [0.0, NAN]), id="hermite_l2"),
+    pytest.param(lambda: basis_matrix(laguerre_l2(0.5), 4, [INF]), id="laguerre_l2"),
+])
+def test_non_finite_input_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +254,6 @@ def test_laguerre_family_orthonormal_under_halfline_rule():
         assert np.max(np.abs(gram - np.eye(13))) < 1e-11
 
 
-def test_basis_eval_matches_matrix_column():
-    fam = laguerre_l2(0.5)
-    x = np.array([0.2, 1.1, 3.0])
-    M = basis_matrix(fam, 6, x)
-    for j in (0, 2, 6):
-        assert_allclose(basis_eval(fam, j, x), M[:, j], rtol=1e-13)
-
-
 def _disk_eigen_per_degree_powers(nu, ell, jmax, z):
     """The j >= ell disk eigenfunctions with z^(j - ell) and (1-u)^(-ell)
     raised separately for each degree, as a reference for the running
@@ -275,3 +290,46 @@ def test_disk_bases_reject_points_off_the_open_disk():
     for z in (1.0 + 0j, np.nan + 0j, complex(0.1, np.inf)):
         with pytest.raises(ValueError):
             basis_matrix(bergman(1.5), 2, np.array([z]))
+
+
+# n_j of psi_j = n_j z^j in closed log-Gamma form
+_LOG_PI = np.log(np.pi)
+_CLOSED_LOG_NORMS = {
+    "bargmann_fock": lambda j: -0.5 * (_LOG_PI + gammaln(j + 1.0)),
+    "bergman": lambda j, d: 0.5 * (gammaln(j + d + 1.0) - gammaln(j + 1.0)
+                                   - gammaln(d + 1.0)),
+    "dirichlet": lambda j: -0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0))),
+    "gen_dirichlet": lambda j, a, m: 0.5 * np.where(
+        j < m,
+        gammaln(j + a + 2.0) - gammaln(j + 1.0) - gammaln(a + 1.0),
+        gammaln(np.maximum(j - m, 0.0) + 1.0) + gammaln(np.maximum(j - m, 0.0) + a + 2.0)
+        - 2.0 * gammaln(j + 1.0) - gammaln(a + 1.0)) - 0.5 * _LOG_PI,
+}
+
+
+@pytest.mark.parametrize("family, J", [
+    (dirichlet(), 1100), (gen_dirichlet(0.5, 2), 1100), (bergman(1.5), 1100),
+    (bargmann_fock(), 300),
+], ids=str)
+def test_monomial_normalizer_high_degree(family, J):
+    # past j ~ 1,060 (Fock: 252) the norms were read off psi_j(0.5) / 0.5^j,
+    # which underflows to zero
+    n = monomial_normalizer(family, J)
+    assert np.all(np.isfinite(n)) and np.all(n > 0.0)
+    j = np.arange(J + 1, dtype=float)
+    want = np.exp(_CLOSED_LOG_NORMS[family.kind](j, *family.params))
+    assert_allclose(n, want, rtol=1e-13, atol=0.0)
+
+
+def test_monomial_normalizer_raises_past_float_range():
+    with pytest.raises(ValueError):
+        monomial_normalizer(bargmann_fock(), 400)
+    with pytest.raises(ValueError):
+        monomial_normalizer(disk_eigen(3.0, 2), 4)   # not diagonal in z^j
+
+
+def test_fock_basis_recursion_stays_finite_where_powers_overflow():
+    # 14^300 overflows; the ratio recursion reaches psi_300(14) ~ 2.2e36
+    row = basis_matrix(bargmann_fock(), 300, np.array([14.0 + 0j]))[0]
+    assert np.all(np.isfinite(row))
+    assert_allclose(abs(row[300]), 2.2e36, rtol=0.05)
