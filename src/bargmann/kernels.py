@@ -519,16 +519,37 @@ class TargetSpace:
     and their norm is the sum over Taylor coefficients with the weights
     n_j^(-2) of the target basis psi_j = n_j z^j
     (``special.monomial_normalizer``).
+
+    A disk target also keeps its rule in polar form, since every disk
+    target basis factors as psi_j(r e^(i theta)) = psi_j(r) e^(i (j - shift)
+    theta): ``radii`` are the rule's n_r radii, ``radial_weights`` the
+    effective weight of each node on the circle of that radius (every node
+    of a circle has the same one; ``node_weights`` repeats them
+    ``n_theta`` times, in the rule's radius-major node order), and
+    ``shift`` is the eigenspace level ell (0 for Bergman).  Both the
+    weights' factor and the basis' fold (1-|z|^2)^(-ell) take 1-|z|^2 from
+    the radius, once per circle, so the two cancel on the rule exactly as
+    they do pointwise.  The plane target has no polar form (``radii`` is
+    None).
     """
 
     rule: QuadratureRule | None = None
     node_weights: np.ndarray | None = field(default=None, repr=False)
+    radii: np.ndarray | None = field(default=None, repr=False)
+    radial_weights: np.ndarray | None = field(default=None, repr=False)
+    n_theta: int = 0
+    shift: int = 0
 
     def __post_init__(self):
         if (self.rule is None) != (self.node_weights is None) or (
                 self.rule is not None
                 and self.node_weights.shape != self.rule.weights.shape):
             raise ValueError("a target space has one weight per rule node, or no rule")
+        if self.radii is not None and not (
+                self.radial_weights.shape == self.radii.shape
+                and self.radii.shape[0] * self.n_theta == self.node_weights.shape[0]):
+            raise ValueError("a polar target has one weight per radius and "
+                             "n_theta nodes per circle")
 
 
 def _plane_target(params, disk_orders, plane_order) -> TargetSpace:
@@ -537,23 +558,32 @@ def _plane_target(params, disk_orders, plane_order) -> TargetSpace:
     return TargetSpace(rule, rule.weights)
 
 
+def _polar_target(rule: QuadratureRule, factor, shift: int = 0) -> TargetSpace:
+    """A disk target whose node weights are the rule's times factor(r), a
+    function of the radius alone."""
+    n_theta = rule.meta["n_theta"]
+    radii = rule.nodes[::n_theta].real
+    weights = rule.weights[::n_theta] * factor(radii)
+    return TargetSpace(rule, np.repeat(weights, n_theta), radii, weights, n_theta, shift)
+
+
 def _bergman_target(params, disk_orders, plane_order) -> TargetSpace:
     """(delta/pi)(1-|z|^2)^(delta-1) dA: the probability normalization is
     what makes the Bergman monomial basis orthonormal."""
     (delta,) = params
     rule = disk_rule(*disk_orders, delta - 1.0)
-    return TargetSpace(rule, rule.weights * (delta / np.pi))
+    return _polar_target(rule, lambda r: delta / np.pi)
 
 
 def _disk_eigen_target(params, disk_orders, plane_order) -> TargetSpace:
     """(1-|z|^2)^(2 nu - 2) dA, folded: the eigenspace basis carries a factor
     (1-|z|^2)^(-ell), so the rule is built for the reduced exponent
-    2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the nodes.
+    2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the radii.
     Pointwise this is an identity; on polynomials it restores exactness that
     the raw weight cannot offer."""
     nu, ell = params
     rule = disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell)
-    return TargetSpace(rule, rule.weights * (1.0 - _abs2(rule.nodes)) ** (2 * ell))
+    return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell), shift=ell)
 
 
 def _coefficient_target(params, disk_orders, plane_order) -> TargetSpace:

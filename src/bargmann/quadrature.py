@@ -11,11 +11,18 @@ rule's measure:
 
 Nodes and weights come from the Golub-Welsch eigenvalue method applied to
 the Jacobi matrix of the associated orthogonal family.
+
+The one-dimensional builders (``gauss_line``, ``gauss_halfline`` and the
+radial Gauss-Jacobi rule of ``disk_rule``) keep their last results, a few KB
+each, and return them as read-only arrays shared by every caller.  The
+two-dimensional rules are built afresh: a 120 x 256 disk rule alone is
+~0.7 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -54,6 +61,15 @@ class QuadratureRule:
         return f"{self.kind}({inner})"
 
 
+_RULE_CACHE = 64
+
+
+def _read_only(*arrays):
+    """Mark a cached builder's arrays read-only: every caller shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _golub_welsch(diag, offdiag, mu0):
     """Nodes and weights from a Jacobi matrix with total mass mu0."""
     if len(diag) == 1:
@@ -63,22 +79,24 @@ def _golub_welsch(diag, offdiag, mu0):
     return nodes, weights
 
 
+@lru_cache(maxsize=_RULE_CACHE)
 def gauss_line(n: int) -> QuadratureRule:
-    """n-point Gauss-Hermite rule for the measure exp(-x^2) dx."""
+    """n-point Gauss-Hermite rule for the measure exp(-x^2) dx (cached,
+    read-only arrays)."""
     if n < 1:
         raise ValueError("rule order must be positive")
     diag = np.zeros(n)
     b = np.sqrt(np.arange(1, n + 1) / 2.0)
     log_mu0 = 0.5 * np.log(np.pi)
     if n == 1:
-        return QuadratureRule(
-            "line", diag[:1], np.asarray([np.exp(log_mu0)]), {"n": n}
-        )
-    nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
-    nodes = _newton_polish(nodes, diag, b)
-    nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
-    weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
-    weights = 0.5 * (weights + weights[::-1])
+        nodes, weights = diag[:1], np.asarray([np.exp(log_mu0)])
+    else:
+        nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
+        nodes = _newton_polish(nodes, diag, b)
+        nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
+        weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
+        weights = 0.5 * (weights + weights[::-1])
+    _read_only(nodes, weights)
     return QuadratureRule("line", nodes, weights, {"n": n})
 
 
@@ -137,8 +155,10 @@ def _christoffel_log_weights(x, diag, b, log_mu0):
     return np.exp(log_mu0 - np.log(S) - 2.0 * log_scale)
 
 
+@lru_cache(maxsize=_RULE_CACHE)
 def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
-    """n-point generalized Gauss-Laguerre rule for x^alpha exp(-x) dx."""
+    """n-point generalized Gauss-Laguerre rule for x^alpha exp(-x) dx
+    (cached, read-only arrays)."""
     if n < 1:
         raise ValueError("rule order must be positive")
     if not -1.0 < alpha < np.inf:  # NaN fails this too
@@ -149,20 +169,19 @@ def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     b = np.sqrt(j * (j + alpha))
     log_mu0 = float(log_gamma(alpha + 1.0))
     if n == 1:
-        return QuadratureRule(
-            "halfline",
-            np.asarray(diag[:1]),
-            np.asarray([np.exp(log_mu0)]),
-            {"n": n, "alpha": alpha},
-        )
-    nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
-    nodes = _newton_polish(nodes, diag, b)
-    weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
+        nodes, weights = diag[:1], np.asarray([np.exp(log_mu0)])
+    else:
+        nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
+        nodes = _newton_polish(nodes, diag, b)
+        weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
+    _read_only(nodes, weights)
     return QuadratureRule("halfline", nodes, weights, {"n": n, "alpha": alpha})
 
 
+@lru_cache(maxsize=_RULE_CACHE)
 def _gauss_jacobi01(n: int, gamma: float):
-    """Gauss rule for (1-u)^gamma du on [0, 1] (one-sided Jacobi weight)."""
+    """Gauss rule for (1-u)^gamma du on [0, 1] (one-sided Jacobi weight;
+    cached, read-only arrays)."""
     a = float(gamma)
     k = np.arange(n, dtype=float)
     diag = np.empty(n)
@@ -179,7 +198,9 @@ def _gauss_jacobi01(n: int, gamma: float):
     x, w = _golub_welsch(diag, off, mu0)
     # map [-1, 1] -> [0, 1]: the factor 2^(gamma+1) absorbs both the jacobian
     # and the rescaling of (1-x)^gamma
-    return (1.0 + x) / 2.0, w / 2.0 ** (a + 1.0)
+    u, wu = (1.0 + x) / 2.0, w / 2.0 ** (a + 1.0)
+    _read_only(u, wu)
+    return u, wu
 
 
 def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
@@ -190,6 +211,12 @@ def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
     integrates z^a conj(z)^b (1-|z|^2)^gamma exactly whenever a = b with
     (a+b)/2 within the radial budget, and annihilates a != b below the
     angular budget, matching the Hermitian moment structure of the measure.
+
+    Nodes are radius-major: node a * n_theta + b is r_a e^(2 pi i b /
+    n_theta), so the values on the rule reshape to (n_r, n_theta), node
+    a * n_theta is the radius r_a itself (a real number), and every node of
+    a circle has the same weight.  Polar callers (``kernels.TargetSpace``)
+    read the radii and radial weights off that layout.
     """
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule orders must be positive")

@@ -24,9 +24,24 @@ structure — while staying polynomially bounded.
 Because the truncated kernel is a basis sum psi_J(z) phi_J(x)^T, both series
 routes contract through the (J+1) basis coefficients instead of forming a
 target x source kernel matrix: forward is psi_J(z) (phi_J(x)^T (w * f)) and
-the inverse is phi_J(x) (psi_J(z)^H (w_t * F)).  On a full disk rule that
-is two basis matrices in place of a matrix as large as the rule times the
-source nodes.
+the inverse is phi_J(x) (psi_J(z)^H (w_t * F)).
+
+On a disk target rule neither side forms psi_J at the rule's nodes either.
+The rule is a tensor of n_r radii and an n_theta-point trapezoid, and every
+disk target basis factors as psi_j(r e^(i theta)) = psi_j(r) e^(i (j - ell)
+theta) (ell = 0 for Bergman, the level for the eigenspaces), so the target
+space keeps the rule in polar form (``TargetSpace.radii``) and:
+
+- psi_J c at every node is the radial product psi_J(r) c placed in the
+  angular bins (j - ell) mod n_theta, then one inverse FFT per radius
+  (``_target_values``);
+- psi_J^H (w * F) is one FFT per radius, read at the same bins, then the
+  radial contraction with psi_J(r) and the radial weights
+  (``_target_contract``).
+
+Both need J + 1 <= n_theta, or two degrees would share a bin; past that a
+ValueError is raised.  The plane target has no polar form and contracts
+through its basis matrix.  ``forward`` at arbitrary points stays pointwise.
 """
 
 from __future__ import annotations
@@ -148,6 +163,10 @@ def make_transform(kind: str, *params, source_order: int = 120,
     t-trapezoid that the weight's s-rule reproduces (for (alpha, m) =
     (0.5, 2) the kernel meets its basis series to ~1e-13 relative at the
     default step, ~1e-11 at 5e-3).
+
+    On a disk target the whole-rule routes work in polar form, so the
+    angular order ``disk_orders[1]`` must exceed every truncation they are
+    asked for; they raise ValueError otherwise.
     """
     kernel = KernelFamily(kind, params)
     src = kernel.source_basis()
@@ -208,13 +227,77 @@ def forward(op: TransformOperator, f, z, strategy: str = "primary"):
     fv = _source_values(op, f)
     if strategy == "series":
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        J = op.series_truncation
-        phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
-        coef = (op.source_rule.weights[:, None] * phi).T @ fv
-        out = basis_matrix(op.kernel.target_basis(), J, zz) @ coef
+        coef = _series_coefficients(op, fv)
+        out = basis_matrix(op.kernel.target_basis(), op.series_truncation, zz) @ coef
     else:
         out = forward_map(op, z, strategy) @ fv
     return out[0] if np.ndim(z) == 0 else out
+
+
+def _series_coefficients(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
+    """phi_J(x)^T (w * f) at the series truncation J: the series route's
+    image of f is psi_J(z) times these coefficients."""
+    phi = basis_matrix(op.kernel.source_basis(), op.series_truncation,
+                       op.source_rule.nodes)
+    return (op.source_rule.weights[:, None] * phi).T @ fv
+
+
+def _polar_radial(op: TransformOperator, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """psi_j(r) on the target's radii for j = 0..J, and the angular bin
+    (j - ell) mod n_theta that carries degree j."""
+    t = op.target
+    if J + 1 > t.n_theta:
+        raise ValueError(
+            f"truncation {J} needs at least {J + 1} angular nodes on the disk "
+            f"target rule, which has {t.n_theta}: frequencies would alias")
+    R = basis_matrix(op.kernel.target_basis(), J, t.radii)
+    return R, (np.arange(J + 1) - t.shift) % t.n_theta
+
+
+def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
+    """sum_j psi_j(z) coef[j] at every target rule node, for a vector or a
+    matrix of coefficient columns; rows follow the rule's nodes."""
+    t = op.target
+    J = coef.shape[0] - 1
+    if t.radii is None:
+        return basis_matrix(op.kernel.target_basis(), J, t.rule.nodes) @ coef
+    R, bins = _polar_radial(op, J)
+    spectrum = np.zeros((R.shape[0], t.n_theta) + coef.shape[1:], dtype=complex)
+    spectrum[:, bins] = R.reshape(R.shape + (1,) * (coef.ndim - 1)) * coef
+    values = np.fft.ifft(spectrum, axis=1, norm="forward")
+    return values.reshape((-1,) + coef.shape[1:])
+
+
+def _target_contract(op: TransformOperator, F: np.ndarray, J: int) -> np.ndarray:
+    """psi_J^H (w * F) over the target rule, i.e. <F, psi_j> for j = 0..J,
+    for F on the rule's nodes (a vector or one column per function)."""
+    t = op.target
+    if t.radii is None:
+        psi = basis_matrix(op.kernel.target_basis(), J, t.rule.nodes)
+        w = t.node_weights.reshape(t.node_weights.shape + (1,) * (F.ndim - 1))
+        return np.conj(psi).T @ (w * F)
+    R, bins = _polar_radial(op, J)
+    spectrum = np.fft.fft(F.reshape((R.shape[0], t.n_theta) + F.shape[1:]), axis=1)
+    radial = np.conj(R) * t.radial_weights[:, None]
+    return np.einsum("aj,aj...->j...", radial, spectrum[:, bins])
+
+
+def _target_images(op: TransformOperator, fv: np.ndarray, strategy: str) -> np.ndarray:
+    """B[f] at every target rule node, for f given by its values on the
+    source nodes (one column per function).
+
+    On disk targets the closed kernels oscillate in the source variable at
+    frequency ~Im(1/(1-z)), which is unbounded as z approaches the
+    boundary; no fixed source rule resolves that, so whole-domain
+    evaluations there always take the series-truncated kernel, in polar
+    form.  The closed/integral kernels are exercised on compacta by the
+    pairing and dual-path checks instead.  The plane target has no such
+    boundary (the Gaussian weight caps the oscillation frequency at the
+    rule's extent), so it applies ``strategy`` at its nodes.
+    """
+    if op.target.radii is None:
+        return forward(op, fv, op.target.rule.nodes, strategy)
+    return _target_values(op, _series_coefficients(op, fv))
 
 
 def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
@@ -222,9 +305,10 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
 
     Only available for targets with a rule.  Uses the series-truncated kernel
     (see the module docstring), contracted through its coefficients:
-    phi_J(x) (psi_J(z)^H (w * F)).  J defaults to the operator's
-    inverse_truncation, which is sized so the target rule integrates the
-    truncated integrand exactly.
+    phi_J(x) (psi_J(z)^H (w * F)), in polar form on a disk rule.  J defaults
+    to the operator's inverse_truncation, which is sized so the target rule
+    integrates the truncated integrand exactly; on a disk rule J + 1 may not
+    exceed its angular order (ValueError).
     """
     if op.target.rule is None:
         raise ValueError(
@@ -238,8 +322,7 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if J is None:
         J = op.inverse_truncation
-    psi = basis_matrix(op.kernel.target_basis(), J, nodes)
-    coef = np.conj(psi).T @ (op.target.node_weights * Fv)
+    coef = _target_contract(op, Fv, J)
     out = basis_matrix(op.kernel.source_basis(), J, xx) @ coef
     return out[0] if np.ndim(x) == 0 else out
 
@@ -388,22 +471,6 @@ def target_coefficients(op: TransformOperator, f, J: int | None = None) -> Coeff
 # Verification primitives: pairing, isometry, Gram, round trips
 # ---------------------------------------------------------------------------
 
-def _norm_strategy(op: TransformOperator) -> str:
-    """Forward strategy for whole-target-domain evaluations.
-
-    On disk targets the closed kernels oscillate in the source variable at
-    frequency ~Im(1/(1-z)), which is unbounded as z approaches the
-    boundary; no fixed source rule resolves that, so norm and round-trip
-    checks — which need forward values at near-boundary rule nodes — use
-    the series-truncated kernel there.  The closed/integral kernels are
-    exercised on compacta by the pairing and dual-path checks instead.
-    The plane target has no such boundary (the Gaussian weight caps the
-    oscillation frequency at the rule's extent), so the primary kernel is
-    fine everywhere it is sampled.
-    """
-    return "series" if op.target.rule.kind == "disk" else "primary"
-
-
 def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
     """max_z |B[phi_j](z) - psi_j(z)| for each j = 0..jmax, sharing one map."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -429,7 +496,7 @@ def reverse_pairing_residual(op: TransformOperator, j: int, x=None) -> float:
             "target_coefficients")
     if x is None:
         x = op.source_rule.nodes
-    psi = basis_matrix(op.kernel.target_basis(), j, op.target.rule.nodes)[:, j]
+    psi = _target_values(op, np.eye(j + 1)[:, j])
     got = inverse_integral(op, psi, x)
     want = basis_matrix(op.kernel.source_basis(), j, x)[:, j]
     return float(np.max(np.abs(got - want)))
@@ -452,7 +519,7 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     FV = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
     norm_source = np.sqrt(op.source_rule.weights @ np.abs(FV) ** 2)
     if op.target.rule is not None:
-        T = forward(op, FV, op.target.rule.nodes, strategy=_norm_strategy(op))
+        T = _target_images(op, FV, "primary")
         norm_target = np.sqrt((op.target.node_weights @ np.abs(T) ** 2).real)
     else:
         J_t = J + 8
@@ -466,10 +533,7 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
     """G[j, k] = <B[phi_k], psi_j>_target; the identity up to truncation."""
     phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
     if op.target.rule is not None:
-        tz = op.target.rule.nodes
-        Bphi = forward(op, phi, tz, strategy=_norm_strategy(op))
-        psi = basis_matrix(op.kernel.target_basis(), J, tz)
-        return np.conj(psi).T @ (op.target.node_weights[:, None] * Bphi)
+        return _target_contract(op, _target_images(op, phi, "primary"), J)
     a = _circle_taylor(op, phi, J)
     # <F, psi_j> = n_j^(-2) a_j n_j for diagonal psi_j = n_j z^j
     return a / monomial_normalizer(op.kernel.target_basis(), J)[:, None]
@@ -490,7 +554,7 @@ def round_trip_integral(op: TransformOperator, c: CoefficientVector, x=None) -> 
         x = op.source_rule.nodes
     fv = basis_matrix(op.kernel.source_basis(), c.truncation,
                       op.source_rule.nodes) @ c.values
-    Fv = forward(op, fv, op.target.rule.nodes, strategy="series")
+    Fv = _target_images(op, fv, "series")
     back = inverse_integral(op, Fv, x)
     fx = basis_matrix(op.kernel.source_basis(), c.truncation, x) @ c.values
     return float(np.max(np.abs(back - fx)))

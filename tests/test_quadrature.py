@@ -141,3 +141,32 @@ def test_total_mass():
     assert_allclose(np.sum(rule.weights), np.pi, rtol=1e-13)
     rule = gaussian_plane_rule(16)
     assert_allclose(np.sum(rule.weights), np.pi, rtol=1e-13)
+
+
+def test_one_dimensional_rules_are_cached_and_read_only():
+    from bargmann.quadrature import _gauss_jacobi01
+
+    for build, args in ((gauss_line, (24,)), (gauss_line, (1,)),
+                        (gauss_halfline, (24, 0.5)), (gauss_halfline, (1, 2.0))):
+        rule = build(*args)
+        again = build(*args)
+        assert again.nodes is rule.nodes and again.weights is rule.weights
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    u, wu = _gauss_jacobi01(12, -0.5)
+    assert _gauss_jacobi01(12, -0.5)[0] is u
+    with pytest.raises(ValueError):
+        wu *= 2.0
+    # the disk rule is built afresh, from the shared radial rule
+    a, b = disk_rule(12, 16, -0.5), disk_rule(12, 16, -0.5)
+    assert a.nodes is not b.nodes
+    assert_allclose(a.nodes[::16].real ** 2, u, rtol=1e-15)
+    # failed builds are not cached: invalid orders and parameters still raise
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            gauss_line(0)
+        with pytest.raises(ValueError):
+            gauss_halfline(0, 0.5)
+        with pytest.raises(ValueError):
+            gauss_halfline(4, -1.0)

@@ -292,19 +292,30 @@ def test_disk_bases_reject_points_off_the_open_disk():
             basis_matrix(bergman(1.5), 2, np.array([z]))
 
 
-# n_j of psi_j = n_j z^j in closed log-Gamma form
+# n_j of psi_j = n_j z^j in closed log-Gamma form, for the two families
+# whose form cancels nothing
 _LOG_PI = np.log(np.pi)
 _CLOSED_LOG_NORMS = {
     "bargmann_fock": lambda j: -0.5 * (_LOG_PI + gammaln(j + 1.0)),
-    "bergman": lambda j, d: 0.5 * (gammaln(j + d + 1.0) - gammaln(j + 1.0)
-                                   - gammaln(d + 1.0)),
     "dirichlet": lambda j: -0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0))),
-    "gen_dirichlet": lambda j, a, m: 0.5 * np.where(
-        j < m,
-        gammaln(j + a + 2.0) - gammaln(j + 1.0) - gammaln(a + 1.0),
-        gammaln(np.maximum(j - m, 0.0) + 1.0) + gammaln(np.maximum(j - m, 0.0) + a + 2.0)
-        - 2.0 * gammaln(j + 1.0) - gammaln(a + 1.0)) - 0.5 * _LOG_PI,
 }
+
+
+def _mp_monomial_norms(family, J):
+    """Bergman-type n_j, j = 0..J, from their Gamma-function forms at 40
+    digits (in log-Gamma form they cancel to ~1e-12 relative at J = 1100)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, fac = mp.gamma, mp.factorial
+        if family.kind == "bergman":
+            (d,) = family.params
+            sq = [g(j + d + 1) / (fac(j) * g(d + 1)) for j in range(J + 1)]
+        else:
+            a, m = family.params
+            sq = [(g(j + a + 2) / fac(j) if j < m
+                   else fac(j - m) * g(j - m + a + 2) / fac(j) ** 2)
+                  / (mp.pi * g(a + 1)) for j in range(J + 1)]
+        return np.array([float(mp.sqrt(v)) for v in sq])
 
 
 @pytest.mark.parametrize("family, J", [
@@ -316,9 +327,20 @@ def test_monomial_normalizer_high_degree(family, J):
     # which underflows to zero
     n = monomial_normalizer(family, J)
     assert np.all(np.isfinite(n)) and np.all(n > 0.0)
-    j = np.arange(J + 1, dtype=float)
-    want = np.exp(_CLOSED_LOG_NORMS[family.kind](j, *family.params))
+    if family.kind in _CLOSED_LOG_NORMS:
+        want = np.exp(_CLOSED_LOG_NORMS[family.kind](np.arange(J + 1, dtype=float)))
+    else:
+        want = _mp_monomial_norms(family, J)
     assert_allclose(n, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("family", [bergman(1.5), gen_dirichlet(0.5, 2)], ids=str)
+@pytest.mark.parametrize("J", [110, 1100])
+def test_monomial_normalizer_sums_log_ratios(family, J):
+    # as differences of log-Gamma values near 6,600 the norms missed by
+    # 1e-12 (J = 1100) and 6e-14 / 1e-13 (J = 110)
+    n = monomial_normalizer(family, J)
+    assert_allclose(n, _mp_monomial_norms(family, J), rtol=2e-14, atol=0.0)
 
 
 def test_monomial_normalizer_raises_past_float_range():

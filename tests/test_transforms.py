@@ -45,6 +45,8 @@ from bargmann import (
     taylor_to_basis,
     basis_to_taylor,
 )
+from bargmann.cli import main
+from bargmann.transforms import _target_contract, _target_values
 
 # Cheap operators for the structural tests: a degree-8 input only needs the
 # source rule to integrate degree <= 23 exactly.
@@ -243,6 +245,69 @@ def test_inverse_integral_matches_series_kernel_matrix(kind, params):
     kmat = kernel_matrix(op.kernel, z, x, strategy="series", J=op.inverse_truncation)
     want = (op.target.node_weights * F) @ np.conj(kmat)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# On disk targets the whole-rule routes run in polar form: radial products
+# and one FFT per radius.  These pin them to the basis matrix on the rule's
+# flat nodes, at weights with gamma < 0 (second(0.6): -0.4; (1.55, 1): -0.9;
+# (2.6, 2): -0.8) as well as gamma >= 0.
+POLAR_CASES = [("second", (0.6,)), ("second", (1.5,)),
+               ("generalized_second", (3.0, 2)), ("generalized_second", (1.55, 1)),
+               ("generalized_second", (2.6, 2)), ("generalized_second", (1.7, 0))]
+
+
+@pytest.mark.parametrize("kind, params", POLAR_CASES)
+def test_polar_routes_match_basis_matrix_on_flat_nodes(kind, params):
+    op = make_transform(kind, *params, source_order=12)
+    t = op.target
+    J = op.inverse_truncation
+    rng = np.random.default_rng(23)
+    C = rng.standard_normal((J + 1, 3)) + 1j * rng.standard_normal((J + 1, 3))
+    F = rng.standard_normal((t.rule.nodes.shape[0], 3)) + 1j * rng.standard_normal(
+        (t.rule.nodes.shape[0], 3))
+    psi = basis_matrix(op.kernel.target_basis(), J, t.rule.nodes)
+    # evaluation, compared without the eigenspace fold (1-|z|^2)^(-ell): near
+    # the boundary a flat node's |z|^2 and its radius' r^2 differ by an ulp,
+    # which the fold alone amplifies to ~1e-11 relative
+    want = (1.0 - (t.rule.nodes * np.conj(t.rule.nodes)).real)[:, None] ** t.shift * (psi @ C)
+    got = np.repeat(1.0 - t.radii ** 2, t.n_theta)[:, None] ** t.shift * _target_values(op, C)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # contraction
+    want = np.conj(psi).T @ (t.node_weights[:, None] * F)
+    got = _target_contract(op, F, J)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # a single column keeps its shape
+    assert_allclose(_target_contract(op, F[:, 1], J), got[:, 1],
+                    rtol=0, atol=1e-15 * np.max(np.abs(got)))
+    assert_allclose(_target_values(op, C[:, 1]), _target_values(op, C)[:, 1], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("nu, ell", [(1.55, 1), (2.6, 2)])
+def test_polar_routes_take_one_minus_u_once_per_radius(nu, ell):
+    # psi's fold and the weights' fold share 1 - r^2 per radius; with the fold
+    # of the weights taken per node instead, the isometry rose to 1.5e-11 and
+    # the reverse pairing at j = 5 to 5.1e-6 at (1.55, 1)
+    op = make_transform("generalized_second", nu, ell)
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((9, 20)) + 1j * rng.standard_normal((9, 20))
+    src, tgt = isometry_norms(op, C)
+    assert np.max(np.abs(src - tgt)) <= 1e-13
+    small = make_transform("generalized_second", nu, ell, source_order=12,
+                           series_truncation=15, inverse_truncation=40)
+    assert max(reverse_pairing_residual(small, j) for j in range(9)) <= 1e-7
+
+
+def test_polar_routes_reject_aliasing_truncations(capsys):
+    # J + 1 > n_theta would put two degrees in one angular bin
+    op = make_transform("second", 1.5, source_order=12, disk_orders=(120, 64))
+    F = np.ones(op.target.rule.nodes.shape[0], dtype=complex)
+    with pytest.raises(ValueError, match="alias"):
+        inverse_integral(op, F, 1.0, J=110)
+    with pytest.raises(ValueError, match="alias"):
+        forward_gram(op, 24)          # the series truncation, 64, needs 65 bins
+    assert inverse_integral(op, F, 1.0, J=63) is not None
+    assert main(["verify", "transforms", "--disk-angular", "64"]) == 2
+    assert "alias" in capsys.readouterr().err
 
 
 def test_forward_rejects_wrong_leading_dimension():
