@@ -43,7 +43,6 @@ from .quadrature import (
 )
 from .kernels import (
     KernelFamily,
-    KernelSpace,
     OmegaWeight,
     TargetSpace,
     classical_kernel,
@@ -66,7 +65,6 @@ from .transforms import (
     circle_points,
     coefficients,
     dirichlet_inner,
-    dirichlet_monomial_weights,
     forward,
     forward_gram,
     forward_map,

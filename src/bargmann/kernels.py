@@ -2,6 +2,10 @@
 the family table with each family's bases and target space, and
 reproducing kernels.
 
+A reproducing-kernel space is named by its orthonormal basis psi_j (a
+``special.BasisFamily``): its kernel K(z, w) = sum_j psi_j(z) conj(psi_j(w))
+is truncated by ``papadakis_sum`` and closed by ``reproducing_kernel``.
+
 Every kernel has at least two independent evaluation routes:
 
 - a primary route (closed form, or a quadrature of an integral
@@ -27,12 +31,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from . import special
 from .special import (
     BasisFamily,
     _LOG_PI,
     _abs2,
     _check_disk_point,
+    _check_integer,
+    _check_plane_point,
     _check_source_point,
     bargmann_fock,
     basis_matrix,
@@ -47,6 +52,7 @@ from .special import (
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
+    pochhammer,
 )
 from .quadrature import QuadratureRule, _golub_welsch, disk_rule, gaussian_plane_rule
 
@@ -66,7 +72,6 @@ __all__ = [
     "KernelFamily",
     "kernel_matrix",
     "kernel_series",
-    "KernelSpace",
     "reproducing_kernel",
     "papadakis_sum",
 ]
@@ -219,6 +224,7 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
     """
     if not -1.0 < alpha < np.inf:  # NaN fails this too
         raise ValueError("omega requires finite alpha > -1")
+    m = _check_integer(m, "omega order m")
     if m < 2:
         raise ValueError("omega requires m >= 2")
     if not (0.0 < T < np.inf and 0.0 < h < np.inf):
@@ -293,15 +299,14 @@ def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
 
 def classical_kernel(z, x):
     """K(z, x) = pi^(-3/4) exp(sqrt(2) x z - z^2/2) on C x R."""
-    z = np.asarray(z, dtype=complex)
+    z = _check_plane_point(z)
     x = _check_source_point(x)
     return np.pi ** -0.75 * np.exp(np.sqrt(2.0) * x * z - 0.5 * z * z)
 
 
 def second_kernel(delta: float, z, x):
     """K(z, x) = Gamma(delta+1)^(-1/2) (1-z)^(-delta-1) exp(-xz/(1-z))."""
-    if not 0.0 < delta < np.inf:  # NaN fails this too
-        raise ValueError("second_kernel requires finite delta > 0")
+    (delta,) = bergman(delta).params   # the target basis checks the parameter
     z = _check_disk_point(z)
     x = _check_source_point(x)
     return (
@@ -322,11 +327,7 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
     bilateral generating function collapses the series, and the sign must
     stay with the kernel for the pairing B[phi_j] = psi_j to hold.
     """
-    if not 0.5 < nu < np.inf:  # NaN fails this too
-        raise ValueError("generalized_second_kernel requires finite nu > 1/2")
-    ell = int(ell)
-    if ell < 0 or ell > int(np.floor(nu - 0.5)):
-        raise ValueError("generalized_second_kernel requires 0 <= ell <= floor(nu-1/2)")
+    nu, ell = disk_eigen(nu, ell).params   # the target basis checks the parameters
     z = _check_disk_point(z)
     x = _check_source_point(x)
     beta_p = 2.0 * (nu - ell) - 1.0
@@ -445,9 +446,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     evaluated through the weight's compressed rule in s = e^-t
     (``OmegaWeight.s_rule``).
     """
-    if not -1.0 < alpha < np.inf:  # NaN fails this too
-        raise ValueError("gen_dirichlet_kernel requires finite alpha > -1")
-    m = int(m)
+    alpha, m = gen_dirichlet(alpha, m).params   # the target basis checks them
     if m < 2:
         raise ValueError("gen_dirichlet_kernel requires m >= 2")
     z = _check_disk_point(z)
@@ -665,7 +664,8 @@ class KernelFamily:
     """One of the five transform kernels, named by a key of ``FAMILIES``,
     with its strategies: the family's primary route (closed form or integral
     representation) and a truncated basis series.  ``params`` follows the
-    family's parameter list and is converted to its types."""
+    family's parameter list and is converted to its types; an int parameter
+    must be integral (1.5 raises rather than becoming 1)."""
 
     kind: str
     params: tuple = ()
@@ -679,7 +679,8 @@ class KernelFamily:
                 f"kernel family {self.kind!r} takes {len(spec.params)} "
                 f"parameter(s), got {len(self.params)}")
         object.__setattr__(self, "params", tuple(
-            cast(value) for (_, cast, _), value in zip(spec.params, self.params)))
+            float(value) if cast is float else _check_integer(value, f"{self.kind} {name}")
+            for (name, cast, _), value in zip(spec.params, self.params)))
         # run the parameter validation of the underlying families
         self.source_basis()
         self.target_basis()
@@ -737,62 +738,28 @@ def kernel_series(family: KernelFamily, z, x, J: int = 120):
 # Reproducing kernels
 # ---------------------------------------------------------------------------
 
-# each space's orthonormal family, whose Papadakis sum converges to its
-# kernel; None where none is catalogued here
-_SPACE_BASES = {
-    "bargmann_fock": bargmann_fock,
-    "bergman": bergman,
-    "weighted_bergman": None,
-    "disk_eigen": disk_eigen,
-    "dirichlet": dirichlet,
-    "gen_bergman_dirichlet": gen_dirichlet,
-}
-
-
-@dataclass(frozen=True)
-class KernelSpace:
-    """A reproducing-kernel space on the plane or disk.
-
-    kinds: 'bargmann_fock' (); 'bergman' (delta,) for the delta-normalized
-    disk measure; 'weighted_bergman' (alpha,) for plain (1-|z|^2)^alpha dA;
-    'disk_eigen' (nu, ell); 'dirichlet' (); 'gen_bergman_dirichlet'
-    (alpha, m >= 1).
+def reproducing_kernel(basis: BasisFamily, z, w):
+    """Closed-form K(z, w) = sum_j psi_j(z) conj(psi_j(w)) for the basis
+    ``bargmann_fock()`` (finite z, w), ``bergman(delta)``, ``disk_eigen(nu,
+    ell)``, ``dirichlet()`` or ``gen_dirichlet(alpha, m)`` (|z conj(w)| < 1).
+    The L2 source bases have none and raise ValueError.  (1-|z|^2)^alpha dA
+    has (alpha+1)/pi times the kernel of ``bergman(alpha + 1)``.
     """
-
-    kind: str
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in _SPACE_BASES:
-            raise ValueError(f"unknown kernel space {self.kind!r}")
-
-    def basis(self) -> BasisFamily:
-        """The orthonormal family whose Papadakis sum converges to the kernel."""
-        basis = _SPACE_BASES[self.kind]
-        if basis is None:
-            raise ValueError(f"{self.kind} has no catalogued orthonormal basis here")
-        return basis(*self.params)
-
-
-def reproducing_kernel(space: KernelSpace, z, w):
-    """Closed-form K(z, w) of a reproducing-kernel space."""
+    kind = basis.kind
+    if kind == "bargmann_fock":
+        return np.exp(_check_plane_point(z) * np.conj(_check_plane_point(w))) / np.pi
+    if kind not in ("bergman", "disk_eigen", "dirichlet", "gen_dirichlet"):
+        raise ValueError(f"{basis} spans no reproducing-kernel space")
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    kind = space.kind
-    if kind == "bargmann_fock":
-        return np.exp(z * np.conj(w)) / np.pi
     u = z * np.conj(w)
     if not np.all(np.abs(u) < 1.0):  # NaN fails this too
         raise ValueError("disk kernels require finite |z conj(w)| < 1")
     if kind == "bergman":
-        (delta,) = space.params
+        (delta,) = basis.params
         return (1.0 - u) ** (-delta - 1.0)
-    if kind == "weighted_bergman":
-        (alpha,) = space.params
-        return (alpha + 1.0) / np.pi * (1.0 - u) ** (-alpha - 2.0)
     if kind == "disk_eigen":
-        nu, ell = space.params
-        ell = int(ell)
+        nu, ell = basis.params
         beta_p = 2.0 * (nu - ell) - 1.0
         a = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
         b = np.abs(1.0 - u) ** 2
@@ -804,16 +771,12 @@ def reproducing_kernel(space: KernelSpace, z, w):
         )
     if kind == "dirichlet":
         return (1.0 + np.log(1.0 / (1.0 - u))) / np.pi
-    # gen_bergman_dirichlet
-    alpha, m = space.params
-    m = int(m)
-    if m < 1:
-        raise ValueError("gen_bergman_dirichlet kernel requires m >= 1")
+    alpha, m = basis.params
     scalar = np.ndim(u) == 0
     uu = np.atleast_1d(u).ravel()
     head = np.zeros_like(uu)
     for j in range(m):
-        head += special.pochhammer(alpha + 2.0, j) / np.exp(log_gamma(j + 1.0)) * uu**j
+        head += pochhammer(alpha + 2.0, j) / np.exp(log_gamma(j + 1.0)) * uu**j
     tail = np.array(
         [hyp3f2([1.0, 1.0, alpha + 2.0], [m + 1.0, m + 1.0], val, truncation=600)
          for val in uu],

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import disk_rule
-from .special import basis_matrix, disk_eigen
-from .transforms import dirichlet_monomial_weights
+from .special import BasisFamily, basis_matrix, dirichlet, disk_eigen, monomial_normalizer
 
 __all__ = [
     "MonomialExpansion",
@@ -265,9 +264,11 @@ def _rule_norm(expansion: MonomialExpansion, rule) -> float:
 _TAIL_DIVERGENCE_RATIO = 0.7
 
 
-def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
-                        m: int | None = None, rule=None) -> dict:
+def harmonic_membership(F, space: BasisFamily = dirichlet(), rule=None) -> dict:
     """Harmonic-space membership report for the (weighted) invariant Laplacian.
+
+    ``space`` is ``dirichlet()`` (gamma = 2, first derivatives) or
+    ``gen_dirichlet(alpha, m)`` (gamma = alpha + 2, derivatives of order m).
 
     ``F`` is either a MonomialExpansion -- the annihilation residual is then
     the quadrature L2 norm of the exact symbolic action -- or a sequence of
@@ -279,16 +280,10 @@ def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
     blocks flags divergence).  As the refinement behaviour of a fixed
     sample, the verdict is evidence, not proof.
     """
-    if kind == "dirichlet":
-        op = invariant_laplacian()
-        m_eff = 1
-    elif kind == "gen_dirichlet":
-        if alpha is None or m is None:
-            raise ValueError("gen_dirichlet membership needs alpha and m")
-        op = gen_invariant_laplacian(alpha)
-        m_eff = int(m)
-    else:
-        raise ValueError(f"unknown harmonic-space kind {kind!r}")
+    if space.kind not in ("dirichlet", "gen_dirichlet"):
+        raise ValueError(f"{space} is not the basis of a harmonic Dirichlet-type space")
+    alpha, m = space.params or (0.0, 1)
+    op = gen_invariant_laplacian(alpha)
 
     if isinstance(F, MonomialExpansion):
         if rule is None:
@@ -298,7 +293,7 @@ def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
         residual = _rule_norm(apply_exact(op, F), rule)
         function_norm = _rule_norm(F, rule)
         d = dict(F.terms)
-        for _ in range(m_eff):
+        for _ in range(m):
             d = _z_derivative(d)
         derivative = MonomialExpansion(d)
         derivative_norm = _rule_norm(derivative, rule)
@@ -311,7 +306,7 @@ def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
         domain_ok = grown <= 1.2
         member = domain_ok and residual <= 1e-10 * max(1.0, function_norm)
         return {
-            "kind": kind,
+            "kind": space.kind,
             "residual": residual,
             "function_norm": function_norm,
             "derivative_norm": derivative_norm,
@@ -323,7 +318,7 @@ def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
     coeffs = np.asarray(F, dtype=complex).ravel()
     if coeffs.size == 0:
         raise ValueError("empty coefficient sequence")
-    weights = dirichlet_monomial_weights(coeffs.size - 1, alpha=alpha, m=m)
+    weights = monomial_normalizer(space, coeffs.size - 1) ** -2.0
     contributions = weights * np.abs(coeffs) ** 2
     # Only complete dyadic blocks: a truncated final block would deflate the
     # last ratio and mask divergence.
@@ -337,7 +332,7 @@ def harmonic_membership(F, kind: str = "dirichlet", alpha: float | None = None,
         tail_ratio = blocks[-1] / blocks[-2]
     domain_ok = tail_ratio < _TAIL_DIVERGENCE_RATIO
     return {
-        "kind": kind,
+        "kind": space.kind,
         "residual": 0.0,
         "tail_ratio": tail_ratio,
         "domain_ok": domain_ok,

@@ -348,7 +348,7 @@ def disk_eigen(nu: float, ell: int) -> BasisFamily:
     """
     if not 0.5 < nu < np.inf:  # NaN fails this too
         raise ValueError("disk_eigen requires finite nu > 1/2")
-    ell = int(ell)
+    ell = _check_integer(ell, "disk_eigen level ell")
     if ell < 0 or ell > int(np.floor(nu - 0.5)):
         raise ValueError("disk_eigen requires 0 <= ell <= floor(nu - 1/2)")
     return BasisFamily("disk_eigen", (float(nu), ell))
@@ -368,7 +368,7 @@ def gen_dirichlet(alpha: float, m: int) -> BasisFamily:
     """
     if not -1.0 < alpha < np.inf:  # NaN fails this too
         raise ValueError("gen_dirichlet requires finite alpha > -1")
-    m = int(m)
+    m = _check_integer(m, "gen_dirichlet order m")
     if m < 1:
         raise ValueError("gen_dirichlet requires m >= 1")
     return BasisFamily("gen_dirichlet", (float(alpha), m))
@@ -460,6 +460,21 @@ def _check_source_point(x):
     return x
 
 
+def _check_plane_point(z):
+    """z as a complex array, after checking every point is finite."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("plane points must be finite")
+    return z
+
+
+def _check_integer(value, name: str) -> int:
+    """value as an int; 2.0 passes, 2.7, NaN and inf raise (no truncation)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def basis_matrix(family: BasisFamily, jmax: int, points):
     """Members 0..jmax of a family evaluated at `points`, stacked on the last axis.
 
@@ -499,7 +514,7 @@ def basis_matrix(family: BasisFamily, jmax: int, points):
         return out
 
     if kind == "bargmann_fock":
-        z = np.asarray(points, dtype=complex)
+        z = _check_plane_point(points)
         out = np.empty(z.shape + (jmax + 1,), dtype=complex)
         out[..., 0] = np.pi ** -0.5
         for k in range(jmax):
@@ -541,7 +556,6 @@ def _disk_eigen_matrix(params, jmax, points):
     evaluated directly.
     """
     nu, ell = params
-    ell = int(ell)
     beta_p = 2.0 * (nu - ell) - 1.0
     z = _check_disk_point(points)
     u = _abs2(z)

@@ -50,13 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import (
-    BasisFamily,
-    basis_matrix,
-    dirichlet,
-    gen_dirichlet,
-    monomial_normalizer,
-)
+from .special import BasisFamily, basis_matrix, dirichlet, monomial_normalizer
 from .quadrature import QuadratureRule, gauss_halfline, gauss_line
 from .kernels import FAMILIES, KernelFamily, OmegaWeight, TargetSpace, kernel_matrix
 
@@ -70,7 +64,6 @@ __all__ = [
     "coefficients",
     "series_transform",
     "dirichlet_inner",
-    "dirichlet_monomial_weights",
     "circle_points",
     "taylor_from_circle",
     "taylor_to_basis",
@@ -114,9 +107,18 @@ class CoefficientVector:
 # The operator and its factory
 # ---------------------------------------------------------------------------
 
+def _source_rule(basis: BasisFamily, n: int) -> QuadratureRule:
+    """The n-point Gauss rule of a source basis' measure: Gauss-Hermite for
+    ``hermite_l2``, generalized Gauss-Laguerre of the same alpha for
+    ``laguerre_l2(alpha)``."""
+    if basis.kind == "hermite_l2":
+        return gauss_line(n)
+    return gauss_halfline(n, *basis.params)
+
+
 @dataclass(frozen=True)
 class TransformOperator:
-    """A kernel, a source rule matching its measure, and a target space."""
+    """A kernel, its source basis' Gauss rule, and a target space."""
 
     kernel: KernelFamily
     source_rule: QuadratureRule
@@ -126,62 +128,46 @@ class TransformOperator:
     weight: OmegaWeight | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        src = self.kernel.source_basis()
-        if src.kind == "hermite_l2":
-            if self.source_rule.kind != "line":
-                raise ValueError("classical transform needs a full-line Gaussian rule")
-        else:
-            alpha = src.params[0]
-            if self.source_rule.kind != "halfline" or abs(
-                self.source_rule.meta.get("alpha", np.nan) - alpha
-            ) > 1e-12:
-                raise ValueError(
-                    f"source rule must be a half-line rule with alpha = {alpha:g}"
-                )
+        rule = self.source_rule
+        expected = _source_rule(self.kernel.source_basis(), rule.nodes.shape[0])
+        if (rule.kind, rule.meta) != (expected.kind, expected.meta):
+            raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
                    disk_orders: tuple[int, int] = (120, 256),
                    plane_order: int = 60,
                    series_truncation: int = 64,
-                   inverse_truncation: int | None = None,
-                   weight: OmegaWeight | None = None,
-                   omega_step: float = 2e-3) -> TransformOperator:
+                   inverse_truncation: int | None = None) -> TransformOperator:
     """Build one of the five transforms with default discretizations.
 
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
-    source rule matches the measure of its source basis (Gauss-Hermite on
-    the line, generalized Gauss-Laguerre on the half-line); the target space
-    and the default inverse truncation are the family's (``FAMILIES``).
+    source rule is the Gauss rule of its source basis' measure
+    (``_source_rule``); the target space and the default inverse truncation
+    are the family's (``FAMILIES``).
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
     (kernel times polynomial times the measure weight) are entire and
     converge superexponentially.  For the generalized family the operator
-    carries a sampled convolution weight; the samples are exact to
-    rounding, so the step matters only through the endpoint-corrected
-    t-trapezoid that the weight's s-rule reproduces (for (alpha, m) =
-    (0.5, 2) the kernel meets its basis series to ~1e-13 relative at the
-    default step, ~1e-11 at 5e-3).
+    carries the convolution weight sampled at T = 40, h = 2e-3; the samples
+    are exact to rounding, so the step matters only through the
+    endpoint-corrected t-trapezoid that the weight's s-rule reproduces (for
+    (alpha, m) = (0.5, 2) the kernel meets its basis series to ~1e-13
+    relative at this step, ~1e-11 at 5e-3).
 
     On a disk target the whole-rule routes work in polar form, so the
     angular order ``disk_orders[1]`` must exceed every truncation they are
     asked for; they raise ValueError otherwise.
     """
     kernel = KernelFamily(kind, params)
-    src = kernel.source_basis()
-    if src.kind == "hermite_l2":
-        source = gauss_line(source_order)
-    else:
-        source = gauss_halfline(source_order, *src.params)
+    source = _source_rule(kernel.source_basis(), source_order)
     spec = FAMILIES[kernel.kind]
     target = spec.target_space(kernel.params, disk_orders, plane_order)
-    if weight is None:
-        weight = kernel.omega_weight(h=omega_step)
     if inverse_truncation is None:
         inverse_truncation = spec.inverse_truncation
     return TransformOperator(kernel, source, target, series_truncation,
-                             inverse_truncation, weight)
+                             inverse_truncation, kernel.omega_weight(h=2e-3))
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:
@@ -352,34 +338,12 @@ def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
 # Dirichlet-type inner products on Taylor coefficients
 # ---------------------------------------------------------------------------
 
-def dirichlet_monomial_weights(J: int, alpha: float | None = None,
-                                m: int | None = None) -> np.ndarray:
-    """Weights w_j with <f, g> = sum_j w_j a_j conj(b_j) on Taylor coefficients.
-
-    w_j = n_j^(-2) for the orthonormal family psi_j = n_j z^j of the space:
-    ``dirichlet()`` when alpha is None (w_0 = pi, w_j = pi j), else
-    ``gen_dirichlet(alpha, m)``.
-    """
-    if alpha is None:
-        family = dirichlet()
-    elif m is None:
-        raise ValueError("generalized weights need both alpha and m")
-    else:
-        family = gen_dirichlet(alpha, m)
-    return monomial_normalizer(family, J) ** -2.0
-
-
-def dirichlet_inner(a, b, alpha: float | None = None, m: int | None = None) -> complex:
-    """Inner product of holomorphic functions from their Taylor coefficients."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = max(a.shape[0], b.shape[0])
-    w = dirichlet_monomial_weights(n - 1, alpha, m)
-    aa = np.zeros(n, dtype=complex)
-    bb = np.zeros(n, dtype=complex)
-    aa[: a.shape[0]] = a
-    bb[: b.shape[0]] = b
-    return complex(np.sum(w * aa * np.conj(bb)))
+def dirichlet_inner(a, b, space: BasisFamily = dirichlet()) -> complex:
+    """sum_j n_j^(-2) a_j conj(b_j) on Taylor coefficients, the inner product
+    of the space with basis psi_j = n_j z^j (``monomial_normalizer``)."""
+    n = max(len(a), len(b))
+    aa, bb = (np.pad(np.asarray(v, dtype=complex), (0, n - len(v))) for v in (a, b))
+    return complex(np.sum(monomial_normalizer(space, n - 1) ** -2.0 * aa * np.conj(bb)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import scipy
 
 from .special import (
+    bergman,
     hermite_sequence,
     hyp1f1,
     hyp2f1,
@@ -28,7 +29,6 @@ from .special import (
 from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 from .kernels import (
     KernelFamily,
-    KernelSpace,
     kernel_matrix,
     omega,
     omega_laplace,
@@ -437,17 +437,11 @@ def suite_kernels(cfg: RunConfig) -> list:
 
     zr = _sample_disk((0.5, 1.0), per_circle=4, rmax=0.5)
     wr = _sample_disk((0.6, 1.0), per_circle=4, rmax=0.5) * np.exp(0.31j)
-    spaces = [
-        ("bargmann_fock", KernelSpace("bargmann_fock")),
-        ("bergman", KernelSpace("bergman", (1.5,))),
-        ("disk_eigen", KernelSpace("disk_eigen", (3.0, 2))),
-        ("dirichlet", KernelSpace("dirichlet")),
-        ("gen_bergman_dirichlet", KernelSpace("gen_bergman_dirichlet", (0.5, 2))),
-    ]
     worst = 0.0
-    for name, space in spaces:
-        closed = reproducing_kernel(space, zr, wr)
-        summed = papadakis_sum(space.basis(), zr, wr, 120)
+    for name, params, _, _ in _TRANSFORM_CASES:   # the cases' target spaces
+        basis = KernelFamily(name, params).target_basis()
+        closed = reproducing_kernel(basis, zr, wr)
+        summed = papadakis_sum(basis, zr, wr, 120)
         worst = max(worst, float(np.max(np.abs(summed - closed) / np.abs(closed))))
     checks.append(Check(
         "kernels.papadakis",
@@ -573,13 +567,15 @@ def suite_transforms(cfg: RunConfig) -> list:
     worst = 0.0
     zpts = _sample_disk((0.5, 1.0), per_circle=3, rmax=0.6)
     for alpha in (0.5, 2.0):
-        space = KernelSpace("weighted_bergman", (alpha,))
+        # (1-|w|^2)^alpha dA(w) has (alpha+1)/pi times bergman(alpha+1)'s kernel
+        basis = bergman(alpha + 1.0)
         rule = disk_rule(60, 128, alpha)
         coeff = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         fw = np.polyval(coeff[::-1], rule.nodes)
         fz = np.polyval(coeff[::-1], zpts)
         for i, zp in enumerate(zpts):
-            val = np.sum(rule.weights * reproducing_kernel(space, zp, rule.nodes) * fw)
+            kernel = (alpha + 1.0) / np.pi * reproducing_kernel(basis, zp, rule.nodes)
+            val = np.sum(rule.weights * kernel * fw)
             worst = max(worst, abs(val - fz[i]) / abs(fz[i]))
     checks.append(Check(
         "transforms.reproducing.weighted_bergman",

@@ -10,7 +10,6 @@ from scipy.special import gammaln
 
 from bargmann import (
     KernelFamily,
-    KernelSpace,
     OmegaWeight,
     QuadratureRule,
     classical_kernel,
@@ -26,9 +25,17 @@ from bargmann import (
     papadakis_sum,
     reproducing_kernel,
     second_kernel,
+    bargmann_fock,
+    bergman,
+    dirichlet,
+    disk_eigen,
     disk_rule,
+    forward,
     forward_map,
+    gen_dirichlet,
+    hermite_l2,
     laguerre,
+    laguerre_l2,
     make_transform,
 )
 from bargmann import kernels
@@ -287,6 +294,33 @@ def test_kernel_domain_validation():
                 kernel(0.3, bad)
     with pytest.raises(ValueError):
         dirichlet_kernel(0.3, 0.5, rule=gauss_halfline(40, 0.0))  # wrong measure
+    # plane points: NaN and inf would flow through as NaN
+    classical = make_transform("classical", source_order=12, plane_order=8)
+    for bad in (np.nan, complex(0.2, np.inf), [0.1, -np.inf]):
+        for call in (lambda: classical_kernel(bad, 1.0),
+                     lambda: reproducing_kernel(bargmann_fock(), bad, 0.3),
+                     lambda: reproducing_kernel(bargmann_fock(), 0.3, bad),
+                     lambda: papadakis_sum(bargmann_fock(), bad, 0.3, 10),
+                     lambda: forward(classical, np.ones(12), bad),
+                     lambda: forward(classical, np.ones(12), bad, strategy="series")):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_non_integral_orders_raise():
+    # a level or derivative order of 1.5 once became 1 (int()) or a TypeError
+    for call in (lambda: generalized_second_kernel(3.0, 1.5, 0.3, 0.5),
+                 lambda: gen_dirichlet_kernel(0.5, 2.5, 0.3, 0.5, weight=W_COARSE),
+                 lambda: omega(0.5, 2.5),
+                 lambda: KernelFamily("generalized_second", (3.0, 1.5)),
+                 lambda: KernelFamily("gen_bergman_dirichlet", (0.5, 2.7)),
+                 lambda: KernelFamily("gen_bergman_dirichlet", (0.5, np.nan))):
+        with pytest.raises(ValueError):
+            call()
+    # integral floats are accepted as the integers they are
+    assert KernelFamily("generalized_second", (3.0, 1.0)).params == (3.0, 1)
+    assert_allclose(generalized_second_kernel(3.0, 1.0, 0.3, 0.5),
+                    generalized_second_kernel(3.0, 1, 0.3, 0.5), rtol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +386,13 @@ def test_omega_laplace_closed_is_positive_decreasing():
 # reproducing kernels
 # ---------------------------------------------------------------------------
 
+# each space named by its orthonormal basis
 _SPACES = [
-    KernelSpace("bargmann_fock"),
-    KernelSpace("bergman", (1.5,)),
-    KernelSpace("weighted_bergman", (0.5,)),
-    KernelSpace("disk_eigen", (3.0, 2)),
-    KernelSpace("dirichlet"),
-    KernelSpace("gen_bergman_dirichlet", (0.5, 2)),
+    bargmann_fock(),
+    bergman(1.5),
+    disk_eigen(3.0, 2),
+    dirichlet(),
+    gen_dirichlet(0.5, 2),
 ]
 
 
@@ -391,11 +425,9 @@ def test_papadakis_sums_converge():
     # K(z, w) = sum_j psi_j(z) conj(psi_j(w)) over the orthonormal family
     z = _disk_points(5, 0.5, seed=11)
     w = _disk_points(5, 0.5, seed=12)
-    for space in _SPACES:
-        if space.kind == "weighted_bergman":
-            continue  # carried by the bergman family up to normalization
-        closed = reproducing_kernel(space, z, w)
-        summed = papadakis_sum(space.basis(), z, w, 120)
+    for basis in _SPACES:
+        closed = reproducing_kernel(basis, z, w)
+        summed = papadakis_sum(basis, z, w, 120)
         assert np.max(np.abs(summed - closed) / np.abs(closed)) < 1e-6
 
 
@@ -404,20 +436,29 @@ def test_weighted_bergman_reproduces_polynomials():
     rng = np.random.default_rng(5)
     coeff = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     alpha = 1.0
-    space = KernelSpace("weighted_bergman", (alpha,))
+    # the weight's kernel is (alpha+1)/pi times that of bergman(alpha+1)
+    basis = bergman(alpha + 1.0)
     rule = disk_rule(60, 128, alpha)
     fw = np.polyval(coeff[::-1], rule.nodes)
     for z in (0.1 + 0.4j, -0.3 - 0.2j, 0.5):
-        val = np.sum(rule.weights * reproducing_kernel(space, z, rule.nodes) * fw)
+        kernel = (alpha + 1.0) / np.pi * reproducing_kernel(basis, z, rule.nodes)
+        val = np.sum(rule.weights * kernel * fw)
         want = np.polyval(coeff[::-1], z)
         assert abs(val - want) / abs(want) < 1e-10
 
 
 def test_disk_kernels_reject_boundary():
     with pytest.raises(ValueError):
-        reproducing_kernel(KernelSpace("bergman", (1.0,)), 0.8, 1.3)
+        reproducing_kernel(bergman(1.0), 0.8, 1.3)
     with pytest.raises(ValueError):
-        reproducing_kernel(KernelSpace("bergman", (1.0,)), np.nan, 0.5)
+        reproducing_kernel(bergman(1.0), np.nan, 0.5)
+
+
+@pytest.mark.parametrize("basis", [hermite_l2(), laguerre_l2(0.5)], ids=str)
+def test_source_bases_have_no_reproducing_kernel(basis):
+    # the L2 source spaces are not reproducing-kernel spaces
+    with pytest.raises(ValueError):
+        reproducing_kernel(basis, 0.3, 0.2)
 
 
 def test_dirichlet_kernel_custom_rule():

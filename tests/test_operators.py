@@ -11,9 +11,12 @@ from bargmann import (
     apply_exact,
     apply_fd,
     basis_matrix,
+    bergman,
     casimir,
+    dirichlet,
     disk_eigen,
     eigen_check,
+    gen_dirichlet,
     gen_invariant_laplacian,
     harmonic_membership,
     hyperbolic_landau,
@@ -214,18 +217,36 @@ def test_membership_of_polynomials():
 
 def test_membership_from_coefficients():
     # geometric decay: sum j |c_j|^2 converges -> member
-    report = harmonic_membership(0.5 ** np.arange(200), kind="dirichlet")
+    report = harmonic_membership(0.5 ** np.arange(200), dirichlet())
     assert report["member"]
     # c_j = 1/(j+1): sum j/(j+1)^2 diverges logarithmically -> flagged out
-    report = harmonic_membership(1.0 / (np.arange(400) + 1.0), kind="dirichlet")
+    report = harmonic_membership(1.0 / (np.arange(400) + 1.0), dirichlet())
     assert not report["member"]
     assert report["tail_ratio"] >= 0.7
 
 
+def test_membership_in_generalized_space():
+    # gen_dirichlet(alpha, m): gamma = alpha + 2, derivatives of order m
+    space = gen_dirichlet(0.5, 2)
+    report = harmonic_membership(MonomialExpansion({(3, 0): 1.0}), space)
+    assert report["member"] and report["residual"] == 0.0
+    assert report["kind"] == "gen_dirichlet"
+    # (z^3)'' = 6 z: its norm on the default rule, (1-|z|^2)^0 dA
+    assert_allclose(report["derivative_norm"], 6.0 * np.sqrt(np.pi / 2.0), rtol=1e-12)
+    # conj(z) is not annihilated by D_(alpha+2): 4 (alpha+2) conj(z)(1-|z|^2)
+    report = harmonic_membership(MonomialExpansion({(0, 1): 1.0}), space)
+    assert not report["member"]
+    assert_allclose(report["residual"], 10.0 * np.sqrt(np.pi / 12.0), rtol=1e-10)
+    # Taylor coefficients: geometric decay is in, a slow tail is out
+    assert harmonic_membership(0.5 ** np.arange(200), space)["member"]
+    assert not harmonic_membership(np.arange(1.0, 401.0) ** -0.5, space)["member"]
+
+
 def test_membership_validation():
+    # only the Dirichlet-type spaces are harmonic spaces of these operators
     with pytest.raises(ValueError):
-        harmonic_membership(MonomialExpansion({(1, 0): 1.0}), kind="gen_dirichlet")
+        harmonic_membership(MonomialExpansion({(1, 0): 1.0}), disk_eigen(3.0, 2))
     with pytest.raises(ValueError):
-        harmonic_membership([1.0], kind="bergman")
+        harmonic_membership([1.0], bergman(1.0))
     with pytest.raises(ValueError):
-        harmonic_membership(np.array([]), kind="dirichlet")
+        harmonic_membership(np.array([]), dirichlet())

@@ -135,10 +135,30 @@ def test_sequence_validation():
                  id="hyp-x-complex"),
     pytest.param(lambda: basis_matrix(hermite_l2(), 4, [0.0, NAN]), id="hermite_l2"),
     pytest.param(lambda: basis_matrix(laguerre_l2(0.5), 4, [INF]), id="laguerre_l2"),
+    pytest.param(lambda: basis_matrix(bargmann_fock(), 3, NAN), id="bargmann_fock"),
+    pytest.param(lambda: basis_matrix(bargmann_fock(), 3, [0.5, complex(0.1, INF)]),
+                 id="bargmann_fock-inf"),
 ])
 def test_non_finite_input_raises(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: disk_eigen(3.0, 1.5), id="disk_eigen-ell"),
+    pytest.param(lambda: disk_eigen(3.0, NAN), id="disk_eigen-ell-nan"),
+    pytest.param(lambda: gen_dirichlet(0.5, 2.7), id="gen_dirichlet-m"),
+    pytest.param(lambda: gen_dirichlet(0.5, INF), id="gen_dirichlet-m-inf"),
+])
+def test_non_integral_orders_raise(call):
+    # these once became disk_eigen(3, 1) and gen_dirichlet(0.5, 2)
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_integral_float_orders_are_integers():
+    assert disk_eigen(3.0, 1.0) == disk_eigen(3.0, 1)
+    assert gen_dirichlet(0.5, 2.0).params == (0.5, 2)
 
 
 # ---------------------------------------------------------------------------

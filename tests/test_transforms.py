@@ -6,6 +6,7 @@ products go through the weighted Taylor coefficients; the structural tests
 here pin the monomial weights and normalizers those routines rely on.
 """
 
+import dataclasses
 from functools import cache
 
 import numpy as np
@@ -22,7 +23,6 @@ from bargmann import (
     coefficients,
     dirichlet,
     dirichlet_inner,
-    dirichlet_monomial_weights,
     forward,
     forward_gram,
     forward_map,
@@ -62,8 +62,7 @@ OPS = {
                                 series_truncation=24),
     "gen_bergman_dirichlet": make_transform("gen_bergman_dirichlet", 0.5, 2,
                                             source_order=24,
-                                            series_truncation=24,
-                                            omega_step=5e-3),
+                                            series_truncation=24),
 }
 
 
@@ -77,6 +76,21 @@ def test_make_transform_validation():
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError):
             make_transform("second", value)  # range checks compare false on NaN
+    with pytest.raises(ValueError):
+        make_transform("generalized_second", 3.0, 1.5)  # once built ell = 1
+
+
+def test_operator_rejects_a_foreign_source_rule():
+    # the source rule must be the Gauss rule of the source basis' measure
+    op = make_transform("second", 1.5, source_order=24, disk_orders=(60, 128))
+    for rule in (gauss_halfline(24, 0.0), gauss_line(24)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(op, source_rule=rule)
+    with pytest.raises(ValueError):
+        dataclasses.replace(OPS["classical"], source_rule=gauss_halfline(24, 0.0))
+    # its own rule at another order is accepted
+    assert dataclasses.replace(op, source_rule=gauss_halfline(12, 1.5)).source_rule.meta == {
+        "n": 12, "alpha": 1.5}
 
 
 def test_pairing_on_plane_target():
@@ -341,13 +355,14 @@ def test_taylor_basis_round_trip():
 
 
 def test_dirichlet_monomial_weights_closed_form():
-    # ||1||^2 = pi and ||z^j||^2 = pi j for the Dirichlet inner product
-    w = dirichlet_monomial_weights(5)
+    # ||1||^2 = pi and ||z^j||^2 = pi j for the Dirichlet inner product:
+    # the weights n_j^(-2) of psi_j = n_j z^j
+    w = monomial_normalizer(dirichlet(), 5) ** -2.0
     assert_allclose(w[0], np.pi, rtol=1e-14)
     assert_allclose(w[1:], np.pi * np.arange(1, 6), rtol=1e-14)
     # generalized: Bergman head below the split index m, derivative tail above
     alpha, m = 0.5, 2
-    w = dirichlet_monomial_weights(4, alpha=alpha, m=m)
+    w = monomial_normalizer(gen_dirichlet(alpha, m), 4) ** -2.0
     head = [np.pi * np.exp(gammaln(j + 1.0) + gammaln(alpha + 1.0)
                            - gammaln(j + alpha + 2.0)) for j in range(m)]
     assert_allclose(w[:m], head, rtol=1e-13)
@@ -355,24 +370,20 @@ def test_dirichlet_monomial_weights_closed_form():
 
 
 def test_dirichlet_inner_matches_weights():
-    for alpha, m in ((None, None), (0.5, 2)):
-        w = dirichlet_monomial_weights(4, alpha=alpha, m=m)
+    for space in (dirichlet(), gen_dirichlet(0.5, 2)):
+        w = monomial_normalizer(space, 4) ** -2.0
         for j in range(5):
             e = np.zeros(5, dtype=complex)
             e[j] = 1.0
-            got = dirichlet_inner(e, e, alpha=alpha, m=m)
+            got = dirichlet_inner(e, e, space)
             assert_allclose(got.real, w[j], rtol=1e-13)
             # off-diagonal pairs are orthogonal
             e2 = np.zeros(5, dtype=complex)
             e2[(j + 1) % 5] = 1.0
-            assert abs(dirichlet_inner(e, e2, alpha=alpha, m=m)) < 1e-15
-
-
-def test_monomial_normalizer_matches_weights():
-    for fam, params in ((dirichlet(), (None, None)), (gen_dirichlet(0.5, 2), (0.5, 2))):
-        w = dirichlet_monomial_weights(6, alpha=params[0], m=params[1])
-        n = monomial_normalizer(fam, 6)
-        assert_allclose(n, 1.0 / np.sqrt(w), rtol=1e-13)
+            assert abs(dirichlet_inner(e, e2, space)) < 1e-15
+    # the default space is the plain Dirichlet one
+    e = np.arange(1.0, 4.0)
+    assert dirichlet_inner(e, e) == dirichlet_inner(e, e, dirichlet())
 
 
 def test_monomial_normalizer_fock():
