@@ -12,6 +12,15 @@ over Taylor coefficients, read off the forward image on a circle
 psi_j = n_j z^j.  The transform carries phi_j to psi_j, so those target
 coefficients are also the source coefficients of the inverse.
 
+Circle extraction samples |z| = 0.75 at a power-of-two count N, so the
+truncations in use share one circle.  Each kernel is conjugate-symmetric in
+z, so the primary kernel is evaluated on the closed upper half only and the
+lower half is its conjugate.  The operator keeps the circle's Taylor map
+(the FFT over the circle of the forward map, divided by N) per N; the
+isometry, Gram, series round-trip and ``target_coefficients`` extractions
+of one operator all apply that map to source values, and none of them
+reads the source coefficients of f.
+
 Inversion quadrature deliberately uses the *series-truncated* kernel rather
 than the closed form.  The closed kernels grow double-exponentially in the
 product of source and target coordinates, so at the outer nodes of a
@@ -126,6 +135,9 @@ class TransformOperator:
     series_truncation: int = 64
     inverse_truncation: int = 100
     weight: OmegaWeight | None = field(default=None, repr=False)
+    # Taylor maps of the extraction circle by sample count (_circle_taylor)
+    _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         rule = self.source_rule
@@ -392,13 +404,29 @@ def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> 
     noise of the sampled values by radius^(-J); a larger radius tames that
     but needs more samples, since aliasing folds coefficient k+N back onto
     k with the factor radius^N.  The guard on the sample count keeps the
-    fold below double rounding for every retained coefficient.
+    fold below double rounding for every retained coefficient; the count
+    is then rounded up to a power of two, so nearby truncations share one
+    circle (J = 15, 16 and 24 all sample N = 256 points).
+
+    The forward map is linear, so the FFT over the circle of its rows,
+    divided by N, is a Taylor map: its row k applied to source values gives
+    r^k a_k.  The operator keeps that map per N, read-only, and each
+    extraction is one (J+1) x k product with it.  Every kernel is
+    conjugate-symmetric in z, K(conj z, x) = conj K(z, x), since the source
+    nodes and weights are real and the target bases have real Taylor
+    coefficients; row N - k of the map is thus the conjugate of row k, so
+    only the closed upper half k = 0..N/2 is evaluated and the (real) FFT of
+    the Hermitian columns is taken from it (``np.fft.hfft``).
     """
     radius = _EXTRACTION_RADIUS
     guard = int(np.ceil(np.log(1e-15) / np.log(radius))) + J + 1
-    n_points = max(64, 4 * (J + 1), guard)
-    vals = forward(op, source_values, circle_points(radius, n_points))
-    return taylor_from_circle(vals, J, radius, n_points)
+    n_points = 1 << (max(64, 4 * (J + 1), guard) - 1).bit_length()
+    taylor = op._circle_maps.get(n_points)
+    if taylor is None:
+        half = forward_map(op, circle_points(radius, n_points)[: n_points // 2 + 1])
+        taylor = op._circle_maps[n_points] = np.fft.hfft(half, n_points, axis=0) / n_points
+        taylor.flags.writeable = False
+    return (taylor[: J + 1] / radius ** np.arange(J + 1)[:, None]) @ source_values
 
 
 def taylor_to_basis(a: np.ndarray, family: BasisFamily) -> CoefficientVector:

@@ -454,6 +454,20 @@ def test_disk_kernels_reject_boundary():
         reproducing_kernel(bergman(1.0), np.nan, 0.5)
 
 
+@pytest.mark.parametrize("basis, z, w", [
+    (bergman(1.0), 2.0, 0.1),        # returned 1.5625
+    (dirichlet(), 3.0, 0.2),         # returned 0.610
+    (disk_eigen(3.0, 2), 1.5, 0.1),  # returned 15.2
+    (gen_dirichlet(0.5, 2), 1.5, 0.1),  # returned 0.659
+], ids=str)
+def test_disk_kernels_reject_points_outside_the_disk(basis, z, w):
+    # |z conj(w)| < 1 holds at each, so only a check of z itself catches them
+    with pytest.raises(ValueError):
+        reproducing_kernel(basis, z, w)
+    with pytest.raises(ValueError):
+        reproducing_kernel(basis, w, z)
+
+
 @pytest.mark.parametrize("basis", [hermite_l2(), laguerre_l2(0.5)], ids=str)
 def test_source_bases_have_no_reproducing_kernel(basis):
     # the L2 source spaces are not reproducing-kernel spaces

@@ -45,8 +45,9 @@ from bargmann import (
     taylor_to_basis,
     basis_to_taylor,
 )
+from bargmann import kernels
 from bargmann.cli import main
-from bargmann.transforms import _target_contract, _target_values
+from bargmann.transforms import _circle_taylor, _target_contract, _target_values
 
 # Cheap operators for the structural tests: a degree-8 input only needs the
 # source rule to integrate degree <= 23 exactly.
@@ -197,6 +198,58 @@ def test_round_trip_series_dirichlet_targets():
         values[:7] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         c = CoefficientVector(values, op.kernel.source_basis(), 9)
         assert round_trip_series(op, c) < 1e-8, kind
+
+
+CIRCLE_CASES = [("dirichlet", ()), ("gen_bergman_dirichlet", (0.5, 2))]
+
+
+@pytest.mark.parametrize("kind, params", CIRCLE_CASES)
+def test_circle_taylor_matches_full_circle_route(kind, params):
+    # half the circle plus conjugates, through the operator's Taylor map,
+    # against forward at every point of the same circle and an FFT per call
+    op = make_transform(kind, *params)
+    rng = np.random.default_rng(11)
+    for J in (8, 15, 24):   # all sample N = 256 points
+        C = rng.standard_normal((J + 1, 4)) + 1j * rng.standard_normal((J + 1, 4))
+        fv = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
+        got = _circle_taylor(op, fv, J)
+        want = taylor_from_circle(forward(op, fv, circle_points(0.75, 256)), J, 0.75, 256)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), J
+        assert_allclose(_circle_taylor(op, fv[:, 0], J), got[:, 0], rtol=1e-14)
+
+
+def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
+    # isometry (J_t = 16), Gram (J = 24) and series round trip (J = 15) used
+    # to sample 138, 146 and 137 full-circle points; now they share the 129
+    # points k = 0..128 of one 256-point circle
+    op = make_transform("dirichlet")
+    rows = []
+    kernel = kernels.dirichlet_kernel
+
+    def counting(z, x, rule=None):
+        rows.append(np.size(z))
+        return kernel(z, x, rule=rule)
+
+    monkeypatch.setattr(kernels, "dirichlet_kernel", counting)
+    rng = np.random.default_rng(12)
+    isometry_norms(op, rng.standard_normal((9, 3)) + 0j)
+    forward_gram(op, 24)
+    values = np.zeros(16, dtype=complex)
+    values[:9] = rng.standard_normal(9)
+    round_trip_series(op, CoefficientVector(values, op.kernel.source_basis(), 15))
+    assert sum(rows) == 129
+
+
+def test_circle_maps_are_per_operator_and_read_only():
+    op = make_transform("dirichlet", source_order=24, series_truncation=24)
+    forward_gram(op, 8)
+    assert list(op._circle_maps) == [256]
+    taylor = op._circle_maps[256]
+    assert taylor.shape == (256, 24) and not taylor.flags.writeable
+    with pytest.raises(ValueError):
+        taylor[0, 0] = 0.0
+    assert dataclasses.replace(op)._circle_maps == {}
+    assert dataclasses.replace(op, series_truncation=16)._circle_maps == {}
 
 
 def test_forward_evaluates_series_consistently():
