@@ -14,10 +14,8 @@ from .special import (
     bargmann_fock,
     basis_matrix,
     bergman,
-    beta,
     dirichlet,
     disk_eigen,
-    gamma_ratio,
     gen_dirichlet,
     hermite_l2,
     hermite_sequence,
@@ -39,7 +37,6 @@ from .quadrature import (
     gauss_halfline,
     gauss_line,
     gaussian_plane_rule,
-    integrate,
 )
 from .kernels import (
     KernelFamily,
@@ -61,10 +58,7 @@ from .kernels import (
 from .transforms import (
     CoefficientVector,
     TransformOperator,
-    basis_to_taylor,
     circle_points,
-    coefficients,
-    dirichlet_inner,
     forward,
     forward_gram,
     forward_map,
@@ -78,7 +72,6 @@ from .transforms import (
     series_transform,
     target_coefficients,
     taylor_from_circle,
-    taylor_to_basis,
 )
 from .operators import (
     DiskOperator,

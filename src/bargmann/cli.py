@@ -117,6 +117,8 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
 
 
 def _load_coefficients(path: str) -> np.ndarray:
+    """The source coefficients of a JSON list; json reads NaN and Infinity,
+    so non-finite entries are refused here."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, list) or not raw:
@@ -129,6 +131,8 @@ def _load_coefficients(path: str) -> np.ndarray:
             out[k] = complex(entry[0], entry[1])
         else:
             raise ValueError("coefficients must be numbers or [re, im] pairs")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("coefficients must be finite")
     return out
 
 
@@ -247,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat 'key = value' config file (default: "
                         "$BARGMANN_CONFIG if set)")
     for f in dataclasses.fields(RunConfig):   # one flag per configuration key
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                       help=f.metadata.get("help"))
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -183,10 +183,6 @@ class OmegaWeight:
     def grid(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.h
 
-    @property
-    def tmax(self) -> float:
-        return (self.values.shape[0] - 1) * self.h
-
     @cached_property
     def s_rule(self) -> QuadratureRule:
         """The trapezoid measure of the weight in s = e^-t, compressed.
@@ -201,8 +197,7 @@ class OmegaWeight:
         return _compressed_s_rule("omega_s", self.grid, masses, {"h": self.h})
 
 
-def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
-          order: int = 48) -> OmegaWeight:
+def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3) -> OmegaWeight:
     """Convolution weight omega_(alpha,m) on the grid [0, T] with step h.
 
     Each convolution in the chain is evaluated through the substitution
@@ -216,9 +211,9 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
     where Q_ell(tau) = 2 e^((1-ell) tau) int cos^2(phi)
     exp(-alpha tau sin^2(phi)) d(phi) is the (smooth, closed-form-reduced)
     inner pair of factors.  The theta-integrands are analytic, so a fixed
-    Gauss-Legendre rule resolves them to machine precision, and each H is
-    entire with exponential rates at most m + alpha - 1, so one Chebyshev
-    table per level captures it to rounding on [0, T].  The returned grid
+    48-point Gauss-Legendre rule resolves them to machine precision, and
+    each H is entire with exponential rates at most m + alpha - 1, so one
+    Chebyshev table per level captures it to rounding on [0, T].  The returned grid
     samples therefore carry no h-dependent build error; h only sets the
     trapezoid measure the kernel's t-integral and ``omega_laplace`` use.
     """
@@ -229,7 +224,7 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3,
         raise ValueError("omega requires m >= 2")
     if not (0.0 < T < np.inf and 0.0 < h < np.inf):
         raise ValueError("omega requires finite positive T and h")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(48)
     theta = (x + 1.0) * (np.pi / 4.0)
     wq = w * (np.pi / 4.0)
     s2 = np.sin(theta) ** 2
@@ -600,7 +595,7 @@ class FamilySpec:
 
     ``params``: (name, type, description) per parameter; the names are also
     the CLI flags.  ``source``/``target`` build the bases phi_j/psi_j from
-    the parameters.  ``evaluate(params, z, x, rule, weight)`` is the primary
+    the parameters.  ``evaluate(params, z, x, weight)`` is the primary
     route, 'closed' or 'integral' as ``primary`` says; ``weighted`` marks the
     route that integrates against the convolution weight omega_(alpha, m).
     ``evaluate`` looks the kernel functions up by their module-level names
@@ -634,27 +629,27 @@ def _bergman_dirichlet_target(alpha: float, m: int) -> BasisFamily:
 FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock, "closed",
-        lambda p, z, x, rule, weight: classical_kernel(z, x),
+        lambda p, z, x, weight: classical_kernel(z, x),
         _plane_target, 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman, "closed",
-        lambda p, z, x, rule, weight: second_kernel(*p, z, x),
+        lambda p, z, x, weight: second_kernel(*p, z, x),
         _bergman_target, 110),
     "generalized_second": FamilySpec(
         (("nu", float, "generalized-second parameter"),
          ("ell", int, "generalized-second level")),
         lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen, "closed",
-        lambda p, z, x, rule, weight: generalized_second_kernel(*p, z, x),
+        lambda p, z, x, weight: generalized_second_kernel(*p, z, x),
         _disk_eigen_target, 110),
     "dirichlet": FamilySpec(
         (), lambda: laguerre_l2(0.0), dirichlet, "integral",
-        lambda p, z, x, rule, weight: dirichlet_kernel(z, x, rule=rule)),
+        lambda p, z, x, weight: dirichlet_kernel(z, x)),
     "gen_bergman_dirichlet": FamilySpec(
         (("alpha", float, "Bergman-Dirichlet weight exponent"),
          ("m", int, "Bergman-Dirichlet derivative order")),
         lambda alpha, m: laguerre_l2(alpha), _bergman_dirichlet_target, "integral",
-        lambda p, z, x, rule, weight: gen_dirichlet_kernel(*p, z, x, weight=weight),
+        lambda p, z, x, weight: gen_dirichlet_kernel(*p, z, x, weight=weight),
         weighted=True),
 }
 
@@ -707,8 +702,7 @@ class KernelFamily:
 
 
 def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
-                  J: int = 120, rule: QuadratureRule | None = None,
-                  weight: OmegaWeight | None = None):
+                  J: int = 120, weight: OmegaWeight | None = None):
     """K(z_i, x_k) for arrays of targets z and sources x.
 
     strategy: 'primary', 'series', or the primary route's own name
@@ -721,8 +715,7 @@ def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
     if strategy not in ("primary", family.primary_strategy):
         raise ValueError(f"{family.kind} kernel has no {strategy!r} strategy; its "
                          f"routes are {family.primary_strategy!r} and 'series'")
-    return FAMILIES[family.kind].evaluate(family.params, z[:, None], x[None, :],
-                                          rule, weight)
+    return FAMILIES[family.kind].evaluate(family.params, z[:, None], x[None, :], weight)
 
 
 def kernel_series(family: KernelFamily, z, x, J: int = 120):

@@ -50,20 +50,18 @@ def _pruned(terms) -> dict:
 
 @dataclass(frozen=True)
 class MonomialExpansion:
-    """Finite combination sum c_{ab} z^a zbar^b, keyed by (a, b)."""
+    """Finite combination sum c_{ab} z^a zbar^b, keyed by (a, b), with
+    nonnegative powers and finite coefficients."""
 
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _pruned(self.terms))
-        for a, b in self.terms:
+        for (a, b), c in self.terms.items():
             if a < 0 or b < 0:
                 raise ValueError("monomial powers must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero expansion."""
-        return max((a + b for a, b in self.terms), default=-1)
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient of z^{a} zbar^{b} is not finite: {c}")
 
     @property
     def is_zero(self) -> bool:
@@ -190,8 +188,9 @@ def operator_sample_points(radii=(0.3, 0.6), per_circle: int = 10) -> np.ndarray
     return np.concatenate(points)
 
 
-def eigen_check(nu: float, ell: int, j: int, points=None, h: float = 1e-3) -> dict:
-    """Relative residual of the Landau eigenvalue equation at sample points.
+def eigen_check(nu: float, ell: int, j: int, h: float = 1e-3) -> dict:
+    """Relative residual of the Landau eigenvalue equation at the
+    ``operator_sample_points()``.
 
     The eigenfunctions carry the non-polynomial (1-|z|^2)^(-ell) factor, so
     the operator is applied by finite differences at steps h and h/2 and
@@ -199,9 +198,7 @@ def eigen_check(nu: float, ell: int, j: int, points=None, h: float = 1e-3) -> di
     """
     family = disk_eigen(nu, ell)
     op = hyperbolic_landau(nu)
-    if points is None:
-        points = operator_sample_points()
-    points = np.asarray(points, dtype=complex)
+    points = operator_sample_points()
 
     def F(w):
         return basis_matrix(family, j, w)[..., j]
@@ -236,7 +233,7 @@ def point_spectrum(kind: str, value: float):
         if nu <= 0.5:
             raise ValueError("hyperbolic_landau requires nu > 1/2")
         lmax = int(np.floor(nu - 0.5))
-        return [(l, 4.0 * l * (2.0 * nu - l - 1.0)) for l in range(lmax + 1)], False
+        return [(l, landau_eigenvalue(nu, l)) for l in range(lmax + 1)], False
     if kind == "gen_invariant_laplacian":
         alpha = float(value)
         if alpha <= -1.0:
@@ -264,21 +261,22 @@ def _rule_norm(expansion: MonomialExpansion, rule) -> float:
 _TAIL_DIVERGENCE_RATIO = 0.7
 
 
-def harmonic_membership(F, space: BasisFamily = dirichlet(), rule=None) -> dict:
+def harmonic_membership(F, space: BasisFamily = dirichlet()) -> dict:
     """Harmonic-space membership report for the (weighted) invariant Laplacian.
 
     ``space`` is ``dirichlet()`` (gamma = 2, first derivatives) or
     ``gen_dirichlet(alpha, m)`` (gamma = alpha + 2, derivatives of order m).
 
     ``F`` is either a MonomialExpansion -- the annihilation residual is then
-    the quadrature L2 norm of the exact symbolic action -- or a sequence of
-    Taylor coefficients of a holomorphic function, which the operator kills
-    identically so that membership reduces to the domain condition.  The
-    domain evidence is the weighted coefficient sum whose finiteness the
-    membership theorems require; for coefficient input its convergence is
-    judged by dyadic block increments (ratio >= 0.7 between consecutive
-    blocks flags divergence).  As the refinement behaviour of a fixed
-    sample, the verdict is evidence, not proof.
+    the quadrature L2 norm of the exact symbolic action on the unweighted
+    60 x 128 disk rule, refined to 120 x 256 for the domain evidence -- or a
+    sequence of Taylor coefficients of a holomorphic function, which the
+    operator kills identically so that membership reduces to the domain
+    condition.  The domain evidence is the weighted coefficient sum whose
+    finiteness the membership theorems require; for coefficient input its
+    convergence is judged by dyadic block increments (ratio >= 0.7 between
+    consecutive blocks flags divergence).  As the refinement behaviour of a
+    fixed sample, the verdict is evidence, not proof.
     """
     if space.kind not in ("dirichlet", "gen_dirichlet"):
         raise ValueError(f"{space} is not the basis of a harmonic Dirichlet-type space")
@@ -286,10 +284,8 @@ def harmonic_membership(F, space: BasisFamily = dirichlet(), rule=None) -> dict:
     op = gen_invariant_laplacian(alpha)
 
     if isinstance(F, MonomialExpansion):
-        if rule is None:
-            rule = disk_rule(60, 128, 0.0)
-        fine = disk_rule(2 * rule.meta["n_r"], 2 * rule.meta["n_theta"],
-                         rule.meta["gamma"])
+        rule = disk_rule(60, 128, 0.0)
+        fine = disk_rule(120, 256, 0.0)
         residual = _rule_norm(apply_exact(op, F), rule)
         function_norm = _rule_norm(F, rule)
         d = dict(F.terms)

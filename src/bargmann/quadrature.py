@@ -1,8 +1,8 @@
 """Gaussian quadrature rules for the measures used by the transforms.
 
 Every rule packs the weight function into its weights, so
-``integrate(rule, f)`` approximates the integral of plain ``f`` against the
-rule's measure:
+``rule.weights @ f(rule.nodes)`` approximates the integral of plain ``f``
+against the rule's measure:
 
 - ``gauss_line``:       exp(-x^2) dx on the real line,
 - ``gauss_halfline``:   x^alpha exp(-x) dx on (0, inf),
@@ -35,7 +35,6 @@ __all__ = [
     "gauss_halfline",
     "disk_rule",
     "gaussian_plane_rule",
-    "integrate",
 ]
 
 
@@ -51,10 +50,6 @@ class QuadratureRule:
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("nodes and weights must have equal length")
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
 
     def __str__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.meta.items())
@@ -241,10 +236,3 @@ def gaussian_plane_rule(n: int) -> QuadratureRule:
     weights = (w[:, None] * w[None, :]).ravel()
     return QuadratureRule("plane", z, weights, {"n": n})
 
-
-def integrate(rule: QuadratureRule, f):
-    """Apply a rule to a callable (evaluated on the nodes) or an array of values."""
-    values = f(rule.nodes) if callable(f) else np.asarray(f)
-    if values.shape[0] != rule.nodes.shape[0]:
-        raise ValueError("value array does not match the rule's node count")
-    return np.sum(rule.weights * values, axis=0)

@@ -1,4 +1,4 @@
-"""Orthogonal polynomials, hypergeometric series, and Gamma-ratio helpers.
+"""Orthogonal polynomials, hypergeometric series, and Gamma helpers.
 
 All polynomial evaluation goes through three-term recurrences (never
 explicit coefficient sums), and every factorial / Gamma ratio is formed in
@@ -23,8 +23,6 @@ __all__ = [
     "laguerre_sequence",
     "jacobi_sequence",
     "log_gamma",
-    "beta",
-    "gamma_ratio",
     "pochhammer",
     "HypResult",
     "HypSeriesError",
@@ -46,7 +44,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Gamma / Beta helpers
+# Gamma helpers
 # ---------------------------------------------------------------------------
 
 def log_gamma(x):
@@ -62,25 +60,6 @@ def log_gamma(x):
         raise ValueError("log_gamma requires finite, strictly positive arguments")
     out = gammaln(x)
     return float(out) if out.ndim == 0 else out
-
-
-def beta(x, y):
-    """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0."""
-    return float(np.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y)))
-
-
-def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> float:
-    """Product of Gamma(n_i) / product of Gamma(d_j), formed in log space.
-
-    All arguments must be positive; ratios of huge factorials therefore never
-    overflow on the way to a moderate final value.
-    """
-    acc = 0.0
-    for v in numerators:
-        acc += log_gamma(v)
-    for v in denominators:
-        acc -= log_gamma(v)
-    return float(np.exp(acc))
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -194,40 +173,28 @@ class HypSeriesError(ValueError):
     """Raised when a hypergeometric partial sum shows no sign of converging."""
 
 
-_HYP_KINDS = {"1F1": (1, 1), "2F1": (2, 1), "3F2": (3, 2)}
-
-
-def hyp_series(kind: str, upper: Sequence[float], lower: Sequence[float],
+def hyp_series(upper: Sequence[float], lower: Sequence[float],
                x, truncation: int = 200) -> HypResult:
-    """Partial sum of a hypergeometric series with an error indicator.
+    """Partial sum of the hypergeometric series pFq(upper; lower; x), with
+    p = len(upper) and q = len(lower), and an error indicator.
 
-    Parameters
-    ----------
-    kind : one of '1F1', '2F1', '3F2'
-    upper, lower : parameter lists of the lengths implied by `kind`
-    x : real or complex argument
-    truncation : number of terms retained
-
-    Returns the partial sum, the magnitude of the first omitted term (zero
-    when the series terminated exactly), and the number of terms actually
-    summed.  Raises :class:`HypSeriesError` when the terms are still growing
-    at the truncation point, or when a Gauss-type series is evaluated outside
-    its disk of convergence without terminating.
+    Returns the partial sum over ``truncation`` terms, the magnitude of the
+    first omitted term (zero when the series terminated exactly), and the
+    number of terms actually summed.  Raises :class:`HypSeriesError` when
+    the terms are still growing at the truncation point, or when a
+    Gauss-type series (p = q + 1) is evaluated outside its disk of
+    convergence without terminating.
     """
-    if kind not in _HYP_KINDS:
-        raise ValueError(f"unknown hypergeometric kind {kind!r}")
-    nu, nl = _HYP_KINDS[kind]
-    if len(upper) != nu or len(lower) != nl:
-        raise ValueError(f"{kind} takes {nu} upper and {nl} lower parameters")
+    label = f"{len(upper)}F{len(lower)}"
     for c in lower:
         if float(c) <= 0.0 and float(c) == int(c):
             raise ValueError("lower parameters must not be nonpositive integers")
     if not np.isfinite(x):
         raise ValueError("hypergeometric argument must be finite")
     terminating = any(float(a) == int(a) and float(a) <= 0.0 for a in upper)
-    if nu == nl + 1 and not terminating and abs(x) >= 1.0:
+    if len(upper) == len(lower) + 1 and not terminating and abs(x) >= 1.0:
         raise HypSeriesError(
-            f"{kind} series does not converge at |x| = {abs(x):.3g} >= 1"
+            f"{label} series does not converge at |x| = {abs(x):.3g} >= 1"
         )
 
     x = complex(x)
@@ -259,7 +226,7 @@ def hyp_series(kind: str, upper: Sequence[float], lower: Sequence[float],
         return HypResult(_realify(total), 0.0, used)
     if abs(omitted) >= abs(term):
         raise HypSeriesError(
-            f"{kind} terms are not decreasing after {truncation} terms "
+            f"{label} terms are not decreasing after {truncation} terms "
             f"(|t_K| = {abs(omitted):.3g} >= |t_K-1| = {abs(term):.3g})"
         )
     return HypResult(_realify(total), abs(omitted), used)
@@ -277,17 +244,17 @@ def hyp1f1(a: float, c: float, x, truncation: int = 200):
     alternating (cancellation-prone) sum into an all-positive one.
     """
     if np.isrealobj(x) and np.real(x) < 0.0:
-        return float(np.exp(x) * hyp_series("1F1", [c - a], [c], -x, truncation).value)
-    return hyp_series("1F1", [a], [c], x, truncation).value
+        return float(np.exp(x) * hyp_series([c - a], [c], -x, truncation).value)
+    return hyp_series([a], [c], x, truncation).value
 
 
 def hyp2f1(a: float, b: float, c: float, x, truncation: int = 200):
-    return hyp_series("2F1", [a, b], [c], x, truncation).value
+    return hyp_series([a, b], [c], x, truncation).value
 
 
 def hyp3f2(uppers: Sequence[float], lowers: Sequence[float], x,
            truncation: int = 200):
-    return hyp_series("3F2", list(uppers), list(lowers), x, truncation).value
+    return hyp_series(list(uppers), list(lowers), x, truncation).value
 
 
 # ---------------------------------------------------------------------------

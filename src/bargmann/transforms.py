@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import BasisFamily, basis_matrix, dirichlet, monomial_normalizer
+from .special import BasisFamily, basis_matrix, monomial_normalizer
 from .quadrature import QuadratureRule, gauss_halfline, gauss_line
 from .kernels import FAMILIES, KernelFamily, OmegaWeight, TargetSpace, kernel_matrix
 
@@ -70,13 +70,9 @@ __all__ = [
     "forward",
     "forward_map",
     "inverse_integral",
-    "coefficients",
     "series_transform",
-    "dirichlet_inner",
     "circle_points",
     "taylor_from_circle",
-    "taylor_to_basis",
-    "basis_to_taylor",
     "target_coefficients",
     "isometry_norms",
     "pairing_residuals",
@@ -104,12 +100,6 @@ class CoefficientVector:
         if v.shape != (self.truncation + 1,):
             raise ValueError("coefficient vector length must be truncation + 1")
         object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.truncation + 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +316,8 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Coefficients and series routes
+# Series route
 # ---------------------------------------------------------------------------
-
-def coefficients(f, basis: BasisFamily, rule: QuadratureRule, J: int) -> CoefficientVector:
-    """c_j = integrate(rule, f conj(phi_j)) for j = 0..J."""
-    values = f(rule.nodes) if callable(f) else np.asarray(f)
-    if values.shape[0] != rule.nodes.shape[0]:
-        raise ValueError("value array does not match the rule's node count")
-    P = basis_matrix(basis, J, rule.nodes)
-    c = np.conj(P).T @ (rule.weights * values)
-    return CoefficientVector(c, basis, J)
-
 
 def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
     """sum_j c_j psi_j(z)."""
@@ -347,28 +327,18 @@ def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet-type inner products on Taylor coefficients
-# ---------------------------------------------------------------------------
-
-def dirichlet_inner(a, b, space: BasisFamily = dirichlet()) -> complex:
-    """sum_j n_j^(-2) a_j conj(b_j) on Taylor coefficients, the inner product
-    of the space with basis psi_j = n_j z^j (``monomial_normalizer``)."""
-    n = max(len(a), len(b))
-    aa, bb = (np.pad(np.asarray(v, dtype=complex), (0, n - len(v))) for v in (a, b))
-    return complex(np.sum(monomial_normalizer(space, n - 1) ** -2.0 * aa * np.conj(bb)))
-
-
-# ---------------------------------------------------------------------------
 # Taylor-coefficient helpers for Dirichlet-type targets
 # ---------------------------------------------------------------------------
 
-def circle_points(radius: float = 0.5, n_points: int = 256) -> np.ndarray:
+def circle_points(radius: float, n_points: int) -> np.ndarray:
     """Equispaced samples of the circle |z| = radius, as used by
-    taylor_from_circle."""
+    taylor_from_circle; 0 < radius < inf and n_points >= 1."""
+    if not (0.0 < radius < np.inf and n_points >= 1):  # NaN fails this too
+        raise ValueError("a sample circle needs a finite radius > 0 and n_points >= 1")
     return radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
 
 
-def taylor_from_circle(F, J: int, radius: float = 0.5, n_points: int = 256) -> np.ndarray:
+def taylor_from_circle(F, J: int, radius: float, n_points: int) -> np.ndarray:
     """Taylor coefficients a_0..a_J of a holomorphic F from circle samples.
 
     a_k = (1/N) sum_t F(r e^(i theta_t)) e^(-i k theta_t) / r^k, i.e. an
@@ -429,20 +399,6 @@ def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> 
     return (taylor[: J + 1] / radius ** np.arange(J + 1)[:, None]) @ source_values
 
 
-def taylor_to_basis(a: np.ndarray, family: BasisFamily) -> CoefficientVector:
-    """Coefficients in a diagonal orthonormal family from Taylor coefficients."""
-    a = np.asarray(a, dtype=complex)
-    J = a.shape[0] - 1
-    n = monomial_normalizer(family, J)
-    return CoefficientVector(a / n, family, J)
-
-
-def basis_to_taylor(c: CoefficientVector) -> np.ndarray:
-    """Taylor coefficients of sum_j c_j psi_j for a diagonal family."""
-    n = monomial_normalizer(c.basis, c.truncation)
-    return c.values * n
-
-
 def target_coefficients(op: TransformOperator, f, J: int | None = None) -> CoefficientVector:
     """<B[f], psi_j> for a Dirichlet-type target, via circle extraction.
 
@@ -456,7 +412,8 @@ def target_coefficients(op: TransformOperator, f, J: int | None = None) -> Coeff
     if J is None:
         J = op.series_truncation
     a = _circle_taylor(op, _source_values(op, f), J)
-    return taylor_to_basis(a, op.kernel.target_basis())
+    basis = op.kernel.target_basis()
+    return CoefficientVector(a / monomial_normalizer(basis, J), basis, J)
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +429,14 @@ def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
     return np.max(np.abs(got - want), axis=0)
 
 
-def reverse_pairing_residual(op: TransformOperator, j: int, x=None) -> float:
-    """max over source nodes of |B^(-1)[psi_j](x) - phi_j(x)|.
-
-    ``x`` defaults to the operator's source nodes and should be of modest
-    magnitude: the inverse amplifies quadrature round-off by |phi_J(x)| at
-    the truncation index, which grows exponentially past the oscillatory
-    region, so callers evaluate at the nodes of a low-order rule for the
-    same measure.
-    """
+def reverse_pairing_residual(op: TransformOperator, j: int) -> float:
+    """max over the source nodes x of |B^(-1)[psi_j](x) - phi_j(x)|."""
     if op.target.rule is None:
         raise ValueError(
             "reverse pairing integrates over the target space and needs a "
             "target rule; Dirichlet-type targets invert by coefficients via "
             "target_coefficients")
-    if x is None:
-        x = op.source_rule.nodes
+    x = op.source_rule.nodes
     psi = _target_values(op, np.eye(j + 1)[:, j])
     got = inverse_integral(op, psi, x)
     want = basis_matrix(op.kernel.source_basis(), j, x)[:, j]
@@ -531,24 +480,19 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
     return a / monomial_normalizer(op.kernel.target_basis(), J)[:, None]
 
 
-def round_trip_integral(op: TransformOperator, c: CoefficientVector, x=None) -> float:
-    """max_x |B^(-1)[B[f]](x) - f(x)| for f = sum c_j phi_j.
+def round_trip_integral(op: TransformOperator, c: CoefficientVector) -> float:
+    """max over the source nodes x of |B^(-1)[B[f]](x) - f(x)| for
+    f = sum c_j phi_j.
 
-    ``x`` defaults to the operator's source nodes; as with
-    reverse_pairing_residual it should be points of modest magnitude.  The
-    forward leg runs in the series strategy: the whole-domain evaluation at
+    The forward leg runs in the series strategy: the whole-domain evaluation at
     target nodes is exactly the situation where the direct quadrature of the
     closed kernel degrades (boundary oscillation on disks, unresolved
     exponential growth on the plane) while the truncated series stays a
     small-norm perturbation of B[f] that the inverse contracts.
     """
-    if x is None:
-        x = op.source_rule.nodes
-    fv = basis_matrix(op.kernel.source_basis(), c.truncation,
-                      op.source_rule.nodes) @ c.values
-    Fv = _target_images(op, fv, "series")
-    back = inverse_integral(op, Fv, x)
+    x = op.source_rule.nodes
     fx = basis_matrix(op.kernel.source_basis(), c.truncation, x) @ c.values
+    back = inverse_integral(op, _target_images(op, fx, "series"), x)
     return float(np.max(np.abs(back - fx)))
 
 

@@ -118,37 +118,17 @@ class VerificationReport:
             "metadata": self.metadata,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VerificationReport":
-        checks = tuple(
-            Check(c["id"], c["description"], c["measured"], c["tolerance"],
-                  c.get("reference", ""))
-            for c in data["checks"]
-        )
-        return cls(data["suite"], checks, data.get("metadata", {}))
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the suites, serializable as a flat key = value file.
-
-    ``omega_tmax`` and ``omega_h`` set the kernels suite's omega weights only:
-    the transforms suite's generalized Bergman-Dirichlet operator builds its
-    own at T = 40, h = 2e-3, whatever its report echoes.  A field's
-    ``help`` metadata is the help text of its CLI flag.
-    """
+    """Knobs shared by the suites: each is a key of the flat key = value
+    config file and a long-form flag of ``verify``."""
 
     plane_order: int = 60
     disk_radial: int = 120
     disk_angular: int = 256
     source_order: int = 120
     series_truncation: int = 64
-    omega_tmax: float = field(default=40.0, metadata={"help": (
-        "range T of the kernels suite's omega weights only; the transforms "
-        "suite's operator keeps T=40, h=2e-3")})
-    omega_h: float = field(default=1e-3, metadata={"help": (
-        "grid step h of the kernels suite's omega weights only; the transforms "
-        "suite's operator keeps T=40, h=2e-3")})
     fd_step: float = 1e-3
     tolerance_scale: float = 1.0
 
@@ -158,11 +138,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if self.series_truncation < 8:
             raise ValueError("series_truncation must be at least 8")
-        if not 0.0 < self.omega_h <= 0.5:
-            raise ValueError("omega_h must lie in (0, 0.5]")
         # written as negated ranges so that NaN, which compares false, fails too
-        if not 10.0 <= self.omega_tmax < np.inf:
-            raise ValueError("omega_tmax must be finite and at least 10")
         if not 0.0 < self.fd_step <= 0.1:
             raise ValueError("fd_step must lie in (0, 0.1]")
         if not 0.0 < self.tolerance_scale < np.inf:
@@ -180,11 +156,6 @@ class RunConfig:
             current = getattr(self, key)
             clean[key] = type(current)(value)
         return dataclasses.replace(self, **clean)
-
-    def to_file(self, path) -> None:
-        lines = [f"{k} = {v}" for k, v in self.to_dict().items()]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -408,8 +379,7 @@ def suite_kernels(cfg: RunConfig) -> list:
     for name, params, tol, ref in _TRANSFORM_CASES:
         family = KernelFamily(name, params)
         xs = x_line if family.source_basis().kind == "hermite_l2" else x_half
-        weight = family.omega_weight(T=cfg.omega_tmax, h=cfg.omega_h)
-        primary = kernel_matrix(family, z, xs, strategy="primary", weight=weight)
+        primary = kernel_matrix(family, z, xs, strategy="primary")
         series = kernel_matrix(family, z, xs, strategy="series", J=120)
         measured = float(np.max(np.abs(primary - series)))
         checks.append(Check(
@@ -422,7 +392,7 @@ def suite_kernels(cfg: RunConfig) -> list:
     worst = 0.0
     for m in (2, 3):
         for alpha in (0.0, 0.5, 1.5):
-            weight = omega(alpha, m, T=cfg.omega_tmax, h=cfg.omega_h)
+            weight = omega(alpha, m)
             for jv in range(6):
                 numeric = omega_laplace(weight, jv)
                 closed = omega_laplace_closed(alpha, m, jv)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bargmann import VerificationReport, basis_matrix, forward, make_transform
+from bargmann import basis_matrix, forward, make_transform
 from bargmann.cli import main
 
 
@@ -110,6 +110,27 @@ def test_transform_rejects_bad_coefficients(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["[1.0, NaN]", "[1.0, [Infinity, 0]]"])
+def test_transform_rejects_non_finite_coefficients(tmp_path, capsys, text):
+    # json reads NaN and Infinity, which would come back as a NaN value
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["transform", "--family", "classical",
+                                      "--input", str(path), "--at", "0,0"])
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--fd", "--at", "0.1,0.1"]])
+def test_operator_rejects_non_finite_terms(tmp_path, capsys, extra):
+    path = tmp_path / "g.json"
+    path.write_text('{"1,1": [NaN, 0]}')
+    code, out, err = run_cli(capsys, ["operator", "--gamma", "2",
+                                      "--apply", str(path)] + extra)
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
 def test_operator_exact_action(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"0,1": [1.0, 0.0]}))
@@ -150,10 +171,7 @@ def test_verify_quadrature_passes(capsys):
     assert payload["suite"] == "quadrature"
     assert payload["passed"] is True
     assert all(c["measured"] <= c["tolerance"] for c in payload["checks"])
-    # the report text round-trips through the dataclass
-    report = VerificationReport.from_json(payload)
-    assert report.passed
-    assert report.metadata["config"]["source_order"] == 120
+    assert payload["metadata"]["config"]["source_order"] == 120
 
 
 def test_verify_report_records_environment(capsys, monkeypatch):
@@ -193,20 +211,21 @@ def test_verify_explicit_config_path(tmp_path, capsys):
     assert payload["metadata"]["config"]["fd_step"] == 0.002
 
 
-def test_verify_detects_failure_with_coarse_omega(capsys):
-    # a deliberately coarse grid step leaves the plain Laplace trapezoid
-    # with an endpoint error above the suite tolerance
-    code, out, _ = run_cli(capsys, ["verify", "kernels", "--omega-h", "0.1"])
+def test_verify_detects_failure_with_coarse_disk_rule(capsys):
+    # an 8-radius disk rule cannot integrate the degree-24 Gram matrix of
+    # the disk targets exactly, so their isometry and Gram checks fail
+    code, out, _ = run_cli(capsys, ["verify", "transforms", "--disk-radial", "8"])
     assert code == 1
     payload = json.loads(out)
     assert payload["passed"] is False
-    failing = [c for c in payload["checks"] if c["measured"] > c["tolerance"]]
-    assert any("omega" in c["id"] for c in failing)
+    failing = {c["id"] for c in payload["checks"] if c["measured"] > c["tolerance"]}
+    assert failing == {f"transforms.{check}.{kind}" for check in ("isometry", "gram")
+                       for kind in ("second", "generalized_second")}
 
 
 def test_verify_bad_config_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("omega_h = -0.5\n")
+    cfg.write_text("fd_step = -0.5\n")
     code, _, err = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
     assert code == 2
     assert "error:" in err
@@ -220,7 +239,7 @@ def test_verify_bad_config_values(tmp_path, capsys):
     cfg.write_text("tolerance_scale = nan\n")
     code, _, _ = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
     assert code == 2
-    for flag in ("--omega-tmax", "--tolerance-scale"):
+    for flag in ("--fd-step", "--tolerance-scale"):
         for value in ("nan", "inf"):
             code, out, err = run_cli(capsys, ["verify", "quadrature", flag, value])
             assert code == 2, (flag, value)

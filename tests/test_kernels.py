@@ -347,7 +347,6 @@ def test_omega_grid_and_thinning():
     assert w.values[0] == 0.0
     assert np.all(w.values >= 0.0)
     assert_allclose(w.grid[-1], 20.0)
-    assert_allclose(w.tmax, 20.0)
 
 
 def test_omega_small_t_power_law():

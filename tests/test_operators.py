@@ -30,15 +30,20 @@ from bargmann import (
 def test_expansion_prunes_zero_terms():
     f = MonomialExpansion({(1, 0): 1.0, (2, 3): 0.0})
     assert (2, 3) not in f.terms
-    assert f.degree == 1
     assert not f.is_zero
     assert MonomialExpansion({}).is_zero
-    assert MonomialExpansion({}).degree == -1
 
 
 def test_expansion_rejects_negative_powers():
     with pytest.raises(ValueError):
         MonomialExpansion({(-1, 0): 1.0})
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), complex(0.0, float("inf")),
+                                   complex(float("-inf"), 1.0)])
+def test_expansion_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError):
+        MonomialExpansion({(1, 1): coeff})
 
 
 def test_expansion_evaluation_and_json_round_trip():

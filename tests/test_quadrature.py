@@ -11,7 +11,6 @@ from bargmann import (
     gauss_halfline,
     gauss_line,
     gaussian_plane_rule,
-    integrate,
 )
 
 
@@ -92,14 +91,14 @@ def test_disk_off_diagonal_moments_vanish():
 def test_halfline_on_exponential():
     # Non-polynomial check: int_0^inf e^(-x/2) e^(-x) dx = 2/3.
     rule = gauss_halfline(40, 0.0)
-    value = integrate(rule, lambda x: np.exp(-0.5 * x))
+    value = rule.weights @ np.exp(-0.5 * rule.nodes)
     assert_allclose(value, 2.0 / 3.0, rtol=1e-13)
 
 
 def test_line_on_shifted_gaussian():
     # int e^(-x^2) e^x dx = sqrt(pi) e^(1/4)
     rule = gauss_line(40)
-    value = integrate(rule, np.exp)
+    value = rule.weights @ np.exp(rule.nodes)
     assert_allclose(value, np.sqrt(np.pi) * np.exp(0.25), rtol=1e-13)
 
 
