@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .kernels import FAMILIES, KernelFamily, kernel_matrix
-from .operators import DiskOperator, MonomialExpansion, apply_exact, apply_fd, casimir
+from .operators import (DiskOperator, MonomialExpansion, _is_real, _json_complex, apply_exact,
+                        apply_fd, casimir)
 from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 from .special import basis_matrix
 from .transforms import forward, make_transform
@@ -125,12 +126,7 @@ def _load_coefficients(path: str) -> np.ndarray:
         raise ValueError("coefficient file must hold a non-empty JSON list")
     out = np.empty(len(raw), dtype=complex)
     for k, entry in enumerate(raw):
-        if isinstance(entry, (int, float)):
-            out[k] = entry
-        elif isinstance(entry, list) and len(entry) == 2:
-            out[k] = complex(entry[0], entry[1])
-        else:
-            raise ValueError("coefficients must be numbers or [re, im] pairs")
+        out[k] = entry if _is_real(entry) else _json_complex(entry)
     if not np.all(np.isfinite(out)):
         raise ValueError("coefficients must be finite")
     return out

@@ -10,10 +10,10 @@ Every kernel has at least two independent evaluation routes:
 
 - a primary route (closed form, or a quadrature of an integral
   representation for the two Dirichlet-type families: both t-integrals run
-  on a trapezoid measure written in s = e^-t and compressed by keeping its
-  atoms near s = 1 and replacing the rest by a Gauss rule, the trapezoid in
-  u = sqrt(t) of sqrt(t)e^-t dt for the plain family and the convolution
-  weight's own t-trapezoid for the generalized one), and
+  on a trapezoid in u = sqrt(t), of sqrt(t)e^-t dt for the plain family and
+  of the convolution weight omega dt for the generalized one, written in
+  s = e^-t and compressed by keeping its atoms near s = 1 and replacing the
+  rest by a Gauss rule), and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .special import (
     BasisFamily,
@@ -54,7 +53,8 @@ from .special import (
     log_gamma,
     pochhammer,
 )
-from .quadrature import QuadratureRule, _golub_welsch, disk_rule, gaussian_plane_rule
+from .quadrature import (QuadratureRule, _golub_welsch, _read_only, disk_rule,
+                         gaussian_plane_rule)
 
 __all__ = [
     "OmegaWeight",
@@ -75,20 +75,6 @@ __all__ = [
     "reproducing_kernel",
     "papadakis_sum",
 ]
-
-
-def _zeta_negative(nu: float) -> float:
-    """zeta(-nu) for nu > 0, via the functional equation.
-
-    These are the coefficients of the fractional h^(nu+1) terms a uniform
-    trapezoid leaves behind at a t^nu integrand endpoint (the generalized
-    Euler-Maclaurin expansion).
-    """
-    s = -nu
-    return float(
-        2.0**s * np.pi ** (s - 1.0) * np.sin(0.5 * np.pi * s)
-        * np.exp(log_gamma(1.0 - s)) * _hurwitz_zeta(1.0 - s, 1.0)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,48 +143,56 @@ def _compressed_s_rule(kind: str, t: np.ndarray, masses: np.ndarray,
     else:
         s, w = _discrete_gauss(atoms[k:], masses[k:], _S_RULE_NODES)
         nodes, weights = np.concatenate([atoms[:k], s]), np.concatenate([masses[:k], w])
+    _read_only(nodes, weights)
     return QuadratureRule(kind, nodes, weights,
                           {"atoms": k, "gauss": nodes.shape[0] - k, **meta})
 
 
+# the weight's t-integral as a trapezoid in u = sqrt(t): the step, the last
+# t sampled, and the nodes u_k = k h_u and atoms t_k = u_k^2, k = 1..316
+_OMEGA_U_STEP = 0.02
+_OMEGA_T_MAX = 40.0
+_OMEGA_U = np.arange(1, int(np.sqrt(_OMEGA_T_MAX) / _OMEGA_U_STEP) + 1) * _OMEGA_U_STEP
+_OMEGA_T = _OMEGA_U**2
+_read_only(_OMEGA_U, _OMEGA_T)
+
+
 @dataclass(frozen=True)
 class OmegaWeight:
-    """The weight omega_(alpha,m) sampled on the uniform grid k*h, k=0..T/h.
+    """The weight omega_(alpha,m) sampled at the atoms t_k = (k h_u)^2.
 
     Mathematically the (2(m-1)+1)-factor convolution chain
     sqrt(t)e^-t * [(sqrt(t)e^-2t)*(e^-(alpha+2)t/sqrt(t))] * ... ; each inner
     bracket collapses in closed form to a single smooth factor, and the outer
     convolutions are carried out exactly in the factored form
     t^(2m-3/2) e^-t H(t) with H entire (see ``omega``), so the samples are
-    accurate to rounding.  The grid step h sets the trapezoid measure that
-    ``s_rule`` compresses and that ``omega_laplace`` integrates against.
+    accurate to rounding.  ``values`` holds omega at the atoms ``_OMEGA_T``
+    (h_u = 0.02, t <= 40); ``s_rule`` is the measure the kernel's t-integral
+    and ``omega_laplace`` integrate against.
     """
 
     alpha: float
     m: int
-    h: float
     values: np.ndarray
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.h
 
     @cached_property
     def s_rule(self) -> QuadratureRule:
-        """The trapezoid measure of the weight in s = e^-t, compressed.
+        """The weight's trapezoid in u = sqrt(t), written in s = e^-t, compressed.
 
-        The trapezoid sum h sum_k'' omega(kh) f(kh) is the discrete measure
-        with masses h omega(kh), halved at both ends, at the atoms
-        s_k = e^(-kh); ``_compressed_s_rule`` keeps its atoms below t = 0.05
-        and compresses the rest.  Built once per weight, on first use.
+        With t = u^2, omega(t) f(t) dt = 2 u^(4m-2) e^(-u^2) H(u^2) f(u^2) du,
+        which is even and analytic in u, so the trapezoid in u converges
+        exponentially and leaves no endpoint term (Trefethen & Weideman,
+        SIAM Review 56, 2014): masses 2 h_u u_k omega(t_k) at the atoms
+        s_k = e^(-t_k).  ``_compressed_s_rule`` keeps the 11 atoms below
+        t = 0.05 and compresses the rest into 64 Gauss nodes.  Built once
+        per weight, on first use.
         """
-        masses = self.h * self.values
-        masses[[0, -1]] *= 0.5
-        return _compressed_s_rule("omega_s", self.grid, masses, {"h": self.h})
+        masses = 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
+        return _compressed_s_rule("omega_s", _OMEGA_T, masses, {"h_u": _OMEGA_U_STEP})
 
 
-def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3) -> OmegaWeight:
-    """Convolution weight omega_(alpha,m) on the grid [0, T] with step h.
+def omega(alpha: float, m: int) -> OmegaWeight:
+    """Convolution weight omega_(alpha,m) at the atoms t_k = (k h_u)^2.
 
     Each convolution in the chain is evaluated through the substitution
     s = t sin^2(theta), which absorbs the fractional-power endpoints: with
@@ -213,17 +207,16 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3) -> OmegaWeight
     inner pair of factors.  The theta-integrands are analytic, so a fixed
     48-point Gauss-Legendre rule resolves them to machine precision, and
     each H is entire with exponential rates at most m + alpha - 1, so one
-    Chebyshev table per level captures it to rounding on [0, T].  The returned grid
-    samples therefore carry no h-dependent build error; h only sets the
-    trapezoid measure the kernel's t-integral and ``omega_laplace`` use.
+    Chebyshev table per level captures it to rounding on [0, T], T = 40.
+    The samples therefore carry no build error of their own; the atoms only
+    set the trapezoid in u = sqrt(t) that ``OmegaWeight.s_rule`` compresses.
     """
     if not -1.0 < alpha < np.inf:  # NaN fails this too
         raise ValueError("omega requires finite alpha > -1")
     m = _check_integer(m, "omega order m")
     if m < 2:
         raise ValueError("omega requires m >= 2")
-    if not (0.0 < T < np.inf and 0.0 < h < np.inf):
-        raise ValueError("omega requires finite positive T and h")
+    T = _OMEGA_T_MAX
     x, w = np.polynomial.legendre.leggauss(48)
     theta = (x + 1.0) * (np.pi / 4.0)
     wq = w * (np.pi / 4.0)
@@ -254,7 +247,7 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3) -> OmegaWeight
                 "tabulation degree undershot the profile's exponential rates"
             )
         sigma += 2.0
-    t = np.arange(int(round(T / h)) + 1) * h
+    t = _OMEGA_T
     prefactor = t**sigma * np.exp(-t)
     values = prefactor * level(t)
     # the weight is a convolution of nonnegative factors, hence nonnegative;
@@ -262,15 +255,17 @@ def omega(alpha: float, m: int, T: float = 40.0, h: float = 1e-3) -> OmegaWeight
     noise = 64.0 * np.finfo(float).eps * float(np.abs(level.coef).sum())
     floor = float(values.min())
     if floor < -noise * float(prefactor.max()):
-        raise RuntimeError(f"omega grid went negative beyond round-off: {floor}")
+        raise RuntimeError(f"omega samples went negative beyond round-off: {floor}")
     values = np.where(values < 0.0, 0.0, values)
-    return OmegaWeight(float(alpha), int(m), float(h), values)
+    _read_only(values)   # operators and kernel calls share a weight
+    return OmegaWeight(float(alpha), int(m), values)
 
 
 def omega_laplace(weight: OmegaWeight, j: float) -> float:
-    """Trapezoid Laplace transform of a sampled weight at rate j."""
-    t = weight.grid
-    return float(np.trapezoid(np.exp(-j * t) * weight.values, t))
+    """Laplace transform of the weight at rate j, as the kernel integrates
+    it: the moment sum_k w_k s_k^j of the compressed rule in s = e^-t."""
+    rule = weight.s_rule
+    return float(np.dot(rule.nodes**j, rule.weights))
 
 
 def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
@@ -437,9 +432,9 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     what the pairing and isometry checks require; see the decision notes on
     the head normalization).  Tail: m! Gamma(3/2)^-m Gamma(1/2)^(1-m) /
     sqrt(pi Gamma(1+alpha)) times z^m times the omega-weighted t-integral:
-    the trapezoid on the weight's own grid, with an endpoint correction,
-    evaluated through the weight's compressed rule in s = e^-t
-    (``OmegaWeight.s_rule``).
+    the weight's trapezoid in u = sqrt(t), which leaves no endpoint term,
+    evaluated through its compressed rule in s = e^-t (``OmegaWeight.s_rule``,
+    75 nodes).
     """
     alpha, m = gen_dirichlet(alpha, m).params   # the target basis checks them
     if m < 2:
@@ -473,21 +468,6 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         return np.dot(g, rule.weights)   # not @: see _discrete_gauss
 
     integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
-    # The weight behaves like c t^(2m - 3/2) at the origin (the product of
-    # the factor transforms says its Laplace transform decays like
-    # s^(1/2 - 2m)), so the trapezoid leaves a zeta(3/2 - 2m) h^(2m - 1/2)
-    # endpoint term; restore it with the integrand's t = 0 value.
-    exponent = 2 * m - 1.5
-    c_origin = np.exp(m * log_gamma(1.5) + (m - 1) * log_gamma(0.5)
-                      - log_gamma(2 * m - 0.5))
-    g0 = (
-        (1.0 - z) ** (-alpha - m - 1.0)
-        * np.exp(-x * z / (1.0 - z))
-        * laguerre(m, alpha, x / (1.0 - z) + 0j)
-    )
-    integral = integral - (
-        _zeta_negative(exponent) * weight.h ** (exponent + 1.0) * c_origin * g0
-    )
     c_m = np.exp(log_gamma(m + 1.0) - m * log_gamma(1.5) - (m - 1) * log_gamma(0.5)
                  - 0.5 * (_LOG_PI + lg_a1))
     return head + c_m * z**m * integral
@@ -689,11 +669,6 @@ class KernelFamily:
     @property
     def primary_strategy(self) -> str:
         return FAMILIES[self.kind].primary
-
-    def omega_weight(self, **grid) -> OmegaWeight | None:
-        """``omega(alpha, m, **grid)`` for the family whose primary route
-        integrates against that weight; None for the others."""
-        return omega(*self.params, **grid) if FAMILIES[self.kind].weighted else None
 
     def __str__(self):
         if not self.params:

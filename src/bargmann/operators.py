@@ -48,6 +48,18 @@ def _pruned(terms) -> dict:
     return out
 
 
+def _is_real(value) -> bool:
+    """A JSON number: int or float, not a bool (which Python counts as int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_complex(pair) -> complex:
+    """A complex number from its JSON form [re, im], two real numbers."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair))):
+        raise ValueError(f"a complex value must be [re, im], two real numbers, not {pair!r}")
+    return complex(pair[0], pair[1])
+
+
 @dataclass(frozen=True)
 class MonomialExpansion:
     """Finite combination sum c_{ab} z^a zbar^b, keyed by (a, b), with
@@ -83,10 +95,12 @@ class MonomialExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "MonomialExpansion":
+        if not isinstance(data, dict):
+            raise ValueError("an expansion is a JSON object of \"a,b\": [re, im] terms")
         terms = {}
         for key, pair in data.items():
             a, b = (int(part) for part in key.split(","))
-            terms[(a, b)] = complex(pair[0], pair[1])
+            terms[(a, b)] = _json_complex(pair)
         return cls(terms)
 
 

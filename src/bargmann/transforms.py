@@ -61,7 +61,8 @@ import numpy as np
 
 from .special import BasisFamily, basis_matrix, monomial_normalizer
 from .quadrature import QuadratureRule, gauss_halfline, gauss_line
-from .kernels import FAMILIES, KernelFamily, OmegaWeight, TargetSpace, kernel_matrix
+from .kernels import (FAMILIES, KernelFamily, OmegaWeight, TargetSpace, _default_omega,
+                      kernel_matrix)
 
 __all__ = [
     "TransformOperator",
@@ -152,11 +153,10 @@ def make_transform(kind: str, *params, source_order: int = 120,
     beyond the series truncations in use, while the forward integrands
     (kernel times polynomial times the measure weight) are entire and
     converge superexponentially.  For the generalized family the operator
-    carries the convolution weight sampled at T = 40, h = 2e-3; the samples
-    are exact to rounding, so the step matters only through the
-    endpoint-corrected t-trapezoid that the weight's s-rule reproduces (for
-    (alpha, m) = (0.5, 2) the kernel meets its basis series to ~1e-13
-    relative at this step, ~1e-11 at 5e-3).
+    carries the shared convolution weight of its (alpha, m)
+    (``kernels._default_omega``), the one the kernel reaches without an
+    operator, so a transform and a kernel evaluation of one pair build its
+    s-rule once.
 
     On a disk target the whole-rule routes work in polar form, so the
     angular order ``disk_orders[1]`` must exceed every truncation they are
@@ -168,8 +168,9 @@ def make_transform(kind: str, *params, source_order: int = 120,
     target = spec.target_space(kernel.params, disk_orders, plane_order)
     if inverse_truncation is None:
         inverse_truncation = spec.inverse_truncation
+    weight = _default_omega(*kernel.params) if spec.weighted else None
     return TransformOperator(kernel, source, target, series_truncation,
-                             inverse_truncation, kernel.omega_weight(h=2e-3))
+                             inverse_truncation, weight)
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:

@@ -399,7 +399,7 @@ def suite_kernels(cfg: RunConfig) -> list:
                 worst = max(worst, abs(numeric - closed) / abs(closed))
     checks.append(Check(
         "kernels.omega_laplace",
-        "Convolution weight: numeric Laplace transform vs closed form, "
+        "Convolution weight: compressed-rule moments vs closed Laplace transform, "
         "m in {2,3}, orders {0, 0.5, 1.5}, j <= 5",
         worst, 1e-4 * scale,
         "Laplace of the m-fold convolution factorizes into Gamma ratios",

@@ -122,7 +122,7 @@ def test_criterion_4_omega_laplace_identity():
     worst = 0.0
     for m in (2, 3):
         for alpha in (0.0, 0.5, 1.5):
-            w = omega(alpha, m, T=40.0, h=1e-3)
+            w = omega(alpha, m)
             for j in range(6):
                 got = omega_laplace(w, j)
                 want = omega_laplace_closed(alpha, m, j)

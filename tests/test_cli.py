@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bargmann import basis_matrix, forward, make_transform
+from bargmann import basis_matrix, forward, kernels, make_transform
 from bargmann.cli import main
 
 
@@ -129,6 +129,49 @@ def test_operator_rejects_non_finite_terms(tmp_path, capsys, extra):
                                       "--apply", str(path)] + extra)
     assert code == 2
     assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("terms", [{"1,1": 2}, {"1,1": [1, 0, 5]}, {"1,1": [True, 0]},
+                                   {"1,1": [1]}, {"1,1": ["1", 0]}, [[1, 0]]])
+def test_operator_rejects_malformed_terms(tmp_path, capsys, terms):
+    # each value must be exactly two real numbers, not bools; anything else
+    # is a usage error
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(terms))
+    code, out, err = run_cli(capsys, ["operator", "--gamma", "2",
+                                      "--apply", str(path)])
+    assert code == 2
+    assert out == "" and err
+
+
+@pytest.mark.parametrize("coeffs", [[[True, False]], [True], [1.0, [0.5, 0.0, 1.0]]])
+def test_transform_rejects_boolean_or_long_coefficients(tmp_path, capsys, coeffs):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(coeffs))
+    code, out, err = run_cli(capsys, ["transform", "--family", "classical",
+                                      "--input", str(path), "--at", "0,0"])
+    assert code == 2
+    assert out == "" and err
+
+
+def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatch):
+    # one omega weight per (alpha, m), its s-rule built once across both commands
+    kernels._default_omega.cache_clear()
+    calls = []
+    build = kernels._discrete_gauss
+    monkeypatch.setattr(kernels, "_discrete_gauss",
+                        lambda *args: calls.append(1) or build(*args))
+    params = ["--family", "gen_bergman_dirichlet", "--alpha", "1.5", "--m", "3"]
+    code, _, _ = run_cli(capsys, ["kernel-eval", *params, "--z", "0.4,0.3", "--x", "2.0"])
+    assert code == 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([1.0, [0.0, 0.5]]))
+    code, _, _ = run_cli(capsys, ["transform", *params, "--input", str(path),
+                                  "--at", "0.2,-0.1"])
+    assert code == 0
+    assert len(calls) == 1
+    op = make_transform("gen_bergman_dirichlet", 1.5, 3)
+    assert op.weight is kernels._default_omega(1.5, 3)
 
 
 def test_operator_exact_action(tmp_path, capsys):

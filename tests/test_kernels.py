@@ -40,11 +40,9 @@ from bargmann import (
 )
 from bargmann import kernels
 
-# one coarse weight shared by the generalized-kernel tests below; the grid
-# step only sets the endpoint-corrected t-trapezoid that the weight's s-rule
-# reproduces, and at 5e-3 that trapezoid still leaves headroom under the
-# 1e-5 agreements tested here
-W_COARSE = omega(0.5, 2, T=40.0, h=5e-3)
+# one weight shared by the generalized-kernel tests below, passed explicitly
+# so that they exercise the kernel's weight argument
+W_HALF = omega(0.5, 2)
 
 
 def _disk_points(k, rmax, seed=7):
@@ -103,7 +101,7 @@ def test_dirichlet_value_at_origin():
     gen_want = np.sqrt((alpha + 1.0) / np.pi) / np.sqrt(np.exp(gammaln(alpha + 1.0)))
     for x in (0.2, 1.0, 3.7):
         assert_allclose(dirichlet_kernel(0.0, x), 1.0 / np.sqrt(np.pi), rtol=1e-12)
-        assert_allclose(gen_dirichlet_kernel(alpha, 2, 0.0, x, weight=W_COARSE),
+        assert_allclose(gen_dirichlet_kernel(alpha, 2, 0.0, x, weight=W_HALF),
                         gen_want, rtol=1e-12)
 
 
@@ -112,7 +110,7 @@ def test_gen_dirichlet_integral_agrees_with_series():
     for x in (0.4, 1.9, 4.2):
         series = kernel_series(KernelFamily("gen_bergman_dirichlet", (0.5, 2)),
                                z, x, J=120)[:, 0]
-        integral = gen_dirichlet_kernel(0.5, 2, z, x, weight=W_COARSE)
+        integral = gen_dirichlet_kernel(0.5, 2, z, x, weight=W_HALF)
         assert np.max(np.abs(integral - series)) < 1e-6
 
 
@@ -129,38 +127,36 @@ def _omega_integrand(alpha, m, z, x, s):
 
 
 def _trapezoid_rule(weight):
-    """The uncompressed t-trapezoid of a weight as a rule in s = e^-t."""
-    masses = weight.h * weight.values
-    masses[[0, -1]] *= 0.5
-    return QuadratureRule("omega_s", np.exp(-weight.grid), masses)
+    """The uncompressed trapezoid in u = sqrt(t) of a weight as a rule in
+    s = e^-t: masses 2 h_u u_k omega(u_k^2) at the 316 atoms e^(-u_k^2)."""
+    h = kernels._OMEGA_U_STEP
+    u = h * np.arange(1, weight.values.shape[0] + 1)
+    return QuadratureRule("omega_s", np.exp(-u * u), 2.0 * h * u * weight.values)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_omega_s_rule_reproduces_trapezoid(m):
-    # point-queries' (alpha, m) pairs at both grid steps in use (kernel-eval
-    # 1e-3, transforms 2e-3); angle 0 puts the singularity s = 1/z nearest
-    # the atoms
+    # point-queries' (alpha, m) pairs; angle 0 puts the singularity s = 1/z
+    # nearest the atoms
     z = np.array([0.5, 0.75 * np.exp(2.2j), 0.95, 0.99, 0.999])
     x = np.array([0.0, 3.0, 30.0])
     for alpha in (0.0, 0.5, 1.5, 3.0):
-        fine = omega(alpha, m, h=1e-3)
-        g = _omega_integrand(alpha, m, z, x, np.exp(-fine.grid))
-        # every other sample of the fine weight is the weight at step 2e-3
-        for weight, g_grid in ((fine, g), (OmegaWeight(alpha, m, 2e-3, fine.values[::2]),
-                                           g[..., ::2])):
-            want = np.trapezoid(weight.values * g_grid, weight.grid, axis=-1)
-            rule = weight.s_rule
-            got = _omega_integrand(alpha, m, z, x, rule.nodes) @ rule.weights
-            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
-            assert err.max() < 1e-12, (alpha, m, weight.h, z[err.argmax()])
-            assert rule.nodes.shape[0] < 128
+        weight = omega(alpha, m)
+        trapezoid = _trapezoid_rule(weight)
+        assert trapezoid.nodes.shape == (316,)
+        want = _omega_integrand(alpha, m, z, x, trapezoid.nodes) @ trapezoid.weights
+        rule = weight.s_rule
+        got = _omega_integrand(alpha, m, z, x, rule.nodes) @ rule.weights
+        err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert err.max() < 1e-12, (alpha, m, z[err.argmax()])
+        assert rule.nodes.shape[0] == 75
 
 
 def test_forward_map_rows_match_trapezoid_route():
-    # circle-map rows: the transform's own weight (h = 2e-3) at r = 0.75,
-    # against the same kernel run on the uncompressed trapezoid
+    # circle-map rows: the transform's own weight at r = 0.75, against the
+    # same kernel run on the uncompressed u-trapezoid
     op = make_transform("gen_bergman_dirichlet", 0.5, 2)
-    reference = omega(0.5, 2, h=2e-3)
+    reference = OmegaWeight(0.5, 2, op.weight.values)
     vars(reference)["s_rule"] = _trapezoid_rule(reference)   # fills the cached property
     z = np.array([0.75 * np.exp(2.9j)])
     got = forward_map(op, z)
@@ -175,12 +171,39 @@ def test_omega_s_rule_is_built_once_per_weight(monkeypatch):
     build = kernels._discrete_gauss
     monkeypatch.setattr(kernels, "_discrete_gauss",
                         lambda *args: calls.append(1) or build(*args))
-    weight = omega(0.5, 2, T=40.0, h=5e-3)
+    weight = omega(0.5, 2)
     first = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
     second = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
     assert len(calls) == 1
     assert first == second
     assert weight.s_rule is weight.s_rule
+
+
+# point-queries' twelve (alpha, m) pairs
+_GBD_PAIRS = [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
+
+
+def test_omega_rule_moments_meet_closed_laplace():
+    # the moments sum_k w_k s_k^j of the rule the kernel integrates with,
+    # against the Gamma-product closed form the chain never reads
+    for alpha, m in _GBD_PAIRS:
+        rule = kernels._default_omega(alpha, m).s_rule
+        for j in range(61):
+            got = rule.nodes**j @ rule.weights
+            want = omega_laplace_closed(alpha, m, j)
+            assert abs(got - want) / want <= (1e-13 if j <= 5 else 1e-11), (alpha, m, j)
+
+
+def test_gen_dirichlet_kernel_meets_long_series():
+    # at J = 3000 the series' tail is below rounding for |z| <= 0.95
+    z = np.array([0.5, 0.9 * np.exp(1.3j), 0.9, 0.95 * np.exp(2.2j), -0.95])
+    x = np.array([0.0, 3.0, 12.0, 30.0])
+    for alpha, m in _GBD_PAIRS:
+        got = gen_dirichlet_kernel(alpha, m, z[:, None], x[None, :])
+        want = kernel_series(KernelFamily("gen_bergman_dirichlet", (alpha, m)), z, x,
+                             J=3000)
+        err = np.max(np.abs(got - want) / np.abs(want))
+        assert err <= 1e-12, (alpha, m, err)
 
 
 def test_kernel_matrix_strategies():
@@ -289,7 +312,7 @@ def test_kernel_domain_validation():
         for kernel in (classical_kernel, dirichlet_kernel,
                        lambda z, x: second_kernel(1.5, z, x),
                        lambda z, x: generalized_second_kernel(1.0, 0, z, x),
-                       lambda z, x: gen_dirichlet_kernel(0.5, 2, z, x, weight=W_COARSE)):
+                       lambda z, x: gen_dirichlet_kernel(0.5, 2, z, x, weight=W_HALF)):
             with pytest.raises(ValueError):
                 kernel(0.3, bad)
     with pytest.raises(ValueError):
@@ -310,7 +333,7 @@ def test_kernel_domain_validation():
 def test_non_integral_orders_raise():
     # a level or derivative order of 1.5 once became 1 (int()) or a TypeError
     for call in (lambda: generalized_second_kernel(3.0, 1.5, 0.3, 0.5),
-                 lambda: gen_dirichlet_kernel(0.5, 2.5, 0.3, 0.5, weight=W_COARSE),
+                 lambda: gen_dirichlet_kernel(0.5, 2.5, 0.3, 0.5, weight=W_HALF),
                  lambda: omega(0.5, 2.5),
                  lambda: KernelFamily("generalized_second", (3.0, 1.5)),
                  lambda: KernelFamily("gen_bergman_dirichlet", (0.5, 2.7)),
@@ -332,43 +355,43 @@ def test_omega_validation():
         omega(-1.5, 2)
     with pytest.raises(ValueError):
         omega(0.5, 1)
-    with pytest.raises(ValueError):
-        omega(0.5, 2, T=-1.0)
-    with pytest.raises(ValueError):
-        omega(0.5, 2, h=0.0)
-    for bad in ({"alpha": np.nan}, {"alpha": np.inf}, {"T": np.nan}, {"h": np.inf}):
+    for bad in ({"alpha": np.nan}, {"alpha": np.inf}):
         with pytest.raises(ValueError):
             omega(**{"alpha": 0.5, "m": 2, **bad})
 
 
 def test_omega_grid_and_thinning():
-    w = omega(0.0, 2, T=20.0, h=1e-2)
-    assert w.values.shape == (2001,)
-    assert w.values[0] == 0.0
+    # the atoms t_k = (k h_u)^2, h_u = 0.02, k = 1..316 (t <= 40)
+    assert_allclose(kernels._OMEGA_T, (0.02 * np.arange(1, 317)) ** 2, rtol=1e-15)
+    assert kernels._OMEGA_T[-1] <= 40.0 < (0.02 * 317) ** 2
+    w = omega(0.0, 2)
+    assert w.values.shape == (316,)
     assert np.all(w.values >= 0.0)
-    assert_allclose(w.grid[-1], 20.0)
+    assert w.values[0] > 0.0
+    assert w.s_rule.meta["atoms"] == 11 and w.s_rule.meta["gauss"] == 64
 
 
 def test_omega_small_t_power_law():
     # Near t = 0 the weight behaves as C_m t^(2m - 3/2) e^(-t) (1 + O(t)) with
     # C_m = Gamma(3/2)^m Gamma(1/2)^(m-1) / Gamma(2m - 1/2): the chain of
     # Beta integrals collapses at the origin where every factor is a pure
-    # power.  Sampled at the first grid step the O(t) profile drift is all
-    # that is left, so the deviation must shrink linearly with the step.
+    # power.  At the first atoms t = h_u^2, (2 h_u)^2 the O(t) profile drift
+    # is all that is left, so the deviation must shrink linearly with t.
     for m in (2, 3):
         c = np.exp(m * gammaln(1.5) + (m - 1) * gammaln(0.5) - gammaln(2 * m - 0.5))
-        for h, tol in ((1e-3, 2e-3), (2e-4, 4e-4)):
-            w = omega(0.0, m, T=10.0, h=h)
-            want = c * h ** (2 * m - 1.5) * np.exp(-h)
-            assert abs(w.values[1] - want) / want < tol
+        w = omega(0.0, m)
+        for k in (0, 1):
+            t = kernels._OMEGA_T[k]
+            want = c * t ** (2 * m - 1.5) * np.exp(-t)
+            assert abs(w.values[k] - want) / want < 2.0 * t
 
 
 def test_omega_laplace_identity():
     # int_0^inf omega(t) e^(-(1+j) t) dt has a Gamma-product closed form;
-    # the numeric side runs a plain trapezoid over the sampled grid.
+    # the numeric side takes the moments of the weight's compressed rule.
     for m in (2, 3):
         for alpha in (0.0, 1.5):
-            w = omega(alpha, m, T=40.0, h=1e-3)
+            w = omega(alpha, m)
             for j in range(4):
                 got = omega_laplace(w, j)
                 want = omega_laplace_closed(alpha, m, j)
