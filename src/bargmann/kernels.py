@@ -156,20 +156,35 @@ _OMEGA_U = np.arange(1, int(np.sqrt(_OMEGA_T_MAX) / _OMEGA_U_STEP) + 1) * _OMEGA
 _OMEGA_T = _OMEGA_U**2
 _read_only(_OMEGA_U, _OMEGA_T)
 
+# omega by Talbot inversion: the node count N and the constants (sigma, mu,
+# nu, beta) of the cotangent contour z(theta) = N (sigma + mu theta
+# cot(nu theta) + i beta theta) (Trefethen, Weideman & Schmelzer, BIT 46, 2006)
+_TALBOT_NODES = 36
+_TALBOT_CONTOUR = (-0.6122, 0.5017, 0.6407, 0.2645)
+
+
+def _talbot_contour():
+    """z(theta_k), z'(theta_k) at the upper half's midpoints theta_k = (2k-1) pi/N,
+    formed in long double where the platform has it: near theta = 0 the real
+    part cancels ~5-fold, which in float64 moved the nodes by ~4 ulps."""
+    n, (sigma, mu, nu, beta) = _TALBOT_NODES, _TALBOT_CONTOUR
+    theta = np.arange(1, n, 2) * (4 * np.arctan(np.longdouble(1)) / n)
+    cot = 1 / np.tan(nu * theta)
+    z = n * (sigma + mu * theta * cot + 1j * beta * theta)
+    dz = n * (mu * (cot - nu * theta * (1 + cot * cot)) + 1j * beta)
+    return z.astype(complex), dz.astype(complex)
+
+
+_TALBOT_Z, _TALBOT_DZ = _talbot_contour()
+_read_only(_TALBOT_Z, _TALBOT_DZ)
+
 
 @dataclass(frozen=True)
 class OmegaWeight:
-    """The weight omega_(alpha,m) sampled at the atoms t_k = (k h_u)^2.
-
-    Mathematically the (2(m-1)+1)-factor convolution chain
-    sqrt(t)e^-t * [(sqrt(t)e^-2t)*(e^-(alpha+2)t/sqrt(t))] * ... ; each inner
-    bracket collapses in closed form to a single smooth factor, and the outer
-    convolutions are carried out exactly in the factored form
-    t^(2m-3/2) e^-t H(t) with H entire (see ``omega``), so the samples are
-    accurate to rounding.  ``values`` holds omega at the atoms ``_OMEGA_T``
-    (h_u = 0.02, t <= 40); ``s_rule`` is the measure the kernel's t-integral
-    and ``omega_laplace`` integrate against.
-    """
+    """omega_(alpha,m) at the atoms ``_OMEGA_T``, t_k = (k h_u)^2 <= 40: the
+    convolution of 2m - 1 densities t^(a-1) e^(-bt), whose transforms
+    Gamma(a) (p + b)^(-a) multiply to ``omega_laplace_closed``.  ``s_rule`` is
+    the measure the kernel's t-integral and ``omega_laplace`` integrate against."""
 
     alpha: float
     m: int
@@ -179,108 +194,74 @@ class OmegaWeight:
     def s_rule(self) -> QuadratureRule:
         """The weight's trapezoid in u = sqrt(t), written in s = e^-t, compressed.
 
-        With t = u^2, omega(t) f(t) dt = 2 u^(4m-2) e^(-u^2) H(u^2) f(u^2) du,
-        which is even and analytic in u, so the trapezoid in u converges
-        exponentially and leaves no endpoint term (Trefethen & Weideman,
-        SIAM Review 56, 2014): masses 2 h_u u_k omega(t_k) at the atoms
-        s_k = e^(-t_k).  ``_compressed_s_rule`` keeps the 11 atoms below
-        t = 0.05 and compresses the rest into 64 Gauss nodes.  Built once
-        per weight, on first use.
+        The exponents a sum to 2m - 1/2, so omega(t) = t^(2m-3/2) G(t) with G
+        entire, and omega(t) f(t) dt = 2 u^(4m-2) G(u^2) f(u^2) du is even
+        and analytic in u: the trapezoid in u converges exponentially and
+        leaves no endpoint term (Trefethen & Weideman, SIAM Review 56, 2014).
+        Its masses 2 h_u u_k omega(t_k) at the atoms e^(-t_k) go through
+        ``_compressed_s_rule``, once per weight, on first use.
         """
         masses = 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
         return _compressed_s_rule("omega_s", _OMEGA_T, masses, {"h_u": _OMEGA_U_STEP})
 
 
-def omega(alpha: float, m: int) -> OmegaWeight:
-    """Convolution weight omega_(alpha,m) at the atoms t_k = (k h_u)^2.
-
-    Each convolution in the chain is evaluated through the substitution
-    s = t sin^2(theta), which absorbs the fractional-power endpoints: with
-    the partial chain written as t^sigma e^-t H(t), the next level is again
-    of that form with sigma' = sigma + 2 and
-
-        H'(t) = 2 int_0^(pi/2) sin(theta)^(2 sigma + 1) cos(theta)^3
-                H(t sin^2) Q_ell(t cos^2) d(theta),
-
-    where Q_ell(tau) = 2 e^((1-ell) tau) int cos^2(phi)
-    exp(-alpha tau sin^2(phi)) d(phi) is the (smooth, closed-form-reduced)
-    inner pair of factors.  The theta-integrands are analytic, so a fixed
-    48-point Gauss-Legendre rule resolves them to machine precision, and
-    each H is entire with exponential rates at most m + alpha - 1, so one
-    Chebyshev table per level captures it to rounding on [0, T], T = 40.
-    The samples therefore carry no build error of their own; the atoms only
-    set the trapezoid in u = sqrt(t) that ``OmegaWeight.s_rule`` compresses.
-    """
-    if not -1.0 < alpha < np.inf:  # NaN fails this too
-        raise ValueError("omega requires finite alpha > -1")
-    m = _check_integer(m, "omega order m")
+def _check_omega_args(alpha, m, j=0.0) -> tuple[float, int]:
+    """(alpha, m) of a weight, checked by the space's basis (finite alpha > -1,
+    integral m) and for m >= 2, with a finite Laplace rate j >= 0 (not NaN)."""
+    if not 0.0 <= j < np.inf:
+        raise ValueError("omega's Laplace rate j must be finite and >= 0")
+    alpha, m = gen_dirichlet(alpha, m).params
     if m < 2:
-        raise ValueError("omega requires m >= 2")
-    T = _OMEGA_T_MAX
-    x, w = np.polynomial.legendre.leggauss(48)
-    theta = (x + 1.0) * (np.pi / 4.0)
-    wq = w * (np.pi / 4.0)
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
-    cw = c2 * wq
+        raise ValueError("the omega weight requires m >= 2")
+    return alpha, m
 
-    def q_profile(ell: int, tau: np.ndarray) -> np.ndarray:
-        return 2.0 * np.exp((1.0 - ell) * tau) * (
-            np.exp(-alpha * tau[..., None] * s2) @ cw)
 
-    deg = 80 + int(np.ceil(0.7 * (m + abs(alpha)) * T))
-    level = None          # Chebyshev table of H; None encodes H_1 = 1
-    sigma = 0.5
-    for ell in range(2, m + 1):
-        ang = 2.0 * wq * np.sin(theta) ** (2.0 * sigma + 1.0) * np.cos(theta) ** 3
+def _log_laplace(alpha: float, m: int, p):
+    """log of omega_(alpha,m)'s Laplace transform at p (principal branch):
+    Gamma(3/2)^m Gamma(1/2)^(m-1) / ([(p+1)...(p+m)]^(3/2)
+    [(p+alpha+2)...(p+alpha+m)]^(1/2)), one log-sum over the 2m - 1 factors."""
+    shifts = np.concatenate([np.arange(1.0, m + 1), alpha + np.arange(2.0, m + 1)])
+    powers = np.concatenate([np.full(m, -1.5), np.full(m - 1, -0.5)])
+    const = m * log_gamma(1.5) + (m - 1) * log_gamma(0.5)
+    return const + np.log(np.asarray(p)[..., None] + shifts) @ powers
 
-        def h_next(tt, level=level, ell=ell, ang=ang):
-            tt = np.asarray(tt, dtype=float)
-            h_prev = 1.0 if level is None else level(tt[..., None] * s2)
-            return (h_prev * q_profile(ell, tt[..., None] * c2)) @ ang
 
-        level = np.polynomial.Chebyshev.interpolate(h_next, deg, domain=[0.0, T])
-        coef = np.abs(level.coef)
-        if coef[-6:].max() > 1e-12 * coef.max():
-            raise RuntimeError(
-                "omega profile table did not converge on [0, T]; the "
-                "tabulation degree undershot the profile's exponential rates"
-            )
-        sigma += 2.0
-    t = _OMEGA_T
-    prefactor = t**sigma * np.exp(-t)
-    values = prefactor * level(t)
+def omega(alpha: float, m: int) -> OmegaWeight:
+    """Convolution weight omega_(alpha,m) at the atoms ``_OMEGA_T``, by Talbot
+    inversion of e^t omega(t), whose transform F(p - 1), F = exp(``_log_laplace``),
+    has all its branch points on (-inf, 0]; on the contour p = z(theta)/t,
+    halved by conjugate symmetry,
+
+        omega(t) = e^-t (2 / (N t)) sum_k Im(e^(z_k) F(z_k/t - 1) z'(theta_k)).
+
+    e^t omega(t) neither grows nor decays exponentially, so against mpmath the
+    sum stays within ~1e-14 of max omega at every atom out to t = 40, where
+    inverting F itself loses the tail (2e2 off at t = 40 with 32 nodes).
+    """
+    alpha, m = _check_omega_args(alpha, m)
+    t = _OMEGA_T[:, None]
+    terms = np.exp(_TALBOT_Z + _log_laplace(alpha, m, _TALBOT_Z / t - 1.0)) * _TALBOT_DZ
+    values = np.exp(-_OMEGA_T) * (2.0 / _TALBOT_NODES) * terms.imag.sum(axis=1) / _OMEGA_T
     # the weight is a convolution of nonnegative factors, hence nonnegative;
-    # the tabulated profile can dip below zero only within its own rounding
-    noise = 64.0 * np.finfo(float).eps * float(np.abs(level.coef).sum())
-    floor = float(values.min())
-    if floor < -noise * float(prefactor.max()):
-        raise RuntimeError(f"omega samples went negative beyond round-off: {floor}")
+    # rounding dips the sum below zero where omega ~ t^(2m-3/2) vanishes
+    if values.min() < -64.0 * np.finfo(float).eps * values.max():
+        raise RuntimeError(f"omega samples went negative beyond round-off: {values.min()}")
     values = np.where(values < 0.0, 0.0, values)
     _read_only(values)   # operators and kernel calls share a weight
-    return OmegaWeight(float(alpha), int(m), values)
+    return OmegaWeight(alpha, m, values)
 
 
 def omega_laplace(weight: OmegaWeight, j: float) -> float:
-    """Laplace transform of the weight at rate j, as the kernel integrates
+    """Laplace transform of the weight at rate j >= 0, as the kernel integrates
     it: the moment sum_k w_k s_k^j of the compressed rule in s = e^-t."""
-    rule = weight.s_rule
-    return float(np.dot(rule.nodes**j, rule.weights))
+    _check_omega_args(weight.alpha, weight.m, j)
+    return float(np.dot(weight.s_rule.nodes**j, weight.s_rule.weights))
 
 
 def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
-    """Closed-form Laplace transform of omega_(alpha,m) at rate j >= 0.
-
-    Product of the transforms of the individual convolution factors,
-    Gamma(3/2)^m Gamma(1/2)^(m-1) / ([(j+1)...(j+m)]^(3/2)
-    [(j+alpha+2)...(j+alpha+m)]^(1/2)), assembled in log space.
-    """
-    if j < 0:
-        raise ValueError("rate must be nonnegative")
-    acc = m * log_gamma(1.5) + (m - 1) * log_gamma(0.5)
-    acc -= 1.5 * sum(np.log(j + b) for b in range(1, m + 1))
-    acc -= 0.5 * sum(np.log(j + alpha + b) for b in range(2, m + 1))
-    return float(np.exp(acc))
+    """Closed-form Laplace transform of omega_(alpha,m) at rate j >= 0."""
+    alpha, m = _check_omega_args(alpha, m, j)
+    return float(np.exp(_log_laplace(alpha, m, float(j))))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +417,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     evaluated through its compressed rule in s = e^-t (``OmegaWeight.s_rule``,
     75 nodes).
     """
-    alpha, m = gen_dirichlet(alpha, m).params   # the target basis checks them
-    if m < 2:
-        raise ValueError("gen_dirichlet_kernel requires m >= 2")
+    alpha, m = _check_omega_args(alpha, m)
     z = _check_disk_point(z)
     x = _check_source_point(x)
     if weight is None:
@@ -460,11 +439,11 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         v = zz[..., None] * rule.nodes
         one_minus_v = 1.0 - v
         xx = xx[..., None]
-        g = (
-            one_minus_v ** (-alpha - m - 1.0)
-            * np.exp(-xx * (v / one_minus_v))
-            * laguerre(m, alpha, xx / one_minus_v)
-        )
+        # the Laguerre factor first and the last product in place: fewer
+        # (points x nodes) temporaries alive at once, same arithmetic
+        lag = laguerre(m, alpha, xx / one_minus_v)
+        g = one_minus_v ** (-alpha - m - 1.0) * np.exp(-xx * (v / one_minus_v))
+        g *= lag
         return np.dot(g, rule.weights)   # not @: see _discrete_gauss
 
     integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
@@ -600,12 +579,6 @@ class FamilySpec:
     weighted: bool = False
 
 
-def _bergman_dirichlet_target(alpha: float, m: int) -> BasisFamily:
-    if m < 2:
-        raise ValueError("gen_bergman_dirichlet transforms require m >= 2")
-    return gen_dirichlet(alpha, m)
-
-
 FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock, "closed",
@@ -628,7 +601,8 @@ FAMILIES = {
     "gen_bergman_dirichlet": FamilySpec(
         (("alpha", float, "Bergman-Dirichlet weight exponent"),
          ("m", int, "Bergman-Dirichlet derivative order")),
-        lambda alpha, m: laguerre_l2(alpha), _bergman_dirichlet_target, "integral",
+        lambda alpha, m: laguerre_l2(alpha),
+        lambda alpha, m: gen_dirichlet(*_check_omega_args(alpha, m)), "integral",
         lambda p, z, x, weight: gen_dirichlet_kernel(*p, z, x, weight=weight),
         weighted=True),
 }

@@ -111,6 +111,10 @@ class DiskOperator:
     gamma: float
     constant_shift: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.gamma) and np.isfinite(self.constant_shift)):
+            raise ValueError("operator gamma and constant shift must be finite")
+
 
 def invariant_laplacian() -> DiskOperator:
     """The invariant Laplacian on the disk: the gamma = 2 member."""
@@ -326,8 +330,8 @@ def harmonic_membership(F, space: BasisFamily = dirichlet()) -> dict:
         }
 
     coeffs = np.asarray(F, dtype=complex).ravel()
-    if coeffs.size == 0:
-        raise ValueError("empty coefficient sequence")
+    if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError("Taylor coefficients must be a nonempty finite sequence")
     weights = monomial_normalizer(space, coeffs.size - 1) ** -2.0
     contributions = weights * np.abs(coeffs) ** 2
     # Only complete dyadic blocks: a truncated final block would deflate the

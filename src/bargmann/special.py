@@ -127,7 +127,12 @@ def _laguerre_degrees(jmax: int, alpha: float, x):
     cur = 1.0 + alpha - x
     yield cur
     for k in range(1, jmax):
-        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        # in place: two new arrays per degree, not five, same arithmetic
+        nxt = 2.0 * k + alpha + 1.0 - x
+        nxt *= cur
+        nxt -= (k + alpha) * prev
+        nxt /= k + 1.0
+        prev, cur = cur, nxt
         yield cur
 
 
@@ -186,6 +191,8 @@ def hyp_series(upper: Sequence[float], lower: Sequence[float],
     convergence without terminating.
     """
     label = f"{len(upper)}F{len(lower)}"
+    if not all(np.isfinite(c) for c in (*upper, *lower)):
+        raise ValueError("hypergeometric parameters must be finite")
     for c in lower:
         if float(c) <= 0.0 and float(c) == int(c):
             raise ValueError("lower parameters must not be nonpositive integers")

@@ -399,10 +399,11 @@ def suite_kernels(cfg: RunConfig) -> list:
                 worst = max(worst, abs(numeric - closed) / abs(closed))
     checks.append(Check(
         "kernels.omega_laplace",
-        "Convolution weight: compressed-rule moments vs closed Laplace transform, "
-        "m in {2,3}, orders {0, 0.5, 1.5}, j <= 5",
+        "Convolution weight: compressed-rule moments vs the closed Laplace transform "
+        "it is inverted from, m in {2,3}, orders {0, 0.5, 1.5}, j <= 5",
         worst, 1e-4 * scale,
-        "Laplace of the m-fold convolution factorizes into Gamma ratios",
+        "checks the Talbot inversion, u-trapezoid and compression; the Gamma-ratio "
+        "formula itself is checked by kernels.dual_path.gen_bergman_dirichlet",
     ))
 
     zr = _sample_disk((0.5, 1.0), per_circle=4, rmax=0.5)

@@ -185,7 +185,9 @@ _GBD_PAIRS = [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
 
 def test_omega_rule_moments_meet_closed_laplace():
     # the moments sum_k w_k s_k^j of the rule the kernel integrates with,
-    # against the Gamma-product closed form the chain never reads
+    # against the Gamma-product closed form the weight is inverted from: this
+    # checks the inversion, the trapezoid and the compression, not the formula
+    # (the long-series test below does that)
     for alpha, m in _GBD_PAIRS:
         rule = kernels._default_omega(alpha, m).s_rule
         for j in range(61):
@@ -195,10 +197,11 @@ def test_omega_rule_moments_meet_closed_laplace():
 
 
 def test_gen_dirichlet_kernel_meets_long_series():
-    # at J = 3000 the series' tail is below rounding for |z| <= 0.95
+    # at J = 3000 the series' tail is below rounding for |z| <= 0.95; the
+    # series goes through the basis norms, not the omega weight
     z = np.array([0.5, 0.9 * np.exp(1.3j), 0.9, 0.95 * np.exp(2.2j), -0.95])
     x = np.array([0.0, 3.0, 12.0, 30.0])
-    for alpha, m in _GBD_PAIRS:
+    for alpha, m in _GBD_PAIRS + [(3.0, 8), (0.0, 10)]:
         got = gen_dirichlet_kernel(alpha, m, z[:, None], x[None, :])
         want = kernel_series(KernelFamily("gen_bergman_dirichlet", (alpha, m)), z, x,
                              J=3000)
@@ -358,6 +361,54 @@ def test_omega_validation():
     for bad in ({"alpha": np.nan}, {"alpha": np.inf}):
         with pytest.raises(ValueError):
             omega(**{"alpha": 0.5, "m": 2, **bad})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: omega_laplace_closed(np.nan, 2, 0.0), id="closed-alpha-nan"),
+    pytest.param(lambda: omega_laplace_closed(-1.5, 2, 0.0), id="closed-alpha-low"),
+    pytest.param(lambda: omega_laplace_closed(np.inf, 2, 0.0), id="closed-alpha-inf"),
+    pytest.param(lambda: omega_laplace_closed(0.5, 2.5, 0.0), id="closed-m-fraction"),
+    pytest.param(lambda: omega_laplace_closed(0.5, 1, 0.0), id="closed-m-low"),
+    pytest.param(lambda: omega_laplace_closed(0.5, 2, np.nan), id="closed-j-nan"),
+    pytest.param(lambda: omega_laplace_closed(0.5, 2, np.inf), id="closed-j-inf"),
+    pytest.param(lambda: omega_laplace_closed(0.5, 2, -1.0), id="closed-j-negative"),
+    pytest.param(lambda: omega_laplace(W_HALF, np.nan), id="rule-j-nan"),
+    pytest.param(lambda: omega_laplace(W_HALF, np.inf), id="rule-j-inf"),
+    pytest.param(lambda: omega_laplace(W_HALF, -1.0), id="rule-j-negative"),
+    pytest.param(lambda: omega(0.5, np.nan), id="omega-m-nan"),
+])
+def test_omega_entry_points_refuse_what_omega_refuses(call):
+    # finite alpha > -1, integral m >= 2 and finite j >= 0, or ValueError
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_omega_meets_mpmath_inversion():
+    # the samples against mpmath's Laplace inversion of the Gamma-product
+    # transform (written out here, not read from the library), at the atoms
+    # nearest t = 0.5 ... 40, for orders past the point-queries pairs
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    h = kernels._OMEGA_U_STEP
+    k = np.rint(np.sqrt([0.5, 2.0, 5.0, 10.0, 20.0, 40.0]) / h).astype(int)
+    for alpha, m in ((3.0, 8), (0.0, 10), (0.5, 6)):
+        def transform(p):
+            out = mp.gamma(1.5) ** m * mp.gamma(0.5) ** (m - 1)
+            for b in range(1, m + 1):
+                out /= (p + b) ** 1.5
+            for b in range(2, m + 1):
+                out /= mp.sqrt(p + alpha + b)
+            return out
+
+        weight = omega(alpha, m)
+        for kk in k:
+            t = (kk * h) ** 2
+            want = float(mp.invertlaplace(transform, t, method="talbot"))
+            err = abs(weight.values[kk - 1] - want)
+            assert err <= 1e-13 * weight.values.max(), (alpha, m, t, err)
+        for j in range(6):
+            want = float(transform(j))
+            assert abs(omega_laplace(weight, j) - want) <= 1e-11 * want, (alpha, m, j)
 
 
 def test_omega_grid_and_thinning():

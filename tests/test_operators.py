@@ -255,3 +255,18 @@ def test_membership_validation():
         harmonic_membership([1.0], bergman(1.0))
     with pytest.raises(ValueError):
         harmonic_membership(np.array([]), dirichlet())
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, np.nan] + [0.0] * 14,
+                                    [1.0, complex(0.0, np.inf), 0.5]])
+def test_membership_refuses_non_finite_coefficients(coeffs):
+    # a NaN coefficient once left every block sum NaN and the verdict True
+    with pytest.raises(ValueError):
+        harmonic_membership(coeffs, dirichlet())
+
+
+@pytest.mark.parametrize("args", [(np.nan,), (np.inf,), (2.0, np.nan), (2.0, -np.inf)])
+def test_disk_operator_refuses_non_finite_parameters(args):
+    # a NaN gamma once flowed through apply_fd as nan+nanj
+    with pytest.raises(ValueError):
+        DiskOperator(*args)

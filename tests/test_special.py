@@ -131,6 +131,9 @@ def test_sequence_validation():
     pytest.param(lambda: hyp_series((0.5,), (1.5,), NAN), id="hyp-x"),
     pytest.param(lambda: hyp_series((0.5, 0.5), (1.5,), complex(NAN, 0.1)),
                  id="hyp-x-complex"),
+    pytest.param(lambda: hyp_series((1.0,), (NAN,), 0.5), id="hyp-lower"),
+    pytest.param(lambda: hyp_series((NAN,), (1.0,), 0.5), id="hyp-upper"),
+    pytest.param(lambda: hyp_series((0.5, INF), (1.5,), 0.5), id="hyp-upper-inf"),
     pytest.param(lambda: basis_matrix(hermite_l2(), 4, [0.0, NAN]), id="hermite_l2"),
     pytest.param(lambda: basis_matrix(laguerre_l2(0.5), 4, [INF]), id="laguerre_l2"),
     pytest.param(lambda: basis_matrix(bargmann_fock(), 3, NAN), id="bargmann_fock"),
