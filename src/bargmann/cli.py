@@ -7,12 +7,19 @@ node dumps are CSV.  ``verify`` reads an optional flat ``key = value``
 config file (``--config`` or the BARGMANN_CONFIG environment variable) and
 applies long-form flag overrides on top; the effective configuration is
 echoed into the report metadata.
+
+``main`` parses with one parser per process, built on its first call and
+reused by every later one; the subcommands look up the library functions
+they call by their module-level names at call time, so code that rebinds
+those names (a tracer wrapping each layer, a test double) sees every call.
+``build_parser`` returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -155,10 +162,22 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json keeps only the last
+    of a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON key {key!r} appears more than once")
+        out[key] = value
+    return out
+
+
 def _cmd_operator(args: argparse.Namespace) -> int:
     op = casimir(args.gamma) if args.casimir else DiskOperator(args.gamma)
     with open(args.apply, "r", encoding="utf-8") as handle:
-        expansion = MonomialExpansion.from_json(json.load(handle))
+        expansion = MonomialExpansion.from_json(
+            json.load(handle, object_pairs_hook=_unique_keys))
     if args.fd:
         if args.at is None:
             raise ValueError("--fd needs --at re,im")
@@ -253,8 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

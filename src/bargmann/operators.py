@@ -100,6 +100,8 @@ class MonomialExpansion:
         terms = {}
         for key, pair in data.items():
             a, b = (int(part) for part in key.split(","))
+            if (a, b) in terms:
+                raise ValueError(f"two terms name z^{a} zbar^{b}, the second as {key!r}")
             terms[(a, b)] = _json_complex(pair)
         return cls(terms)
 

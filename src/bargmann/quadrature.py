@@ -101,24 +101,35 @@ def _newton_polish(nodes, diag, b):
     The eigenvalue solve carries an absolute error of order eps * ||J||, which
     for half-line rules grows linearly with the rule order and leaks into
     high-degree orthogonality sums.  A few Newton steps on the three-term
-    recurrence restore the nodes to relative machine accuracy.  The recurrence
-    values grow like exp(x/2), so each step renormalizes per node; Newton only
-    needs the scale-free ratio p_n / p_n'.
+    recurrence restore the nodes to relative machine accuracy.
+
+    Each sweep runs p and its derivative p' as one stacked (2, n) recurrence,
+    with the factors x - a_k of every degree formed once per sweep.  The
+    recurrence values grow like exp(x/2), so on a step where some |p| passes
+    1e120 both rows (and the previous step's) are scaled down by 1e120 at
+    those nodes; Newton only needs the scale-free ratio p_n / p_n'.  No other
+    step is rescaled, where a factor of exactly 1.0 would change nothing, so
+    the nodes are those of the plain per-node loop to the last bit.
     """
     x = nodes.copy()
     n = len(diag)
     for _ in range(3):
-        p_prev = np.zeros_like(x)
-        p = np.ones_like(x)
-        d_prev = np.zeros_like(x)
-        d = np.zeros_like(x)
+        shifted = x - diag[:, None]          # row k: x - a_k
+        prev = np.zeros((2, x.shape[0]))
+        cur = np.zeros((2, x.shape[0]))
+        cur[0] = 1.0                         # rows: p, p'
         for k in range(n):
-            p_next = ((x - diag[k]) * p - (b[k - 1] * p_prev if k else 0.0)) / b[k]
-            d_next = (p + (x - diag[k]) * d - (b[k - 1] * d_prev if k else 0.0)) / b[k]
-            rescale = np.where(np.abs(p_next) > 1e120, 1e-120, 1.0)
-            p_prev, p = p * rescale, p_next * rescale
-            d_prev, d = d * rescale, d_next * rescale
-        x = x - p / d
+            nxt = shifted[k] * cur
+            nxt[1] += cur[0]
+            if k:
+                nxt -= b[k - 1] * prev
+            nxt /= b[k]
+            if np.abs(nxt[0]).max() > 1e120:
+                rescale = np.where(np.abs(nxt[0]) > 1e120, 1e-120, 1.0)
+                cur *= rescale
+                nxt *= rescale
+            prev, cur = cur, nxt
+        x = x - cur[0] / cur[1]
     return x
 
 
@@ -129,24 +140,30 @@ def _christoffel_log_weights(x, diag, b, log_mu0):
     component drops below machine tiny, yet high-degree integrands put most
     of their mass exactly on those far nodes.  Running the orthonormal
     recurrence with a per-node scale factor keeps every weight relatively
-    accurate down to the double-precision underflow threshold.
+    accurate down to the double-precision underflow threshold.  As in
+    ``_newton_polish``, the factors x - a_k are formed once and only a step
+    where some |p| passes 1e120 is rescaled.
     """
     n = len(diag)
+    shifted = x - diag[:-1, None]            # row k: x - a_k
     p_prev = np.zeros_like(x)
     p = np.ones_like(x)
     S = np.ones_like(x)
     log_scale = np.zeros_like(x)
     for k in range(n - 1):
-        p_next = ((x - diag[k]) * p - (b[k - 1] * p_prev if k else 0.0)) / b[k]
+        p_next = shifted[k] * p
+        if k:
+            p_next -= b[k - 1] * p_prev
+        p_next /= b[k]
         big = np.abs(p_next) > 1e120
         if np.any(big):
             rescale = np.where(big, 1e-120, 1.0)
             log_scale += np.where(big, np.log(1e120), 0.0)
-            p_prev, p_next = p_prev * rescale, p_next * rescale
             p = p * rescale
+            p_next *= rescale
             S = S * rescale**2
         p_prev, p = p, p_next
-        S = S + p * p
+        S += p * p
     return np.exp(log_mu0 - np.log(S) - 2.0 * log_scale)
 
 

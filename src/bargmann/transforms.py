@@ -3,7 +3,9 @@ and the pairing/isometry machinery.
 
 A :class:`TransformOperator` bundles a kernel family with a source
 quadrature rule (matching the kernel's source measure) and the family's
-target space (``kernels.TargetSpace``, built by ``kernels.FAMILIES``).  A
+target space (``kernels.TargetSpace``, built by ``kernels.FAMILIES`` on the
+first read of ``op.target`` and kept by the operator; ``forward`` and
+``forward_map`` at given points never read it).  A
 target with a rule (Gaussian plane, weighted disk) integrates against its
 node weights, so both ``forward`` and ``inverse_integral`` are discretized
 integrals.  A Dirichlet-type target has no rule: its norm is a weighted sum
@@ -55,6 +57,7 @@ through its basis matrix.  ``forward`` at arbitrary points stays pointwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,14 +121,16 @@ def _source_rule(basis: BasisFamily, n: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class TransformOperator:
-    """A kernel, its source basis' Gauss rule, and a target space."""
+    """A kernel, its source basis' Gauss rule, and the orders of its target
+    space, which is built on first read of ``target``."""
 
     kernel: KernelFamily
     source_rule: QuadratureRule
-    target: TargetSpace
     series_truncation: int = 64
     inverse_truncation: int = 100
     weight: OmegaWeight | None = field(default=None, repr=False)
+    disk_orders: tuple[int, int] = (120, 256)
+    plane_order: int = 60
     # Taylor maps of the extraction circle by sample count (_circle_taylor)
     _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -135,6 +140,15 @@ class TransformOperator:
         expected = _source_rule(self.kernel.source_basis(), rule.nodes.shape[0])
         if (rule.kind, rule.meta) != (expected.kind, expected.meta):
             raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
+        if min(*self.disk_orders, self.plane_order) < 1:
+            raise ValueError("target rule orders must be positive")
+
+    @functools.cached_property
+    def target(self) -> TargetSpace:
+        """The family's target space at this operator's orders, built once
+        per operator (``dataclasses.replace`` starts a new one without it)."""
+        return FAMILIES[self.kernel.kind].target_space(
+            self.kernel.params, self.disk_orders, self.plane_order)
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
@@ -147,7 +161,9 @@ def make_transform(kind: str, *params, source_order: int = 120,
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
     source rule is the Gauss rule of its source basis' measure
     (``_source_rule``); the target space and the default inverse truncation
-    are the family's (``FAMILIES``).
+    are the family's (``FAMILIES``).  The target space is built on the
+    first read of ``op.target``, not here, so a caller that reads only the
+    kernel and the source rule (a point ``forward``) never builds it.
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
@@ -165,12 +181,11 @@ def make_transform(kind: str, *params, source_order: int = 120,
     kernel = KernelFamily(kind, params)
     source = _source_rule(kernel.source_basis(), source_order)
     spec = FAMILIES[kernel.kind]
-    target = spec.target_space(kernel.params, disk_orders, plane_order)
     if inverse_truncation is None:
         inverse_truncation = spec.inverse_truncation
     weight = _default_omega(*kernel.params) if spec.weighted else None
-    return TransformOperator(kernel, source, target, series_truncation,
-                             inverse_truncation, weight)
+    return TransformOperator(kernel, source, series_truncation, inverse_truncation,
+                             weight, tuple(disk_orders), plane_order)
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from bargmann import basis_matrix, forward, kernels, make_transform
-from bargmann.cli import main
+from bargmann import basis_matrix, cli, forward, kernels, make_transform
+from bargmann.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -174,6 +174,19 @@ def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatc
     assert op.weight is kernels._default_omega(1.5, 3)
 
 
+@pytest.mark.parametrize("text", ['{"1,1": [1, 0], "01,1": [2, 0]}',
+                                  '{" 1 , 1 ": [1, 0], "1,1": [2, 0]}',
+                                  '{"1,1": [1, 0], "1,1": [2, 0]}'])
+def test_operator_refuses_a_repeated_monomial(tmp_path, capsys, text):
+    # two keys naming one (a, b), or one key written twice, would otherwise
+    # keep only the last coefficient and exit 0
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["operator", "--gamma=2", f"--apply={path}"])
+    assert code == 2
+    assert out == "" and ("two terms name z^1 zbar^1" in err or "more than once" in err)
+
+
 def test_operator_exact_action(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"0,1": [1.0, 0.0]}))
@@ -320,3 +333,55 @@ def test_non_finite_input_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["operator", "--gamma", "nan", "--apply", "unread.json"])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; a sequence of calls through it
+    # prints what a fresh parser per call prints
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps([1.0, [0.0, 0.5], -0.25]))
+    terms = tmp_path / "f.json"
+    terms.write_text(json.dumps({"0,1": [1.0, 0.0], "2,1": [0.5, -1.0]}))
+    sequence = [
+        ["verify", "everything"],                      # argparse usage error
+        ["nodes", "--rule", "line"],                   # ValueError, exit 2
+        ["nodes", "--rule", "halfline", "--n", "3", "--alpha", "0.5"],
+        ["nodes", "--rule", "line", "--n", "2"],       # --alpha left at its default
+        ["kernel-eval", "--family", "second", "--delta", "1.5", "--z", "0.2,0.1",
+         "--x", "0.7", "--cross-check", "--truncation", "40"],
+        ["kernel-eval", "--family", "dirichlet", "--z", "0.3,-0.2", "--x", "1.5"],
+        ["transform", "--family", "generalized_second", "--nu", "3", "--ell", "1",
+         "--input", str(coeffs), "--at", "0.1,0.4"],
+        ["operator", "--gamma", "2", "--casimir", "--apply", str(terms)],
+        ["operator", "--gamma", "1.5", "--apply", str(terms), "--fd", "--at", "0.2,0.1"],
+        ["verify", "special", "--tolerance-scale", "2"],
+        ["verify", "special"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = ("exit", stop.code)
+            out = capsys.readouterr()
+            if argv[0] == "verify" and code == 0:  # the wall time differs per run
+                report = json.loads(out.out)
+                del report["metadata"]["wall_time_s"]
+                results.append((code, report, out.err))
+            else:
+                results.append((code, out.out, out.err))
+        return results
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    reused = run_all()
+    assert len(built) == 1
+    assert [r[0] for r in reused] == [("exit", 2), 2] + [0] * (len(sequence) - 2)
+    assert reused[-2][1]["metadata"]["config"]["tolerance_scale"] == 2.0
+    assert reused[-1][1]["metadata"]["config"]["tolerance_scale"] == 1.0
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert run_all() == reused
+    assert build_parser() is not build_parser()

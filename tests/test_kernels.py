@@ -196,17 +196,69 @@ def test_omega_rule_moments_meet_closed_laplace():
             assert abs(got - want) / want <= (1e-13 if j <= 5 else 1e-11), (alpha, m, j)
 
 
+_LONG_SERIES_Z = np.array([0.5, 0.9 * np.exp(1.3j), 0.9, 0.95 * np.exp(2.2j), -0.95])
+_LONG_SERIES_X = np.array([0.0, 3.0, 12.0, 30.0])
+# where the series' head and tail cancel (up to ~150-fold at (0, 2), z = 0.9):
+# there the float64 series is itself 7e-13 to 7e-11 off, by summation order
+_CANCELLING = (np.abs(_LONG_SERIES_Z)[:, None] >= 0.9) & (_LONG_SERIES_X[None, :] == 30.0)
+
+
 def test_gen_dirichlet_kernel_meets_long_series():
     # at J = 3000 the series' tail is below rounding for |z| <= 0.95; the
-    # series goes through the basis norms, not the omega weight
-    z = np.array([0.5, 0.9 * np.exp(1.3j), 0.9, 0.95 * np.exp(2.2j), -0.95])
-    x = np.array([0.0, 3.0, 12.0, 30.0])
+    # series goes through the basis norms, not the omega weight.  The
+    # cancelling points are measured against the mpmath series below.
+    z, x = _LONG_SERIES_Z, _LONG_SERIES_X
     for alpha, m in _GBD_PAIRS + [(3.0, 8), (0.0, 10)]:
         got = gen_dirichlet_kernel(alpha, m, z[:, None], x[None, :])
         want = kernel_series(KernelFamily("gen_bergman_dirichlet", (alpha, m)), z, x,
                              J=3000)
-        err = np.max(np.abs(got - want) / np.abs(want))
+        err = np.max((np.abs(got - want) / np.abs(want))[~_CANCELLING])
         assert err <= 1e-12, (alpha, m, err)
+
+
+def _gen_dirichlet_series_coefficients(mp, alpha, m, x, J):
+    """c_j = n_j phi_j(x), j = 0..J, at mpmath's working precision, so that
+    K(z, x) = sum_j c_j z^j.  Written out from the norms
+    pi n_j^2 = Gamma(j+alpha+2) / (j! Gamma(alpha+1)) below j = m and
+    Gamma(j-m+alpha+2) (j-m)! / ((j!)^2 Gamma(alpha+1)) from j = m on, and
+    phi_j = sqrt(j! / Gamma(alpha+j+1)) L_j^(alpha); not read from the
+    library."""
+    a, x = mp.mpf(alpha), mp.mpf(x)
+    lag_prev, lag = mp.mpf(0), mp.mpf(1)
+    # s = (n_j phi_j / L_j)^2 = (j+alpha+1) / (pi Gamma(alpha+1)) below m
+    s = (a + 1) / (mp.pi * mp.gamma(a + 1))
+    out = []
+    for j in range(J + 1):
+        out.append(mp.sqrt(s) * lag)
+        lag_prev, lag = lag, ((2 * j + 1 + a - x) * lag - (j + a) * lag_prev) / (j + 1)
+        if j + 1 < m:
+            s = (j + a + 2) / (mp.pi * mp.gamma(a + 1))
+        elif j + 1 == m:
+            s = (a + 1) / (mp.pi * mp.factorial(m) * mp.gamma(a + m + 1))
+        else:
+            k = j + 1 - m
+            s *= (k + a + 1) * k / ((j + 1) * (a + j + 1))
+    return out
+
+
+def test_gen_dirichlet_kernel_meets_mpmath_series_where_it_cancels():
+    # x = 30, |z| >= 0.9: a 40-digit series, whose tail past J = 1000 is below
+    # 1e-20 relative there.  The kernel is at most 8.4e-14 off, at (0, 2),
+    # z = 0.9; the bound leaves a margin of ~2.4x over that.
+    mp = pytest.importorskip("mpmath")
+    z, x = _LONG_SERIES_Z, _LONG_SERIES_X
+    rows, cols = np.nonzero(_CANCELLING)
+    J = 1000
+    for alpha, m in _GBD_PAIRS + [(3.0, 8), (0.0, 10)]:
+        got = gen_dirichlet_kernel(alpha, m, z[:, None], x[None, :])[rows, cols]
+        with mp.workdps(40):
+            coef = _gen_dirichlet_series_coefficients(mp, alpha, m, 30.0, J)
+            for value, point in zip(got, z[rows]):
+                want = mp.polyval(coef[::-1], mp.mpc(point))
+                tail = max(abs(c) for c in coef[-20:]) * abs(point) ** J
+                assert tail <= 1e-20 * abs(want), (alpha, m, point)
+                err = abs(value - complex(want)) / abs(complex(want))
+                assert err <= 2e-13, (alpha, m, point, err)
 
 
 def test_kernel_matrix_strategies():

@@ -55,6 +55,15 @@ def test_expansion_evaluation_and_json_round_trip():
     assert back.terms == f.terms
 
 
+@pytest.mark.parametrize("data", [{"1,1": [1, 0], "01,1": [2, 0]},
+                                  {" 1 , 1 ": [1, 0], "1,1": [2, 0]}])
+def test_expansion_from_json_refuses_two_keys_for_one_monomial(data):
+    # keeping only the last coefficient would be a quietly wrong expansion
+    with pytest.raises(ValueError, match="two terms name z\\^1 zbar\\^1"):
+        MonomialExpansion.from_json(data)
+    assert MonomialExpansion.from_json({" 1 , 1 ": [3, 0]}).terms == {(1, 1): 3.0}
+
+
 def test_holomorphic_annihilation():
     for gamma in (0.5, 2.0, 4.0):
         op = DiskOperator(gamma)

@@ -169,3 +169,73 @@ def test_one_dimensional_rules_are_cached_and_read_only():
             gauss_halfline(0, 0.5)
         with pytest.raises(ValueError):
             gauss_halfline(4, -1.0)
+
+
+def _log_moment_error(rule, alpha, degrees):
+    """Worst relative error of the moments int x^(alpha+k) exp(-x) dx (half
+    line) or int x^k exp(-x^2) dx (line, k even), summed in log form: at
+    these orders the moments and the far weights leave float64's range."""
+    logw = np.log(rule.weights)
+    logx = np.log(np.abs(rule.nodes))
+    worst = 0.0
+    for k in degrees:
+        terms = logw + k * logx
+        top = np.max(terms)
+        logq = top + np.log(np.sum(np.exp(terms - top)))
+        exact = gammaln((k + 1.0) / 2.0) if alpha is None else gammaln(k + alpha + 1.0)
+        worst = max(worst, abs(np.expm1(logq - exact)))
+    return worst
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5])
+def test_halfline_moments_past_the_recurrence_rescale(alpha):
+    # at n = 150 the recurrence values pass 1e120, so the node polish and
+    # the weights take their rescaled steps
+    n = 150
+    assert _log_moment_error(gauss_halfline(n, alpha), alpha, range(2 * n)) < 1e-11
+
+
+def test_line_moments_past_the_recurrence_rescale():
+    n = 300
+    assert _log_moment_error(gauss_line(n), None, range(0, 2 * n - 1, 2)) < 1e-11
+
+
+def _newton_polish_per_node(nodes, diag, b):
+    """The plain per-node Newton loop, rescaling on every step; the stacked
+    recurrence of ``_newton_polish`` must agree with it to the last bit."""
+    x = nodes.copy()
+    n = len(diag)
+    peak = 0.0
+    for _ in range(3):
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        for k in range(n):
+            p_next = ((x - diag[k]) * p - (b[k - 1] * p_prev if k else 0.0)) / b[k]
+            d_next = (p + (x - diag[k]) * d - (b[k - 1] * d_prev if k else 0.0)) / b[k]
+            peak = max(peak, float(np.max(np.abs(p_next))))
+            rescale = np.where(np.abs(p_next) > 1e120, 1e-120, 1.0)
+            p_prev, p = p * rescale, p_next * rescale
+            d_prev, d = d * rescale, d_next * rescale
+        x = x - p / d
+    return x, peak
+
+
+@pytest.mark.parametrize("n, alpha", [(2, None), (25, None), (300, None), (4, 0.0),
+                                      (64, 0.5), (120, 2.5), (150, 0.0), (400, 0.5)])
+def test_newton_polish_matches_the_per_node_loop(n, alpha):
+    from scipy.linalg import eigh_tridiagonal
+
+    from bargmann.quadrature import _newton_polish
+
+    if alpha is None:  # Gauss-Hermite
+        diag, b = np.zeros(n), np.sqrt(np.arange(1, n + 1) / 2.0)
+    else:
+        k = np.arange(n, dtype=float)
+        j = k + 1.0
+        diag, b = 2.0 * k + alpha + 1.0, np.sqrt(j * (j + alpha))
+    nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
+    want, peak = _newton_polish_per_node(nodes, diag, b)
+    assert np.array_equal(_newton_polish(nodes, diag, b), want)
+    # the largest orders reach the rescale branch; at n = 400 the values
+    # would overflow without it
+    assert (peak > 1e120) == (n >= 150)

@@ -235,6 +235,30 @@ def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
     assert sum(rows) == 129
 
 
+def test_target_is_built_on_first_read(monkeypatch):
+    # a point forward reads only the kernel and the source rule
+    builds = []
+    disk_rule = kernels.disk_rule
+    monkeypatch.setattr(kernels, "disk_rule", lambda *a: builds.append(a) or disk_rule(*a))
+    op = make_transform("second", 1.5, source_order=12, disk_orders=(20, 32))
+    fv = basis_matrix(op.kernel.source_basis(), 3, op.source_rule.nodes) @ np.ones(4)
+    for strategy in ("primary", "series"):
+        forward(op, fv, 0.3 + 0.1j, strategy)
+    assert builds == []
+    target = op.target
+    assert builds == [(20, 32, 0.5)] and op.target is target
+    # a replaced operator builds its own
+    other = dataclasses.replace(op, series_truncation=16)
+    assert len(builds) == 1 and other.target is not target and len(builds) == 2
+    want = kernels.FAMILIES["second"].target_space((1.5,), (20, 32), 60)
+    assert np.array_equal(target.rule.nodes, want.rule.nodes)
+    assert np.array_equal(target.node_weights, want.node_weights)
+    # the orders are still checked when the operator is made
+    for orders in ({"disk_orders": (0, 32)}, {"disk_orders": (20, 0)}, {"plane_order": 0}):
+        with pytest.raises(ValueError, match="orders"):
+            make_transform("second", 1.5, source_order=12, **orders)
+
+
 def test_circle_maps_are_per_operator_and_read_only():
     op = make_transform("dirichlet", source_order=24, series_truncation=24)
     forward_gram(op, 8)
