@@ -29,7 +29,9 @@ from .special import (
     laguerre_sequence,
     log_gamma,
     monomial_normalizer,
+    papadakis_sum,
     pochhammer,
+    reproducing_kernel,
 )
 from .quadrature import (
     QuadratureRule,
@@ -51,8 +53,6 @@ from .kernels import (
     omega,
     omega_laplace,
     omega_laplace_closed,
-    papadakis_sum,
-    reproducing_kernel,
     second_kernel,
 )
 from .transforms import (

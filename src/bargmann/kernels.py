@@ -1,10 +1,6 @@
 """Transform kernels, the convolution weight for the generalized family,
-the family table with each family's bases and target space, and
-reproducing kernels.
-
-A reproducing-kernel space is named by its orthonormal basis psi_j (a
-``special.BasisFamily``): its kernel K(z, w) = sum_j psi_j(z) conj(psi_j(w))
-is truncated by ``papadakis_sum`` and closed by ``reproducing_kernel``.
+and the family table with each family's bases (``special.BASES`` kinds)
+and target space.
 
 Every kernel has at least two independent evaluation routes:
 
@@ -45,13 +41,10 @@ from .special import (
     disk_eigen,
     gen_dirichlet,
     hermite_l2,
-    hyp3f2,
-    jacobi_sequence,
     laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
-    pochhammer,
 )
 from .quadrature import (QuadratureRule, _golub_welsch, _read_only, disk_rule,
                          gaussian_plane_rule)
@@ -72,8 +65,6 @@ __all__ = [
     "KernelFamily",
     "kernel_matrix",
     "kernel_series",
-    "reproducing_kernel",
-    "papadakis_sum",
 ]
 
 
@@ -644,10 +635,7 @@ class KernelFamily:
     def primary_strategy(self) -> str:
         return FAMILIES[self.kind].primary
 
-    def __str__(self):
-        if not self.params:
-            return self.kind
-        return f"{self.kind}({', '.join(f'{p:g}' for p in self.params)})"
+    __str__ = BasisFamily.__str__   # the same (kind, params) formatting
 
 
 def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
@@ -669,68 +657,6 @@ def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
 
 def kernel_series(family: KernelFamily, z, x, J: int = 120):
     """Truncated basis series K(z,x) ~ sum_{j<=J} conj(phi_j(x)) psi_j(z)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    phi = basis_matrix(family.source_basis(), J, x)
-    psi = basis_matrix(family.target_basis(), J, z)
+    phi = basis_matrix(family.source_basis(), J, np.atleast_1d(x))
+    psi = basis_matrix(family.target_basis(), J, np.atleast_1d(z))
     return psi @ phi.T.astype(complex)
-
-
-# ---------------------------------------------------------------------------
-# Reproducing kernels
-# ---------------------------------------------------------------------------
-
-def reproducing_kernel(basis: BasisFamily, z, w):
-    """Closed-form K(z, w) = sum_j psi_j(z) conj(psi_j(w)) for the basis
-    ``bargmann_fock()`` (finite z, w), ``bergman(delta)``, ``disk_eigen(nu,
-    ell)``, ``dirichlet()`` or ``gen_dirichlet(alpha, m)`` (|z|, |w| < 1).
-    The L2 source bases have none and raise ValueError.  (1-|z|^2)^alpha dA
-    has (alpha+1)/pi times the kernel of ``bergman(alpha + 1)``.
-    """
-    kind = basis.kind
-    if kind == "bargmann_fock":
-        return np.exp(_check_plane_point(z) * np.conj(_check_plane_point(w))) / np.pi
-    if kind not in ("bergman", "disk_eigen", "dirichlet", "gen_dirichlet"):
-        raise ValueError(f"{basis} spans no reproducing-kernel space")
-    z = _check_disk_point(z)
-    w = _check_disk_point(w)
-    u = z * np.conj(w)
-    if kind == "bergman":
-        (delta,) = basis.params
-        return (1.0 - u) ** (-delta - 1.0)
-    if kind == "disk_eigen":
-        nu, ell = basis.params
-        beta_p = 2.0 * (nu - ell) - 1.0
-        a = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
-        b = np.abs(1.0 - u) ** 2
-        return (
-            (beta_p / np.pi)
-            * (1.0 - u) ** (-2.0 * nu)
-            * (b / a) ** ell
-            * jacobi_sequence(ell, 0.0, beta_p, 2.0 * a / b - 1.0)[..., ell]
-        )
-    if kind == "dirichlet":
-        return (1.0 + np.log(1.0 / (1.0 - u))) / np.pi
-    alpha, m = basis.params
-    scalar = np.ndim(u) == 0
-    uu = np.atleast_1d(u).ravel()
-    head = np.zeros_like(uu)
-    for j in range(m):
-        head += pochhammer(alpha + 2.0, j) / np.exp(log_gamma(j + 1.0)) * uu**j
-    tail = np.array(
-        [hyp3f2([1.0, 1.0, alpha + 2.0], [m + 1.0, m + 1.0], val, truncation=600)
-         for val in uu],
-        dtype=complex,
-    )
-    out = (alpha + 1.0) / np.pi * (head + uu**m * tail / np.exp(2.0 * log_gamma(m + 1.0)))
-    return out[0] if scalar else out.reshape(np.shape(u))
-
-
-def papadakis_sum(basis: BasisFamily, z, w, J: int):
-    """Truncated orthonormal-basis sum sum_{j<=J} psi_j(z) conj(psi_j(w))."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    pz = basis_matrix(basis, J, z)
-    pw = basis_matrix(basis, J, w)
-    out = np.sum(pz * np.conj(pw), axis=-1)
-    return out[0] if out.shape == (1,) else out

@@ -26,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from .special import log_gamma
+from scipy.special import gammaln
 
 __all__ = [
     "QuadratureRule",
@@ -179,7 +178,7 @@ def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     diag = 2.0 * k + alpha + 1.0
     j = np.arange(1, n + 1, dtype=float)
     b = np.sqrt(j * (j + alpha))
-    log_mu0 = float(log_gamma(alpha + 1.0))
+    log_mu0 = float(gammaln(alpha + 1.0))
     if n == 1:
         nodes, weights = diag[:1], np.asarray([np.exp(log_mu0)])
     else:

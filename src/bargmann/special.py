@@ -1,4 +1,6 @@
-"""Orthogonal polynomials, hypergeometric series, and Gamma helpers.
+"""Orthogonal polynomials, hypergeometric series, Gamma helpers, and the
+seven orthonormal bases (one ``BASES`` entry per kind) with the reproducing
+kernels K(z, w) = sum_j psi_j(z) conj(psi_j(w)) of the spaces they span.
 
 All polynomial evaluation goes through three-term recurrences (never
 explicit coefficient sums), and every factorial / Gamma ratio is formed in
@@ -12,10 +14,12 @@ Evaluation points may be scalars or numpy arrays; parameters are scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
+
+from .quadrature import gauss_halfline, gauss_line
 
 __all__ = [
     "hermite_sequence",
@@ -31,6 +35,8 @@ __all__ = [
     "hyp2f1",
     "hyp3f2",
     "BasisFamily",
+    "BasisSpec",
+    "BASES",
     "hermite_l2",
     "laguerre_l2",
     "bargmann_fock",
@@ -40,6 +46,8 @@ __all__ = [
     "gen_dirichlet",
     "basis_matrix",
     "monomial_normalizer",
+    "reproducing_kernel",
+    "papadakis_sum",
 ]
 
 
@@ -270,12 +278,9 @@ def hyp3f2(uppers: Sequence[float], lowers: Sequence[float], x,
 
 @dataclass(frozen=True)
 class BasisFamily:
-    """An orthonormal family, identified by kind plus shape parameters.
-
-    kinds: 'hermite_l2', 'laguerre_l2' (alpha,), 'bargmann_fock',
-    'bergman' (delta,), 'disk_eigen' (nu, ell), 'dirichlet',
-    'gen_dirichlet' (alpha, m).
-    """
+    """An orthonormal family: a kind, a key of ``BASES`` whose entry
+    (``spec``) says what the kind is, and the shape parameters that the
+    kind's constructor below takes."""
 
     kind: str
     params: tuple = ()
@@ -283,8 +288,15 @@ class BasisFamily:
     def __str__(self):
         if not self.params:
             return self.kind
-        inner = ", ".join(f"{p:g}" for p in self.params)
-        return f"{self.kind}({inner})"
+        return f"{self.kind}({', '.join(f'{p:g}' for p in self.params)})"
+
+    @property
+    def spec(self) -> BasisSpec:
+        """The kind's ``BASES`` entry; an unknown kind raises ValueError."""
+        spec = BASES.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown basis family {self.kind!r}")
+        return spec
 
 
 def hermite_l2() -> BasisFamily:
@@ -376,33 +388,19 @@ def _gen_dirichlet_log_norms(j, alpha, m):
     return 0.5 * np.concatenate((head, tail))[: j.shape[0]] - 0.5 * _LOG_PI
 
 
-# n_j with psi_j(z) = n_j z^j for the families diagonal in the monomials,
-# as functions of the degrees j = 0, 1, ..., J (a float array) and the
-# family's parameters.  The Fock norms are the ratio product
-# n_j = n_(j-1) / sqrt(j): as exp(log n_j) they would carry the ulp of
-# log n_j ~ -700 at J = 300, 1.1e-13, as relative error.
-_MONOMIAL_NORMS = {
-    "bargmann_fock": lambda j: np.cumprod(
-        np.concatenate(([np.pi ** -0.5], np.sqrt(1.0 / j[1:])))),
-    "bergman": lambda j, delta: np.exp(0.5 * _cumulative_log1p(delta / j[1:])),
-    "dirichlet": lambda j: np.exp(-0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0)))),
-    "gen_dirichlet": lambda j, alpha, m: np.exp(_gen_dirichlet_log_norms(j, alpha, m)),
-}
-
-
 def monomial_normalizer(family: BasisFamily, J: int) -> np.ndarray:
-    """n_j with psi_j(z) = n_j z^j, j = 0..J, for the families diagonal in
-    the monomials: bargmann_fock, bergman, dirichlet and gen_dirichlet.
+    """n_j with psi_j(z) = n_j z^j, j = 0..J, for the kinds diagonal in the
+    monomials, whose ``BASES`` entry has norms.
 
     The disk norms are formed in log space, so they neither under- nor
     overflow on the way; the Bergman-type ratios are summed per degree,
     which keeps them within ~1e-14 relative at J = 1100.  The Fock norms
     are a running product of the ratios 1/sqrt(j), within ~1e-15 relative
-    at J = 300.  Where a norm itself leaves the normal float64 range (Fock
-    from J = 301) a ValueError is raised rather than a subnormal or zero
-    returned.
+    at J = 300, where exp(log n_j) would carry log n_j's ulp, 1.1e-13.
+    Where a norm itself leaves the normal float64 range (Fock from J = 301)
+    a ValueError is raised rather than a subnormal or zero returned.
     """
-    norms = _MONOMIAL_NORMS.get(family.kind)
+    norms = family.spec.norms
     if norms is None:
         raise ValueError(f"{family.kind} basis is not diagonal in the monomials")
     if J < 0:
@@ -459,73 +457,84 @@ def basis_matrix(family: BasisFamily, jmax: int, points):
 
     This is the workhorse behind the truncated-series kernel evaluators, so
     each family uses a stable normalized recurrence (or log-space prefactors)
-    rather than naive factorial quotients.
+    rather than naive factorial quotients.  The kind's ``BASES`` entry checks
+    the points, whose dtype (float on the line, complex in the plane or
+    disk) the result takes, and its evaluator fills the result.
     """
-    kind = family.kind
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-
-    if kind == "hermite_l2":
-        x = _check_source_point(points)
-        out = np.empty(x.shape + (jmax + 1,))
-        out[..., 0] = np.pi ** -0.25
-        if jmax >= 1:
-            out[..., 1] = np.sqrt(2.0) * x * out[..., 0]
-        for k in range(1, jmax):
-            out[..., k + 1] = (
-                x * np.sqrt(2.0 / (k + 1.0)) * out[..., k]
-                - np.sqrt(k / (k + 1.0)) * out[..., k - 1]
-            )
-        return out
-
-    if kind == "laguerre_l2":
-        (alpha,) = family.params
-        x = _check_source_point(points)
-        out = np.empty(x.shape + (jmax + 1,))
-        out[..., 0] = np.exp(-0.5 * log_gamma(alpha + 1.0))
-        if jmax >= 1:
-            out[..., 1] = (1.0 + alpha - x) * out[..., 0] / np.sqrt(alpha + 1.0)
-        for k in range(1, jmax):
-            out[..., k + 1] = (
-                (2.0 * k + alpha + 1.0 - x) * out[..., k]
-                - np.sqrt(k * (k + alpha)) * out[..., k - 1]
-            ) / np.sqrt((k + 1.0) * (k + 1.0 + alpha))
-        return out
-
-    if kind == "bargmann_fock":
-        z = _check_plane_point(points)
-        out = np.empty(z.shape + (jmax + 1,), dtype=complex)
-        out[..., 0] = np.pi ** -0.5
-        for k in range(jmax):
-            out[..., k + 1] = out[..., k] * z / np.sqrt(k + 1.0)
-        return out
-
-    if kind == "bergman":
-        (delta,) = family.params
-        z = _check_disk_point(points)
-        out = np.empty(z.shape + (jmax + 1,), dtype=complex)
-        out[..., 0] = 1.0
-        for k in range(jmax):
-            out[..., k + 1] = out[..., k] * z * np.sqrt((delta + 1.0 + k) / (k + 1.0))
-        return out
-
-    if kind == "disk_eigen":
-        return _disk_eigen_matrix(family.params, jmax, points)
-
-    if kind in ("dirichlet", "gen_dirichlet"):
-        # the powers z^j times the log-space norms n_j
-        z = _check_disk_point(points)
-        out = np.empty(z.shape + (jmax + 1,), dtype=complex)
-        out[..., 0] = 1.0
-        for k in range(jmax):
-            out[..., k + 1] = out[..., k] * z
-        out *= monomial_normalizer(family, jmax)
-        return out
-
-    raise ValueError(f"unknown basis family {kind!r}")
+    spec = family.spec
+    x = spec.check(points)
+    out = np.empty(x.shape + (jmax + 1,), dtype=x.dtype)
+    spec.evaluate(family, jmax, x, out)
+    return out
 
 
-def _disk_eigen_matrix(params, jmax, points):
+def reproducing_kernel(basis: BasisFamily, z, w):
+    """Closed-form K(z, w) = sum_j psi_j(z) conj(psi_j(w)) from the basis'
+    ``BASES`` entry, at finite z, w for ``bargmann_fock()`` and |z|, |w| < 1
+    for the disk bases; the L2 source bases have none and raise ValueError.
+    (1-|z|^2)^alpha dA has (alpha+1)/pi times ``bergman(alpha + 1)``'s kernel."""
+    spec = basis.spec
+    if spec.kernel is None:
+        raise ValueError(f"{basis} spans no reproducing-kernel space")
+    return spec.kernel(basis, spec.check(z), spec.check(w))
+
+
+def papadakis_sum(basis: BasisFamily, z, w, J: int):
+    """Truncated orthonormal-basis sum sum_{j<=J} psi_j(z) conj(psi_j(w))."""
+    pz = basis_matrix(basis, J, np.atleast_1d(z))
+    pw = basis_matrix(basis, J, np.atleast_1d(w))
+    out = np.sum(pz * np.conj(pw), axis=-1)
+    return out[0] if out.shape == (1,) else out
+
+
+def _hermite_matrix(family, jmax, x, out):
+    out[..., 0] = np.pi ** -0.25
+    if jmax >= 1:
+        out[..., 1] = np.sqrt(2.0) * x * out[..., 0]
+    for k in range(1, jmax):
+        out[..., k + 1] = (
+            x * np.sqrt(2.0 / (k + 1.0)) * out[..., k]
+            - np.sqrt(k / (k + 1.0)) * out[..., k - 1]
+        )
+
+
+def _laguerre_matrix(family, jmax, x, out):
+    (alpha,) = family.params
+    out[..., 0] = np.exp(-0.5 * log_gamma(alpha + 1.0))
+    if jmax >= 1:
+        out[..., 1] = (1.0 + alpha - x) * out[..., 0] / np.sqrt(alpha + 1.0)
+    for k in range(1, jmax):
+        out[..., k + 1] = (
+            (2.0 * k + alpha + 1.0 - x) * out[..., k]
+            - np.sqrt(k * (k + alpha)) * out[..., k - 1]
+        ) / np.sqrt((k + 1.0) * (k + 1.0 + alpha))
+
+
+def _fock_matrix(family, jmax, z, out):
+    # the ratio recurrence: z^j alone overflows on the plane rule's outer nodes
+    out[..., 0] = np.pi ** -0.5
+    for k in range(jmax):
+        out[..., k + 1] = out[..., k] * z / np.sqrt(k + 1.0)
+
+
+def _bergman_matrix(family, jmax, z, out):
+    (delta,) = family.params
+    out[..., 0] = 1.0
+    for k in range(jmax):
+        out[..., k + 1] = out[..., k] * z * np.sqrt((delta + 1.0 + k) / (k + 1.0))
+
+
+def _scaled_powers(family, jmax, z, out):
+    """The powers z^j times the log-space norms n_j (the Dirichlet-type kinds)."""
+    out[..., 0] = 1.0
+    for k in range(jmax):
+        out[..., k + 1] = out[..., k] * z
+    out *= monomial_normalizer(family, jmax)
+
+
+def _disk_eigen_matrix(family, jmax, z, out):
     """Disk eigenfunctions psi_j^{nu,ell} for j = 0..jmax.
 
     For j >= ell an Euler-transformed terminating hypergeometric form is
@@ -534,12 +543,10 @@ def _disk_eigen_matrix(params, jmax, points):
     For j < ell the defining Jacobi form (first parameter ell - j > 0) is
     evaluated directly.
     """
-    nu, ell = params
+    nu, ell = family.params
     beta_p = 2.0 * (nu - ell) - 1.0
-    z = _check_disk_point(points)
     u = _abs2(z)
     one_minus_u = 1.0 - u
-    out = np.empty(z.shape + (jmax + 1,), dtype=complex)
 
     lg_bl = log_gamma(beta_p + 1.0 + ell)
     lg_l = log_gamma(ell + 1.0)
@@ -572,4 +579,73 @@ def _disk_eigen_matrix(params, jmax, points):
                 * fold
                 * pj
             )
-    return out
+
+
+def _disk_eigen_kernel(basis, z, w):
+    nu, ell = basis.params
+    u = z * np.conj(w)
+    beta_p = 2.0 * (nu - ell) - 1.0
+    a = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
+    b = np.abs(1.0 - u) ** 2
+    return (
+        (beta_p / np.pi)
+        * (1.0 - u) ** (-2.0 * nu)
+        * (b / a) ** ell
+        * jacobi_sequence(ell, 0.0, beta_p, 2.0 * a / b - 1.0)[..., ell]
+    )
+
+
+def _gen_dirichlet_kernel(basis, z, w):
+    alpha, m = basis.params
+    u = z * np.conj(w)
+    scalar = np.ndim(u) == 0
+    uu = np.atleast_1d(u).ravel()
+    head = np.zeros_like(uu)
+    for j in range(m):
+        head += pochhammer(alpha + 2.0, j) / np.exp(log_gamma(j + 1.0)) * uu**j
+    tail = np.array(
+        [hyp3f2([1.0, 1.0, alpha + 2.0], [m + 1.0, m + 1.0], val, truncation=600)
+         for val in uu],
+        dtype=complex,
+    )
+    out = (alpha + 1.0) / np.pi * (head + uu**m * tail / np.exp(2.0 * log_gamma(m + 1.0)))
+    return out[0] if scalar else out.reshape(np.shape(u))
+
+
+@dataclass(frozen=True)
+class BasisSpec:
+    """What one kind of orthonormal basis is; None marks what a kind lacks."""
+
+    check: Callable                  # points -> array, once all lie in the domain
+    evaluate: Callable               # (family, jmax, checked x, out): members into out
+    norms: Callable | None = None    # (j, *params) -> n_j of psi_j = n_j z^j
+    kernel: Callable | None = None   # (family, checked z, w) -> closed kernel
+    rule: Callable | None = None     # (n, *params) -> Gauss rule of the source measure
+
+
+# a rule looks its builder up by name at call time, so code that rebinds
+# ``gauss_line``/``gauss_halfline`` here (a tracer, a test double) sees each build
+BASES = {
+    "hermite_l2": BasisSpec(_check_source_point, _hermite_matrix,
+                            rule=lambda n: gauss_line(n)),
+    "laguerre_l2": BasisSpec(_check_source_point, _laguerre_matrix,
+                             rule=lambda n, alpha: gauss_halfline(n, alpha)),
+    "bargmann_fock": BasisSpec(
+        _check_plane_point, _fock_matrix,
+        lambda j: np.cumprod(np.concatenate(([np.pi ** -0.5], np.sqrt(1.0 / j[1:])))),
+        lambda basis, z, w: np.exp(z * np.conj(w)) / np.pi),
+    "bergman": BasisSpec(
+        _check_disk_point, _bergman_matrix,
+        lambda j, delta: np.exp(0.5 * _cumulative_log1p(delta / j[1:])),
+        lambda basis, z, w: (1.0 - z * np.conj(w)) ** (-basis.params[0] - 1.0)),
+    "disk_eigen": BasisSpec(_check_disk_point, _disk_eigen_matrix,
+                            kernel=_disk_eigen_kernel),
+    "dirichlet": BasisSpec(
+        _check_disk_point, _scaled_powers,
+        lambda j: np.exp(-0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0)))),
+        lambda basis, z, w: (1.0 + np.log(1.0 / (1.0 - z * np.conj(w)))) / np.pi),
+    "gen_dirichlet": BasisSpec(
+        _check_disk_point, _scaled_powers,
+        lambda j, alpha, m: np.exp(_gen_dirichlet_log_norms(j, alpha, m)),
+        _gen_dirichlet_kernel),
+}

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import BasisFamily, basis_matrix, monomial_normalizer
-from .quadrature import QuadratureRule, gauss_halfline, gauss_line
+from .quadrature import QuadratureRule
 from .kernels import (FAMILIES, KernelFamily, OmegaWeight, TargetSpace, _default_omega,
                       kernel_matrix)
 
@@ -111,12 +111,9 @@ class CoefficientVector:
 # ---------------------------------------------------------------------------
 
 def _source_rule(basis: BasisFamily, n: int) -> QuadratureRule:
-    """The n-point Gauss rule of a source basis' measure: Gauss-Hermite for
-    ``hermite_l2``, generalized Gauss-Laguerre of the same alpha for
-    ``laguerre_l2(alpha)``."""
-    if basis.kind == "hermite_l2":
-        return gauss_line(n)
-    return gauss_halfline(n, *basis.params)
+    """The n-point Gauss rule of a source basis' measure (Gauss-Hermite, or
+    Gauss-Laguerre of the basis' alpha), from its ``special.BASES`` entry."""
+    return basis.spec.rule(n, *basis.params)
 
 
 @dataclass(frozen=True)
@@ -159,11 +156,12 @@ def make_transform(kind: str, *params, source_order: int = 120,
     """Build one of the five transforms with default discretizations.
 
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
-    source rule is the Gauss rule of its source basis' measure
-    (``_source_rule``); the target space and the default inverse truncation
-    are the family's (``FAMILIES``).  The target space is built on the
-    first read of ``op.target``, not here, so a caller that reads only the
-    kernel and the source rule (a point ``forward``) never builds it.
+    source rule is the Gauss rule of its source basis' measure, as the
+    basis' ``special.BASES`` entry builds it (``_source_rule``); the target
+    space and the default inverse truncation are the family's
+    (``FAMILIES``).  The target space is built on the first read of
+    ``op.target``, not here, so a caller that reads only the kernel and the
+    source rule (a point ``forward``) never builds it.
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands

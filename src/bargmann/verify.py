@@ -25,6 +25,8 @@ from .special import (
     hyp2f1,
     laguerre_sequence,
     log_gamma,
+    papadakis_sum,
+    reproducing_kernel,
 )
 from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 from .kernels import (
@@ -33,8 +35,6 @@ from .kernels import (
     omega,
     omega_laplace,
     omega_laplace_closed,
-    papadakis_sum,
-    reproducing_kernel,
 )
 from .transforms import (
     CoefficientVector,

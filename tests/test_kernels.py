@@ -295,23 +295,22 @@ def _dirichlet_u_trapezoid(z, x, h=0.01, umax=6.2):
 
 def test_dirichlet_kernel_matches_mpmath_quadrature():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
+    with mp.workdps(30):
+        def oracle(z, x):
+            z, x = mp.mpc(z.real, z.imag), mp.mpf(x)
 
-    def oracle(z, x):
-        z, x = mp.mpc(z.real, z.imag), mp.mpf(x)
+            def f(t):
+                v = z * mp.exp(-t)
+                return (mp.sqrt(t) * mp.exp(-t) * (1 - v) ** -2
+                        * mp.exp(-x * v / (1 - v)) * (1 - x / (1 - v)))
 
-        def f(t):
-            v = z * mp.exp(-t)
-            return (mp.sqrt(t) * mp.exp(-t) * (1 - v) ** -2
-                    * mp.exp(-x * v / (1 - v)) * (1 - x / (1 - v)))
+            integral = mp.quad(f, [0, 0.05, 1, 5, 20, mp.inf])
+            return complex((1 + z * integral / mp.gamma(1.5)) / mp.sqrt(mp.pi))
 
-        integral = mp.quad(f, [0, 0.05, 1, 5, 20, mp.inf])
-        return complex((1 + z * integral / mp.gamma(1.5)) / mp.sqrt(mp.pi))
-
-    for z in (0.9 * np.exp(1j), 0.95 * np.exp(2j), 0.99 * np.exp(0.5j), 0.99 + 0j):
-        want = oracle(z, 30.0)
-        got = complex(dirichlet_kernel(z, 30.0))
-        assert abs(got - want) < 1e-13 * abs(want), z
+        for z in (0.9 * np.exp(1j), 0.95 * np.exp(2j), 0.99 * np.exp(0.5j), 0.99 + 0j):
+            want = oracle(z, 30.0)
+            got = complex(dirichlet_kernel(z, 30.0))
+            assert abs(got - want) < 1e-13 * abs(want), z
 
 
 def test_dirichlet_rule_reproduces_u_trapezoid():
@@ -440,27 +439,27 @@ def test_omega_meets_mpmath_inversion():
     # transform (written out here, not read from the library), at the atoms
     # nearest t = 0.5 ... 40, for orders past the point-queries pairs
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    h = kernels._OMEGA_U_STEP
-    k = np.rint(np.sqrt([0.5, 2.0, 5.0, 10.0, 20.0, 40.0]) / h).astype(int)
-    for alpha, m in ((3.0, 8), (0.0, 10), (0.5, 6)):
-        def transform(p):
-            out = mp.gamma(1.5) ** m * mp.gamma(0.5) ** (m - 1)
-            for b in range(1, m + 1):
-                out /= (p + b) ** 1.5
-            for b in range(2, m + 1):
-                out /= mp.sqrt(p + alpha + b)
-            return out
+    with mp.workdps(30):
+        h = kernels._OMEGA_U_STEP
+        k = np.rint(np.sqrt([0.5, 2.0, 5.0, 10.0, 20.0, 40.0]) / h).astype(int)
+        for alpha, m in ((3.0, 8), (0.0, 10), (0.5, 6)):
+            def transform(p):
+                out = mp.gamma(1.5) ** m * mp.gamma(0.5) ** (m - 1)
+                for b in range(1, m + 1):
+                    out /= (p + b) ** 1.5
+                for b in range(2, m + 1):
+                    out /= mp.sqrt(p + alpha + b)
+                return out
 
-        weight = omega(alpha, m)
-        for kk in k:
-            t = (kk * h) ** 2
-            want = float(mp.invertlaplace(transform, t, method="talbot"))
-            err = abs(weight.values[kk - 1] - want)
-            assert err <= 1e-13 * weight.values.max(), (alpha, m, t, err)
-        for j in range(6):
-            want = float(transform(j))
-            assert abs(omega_laplace(weight, j) - want) <= 1e-11 * want, (alpha, m, j)
+            weight = omega(alpha, m)
+            for kk in k:
+                t = (kk * h) ** 2
+                want = float(mp.invertlaplace(transform, t, method="talbot"))
+                err = abs(weight.values[kk - 1] - want)
+                assert err <= 1e-13 * weight.values.max(), (alpha, m, t, err)
+            for j in range(6):
+                want = float(transform(j))
+                assert abs(omega_laplace(weight, j) - want) <= 1e-11 * want, (alpha, m, j)
 
 
 def test_omega_grid_and_thinning():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre, eval_hermite, eval_jacobi, gammaln, hyp0f1
 
 from bargmann import (
+    BasisFamily,
     HypSeriesError,
     bargmann_fock,
     basis_matrix,
@@ -30,8 +31,11 @@ from bargmann import (
     laguerre_sequence,
     log_gamma,
     monomial_normalizer,
+    papadakis_sum,
     pochhammer,
+    reproducing_kernel,
 )
+from bargmann.special import BASES
 
 NAN, INF = float("nan"), float("inf")
 
@@ -373,6 +377,19 @@ def test_monomial_normalizer_raises_past_float_range():
         monomial_normalizer(bargmann_fock(), 400)
     with pytest.raises(ValueError):
         monomial_normalizer(disk_eigen(3.0, 2), 4)   # not diagonal in z^j
+
+
+def test_unknown_kind_raises_and_every_constructor_names_a_table_kind():
+    nope = BasisFamily("nope")
+    for call in (lambda: basis_matrix(nope, 3, [0.1]),
+                 lambda: monomial_normalizer(nope, 3),
+                 lambda: reproducing_kernel(nope, 0.1, 0.2),
+                 lambda: papadakis_sum(nope, 0.1, 0.2, 3)):
+        with pytest.raises(ValueError, match="unknown basis family 'nope'"):
+            call()
+    built = (hermite_l2(), laguerre_l2(0.5), bargmann_fock(), bergman(1.5),
+             disk_eigen(3.0, 2), dirichlet(), gen_dirichlet(0.5, 2))
+    assert sorted(b.kind for b in built) == sorted(BASES)
 
 
 def test_fock_basis_recursion_stays_finite_where_powers_overflow():

@@ -40,7 +40,7 @@ from bargmann import (
     target_coefficients,
     taylor_from_circle,
 )
-from bargmann import kernels
+from bargmann import kernels, special
 from bargmann.cli import main
 from bargmann.transforms import _circle_taylor, _target_contract, _target_values
 
@@ -257,6 +257,19 @@ def test_target_is_built_on_first_read(monkeypatch):
     for orders in ({"disk_orders": (0, 32)}, {"disk_orders": (20, 0)}, {"plane_order": 0}):
         with pytest.raises(ValueError, match="orders"):
             make_transform("second", 1.5, source_order=12, **orders)
+
+
+def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
+    # a wrapper bound to special's name, as a tracer binds one, sees every
+    # source-rule build of make_transform (both its own and the operator's check)
+    for name, kind, params, args in (("gauss_halfline", "second", (1.5,), (12, 1.5)),
+                                     ("gauss_line", "classical", (), (12,))):
+        builds = []
+        build = getattr(special, name)
+        monkeypatch.setattr(special, name, lambda *a, build=build: builds.append(a) or build(*a))
+        op = make_transform(kind, *params, source_order=12)
+        assert builds == [args, args]
+        assert op.source_rule is build(*args)
 
 
 def test_circle_maps_are_per_operator_and_read_only():
