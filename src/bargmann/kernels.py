@@ -20,6 +20,7 @@ orders dominate the truncation index.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -46,7 +47,7 @@ from .special import (
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import (QuadratureRule, _golub_welsch, _read_only, disk_rule,
+from .quadrature import (QuadratureRule, _read_only, _tridiagonal_gauss, disk_rule,
                          gaussian_plane_rule)
 
 __all__ = [
@@ -79,11 +80,12 @@ def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
     Computation and Approximation, 2004, sec. 2.2), run on the vectors
     u_k = sqrt(masses_k) p_j(atoms_k): the three-term recurrence forms each
     new orthogonal polynomial and scales it to unit norm in the measure, so
-    its values neither under- nor overflow.  Golub-Welsch then solves the
-    Jacobi matrix.  O(n N) for N atoms.  Without reorthogonalization the
-    recurrence may repeat a node the rule has already resolved; the
-    eigenvector weights stay right for the sum, splitting that node's
-    weight between the copies.
+    its values neither under- nor overflow.  ``quadrature._tridiagonal_gauss``
+    then takes the nodes and weights from the Jacobi matrix.  O(n N) for N
+    atoms.  Without reorthogonalization the recurrence may repeat a node the
+    rule has already resolved; each copy has its own eigenvector, and the
+    sum stays right: at (alpha, m) = (1.5, 12) two nodes 2.5e-6 apart carry
+    weights 9.3e-34 and 1.2e-56.
     """
     mu0 = float(masses.sum())
     diag = np.empty(n)
@@ -91,21 +93,22 @@ def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
     u = np.sqrt(masses / mu0)
     u_prev = np.zeros_like(atoms)
     q = np.empty_like(atoms)
+    scratch = np.empty_like(atoms)
     # np.dot, not @: with the other core busy, matmul products were
     # measured to stall ~8 ms each in the threaded BLAS, at this length and
     # at the kernel's (1, 120, 89) x (89,) alike; np.dot took ~10 us
     for j in range(n):
         np.multiply(atoms, u, out=q)
-        diag[j] = np.dot(q, u)
+        a = diag[j] = np.dot(q, u)
         if j == n - 1:
             break
-        q -= diag[j] * u
+        q -= np.multiply(u, a, out=scratch)
         if j:
-            q -= off[j - 1] * u_prev
-        off[j] = np.sqrt(np.dot(q, q))
-        q /= off[j]
+            q -= np.multiply(u_prev, off[j - 1], out=scratch)
+        b = off[j] = math.sqrt(np.dot(q, q))
+        q /= b
         u_prev, u, q = u, q, u_prev
-    return _golub_welsch(diag, off, mu0)
+    return _tridiagonal_gauss(diag, off, mu0)
 
 
 # compressed rules in s = e^-t: atoms kept below this t, and the size of the
@@ -330,6 +333,9 @@ def _default_t_rule() -> QuadratureRule:
 
 # cap on the (points x t-grid) scratch arrays formed by the integral kernels
 _BLOCK_ENTRIES = 1 << 24
+# cap on one x block of ``_x_blocked``: 6144 complex values, 96 KB, under
+# glibc's default 128 KB mmap threshold
+_X_BLOCK_ENTRIES = 6144
 
 
 def _blocked(z, x, nt, evaluate):
@@ -360,6 +366,36 @@ def _blocked(z, x, nt, evaluate):
     out = np.empty(shape, dtype=complex)
     for lo in range(0, shape[0], rows):
         out[lo : lo + rows] = evaluate(z[lo : lo + rows], x)
+    return out
+
+
+def _x_blocked(z, x, nt, block):
+    """``block(x)``, the t-integral at z, over few x at a time when z is small.
+
+    A forward-map row (one z, 120 x, 75 s-nodes) builds (1, 120, 75) complex
+    temporaries of 144 KB, just above glibc's default mmap threshold: unless
+    earlier frees happened to raise that threshold, each one is mapped,
+    faulted in page by page and unmapped again (~110-140 minor faults per
+    row).  The fewest equal blocks of the x axis whose (z points x x block
+    x nodes) scratch stays within ``_X_BLOCK_ENTRIES`` come from the heap
+    instead: two of 60 x for such a row.  Each block costs a fixed overhead,
+    so a third block made 20-row processes ~15 % slower.  z is sliced
+    nowhere and broadcast against nothing, since the powers of (1 - z s)
+    stay cheap only while they keep a length-one x axis.  Calls with more z
+    points than fit one x column, or with z spread along x's axis, go
+    through whole.
+    """
+    per_x = z.size * nt
+    count = x.shape[-1] if x.ndim else 1
+    if (per_x > _X_BLOCK_ENTRIES or count * per_x <= _X_BLOCK_ENTRIES
+            or (z.ndim and z.shape[-1] != 1)):
+        return block(x)
+    blocks = -(-count // (_X_BLOCK_ENTRIES // per_x))
+    width = -(-count // blocks)
+    shape = np.broadcast_shapes(z.shape, x.shape)
+    out = np.empty(shape, dtype=complex)
+    for lo in range(0, shape[-1], width):
+        out[..., lo : lo + width] = block(x[..., lo : lo + width])
     return out
 
 
@@ -425,19 +461,27 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     head = head * norm
 
     rule = weight.s_rule
+    nt = rule.nodes.shape[0]
 
     def evaluate(zz, xx):
+        # the x-independent factors once per z block
         v = zz[..., None] * rule.nodes
         one_minus_v = 1.0 - v
-        xx = xx[..., None]
-        # the Laguerre factor first and the last product in place: fewer
-        # (points x nodes) temporaries alive at once, same arithmetic
-        lag = laguerre(m, alpha, xx / one_minus_v)
-        g = one_minus_v ** (-alpha - m - 1.0) * np.exp(-xx * (v / one_minus_v))
-        g *= lag
-        return np.dot(g, rule.weights)   # not @: see _discrete_gauss
+        decay = v / one_minus_v
+        power = one_minus_v ** (-alpha - m - 1.0)
 
-    integral = _blocked(z, x, rule.nodes.shape[0], evaluate)
+        def block(xb):
+            xb = xb[..., None]
+            # the Laguerre factor first and the last product in place: fewer
+            # (points x nodes) temporaries alive at once, same arithmetic
+            lag = laguerre(m, alpha, xb / one_minus_v)
+            g = power * np.exp(-xb * decay)
+            g *= lag
+            return np.dot(g, rule.weights)   # not @: see _discrete_gauss
+
+        return _x_blocked(zz, xx, nt, block)
+
+    integral = _blocked(z, x, nt, evaluate)
     c_m = np.exp(log_gamma(m + 1.0) - m * log_gamma(1.5) - (m - 1) * log_gamma(0.5)
                  - 0.5 * (_LOG_PI + lg_a1))
     return head + c_m * z**m * integral

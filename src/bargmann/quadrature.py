@@ -9,8 +9,22 @@ against the rule's measure:
 - ``disk_rule``:        (1-|z|^2)^gamma dA(z) on the unit disk,
 - ``gaussian_plane_rule``: exp(-|z|^2) dA(z) on the complex plane.
 
-Nodes and weights come from the Golub-Welsch eigenvalue method applied to
-the Jacobi matrix of the associated orthogonal family.
+Every rule comes from the Jacobi matrix J of its measure's orthogonal
+polynomials, without an eigensolver:
+
+- nodes are the squared singular values of a bidiagonal factor B of J
+  (J = B B^T), which are relatively accurate down to the smallest node
+  (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990): a closed-form
+  factor for the Laguerre rules and the radial Jacobi rule, and Cholesky
+  factors for the discrete measures of ``kernels``; on (0, 1) the factor of
+  I - J gives 1 - u near u = 1;
+- the Laguerre and Jacobi weights are Christoffel sums after one Newton step
+  on the recurrence, both in long double (``_newton_christoffel``); the
+  Hermite rule is assembled from two Laguerre halves (``gauss_line``); the
+  discrete measures take their weights from eigenvector components by
+  twisted factorization (``_tridiagonal_gauss``).
+
+Only numpy and ``math`` are needed.
 
 The one-dimensional builders (``gauss_line``, ``gauss_halfline`` and the
 radial Gauss-Jacobi rule of ``disk_rule``) keep their last results, a few KB
@@ -21,12 +35,11 @@ two-dimensional rules are built afresh: a 120 x 256 disk rule alone is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 __all__ = [
     "QuadratureRule",
@@ -64,154 +77,259 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
-def _golub_welsch(diag, offdiag, mu0):
-    """Nodes and weights from a Jacobi matrix with total mass mu0."""
-    if len(diag) == 1:
-        return np.asarray(diag, dtype=float), np.asarray([mu0], dtype=float)
-    nodes, vectors = eigh_tridiagonal(np.asarray(diag, float), np.asarray(offdiag, float))
-    weights = mu0 * vectors[0, :] ** 2
-    return nodes, weights
+def _squared_singular_values(diag, off):
+    """sigma_k^2, ascending, of the bidiagonal B with ``diag`` on its diagonal
+    and ``off`` beside it: the eigenvalues of the Jacobi matrix J = B B^T.
+
+    The singular values of a bidiagonal are determined to a few ulps relative
+    by its entries, and LAPACK's bidiagonal solver delivers them (Demmel &
+    Kahan, SIAM J. Sci. Stat. Comput. 11, 1990), so every node, the smallest
+    included, is relatively accurate with no polish.  B goes in upper
+    bidiagonal, which the Householder reduction ahead of that solver leaves
+    unchanged (a lower one put the smallest node of a 120-node half-line rule
+    2.8e-14 off, against 2.0e-15).  Only the values are asked for: with
+    vectors (and in numpy's ``eigh``/``eigvalsh``) the threaded BLAS was seen
+    to stall 8-215 ms per call in about one process in seven on a 2-core
+    machine, while the values alone took at most 1.1 ms at n = 120.  Past
+    n = 128 LAPACK reduces in blocks, at O(n^3) cost (~3 ms at n = 200,
+    ~10-40 ms at n = 300).  Stacked bidiagonals (``diag`` (..., n), ``off``
+    (..., n-1)) go in one call.
+    """
+    n = diag.shape[-1]
+    i = np.arange(n)
+    upper = np.zeros(diag.shape + (n,))
+    upper[..., i, i] = diag
+    upper[..., i[:-1], i[1:]] = off
+    return np.linalg.svd(upper, compute_uv=False)[..., ::-1] ** 2
+
+
+def _two_sided_nodes(factor, reflected):
+    """Nodes in (0, 1) of a Jacobi matrix J, from the bidiagonal factors
+    (diagonal, off-diagonal) of J and of I - J: u, relatively accurate below
+    u = 1/2, and 1 - u, relatively accurate above it, both ascending in u."""
+    u, v = _squared_singular_values(*(np.stack(pair) for pair in zip(factor, reflected)))
+    return u, v[::-1]
+
+
+def _newton_christoffel(x, diag, b, p0):
+    """One Newton step from x towards the roots of the orthonormal p_n, and the
+    Gauss weights 1 / sum_(k<n) p_k^2 at the moved nodes, in x's dtype.
+
+    p_k and p_k' run as one stacked recurrence from p_0 = ``p0`` (a scalar, or
+    one value per node when the caller scales every p_k at a node by the same
+    factor).  The weight S^-1 takes the step to first order, from the sums
+    of p_k^2 and p_k p_k' at x; the second-order term, (step * d log S/dx)^2,
+    is ~1e-24 for nodes a few ulps off.  So the weights are those of the
+    moved nodes, not of x: summed at the float64 singular-value nodes, a
+    half-line weight, which varies like e^-x, was up to 2e-12 off at n = 200.
+    """
+    n = diag.shape[0]
+    shifted = x - diag[:, None]              # row k: x - a_k
+    inv_b = 1.0 / b
+    vals = np.zeros((n + 1, 2, x.shape[0]), dtype=x.dtype)   # rows: p_k, p_k'
+    vals[0, 0] = p0
+    scratch = np.empty_like(vals[0])
+    for k in range(n):
+        cur, nxt = vals[k], vals[k + 1]
+        np.multiply(shifted[k], cur, out=nxt)
+        nxt[1] += cur[0]
+        if k:
+            nxt -= np.multiply(vals[k - 1], b[k - 1], out=scratch)
+        nxt *= inv_b[k]
+    p = vals[:n, 0]
+    step = -vals[n, 0] / vals[n, 1]
+    return x + step, 1.0 / ((p * p).sum(axis=0) + 2.0 * step * (p * vals[:n, 1]).sum(axis=0))
+
+
+def _laguerre_rule(n: int, alpha: float):
+    """Nodes and weights of the n-point Gauss rule for x^alpha exp(-x) dx.
+
+    The Laguerre Jacobi matrix (diagonal 2k + alpha + 1, off-diagonal
+    sqrt(k (k + alpha))) is B B^T with B lower bidiagonal, B_kk =
+    sqrt(k + alpha + 1) and B_(k+1,k) = sqrt(k + 1); the nodes are its
+    squared singular values, then one long-double ``_newton_christoffel``
+    step.  Every p_k at a node x carries the factor e^(-x/2), which keeps
+    p_k^2 (~e^x) in range at any order; the weights take back e^-x.  Where
+    the platform's long double is plain double, the step runs in float64 and
+    the weights keep its error (see ``_gauss_jacobi01``).
+    """
+    k = np.arange(n, dtype=float)
+    nodes = _squared_singular_values(np.sqrt(k + alpha + 1.0), np.sqrt(k[1:]))
+    try:
+        # the total mass Gamma(alpha + 1) scales every weight; math.gamma is
+        # within 7.5e-16 of it, while a float64 log Gamma (up to ~700)
+        # carries up to 1.6e-13
+        mu0 = math.gamma(alpha + 1.0)
+    except OverflowError:
+        raise ValueError("gauss_halfline requires Gamma(alpha + 1) within "
+                         "float64 range (alpha < 170.6)") from None
+    ld = np.longdouble
+    x, k, a = nodes.astype(ld), k.astype(ld), ld(alpha)
+    p0 = np.exp(-0.5 * x) / np.sqrt(ld(mu0))
+    moved, weights = _newton_christoffel(x, 2.0 * k + a + 1.0,
+                                         np.sqrt((k + 1.0) * (k + 1.0 + a)), p0)
+    return moved.astype(float), (np.exp(-x) * weights).astype(float)
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_line(n: int) -> QuadratureRule:
     """n-point Gauss-Hermite rule for the measure exp(-x^2) dx (cached,
-    read-only arrays)."""
+    read-only arrays).
+
+    Built from half the nodes: for even f, x = sqrt(y) turns the measure into
+    y^(-1/2) e^-y dy on the half-line.  The 2k-point rule is +-sqrt(y_i) of
+    the k-point Laguerre rule at alpha = -1/2, with weights w_i / 2.  The
+    (2k+1)-point rule adds the node 0 to +-sqrt(y_i) of the k-point rule at
+    alpha = +1/2, with weights w_i / (2 y_i); the weight of 0 is its
+    Christoffel number sqrt(pi) / sum_(j<=k) C(2j, j) 4^-j =
+    sqrt(pi) / ((2k+1) prod_(j<=k) (2j-1)/(2j)).  The rule is exactly
+    symmetric.
+    """
     if n < 1:
         raise ValueError("rule order must be positive")
-    diag = np.zeros(n)
-    b = np.sqrt(np.arange(1, n + 1) / 2.0)
-    log_mu0 = 0.5 * np.log(np.pi)
-    if n == 1:
-        nodes, weights = diag[:1], np.asarray([np.exp(log_mu0)])
+    k = n // 2
+    y, w = _laguerre_rule(k, -0.5 if n % 2 == 0 else 0.5)
+    half = np.sqrt(y)
+    if n % 2 == 0:
+        nodes = np.concatenate([-half[::-1], half])
+        weights = np.concatenate([w[::-1], w]) / 2.0
     else:
-        nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
-        nodes = _newton_polish(nodes, diag, b)
-        nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
-        weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
-        weights = 0.5 * (weights + weights[::-1])
+        w = w / (2.0 * y)
+        j = np.arange(1.0, k + 1.0)
+        center = np.sqrt(np.pi) / ((2 * k + 1) * np.prod((2.0 * j - 1.0) / (2.0 * j)))
+        nodes = np.concatenate([-half[::-1], [0.0], half])
+        weights = np.concatenate([w[::-1], [center], w])
     _read_only(nodes, weights)
     return QuadratureRule("line", nodes, weights, {"n": n})
-
-
-def _newton_polish(nodes, diag, b):
-    """Refine Golub-Welsch nodes to roots of the degree-n recurrence polynomial.
-
-    The eigenvalue solve carries an absolute error of order eps * ||J||, which
-    for half-line rules grows linearly with the rule order and leaks into
-    high-degree orthogonality sums.  A few Newton steps on the three-term
-    recurrence restore the nodes to relative machine accuracy.
-
-    Each sweep runs p and its derivative p' as one stacked (2, n) recurrence,
-    with the factors x - a_k of every degree formed once per sweep.  The
-    recurrence values grow like exp(x/2), so on a step where some |p| passes
-    1e120 both rows (and the previous step's) are scaled down by 1e120 at
-    those nodes; Newton only needs the scale-free ratio p_n / p_n'.  No other
-    step is rescaled, where a factor of exactly 1.0 would change nothing, so
-    the nodes are those of the plain per-node loop to the last bit.
-    """
-    x = nodes.copy()
-    n = len(diag)
-    for _ in range(3):
-        shifted = x - diag[:, None]          # row k: x - a_k
-        prev = np.zeros((2, x.shape[0]))
-        cur = np.zeros((2, x.shape[0]))
-        cur[0] = 1.0                         # rows: p, p'
-        for k in range(n):
-            nxt = shifted[k] * cur
-            nxt[1] += cur[0]
-            if k:
-                nxt -= b[k - 1] * prev
-            nxt /= b[k]
-            if np.abs(nxt[0]).max() > 1e120:
-                rescale = np.where(np.abs(nxt[0]) > 1e120, 1e-120, 1.0)
-                cur *= rescale
-                nxt *= rescale
-            prev, cur = cur, nxt
-        x = x - cur[0] / cur[1]
-    return x
-
-
-def _christoffel_log_weights(x, diag, b, log_mu0):
-    """Gauss weights 1 / sum_k p_k(x_i)^2 via a log-scaled recurrence.
-
-    Eigenvector-based weights flush to zero once the first eigenvector
-    component drops below machine tiny, yet high-degree integrands put most
-    of their mass exactly on those far nodes.  Running the orthonormal
-    recurrence with a per-node scale factor keeps every weight relatively
-    accurate down to the double-precision underflow threshold.  As in
-    ``_newton_polish``, the factors x - a_k are formed once and only a step
-    where some |p| passes 1e120 is rescaled.
-    """
-    n = len(diag)
-    shifted = x - diag[:-1, None]            # row k: x - a_k
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    S = np.ones_like(x)
-    log_scale = np.zeros_like(x)
-    for k in range(n - 1):
-        p_next = shifted[k] * p
-        if k:
-            p_next -= b[k - 1] * p_prev
-        p_next /= b[k]
-        big = np.abs(p_next) > 1e120
-        if np.any(big):
-            rescale = np.where(big, 1e-120, 1.0)
-            log_scale += np.where(big, np.log(1e120), 0.0)
-            p = p * rescale
-            p_next *= rescale
-            S = S * rescale**2
-        p_prev, p = p, p_next
-        S += p * p
-    return np.exp(log_mu0 - np.log(S) - 2.0 * log_scale)
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     """n-point generalized Gauss-Laguerre rule for x^alpha exp(-x) dx
-    (cached, read-only arrays)."""
+    (cached, read-only arrays), built by ``_laguerre_rule``."""
     if n < 1:
         raise ValueError("rule order must be positive")
     if not -1.0 < alpha < np.inf:  # NaN fails this too
         raise ValueError("gauss_halfline requires finite alpha > -1")
-    k = np.arange(n, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    j = np.arange(1, n + 1, dtype=float)
-    b = np.sqrt(j * (j + alpha))
-    log_mu0 = float(gammaln(alpha + 1.0))
-    if n == 1:
-        nodes, weights = diag[:1], np.asarray([np.exp(log_mu0)])
-    else:
-        nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
-        nodes = _newton_polish(nodes, diag, b)
-        weights = _christoffel_log_weights(nodes, diag, b, log_mu0)
+    nodes, weights = _laguerre_rule(n, alpha)
     _read_only(nodes, weights)
     return QuadratureRule("halfline", nodes, weights, {"n": n, "alpha": alpha})
+
+
+def _jacobi_chain(n: int, a, b):
+    """zeta_(2k+1) and zeta_(2k+2), k = 0..n-1, of (1-u)^a u^b du on [0, 1].
+
+    The chain sequence factors the measure's Jacobi matrix as L L^T, with L
+    lower bidiagonal: L_kk = sqrt(zeta_(2k+1)) and L_(k+1,k) =
+    sqrt(zeta_(2k+2)) (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, sec. 1.4).  Computed in the dtype of ``a``.
+    """
+    k = np.arange(n, dtype=np.result_type(a, float))
+    s = a + b
+    odd = (k + b + 1.0) * (k + s + 1.0) / ((2.0 * k + s + 1.0) * (2.0 * k + s + 2.0))
+    k = k + 1.0
+    even = k * (k + a) / ((2.0 * k + s) * (2.0 * k + s + 1.0))
+    return odd, even
+
+
+def _chain_bidiagonal(n: int, a: float, b: float):
+    """Diagonal and off-diagonal of L^T for (1-u)^a u^b du (``_jacobi_chain``)."""
+    odd, even = _jacobi_chain(n, a, b)
+    return np.sqrt(odd), np.sqrt(even[:-1])
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def _gauss_jacobi01(n: int, gamma: float):
     """Gauss rule for (1-u)^gamma du on [0, 1] (one-sided Jacobi weight;
-    cached, read-only arrays)."""
-    a = float(gamma)
-    k = np.arange(n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = -a / (a + 2.0)
-    if n > 1:
-        kk = k[1:]
-        diag[1:] = -(a * a) / ((2.0 * kk + a) * (2.0 * kk + a + 2.0))
-    j = np.arange(1.0, n)
-    off = np.sqrt(
-        4.0 * j**2 * (j + a) ** 2
-        / ((2.0 * j + a) ** 2 * (2.0 * j + a + 1.0) * (2.0 * j + a - 1.0))
-    )
-    mu0 = 2.0 ** (a + 1.0) / (a + 1.0)
-    x, w = _golub_welsch(diag, off, mu0)
-    # map [-1, 1] -> [0, 1]: the factor 2^(gamma+1) absorbs both the jacobian
-    # and the rescaling of (1-x)^gamma
-    u, wu = (1.0 + x) / 2.0, w / 2.0 ** (a + 1.0)
+    cached, read-only arrays).
+
+    The nodes below u = 1/2 are the squared singular values of the measure's
+    chain-sequence bidiagonal, and 1 - u above it those of the reflected
+    measure u^gamma du, whose Jacobi matrix is I - J up to signs: both
+    relatively accurate, so u near 1 is right to its last bit.  One
+    ``_newton_christoffel`` step in long double then gives the nodes and
+    their weights: weights summed at the rounded float64 nodes were 3.4e-12
+    off near u = 1 at n = 80, gamma = -1/2.  Where the platform's long double
+    is plain double, as in ``kernels._talbot_contour``, the step runs in
+    float64 and the weights keep that error.
+    """
+    g = float(gamma)
+    u, v = _two_sided_nodes(_chain_bidiagonal(n, g, 0.0), _chain_bidiagonal(n, 0.0, g))
+    ld = np.longdouble
+    x = np.where(u < 0.5, u.astype(ld), 1.0 - v.astype(ld))
+    odd, even = _jacobi_chain(n, ld(g), ld(0.0))
+    diag = odd.copy()
+    diag[1:] += even[:-1]
+    # p_0 = 1 / sqrt(mu0), mu0 = 1 / (gamma + 1)
+    x, weights = _newton_christoffel(x, diag, np.sqrt(odd * even), np.sqrt(ld(g) + 1.0))
+    u, wu = x.astype(float), weights.astype(float)
     _read_only(u, wu)
     return u, wu
+
+
+def _tridiagonal_gauss(diag, off, mu0: float):
+    """Gauss rule of a measure on (0, 1) with total mass mu0, from its Jacobi
+    matrix J (``diag``, ``off``).
+
+    Nodes: J and I - J are positive definite; their Cholesky factors are
+    bidiagonal, and their squared singular values give u below 1/2 and 1 - u
+    above it.  Weights: mu0 times the squared first component of each unit
+    eigenvector, from the twisted factorization of J - u I (Parlett & Dhillon,
+    Linear Algebra Appl. 309, 2000), vectorized over the nodes: the top-down
+    and bottom-up pivots are two n-step loops, each eigenvector is the chain
+    of pivot ratios out from the twist index, and its components are
+    cumulative sums in log space, so none over- or underflows.
+    """
+    n = diag.shape[0]
+    u, v = _two_sided_nodes(*_cholesky_bidiagonals(diag, off))
+    x = np.where(u < 0.5, u, 1.0 - v)
+    shifted = diag[:, None] - x                      # (J - x I)_kk per column
+    # the pivots of J - xI = L D L^T (top-down) and = U D U^T (bottom-up),
+    # both in one loop: row k holds top pivot k, then bottom pivot n-1-k
+    b2 = off * off
+    ends = np.concatenate([shifted, shifted[::-1]], axis=1)
+    couplings = np.repeat(np.stack([b2, b2[::-1]], axis=1), n, axis=1)
+    pivots = np.empty_like(ends)
+    pivots[0] = ends[0]
+    for k in range(1, n):
+        np.divide(couplings[k - 1], pivots[k - 1], out=pivots[k])
+        np.subtract(ends[k], pivots[k], out=pivots[k])
+    top, bottom = pivots[:, :n], pivots[::-1, n:]
+    twist = np.argmin(np.abs(top + bottom - shifted), axis=0)
+    # with z_r = 1 at the twist r: log|z_k| = up[r] - up[k] for k <= r and
+    # down[k] - down[r] for k >= r, where z_k / z_(k+1) = -b_k / top_k and
+    # z_(k+1) / z_k = -b_k / bottom_(k+1)
+    # (the last top and bottom pivots, ~0 at an eigenvalue, are never read)
+    log_pivots = np.log(np.abs(pivots[:-1]))
+    log_b = np.log(off)[:, None]
+    up = np.zeros_like(top)
+    down = np.zeros_like(top)
+    np.cumsum(log_b - log_pivots[:, :n], axis=0, out=up[1:])
+    np.cumsum(log_b - log_pivots[::-1, n:], axis=0, out=down[1:])
+    cols = np.arange(n)
+    up_r, down_r = up[twist, cols], down[twist, cols]
+    log_z = np.where(cols[:, None] <= twist, up_r - up, down - down_r)
+    peak = log_z.max(axis=0)
+    norm2 = np.exp(2.0 * (log_z - peak)).sum(axis=0)
+    return x, mu0 * np.exp(2.0 * (up_r - peak)) / norm2
+
+
+def _cholesky_bidiagonals(diag, off):
+    """(diagonal, subdiagonal) of the lower bidiagonal Cholesky factors of
+    J and of I - J, for a Jacobi matrix J (``diag``, ``off``) with its
+    spectrum in (0, 1)."""
+    lo_d, lo_e, hi_d, hi_e = [], [], [], []
+    lo, hi = float(diag[0]), 1.0 - float(diag[0])
+    for a, b in zip(diag[1:].tolist(), off.tolist()):
+        lo_d.append(math.sqrt(lo))
+        hi_d.append(math.sqrt(hi))
+        lo_e.append(b / lo_d[-1])
+        hi_e.append(b / hi_d[-1])
+        lo = a - lo_e[-1] * lo_e[-1]
+        hi = (1.0 - a) - hi_e[-1] * hi_e[-1]
+    lo_d.append(math.sqrt(lo))
+    hi_d.append(math.sqrt(hi))
+    return (np.array(lo_d), np.array(lo_e)), (np.array(hi_d), np.array(hi_e))
 
 
 def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:

@@ -13,11 +13,11 @@ Evaluation points may be scalars or numpy arrays; parameters are scalars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import gauss_halfline, gauss_line
 
@@ -56,18 +56,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def log_gamma(x):
-    """log Gamma(x) for finite x > 0 (scalar or array)."""
+    """log Gamma(x) for finite x > 0 (scalar or array), by ``math.lgamma``:
+    a scalar and the same value inside an array give the same float."""
     if isinstance(x, (float, np.floating)):
-        # the basis recurrences call this once per degree with a float;
-        # the same ufunc without the array round trip
-        if not 0.0 < x < np.inf:  # NaN fails this too
+        # the basis recurrences call this once per degree with a float
+        if not 0.0 < x < math.inf:  # NaN fails this too
             raise ValueError("log_gamma requires finite, strictly positive arguments")
-        return float(gammaln(x))
+        return math.lgamma(x)
     x = np.asarray(x, dtype=float)
     if not np.all((x > 0.0) & (x < np.inf)):
         raise ValueError("log_gamma requires finite, strictly positive arguments")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    if x.ndim == 0:
+        return math.lgamma(float(x))
+    return np.fromiter(map(math.lgamma, x.flat), float, x.size).reshape(x.shape)
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -128,10 +129,10 @@ def _laguerre_degrees(jmax: int, alpha: float, x):
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x)
     x = x.astype(np.result_type(x, float), copy=False)
-    prev = np.ones_like(x)
-    yield prev
+    yield np.ones_like(x)
     if jmax == 0:
         return
+    prev = 1.0          # L_0 as a scalar: (1 + alpha) L_0 without an array product
     cur = 1.0 + alpha - x
     yield cur
     for k in range(1, jmax):

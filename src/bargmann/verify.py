@@ -10,13 +10,13 @@ reproducible bit-for-bit on one platform for a fixed configuration.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .special import (
     bergman,
@@ -720,13 +720,27 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
                           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
+@functools.lru_cache(maxsize=None)
+def _installed_version(package: str) -> str | None:
+    """A distribution's version from its metadata, without importing it
+    (the package itself never imports scipy); None when it is absent.
+    Looked up once per process: ``importlib.metadata`` costs ~25 ms to
+    import and ~2 ms per lookup, so only the first report pays it."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def _environment() -> dict:
     """Library versions, platform and thread settings, which the measured
     values (through the BLAS) and the wall time depend on."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _installed_version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},

@@ -1,12 +1,18 @@
 """Command-line interface: output formats, exit codes, and the config
 precedence chain (flags over file over defaults), all run in-process."""
 
+import importlib.metadata
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bargmann import basis_matrix, cli, forward, kernels, make_transform
+import bargmann
+from bargmann import basis_matrix, cli, forward, kernels, make_transform, verify
 from bargmann.cli import build_parser, main
 
 
@@ -228,6 +234,42 @@ def test_verify_quadrature_passes(capsys):
     assert payload["passed"] is True
     assert all(c["measured"] <= c["tolerance"] for c in payload["checks"])
     assert payload["metadata"]["config"]["source_order"] == 120
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+import bargmann, bargmann.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+sys.modules["scipy"] = None          # any import of scipy now raises
+code = bargmann.cli.main(["verify", "special"])
+print(json.dumps({"loaded": loaded, "code": code}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh process: the import graph loads no scipy module, and a verify
+    # suite runs with every scipy import made to fail; the report still
+    # reads scipy's version from its installed metadata
+    src = Path(bargmann.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert result == {"loaded": [], "code": 0}
+    report = json.loads("\n".join(lines[:-1]))
+    assert report["passed"] is True
+    try:
+        installed = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        installed = None
+    assert report["metadata"]["scipy"] == installed
+
+
+def test_run_metadata_reports_an_absent_package_as_none():
+    assert verify._installed_version("bargmann-no-such-distribution") is None
+    assert verify.run_suite("special").metadata["scipy"] == verify._installed_version("scipy")
 
 
 def test_verify_report_records_environment(capsys, monkeypatch):

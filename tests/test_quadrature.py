@@ -1,5 +1,8 @@
-"""Quadrature rules against Gamma-function moments, scipy's Golub-Welsch
-routines, and a couple of non-polynomial integrals with known values."""
+"""Quadrature rules against Gamma-function moments, scipy's Gauss rules,
+40-digit mpmath nodes and weights, and a couple of non-polynomial integrals
+with known values."""
+
+import math
 
 import numpy as np
 import pytest
@@ -200,42 +203,128 @@ def test_line_moments_past_the_recurrence_rescale():
     assert _log_moment_error(gauss_line(n), None, range(0, 2 * n - 1, 2)) < 1e-11
 
 
-def _newton_polish_per_node(nodes, diag, b):
-    """The plain per-node Newton loop, rescaling on every step; the stacked
-    recurrence of ``_newton_polish`` must agree with it to the last bit."""
-    x = nodes.copy()
-    n = len(diag)
-    peak = 0.0
-    for _ in range(3):
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
-        d_prev, d = np.zeros_like(x), np.zeros_like(x)
-        for k in range(n):
-            p_next = ((x - diag[k]) * p - (b[k - 1] * p_prev if k else 0.0)) / b[k]
-            d_next = (p + (x - diag[k]) * d - (b[k - 1] * d_prev if k else 0.0)) / b[k]
-            peak = max(peak, float(np.max(np.abs(p_next))))
-            rescale = np.where(np.abs(p_next) > 1e120, 1e-120, 1.0)
-            p_prev, p = p * rescale, p_next * rescale
-            d_prev, d = d * rescale, d_next * rescale
-        x = x - p / d
-    return x, peak
+# ---------------------------------------------------------------------------
+# nodes and weights against 40-digit references
+# ---------------------------------------------------------------------------
+
+# the weights come from a long-double step; where long double is plain
+# double they keep float64's error (quadrature._gauss_jacobi01)
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+_NODE_BOUND = 1e-14
+_WEIGHT_BOUND = 1e-14 if _EXTENDED else 1e-11
 
 
-@pytest.mark.parametrize("n, alpha", [(2, None), (25, None), (300, None), (4, 0.0),
-                                      (64, 0.5), (120, 2.5), (150, 0.0), (400, 0.5)])
-def test_newton_polish_matches_the_per_node_loop(n, alpha):
-    from scipy.linalg import eigh_tridiagonal
+def _mp_rule(recurrence, mu0, start, picks):
+    """40-digit nodes and weights near ``start[i]`` for i in ``picks``: two
+    Newton steps on the orthonormal recurrence p_(k+1) = ((x - a_k) p_k -
+    b_(k-1) p_(k-1)) / b_k, (a_k, b_k) = recurrence(k), and the Christoffel
+    number 1 / sum_(k<n) p_k(x)^2 at the first step's node."""
+    mp = pytest.importorskip("mpmath")
+    n = len(start)
+    with mp.workdps(40):
+        coeffs = [recurrence(mp, k) for k in range(n)]
+        out = {}
+        for i in picks:
+            x = mp.mpf(float(start[i]))
+            for _ in range(2):
+                p_prev, p, d_prev, d = 0, 1 / mp.sqrt(mu0(mp)), 0, 0
+                total = p * p
+                for k, (a, b) in enumerate(coeffs):
+                    b_prev = coeffs[k - 1][1] if k else 0
+                    p_prev, p, d_prev, d = (p, ((x - a) * p - b_prev * p_prev) / b,
+                                            d, (p + (x - a) * d - b_prev * d_prev) / b)
+                    if k < n - 1:
+                        total += p * p
+                x, weight = x - p / d, 1 / total
+            out[i] = (x, weight)
+        return out
 
-    from bargmann.quadrature import _newton_polish
 
-    if alpha is None:  # Gauss-Hermite
-        diag, b = np.zeros(n), np.sqrt(np.arange(1, n + 1) / 2.0)
-    else:
-        k = np.arange(n, dtype=float)
-        j = k + 1.0
-        diag, b = 2.0 * k + alpha + 1.0, np.sqrt(j * (j + alpha))
-    nodes = eigh_tridiagonal(diag, b[:-1], eigvals_only=True)
-    want, peak = _newton_polish_per_node(nodes, diag, b)
-    assert np.array_equal(_newton_polish(nodes, diag, b), want)
-    # the largest orders reach the rescale branch; at n = 400 the values
-    # would overflow without it
-    assert (peak > 1e120) == (n >= 150)
+def _picks(n):
+    """Every node of a small rule; else the four smallest, the four largest
+    and four between, where the errors of each route concentrate."""
+    if n <= 16:
+        return range(n)
+    return sorted({*range(4), *range(n - 4, n), *range(n // 5, n, n // 5)})
+
+
+def _worst(nodes, weights, reference):
+    """Largest relative node and weight errors; weights below float64's
+    normal range (the far nodes of large half-line rules) are left out."""
+    node = max(abs(float(nodes[i]) - x) / abs(x) for i, (x, _) in reference.items())
+    weight = max(abs(float(weights[i]) - w) / w
+                 for i, (_, w) in reference.items() if w > 1e-290)
+    return float(node), float(weight)
+
+
+@pytest.mark.parametrize("n", [12, 120, 200, 300])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.37, 2.5])
+def test_halfline_rule_meets_mpmath(n, alpha):
+    rule = gauss_halfline(n, alpha)
+
+    def recurrence(mp, k):
+        a = mp.mpf(alpha)
+        return 2 * k + a + 1, mp.sqrt((k + 1) * (k + 1 + a))
+
+    reference = _mp_rule(recurrence, lambda mp: mp.gamma(mp.mpf(alpha) + 1),
+                         rule.nodes, _picks(n))
+    node, weight = _worst(rule.nodes, rule.weights, reference)
+    assert node <= _NODE_BOUND and weight <= _WEIGHT_BOUND, (node, weight)
+
+
+@pytest.mark.parametrize("alpha", [29.0, 120.5, 170.5])
+def test_halfline_total_mass_at_large_alpha(alpha):
+    # every weight carries the mass Gamma(alpha + 1); a float64 log Gamma of
+    # ~700 would put 1e-13 on all of them
+    mp = pytest.importorskip("mpmath")
+    weights = gauss_halfline(40, alpha).weights
+    with mp.workdps(30):
+        assert abs(math.fsum(weights) / mp.gamma(mp.mpf(alpha) + 1) - 1) <= 2e-15
+    with pytest.raises(ValueError, match="alpha"):
+        gauss_halfline(4, 171.0)        # Gamma(172) overflows float64
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 61])
+def test_line_rule_meets_mpmath(n):
+    rule = gauss_line(n)
+    picks = [i for i in _picks(n) if i != n // 2 or n % 2 == 0]
+    reference = _mp_rule(lambda mp, k: (0, mp.sqrt(mp.mpf(k + 1) / 2)),
+                         lambda mp: mp.sqrt(mp.pi), rule.nodes, picks)
+    node, weight = _worst(rule.nodes, rule.weights, reference)
+    assert node <= _NODE_BOUND and weight <= _WEIGHT_BOUND, (node, weight)
+    if n % 2:  # the center node is exactly 0; its weight is checked alone
+        assert rule.nodes[n // 2] == 0.0
+        zero = np.zeros(n)
+        (_, center), = _mp_rule(lambda mp, k: (0, mp.sqrt(mp.mpf(k + 1) / 2)),
+                                lambda mp: mp.sqrt(mp.pi), zero, [n // 2]).values()
+        assert abs(rule.weights[n // 2] - float(center)) <= _WEIGHT_BOUND * float(center)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+
+
+@pytest.mark.parametrize("n", [40, 80, 120])
+@pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.0, 2.0])
+def test_radial_jacobi_rule_meets_mpmath(n, gamma):
+    from bargmann.quadrature import _gauss_jacobi01
+
+    u, wu = _gauss_jacobi01(n, gamma)
+
+    def recurrence(mp, k):
+        # (1-u)^gamma du on [0, 1] through its chain sequence:
+        # a_k = zeta_2k + zeta_(2k+1), b_k = sqrt(zeta_(2k+1) zeta_(2k+2))
+        g = mp.mpf(gamma)
+
+        def zeta(j):
+            if j == 0:
+                return 0
+            if j % 2:
+                i = (j - 1) // 2
+                return (i + 1) * (i + g + 1) / ((2 * i + g + 1) * (2 * i + g + 2))
+            i = j // 2
+            return i * (i + g) / ((2 * i + g) * (2 * i + g + 1))
+
+        return zeta(2 * k) + zeta(2 * k + 1), mp.sqrt(zeta(2 * k + 1) * zeta(2 * k + 2))
+
+    reference = _mp_rule(recurrence, lambda mp: 1 / (mp.mpf(gamma) + 1), u, _picks(n))
+    node, weight = _worst(u, wu, reference)
+    assert node <= _NODE_BOUND and weight <= _WEIGHT_BOUND, (node, weight)

@@ -247,15 +247,35 @@ def test_gamma_helpers():
 
 
 def test_log_gamma_scalar_matches_array_route_and_rejects_non_finite():
-    for x in (0.5, 7.5, np.float64(123.25), 1e-3):
+    points = (0.5, 7.5, np.float64(123.25), 1e-3, 2.0, 1e4)
+    array = log_gamma(np.array(points))
+    for x, from_array in zip(points, array):
         got = log_gamma(x)
         assert type(got) is float
-        assert got == float(gammaln(np.asarray(x, dtype=float)))
+        assert got == from_array == log_gamma(np.asarray(x))
+    assert log_gamma(np.array(points).reshape(2, 3)).shape == (2, 3)
     assert_allclose(log_gamma(np.array([1.0, 6.0])), [0.0, np.log(120.0)], rtol=1e-13)
     for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan), 0.0, -1.5,
                 np.array([1.0, np.nan]), np.array([np.inf]), np.array(-np.inf)):
         with pytest.raises(ValueError):
             log_gamma(bad)
+
+
+def test_log_gamma_meets_mpmath():
+    # within 2 ulps from x = 13 up, and within 5 eps max(1, |log Gamma|) below,
+    # where log Gamma crosses zero at x = 1 and 2
+    mp = pytest.importorskip("mpmath")
+    grid = np.concatenate([np.geomspace(1e-6, 13.0, 120, endpoint=False),
+                           np.geomspace(13.0, 1e4, 120), np.arange(0.5, 30.0, 0.5)])
+    got = log_gamma(grid)
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for x, value in zip(grid, got):
+            exact = mp.loggamma(mp.mpf(float(x)))
+            err = abs(float(mp.mpf(float(value)) - exact))
+            bound = (2.0 * np.spacing(abs(float(exact))) if x >= 13.0
+                     else 5.0 * eps * max(1.0, abs(float(exact))))
+            assert err <= bound, (x, err, bound)
 
 
 # ---------------------------------------------------------------------------
