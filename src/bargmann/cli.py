@@ -82,18 +82,16 @@ def _emit(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_nodes(args: argparse.Namespace) -> int:
-    if args.rule in ("line", "halfline", "plane") and args.n is None:
-        raise ValueError(f"--rule {args.rule} needs --n")
-    if args.rule == "line":
-        rule = gauss_line(args.n)
-    elif args.rule == "halfline":
-        rule = gauss_halfline(args.n, args.alpha)
-    elif args.rule == "plane":
-        rule = gaussian_plane_rule(args.n)
-    else:
-        if args.radial is None or args.angular is None:
-            raise ValueError("--rule disk needs --radial and --angular")
+    if args.rule in ("line", "halfline"):
+        if args.n is None:
+            raise ValueError(f"--rule {args.rule} needs --n")
+        rule = gauss_line(args.n) if args.rule == "line" else gauss_halfline(args.n, args.alpha)
+    elif args.radial is None or args.angular is None:
+        raise ValueError(f"--rule {args.rule} needs --radial and --angular")
+    elif args.rule == "disk":
         rule = disk_rule(args.radial, args.angular, args.gamma)
+    else:
+        rule = gaussian_plane_rule(args.radial, args.angular)
     nodes = np.asarray(rule.nodes, dtype=complex)
     for node, weight in zip(nodes, rule.weights):
         print(f"{node.real:.17g}, {node.imag:.17g}, {weight:.17g}")
@@ -215,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(node_re, node_im, weight)")
     p.add_argument("--rule", required=True,
                    choices=["line", "halfline", "disk", "plane"])
-    p.add_argument("--n", type=int, help="order for line/halfline/plane rules")
+    p.add_argument("--n", type=int, help="order for line/halfline rules")
     p.add_argument("--alpha", type=_finite, default=0.0,
                    help="halfline measure exponent (default 0)")
-    p.add_argument("--radial", type=int, help="disk rule radial order")
-    p.add_argument("--angular", type=int, help="disk rule angular order")
+    p.add_argument("--radial", type=int, help="radial order for disk/plane rules")
+    p.add_argument("--angular", type=int, help="angular order for disk/plane rules")
     p.add_argument("--gamma", type=_finite, default=0.0,
                    help="disk weight exponent (default 0)")
     p.set_defaults(func=_cmd_nodes)

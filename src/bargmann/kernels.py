@@ -13,7 +13,7 @@ Every kernel has at least two independent evaluation routes:
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
-also what makes integral inversion against polar disk rules accurate, since
+also what makes integral inversion against polar target rules accurate, since
 a truncated kernel is integrated exactly by a rule whose angular and radial
 orders dominate the truncation index.
 """
@@ -498,83 +498,81 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 
 @dataclass(frozen=True)
 class TargetSpace:
-    """Where a transform lands: a quadrature rule for the target measure and
-    the effective weights of integrals against that measure on its nodes.
+    """Where a transform lands: a polar quadrature rule for the target
+    measure and the effective weight of each of its circles, or no rule.
 
-    ``node_weights`` already carry whatever turns the rule's weights into
-    the measure that makes the target basis orthonormal (see the builders
-    below).  The two Dirichlet-type targets have neither: ``rule`` is None,
-    and their norm is the sum over Taylor coefficients with the weights
-    n_j^(-2) of the target basis psi_j = n_j z^j
-    (``special.monomial_normalizer``).
+    Every target with a rule is polar: ``rule`` is a ``quadrature.disk_rule``
+    or ``quadrature.gaussian_plane_rule``, n_r radii times an n_theta-point
+    trapezoid in radius-major node order, and its target basis factors as
+    psi_j(r e^(i theta)) = psi_j(r) e^(i (j - shift) theta), where ``shift``
+    is the eigenspace level ell (0 for Fock and Bergman).
+    ``radial_weights`` holds the effective weight of each node on the circle
+    of each radius: the rule's weight times whatever turns the rule's measure
+    into the one that makes the target basis orthonormal (see the builders
+    below).  ``radii``, ``n_theta`` and ``node_weights`` (the radial weights
+    repeated ``n_theta`` times, one per node) are read off those.  Both an
+    eigenspace's weight factor and its basis' fold (1-|z|^2)^(-ell) take
+    1-|z|^2 from the radius, once per circle, so the two cancel on the rule
+    exactly as they do pointwise.
 
-    A disk target also keeps its rule in polar form, since every disk
-    target basis factors as psi_j(r e^(i theta)) = psi_j(r) e^(i (j - shift)
-    theta): ``radii`` are the rule's n_r radii, ``radial_weights`` the
-    effective weight of each node on the circle of that radius (every node
-    of a circle has the same one; ``node_weights`` repeats them
-    ``n_theta`` times, in the rule's radius-major node order), and
-    ``shift`` is the eigenspace level ell (0 for Bergman).  Both the
-    weights' factor and the basis' fold (1-|z|^2)^(-ell) take 1-|z|^2 from
-    the radius, once per circle, so the two cancel on the rule exactly as
-    they do pointwise.  The plane target has no polar form (``radii`` is
-    None).
+    The two Dirichlet-type targets have no rule (``rule`` and
+    ``radial_weights`` are None): their norm is the sum over Taylor
+    coefficients with the weights n_j^(-2) of the target basis
+    psi_j = n_j z^j (``special.monomial_normalizer``).
     """
 
     rule: QuadratureRule | None = None
-    node_weights: np.ndarray | None = field(default=None, repr=False)
-    radii: np.ndarray | None = field(default=None, repr=False)
     radial_weights: np.ndarray | None = field(default=None, repr=False)
-    n_theta: int = 0
     shift: int = 0
 
     def __post_init__(self):
-        if (self.rule is None) != (self.node_weights is None) or (
+        if (self.rule is None) != (self.radial_weights is None) or (
                 self.rule is not None
-                and self.node_weights.shape != self.rule.weights.shape):
-            raise ValueError("a target space has one weight per rule node, or no rule")
-        if self.radii is not None and not (
-                self.radial_weights.shape == self.radii.shape
-                and self.radii.shape[0] * self.n_theta == self.node_weights.shape[0]):
-            raise ValueError("a polar target has one weight per radius and "
-                             "n_theta nodes per circle")
+                and self.radial_weights.shape != (self.rule.meta["n_r"],)):
+            raise ValueError("a target space has one weight per circle of its "
+                             "polar rule, or no rule")
 
+    @property
+    def n_theta(self) -> int:
+        return self.rule.meta["n_theta"]
 
-def _plane_target(params, disk_orders, plane_order) -> TargetSpace:
-    """Gaussian plane measure exp(-|z|^2) dA, as the Fock basis needs."""
-    rule = gaussian_plane_rule(plane_order)
-    return TargetSpace(rule, rule.weights)
+    @property
+    def radii(self) -> np.ndarray:
+        return self.rule.nodes[::self.n_theta].real
+
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        return np.repeat(self.radial_weights, self.n_theta)
 
 
 def _polar_target(rule: QuadratureRule, factor, shift: int = 0) -> TargetSpace:
-    """A disk target whose node weights are the rule's times factor(r), a
-    function of the radius alone."""
+    """A target on a polar rule whose node weights are the rule's times
+    factor(r), a function of the radius alone."""
     n_theta = rule.meta["n_theta"]
     radii = rule.nodes[::n_theta].real
-    weights = rule.weights[::n_theta] * factor(radii)
-    return TargetSpace(rule, np.repeat(weights, n_theta), radii, weights, n_theta, shift)
+    return TargetSpace(rule, rule.weights[::n_theta] * factor(radii), shift)
 
 
-def _bergman_target(params, disk_orders, plane_order) -> TargetSpace:
+def _bergman_target(params, orders) -> TargetSpace:
     """(delta/pi)(1-|z|^2)^(delta-1) dA: the probability normalization is
     what makes the Bergman monomial basis orthonormal."""
     (delta,) = params
-    rule = disk_rule(*disk_orders, delta - 1.0)
+    rule = disk_rule(*orders, delta - 1.0)
     return _polar_target(rule, lambda r: delta / np.pi)
 
 
-def _disk_eigen_target(params, disk_orders, plane_order) -> TargetSpace:
+def _disk_eigen_target(params, orders) -> TargetSpace:
     """(1-|z|^2)^(2 nu - 2) dA, folded: the eigenspace basis carries a factor
     (1-|z|^2)^(-ell), so the rule is built for the reduced exponent
     2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the radii.
     Pointwise this is an identity; on polynomials it restores exactness that
     the raw weight cannot offer."""
     nu, ell = params
-    rule = disk_rule(*disk_orders, 2.0 * nu - 2.0 - 2 * ell)
+    rule = disk_rule(*orders, 2.0 * nu - 2.0 - 2 * ell)
     return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell), shift=ell)
 
 
-def _coefficient_target(params, disk_orders, plane_order) -> TargetSpace:
+def _coefficient_target(params, orders) -> TargetSpace:
     """A Dirichlet-type target: norms on Taylor coefficients, no rule."""
     return TargetSpace()
 
@@ -596,12 +594,12 @@ class FamilySpec:
     at call time, so code that rebinds those names (a tracer wrapping each
     layer, a test double) sees every call.
 
-    ``target_space(params, disk_orders, plane_order)`` builds the
-    :class:`TargetSpace` of the target basis: a plane or disk rule with the
-    basis' measure folded into its weights, or no rule for the Dirichlet-type
-    targets.  ``inverse_truncation`` is the default truncation of the
-    integral inverse, one the default target rule integrates exactly (0 where
-    there is no rule).
+    ``target_space(params, orders)`` builds the :class:`TargetSpace` of the
+    target basis: a polar rule of (n_r, n_theta) = ``orders``, the Gaussian
+    plane rule or a disk rule, with the basis' measure folded into its
+    weights, or no rule for the Dirichlet-type targets.  ``inverse_truncation``
+    is the default truncation of the integral inverse, one the default target
+    rule integrates exactly (0 where there is no rule).
     """
 
     params: tuple
@@ -618,7 +616,8 @@ FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock, "closed",
         lambda p, z, x, weight: classical_kernel(z, x),
-        _plane_target, 100),
+        # exp(-|z|^2) dA, the Fock basis' own measure
+        lambda p, orders: _polar_target(gaussian_plane_rule(*orders), lambda r: 1.0), 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman, "closed",

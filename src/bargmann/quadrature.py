@@ -7,7 +7,10 @@ against the rule's measure:
 - ``gauss_line``:       exp(-x^2) dx on the real line,
 - ``gauss_halfline``:   x^alpha exp(-x) dx on (0, inf),
 - ``disk_rule``:        (1-|z|^2)^gamma dA(z) on the unit disk,
-- ``gaussian_plane_rule``: exp(-|z|^2) dA(z) on the complex plane.
+- ``gaussian_plane_rule``: exp(-|z|^2) dA(z) on the complex plane,
+
+the last two polar: a Gauss rule in u = |z|^2 times the angular trapezoid
+(``_polar_rule``).
 
 Every rule comes from the Jacobi matrix J of its measure's orthogonal
 polynomials, without an eigensolver:
@@ -29,8 +32,8 @@ Only numpy and ``math`` are needed.
 The one-dimensional builders (``gauss_line``, ``gauss_halfline`` and the
 radial Gauss-Jacobi rule of ``disk_rule``) keep their last results, a few KB
 each, and return them as read-only arrays shared by every caller.  The
-two-dimensional rules are built afresh: a 120 x 256 disk rule alone is
-~0.7 MB.
+polar rules are built afresh from those radial rules: one of 120 x 256
+nodes alone is ~0.7 MB.
 """
 
 from __future__ import annotations
@@ -332,41 +335,44 @@ def _cholesky_bidiagonals(diag, off):
     return (np.array(lo_d), np.array(lo_e)), (np.array(hi_d), np.array(hi_e))
 
 
-def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
-    """Product rule on the unit disk for the measure (1-|z|^2)^gamma dA.
+def _polar_rule(kind: str, u, wu, n_theta: int, meta: dict) -> QuadratureRule:
+    """The product of a radial Gauss rule in u = r^2 (nodes ``u``, weights
+    ``wu``) and the n_theta-point trapezoid in theta, for a radial measure
+    rho(|z|^2) dA = (1/2) rho(u) du dtheta: node weights (pi / n_theta) w_u.
 
-    Radially a Gauss-Jacobi rule in u = r^2, angularly the n_theta-point
-    trapezoid (exact for angular frequencies below n_theta).  The rule
-    integrates z^a conj(z)^b (1-|z|^2)^gamma exactly whenever a = b with
-    (a+b)/2 within the radial budget, and annihilates a != b below the
-    angular budget, matching the Hermitian moment structure of the measure.
-
-    Nodes are radius-major: node a * n_theta + b is r_a e^(2 pi i b /
-    n_theta), so the values on the rule reshape to (n_r, n_theta), node
-    a * n_theta is the radius r_a itself (a real number), and every node of
-    a circle has the same weight.  Polar callers (``kernels.TargetSpace``)
-    read the radii and radial weights off that layout.
+    It integrates z^a conj(z)^b rho(|z|^2) exactly whenever a = b <= 2 n_r - 1,
+    and annihilates a != b for |a - b| < n_theta, matching the Hermitian
+    moment structure of the measure.  Nodes are radius-major: node
+    a * n_theta + b is r_a e^(2 pi i b / n_theta), so the values on the rule
+    reshape to (n_r, n_theta), node a * n_theta is the radius r_a itself (a
+    real number), and every node of a circle has the same weight.  Polar
+    callers (``kernels.TargetSpace``) read the radii and radial weights off
+    that layout.
     """
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    w = np.broadcast_to((np.pi / n_theta) * wu[:, None], (u.shape[0], n_theta)).ravel().copy()
+    return QuadratureRule(kind, z, w, meta)
+
+
+def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
+    """Polar rule (``_polar_rule``) on the unit disk for the measure
+    (1-|z|^2)^gamma dA: Gauss-Jacobi in u = r^2 times the trapezoid."""
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule orders must be positive")
     if not -1.0 < gamma < np.inf:  # NaN fails this too
         raise ValueError("disk_rule requires finite gamma > -1")
     u, wu = _gauss_jacobi01(n_r, gamma)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    r = np.sqrt(u)
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.broadcast_to((np.pi / n_theta) * wu[:, None], (n_r, n_theta)).ravel().copy()
-    return QuadratureRule(
-        "disk", z, w, {"n_r": n_r, "n_theta": n_theta, "gamma": gamma}
-    )
+    return _polar_rule("disk", u, wu, n_theta,
+                       {"n_r": n_r, "n_theta": n_theta, "gamma": gamma})
 
 
-def gaussian_plane_rule(n: int) -> QuadratureRule:
-    """Tensor Gauss-Hermite rule for exp(-|z|^2) dA on the complex plane."""
-    base = gauss_line(n)
-    x = base.nodes
-    w = base.weights
-    z = (x[:, None] + 1j * x[None, :]).ravel()
-    weights = (w[:, None] * w[None, :]).ravel()
-    return QuadratureRule("plane", z, weights, {"n": n})
-
+def gaussian_plane_rule(n_r: int, n_theta: int) -> QuadratureRule:
+    """Polar rule (``_polar_rule``) on the complex plane for the measure
+    exp(-|z|^2) dA: Gauss-Laguerre (alpha = 0) in u = r^2 times the
+    trapezoid."""
+    if n_r < 1 or n_theta < 1:
+        raise ValueError("rule orders must be positive")
+    radial = gauss_halfline(n_r, 0.0)
+    return _polar_rule("plane", radial.nodes, radial.weights, n_theta,
+                       {"n_r": n_r, "n_theta": n_theta})

@@ -37,11 +37,13 @@ routes contract through the (J+1) basis coefficients instead of forming a
 target x source kernel matrix: forward is psi_J(z) (phi_J(x)^T (w * f)) and
 the inverse is phi_J(x) (psi_J(z)^H (w_t * F)).
 
-On a disk target rule neither side forms psi_J at the rule's nodes either.
-The rule is a tensor of n_r radii and an n_theta-point trapezoid, and every
-disk target basis factors as psi_j(r e^(i theta)) = psi_j(r) e^(i (j - ell)
-theta) (ell = 0 for Bergman, the level for the eigenspaces), so the target
-space keeps the rule in polar form (``TargetSpace.radii``) and:
+On a target rule neither side forms psi_J at the rule's nodes either.
+Every target rule is polar, a tensor of n_r radii and an n_theta-point
+trapezoid (the Gaussian plane rule and the disk rules alike), and every
+target basis with a rule factors as psi_j(r e^(i theta)) = psi_j(r)
+e^(i (j - ell) theta) (ell = 0 for Fock and Bergman, the level for the
+eigenspaces), so the target space keeps the rule in polar form
+(``TargetSpace.radii``) and:
 
 - psi_J c at every node is the radial product psi_J(r) c placed in the
   angular bins (j - ell) mod n_theta, then one inverse FFT per radius
@@ -51,8 +53,7 @@ space keeps the rule in polar form (``TargetSpace.radii``) and:
   (``_target_contract``).
 
 Both need J + 1 <= n_theta, or two degrees would share a bin; past that a
-ValueError is raised.  The plane target has no polar form and contracts
-through its basis matrix.  ``forward`` at arbitrary points stays pointwise.
+ValueError is raised.  ``forward`` at arbitrary points stays pointwise.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ class TransformOperator:
     inverse_truncation: int = 100
     weight: OmegaWeight | None = field(default=None, repr=False)
     disk_orders: tuple[int, int] = (120, 256)
-    plane_order: int = 60
     # Taylor maps of the extraction circle by sample count (_circle_taylor)
     _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -137,20 +137,19 @@ class TransformOperator:
         expected = _source_rule(self.kernel.source_basis(), rule.nodes.shape[0])
         if (rule.kind, rule.meta) != (expected.kind, expected.meta):
             raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
-        if min(*self.disk_orders, self.plane_order) < 1:
+        if min(self.disk_orders) < 1:
             raise ValueError("target rule orders must be positive")
 
     @functools.cached_property
     def target(self) -> TargetSpace:
         """The family's target space at this operator's orders, built once
         per operator (``dataclasses.replace`` starts a new one without it)."""
-        return FAMILIES[self.kernel.kind].target_space(
-            self.kernel.params, self.disk_orders, self.plane_order)
+        return FAMILIES[self.kernel.kind].target_space(self.kernel.params,
+                                                       self.disk_orders)
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
                    disk_orders: tuple[int, int] = (120, 256),
-                   plane_order: int = 60,
                    series_truncation: int = 64,
                    inverse_truncation: int | None = None) -> TransformOperator:
     """Build one of the five transforms with default discretizations.
@@ -172,9 +171,11 @@ def make_transform(kind: str, *params, source_order: int = 120,
     operator, so a transform and a kernel evaluation of one pair build its
     s-rule once.
 
-    On a disk target the whole-rule routes work in polar form, so the
-    angular order ``disk_orders[1]`` must exceed every truncation they are
-    asked for; they raise ValueError otherwise.
+    ``disk_orders`` = (n_r, n_theta) sizes every target rule, the disk
+    rules and the Gaussian plane rule alike, all of them polar.  The
+    whole-rule routes work in polar form, so the angular order n_theta must
+    exceed every truncation they are asked for; they raise ValueError
+    otherwise.
     """
     kernel = KernelFamily(kind, params)
     source = _source_rule(kernel.source_basis(), source_order)
@@ -183,7 +184,7 @@ def make_transform(kind: str, *params, source_order: int = 120,
         inverse_truncation = spec.inverse_truncation
     weight = _default_omega(*kernel.params) if spec.weighted else None
     return TransformOperator(kernel, source, series_truncation, inverse_truncation,
-                             weight, tuple(disk_orders), plane_order)
+                             weight, tuple(disk_orders))
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:
@@ -250,7 +251,7 @@ def _polar_radial(op: TransformOperator, J: int) -> tuple[np.ndarray, np.ndarray
     t = op.target
     if J + 1 > t.n_theta:
         raise ValueError(
-            f"truncation {J} needs at least {J + 1} angular nodes on the disk "
+            f"truncation {J} needs at least {J + 1} angular nodes on the "
             f"target rule, which has {t.n_theta}: frequencies would alias")
     R = basis_matrix(op.kernel.target_basis(), J, t.radii)
     return R, (np.arange(J + 1) - t.shift) % t.n_theta
@@ -260,10 +261,7 @@ def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
     """sum_j psi_j(z) coef[j] at every target rule node, for a vector or a
     matrix of coefficient columns; rows follow the rule's nodes."""
     t = op.target
-    J = coef.shape[0] - 1
-    if t.radii is None:
-        return basis_matrix(op.kernel.target_basis(), J, t.rule.nodes) @ coef
-    R, bins = _polar_radial(op, J)
+    R, bins = _polar_radial(op, coef.shape[0] - 1)
     spectrum = np.zeros((R.shape[0], t.n_theta) + coef.shape[1:], dtype=complex)
     spectrum[:, bins] = R.reshape(R.shape + (1,) * (coef.ndim - 1)) * coef
     values = np.fft.ifft(spectrum, axis=1, norm="forward")
@@ -274,31 +272,30 @@ def _target_contract(op: TransformOperator, F: np.ndarray, J: int) -> np.ndarray
     """psi_J^H (w * F) over the target rule, i.e. <F, psi_j> for j = 0..J,
     for F on the rule's nodes (a vector or one column per function)."""
     t = op.target
-    if t.radii is None:
-        psi = basis_matrix(op.kernel.target_basis(), J, t.rule.nodes)
-        w = t.node_weights.reshape(t.node_weights.shape + (1,) * (F.ndim - 1))
-        return np.conj(psi).T @ (w * F)
     R, bins = _polar_radial(op, J)
     spectrum = np.fft.fft(F.reshape((R.shape[0], t.n_theta) + F.shape[1:]), axis=1)
     radial = np.conj(R) * t.radial_weights[:, None]
     return np.einsum("aj,aj...->j...", radial, spectrum[:, bins])
 
 
-def _target_images(op: TransformOperator, fv: np.ndarray, strategy: str) -> np.ndarray:
+def _target_images(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     """B[f] at every target rule node, for f given by its values on the
-    source nodes (one column per function).
+    source nodes (one column per function), by the series-truncated kernel
+    in polar form.
 
-    On disk targets the closed kernels oscillate in the source variable at
-    frequency ~Im(1/(1-z)), which is unbounded as z approaches the
-    boundary; no fixed source rule resolves that, so whole-domain
-    evaluations there always take the series-truncated kernel, in polar
-    form.  The closed/integral kernels are exercised on compacta by the
-    pairing and dual-path checks instead.  The plane target has no such
-    boundary (the Gaussian weight caps the oscillation frequency at the
-    rule's extent), so it applies ``strategy`` at its nodes.
+    No closed kernel survives a whole target rule.  On disk targets the
+    closed kernels oscillate in the source variable at frequency
+    ~Im(1/(1-z)), which is unbounded as z approaches the boundary, and no
+    fixed source rule resolves that.  On the plane the classical kernel
+    exp(sqrt(2) x z - z^2/2) stays finite but does not stay small: between
+    the default 120 x 256 rule (outer circle r ~ 21.3) and the 120-node
+    source rule (|x| <= 14.8) it reaches ~3e145, and the classical
+    isometry computed through it is off by 3.4, against 1.2e-14 through the
+    series.  The closed and integral kernels are exercised on compacta
+    instead, by the pairing and dual-path checks (for the classical kernel:
+    ``transforms.pairing.classical``, ``kernels.dual_path.classical`` and a
+    tier-1 pairing test on circles out to |z| = 10).
     """
-    if op.target.radii is None:
-        return forward(op, fv, op.target.rule.nodes, strategy)
     return _target_values(op, _series_coefficients(op, fv))
 
 
@@ -307,10 +304,10 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
 
     Only available for targets with a rule.  Uses the series-truncated kernel
     (see the module docstring), contracted through its coefficients:
-    phi_J(x) (psi_J(z)^H (w * F)), in polar form on a disk rule.  J defaults
-    to the operator's inverse_truncation, which is sized so the target rule
-    integrates the truncated integrand exactly; on a disk rule J + 1 may not
-    exceed its angular order (ValueError).
+    phi_J(x) (psi_J(z)^H (w * F)), in polar form.  J defaults to the
+    operator's inverse_truncation, which is sized so the target rule
+    integrates the truncated integrand exactly; J + 1 may not exceed the
+    rule's angular order (ValueError).
     """
     if op.target.rule is None:
         raise ValueError(
@@ -461,7 +458,8 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     """(||f_k||_source, ||B f_k||_target) for coefficient columns C[:, k].
 
     Source norms are quadrature norms on the source rule.  L2-type targets
-    take a quadrature norm of forward values on the target nodes;
+    take a quadrature norm of forward values on the target nodes
+    (``_target_images``);
     Dirichlet-type targets evaluate the forward transform on a circle,
     extract Taylor coefficients, and use the coefficient inner product.
     Neither side looks at sum |c_j|^2.  One ``forward`` call serves all
@@ -474,7 +472,7 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     FV = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
     norm_source = np.sqrt(op.source_rule.weights @ np.abs(FV) ** 2)
     if op.target.rule is not None:
-        T = _target_images(op, FV, "primary")
+        T = _target_images(op, FV)
         norm_target = np.sqrt((op.target.node_weights @ np.abs(T) ** 2).real)
     else:
         J_t = J + 8
@@ -488,7 +486,7 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
     """G[j, k] = <B[phi_k], psi_j>_target; the identity up to truncation."""
     phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
     if op.target.rule is not None:
-        return _target_contract(op, _target_images(op, phi, "primary"), J)
+        return _target_contract(op, _target_images(op, phi), J)
     a = _circle_taylor(op, phi, J)
     # <F, psi_j> = n_j^(-2) a_j n_j for diagonal psi_j = n_j z^j
     return a / monomial_normalizer(op.kernel.target_basis(), J)[:, None]
@@ -498,15 +496,13 @@ def round_trip_integral(op: TransformOperator, c: CoefficientVector) -> float:
     """max over the source nodes x of |B^(-1)[B[f]](x) - f(x)| for
     f = sum c_j phi_j.
 
-    The forward leg runs in the series strategy: the whole-domain evaluation at
-    target nodes is exactly the situation where the direct quadrature of the
-    closed kernel degrades (boundary oscillation on disks, unresolved
-    exponential growth on the plane) while the truncated series stays a
-    small-norm perturbation of B[f] that the inverse contracts.
+    The forward leg is ``_target_images``: where the closed kernels degrade
+    over a whole target rule, the truncated series stays a small-norm
+    perturbation of B[f] that the inverse contracts.
     """
     x = op.source_rule.nodes
     fx = basis_matrix(op.kernel.source_basis(), c.truncation, x) @ c.values
-    back = inverse_integral(op, _target_images(op, fx, "series"), x)
+    back = inverse_integral(op, _target_images(op, fx), x)
     return float(np.max(np.abs(back - fx)))
 
 

@@ -122,9 +122,10 @@ class VerificationReport:
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by the suites: each is a key of the flat key = value
-    config file and a long-form flag of ``verify``."""
+    config file and a long-form flag of ``verify``.  ``disk_radial`` and
+    ``disk_angular`` size every polar target rule of the transforms suite:
+    the disk rules and the Gaussian plane rule of the classical target."""
 
-    plane_order: int = 60
     disk_radial: int = 120
     disk_angular: int = 256
     source_order: int = 120
@@ -133,7 +134,7 @@ class RunConfig:
     tolerance_scale: float = 1.0
 
     def validate(self) -> None:
-        for name in ("plane_order", "disk_radial", "disk_angular", "source_order"):
+        for name in ("disk_radial", "disk_angular", "source_order"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.series_truncation < 8:
@@ -327,7 +328,7 @@ def suite_quadrature(cfg: RunConfig) -> list:
 
     worst = 0.0
     for n in orders:
-        rule = gaussian_plane_rule(n)
+        rule = gaussian_plane_rule(n, 4 * n)
         for a in range(n):
             q = float(np.real(np.sum(rule.weights * np.abs(rule.nodes) ** (2 * a))))
             exact = np.pi * np.exp(log_gamma(a + 1.0))
@@ -349,15 +350,18 @@ def suite_quadrature(cfg: RunConfig) -> list:
 
 # The family cases of the kernels and transforms suites: (family,
 # parameters, kernels-suite tolerance of the primary route against the series,
-# what the primary route evaluates)
+# what the primary route evaluates, the kernels suite's source points, the
+# radius scale of the transforms suite's pairing points)
+_X_LINE = np.array([-3.1, -0.7, 0.4, 1.9, 3.6])
+_X_HALF = np.array([0.4, 1.1, 2.7, 5.3, 9.6])
 _TRANSFORM_CASES = [
-    ("classical", (), 1e-10, "closed exponential form"),
-    ("second", (1.5,), 1e-10, "closed Laguerre generating form"),
+    ("classical", (), 1e-10, "closed exponential form", _X_LINE, 1.2),
+    ("second", (1.5,), 1e-10, "closed Laguerre generating form", _X_HALF, 0.55),
     ("generalized_second", (3.0, 2), 1e-10,
-     "closed confluent form with Laguerre prefactor"),
-    ("dirichlet", (), 1e-7, "half-line integral representation"),
+     "closed confluent form with Laguerre prefactor", _X_HALF, 0.55),
+    ("dirichlet", (), 1e-7, "half-line integral representation", _X_HALF, 0.55),
     ("gen_bergman_dirichlet", (0.5, 2), 1e-5,
-     "convolution-weight integral representation"),
+     "convolution-weight integral representation", _X_HALF, 0.55),
 ]
 
 
@@ -373,12 +377,9 @@ def suite_kernels(cfg: RunConfig) -> list:
     checks = []
     scale = cfg.tolerance_scale
     z = _sample_disk((0.15, 0.3, 0.45, 0.6))
-    x_line = np.array([-3.1, -0.7, 0.4, 1.9, 3.6])
-    x_half = np.array([0.4, 1.1, 2.7, 5.3, 9.6])
 
-    for name, params, tol, ref in _TRANSFORM_CASES:
+    for name, params, tol, ref, xs, _ in _TRANSFORM_CASES:
         family = KernelFamily(name, params)
-        xs = x_line if family.source_basis().kind == "hermite_l2" else x_half
         primary = kernel_matrix(family, z, xs, strategy="primary")
         series = kernel_matrix(family, z, xs, strategy="series", J=120)
         measured = float(np.max(np.abs(primary - series)))
@@ -409,7 +410,7 @@ def suite_kernels(cfg: RunConfig) -> list:
     zr = _sample_disk((0.5, 1.0), per_circle=4, rmax=0.5)
     wr = _sample_disk((0.6, 1.0), per_circle=4, rmax=0.5) * np.exp(0.31j)
     worst = 0.0
-    for name, params, _, _ in _TRANSFORM_CASES:   # the cases' target spaces
+    for name, params, *_ in _TRANSFORM_CASES:   # the cases' target spaces
         basis = KernelFamily(name, params).target_basis()
         closed = reproducing_kernel(basis, zr, wr)
         summed = papadakis_sum(basis, zr, wr, 120)
@@ -433,7 +434,6 @@ def _default_op(cfg: RunConfig, kind: str, params: tuple):
         kind, *params,
         source_order=cfg.source_order,
         disk_orders=(cfg.disk_radial, cfg.disk_angular),
-        plane_order=cfg.plane_order,
         series_truncation=cfg.series_truncation,
     )
 
@@ -447,29 +447,24 @@ def _roundtrip_op(cfg: RunConfig, kind: str, params: tuple):
         kind, *params,
         source_order=12,
         disk_orders=(cfg.disk_radial, cfg.disk_angular),
-        plane_order=cfg.plane_order,
         series_truncation=15,
         inverse_truncation=40,
     )
-
-
-def _target_points(op) -> np.ndarray:
-    plane = op.target.rule is not None and op.target.rule.kind == "plane"
-    return _sample_disk((0.5, 1.0), per_circle=5, rmax=1.2 if plane else 0.55)
 
 
 def suite_transforms(cfg: RunConfig) -> list:
     checks = []
     scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED)
-    ops = {kind: _default_op(cfg, kind, params) for kind, params, _, _ in _TRANSFORM_CASES}
+    ops = {kind: _default_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
     # the integral inverse needs a target rule
     small_ops = {kind: _roundtrip_op(cfg, kind, params)
-                 for kind, params, _, _ in _TRANSFORM_CASES
+                 for kind, params, *_ in _TRANSFORM_CASES
                  if ops[kind].target.rule is not None}
 
-    for kind, op in ops.items():
-        z = _target_points(op)
+    for kind, *_, reach in _TRANSFORM_CASES:
+        op = ops[kind]
+        z = _sample_disk((0.5, 1.0), per_circle=5, rmax=reach)
         measured = float(np.max(pairing_residuals(op, 8, z)))
         checks.append(Check(
             f"transforms.pairing.{kind}",

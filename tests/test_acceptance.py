@@ -29,6 +29,7 @@ from bargmann import (
     run_suite,
 )
 from bargmann.cli import main as cli_main
+from bargmann.verify import _TRANSFORM_CASES
 
 CASES = [
     ("classical", ()),
@@ -137,11 +138,11 @@ def test_criterion_4_omega_laplace_identity():
 
 def test_criterion_5_pairing(default_ops, roundtrip_ops):
     start = time.perf_counter()
+    # the verify suite's sample reach per family
+    reach = {kind: reach for kind, *_, reach in _TRANSFORM_CASES}
     worst_forward = 0.0
     for kind, op in default_ops.items():
-        plane = op.target.rule is not None and op.target.rule.kind == "plane"
-        rmax = 1.2 if plane else 0.55
-        z = _sample_disk((0.5, 1.0), per_circle=5, rmax=rmax)
+        z = _sample_disk((0.5, 1.0), per_circle=5, rmax=reach[kind])
         worst_forward = max(worst_forward, float(np.max(pairing_residuals(op, 8, z))))
     assert worst_forward <= 1e-7, worst_forward
     worst_reverse = 0.0

@@ -47,10 +47,29 @@ def test_nodes_disk_row_count(capsys):
     assert total == pytest.approx(np.pi / 2.0, rel=1e-12)
 
 
+def test_nodes_plane_row_count(capsys):
+    code, out, _ = run_cli(capsys, ["nodes", "--rule", "plane", "--radial", "5",
+                                    "--angular", "12"])
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == 60
+    total = sum(float(row.split(",")[2]) for row in rows)
+    # total mass of exp(-|z|^2) dA over the plane
+    assert total == pytest.approx(np.pi, rel=1e-12)
+
+
 def test_nodes_missing_order_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["nodes", "--rule", "line"])
     assert code == 2
     assert "error:" in err
+
+
+def test_nodes_plane_takes_polar_orders_not_n(capsys):
+    # the plane rule is polar, sized like the disk rule
+    code, out, err = run_cli(capsys, ["nodes", "--rule", "plane", "--n", "4"])
+    assert code == 2
+    assert out == ""
+    assert "--radial and --angular" in err
 
 
 def test_kernel_eval_dirichlet_origin(capsys):
@@ -288,14 +307,14 @@ def test_verify_report_records_environment(capsys, monkeypatch):
 
 def test_verify_flag_overrides_config_file(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# narrow run\nsource_order = 80\nplane_order = 30\n")
+    cfg.write_text("# narrow run\nsource_order = 80\ndisk_angular = 30\n")
     monkeypatch.setenv("BARGMANN_CONFIG", str(cfg))
     code, out, _ = run_cli(capsys, ["verify", "quadrature",
-                                    "--plane-order", "24"])
+                                    "--disk-angular", "24"])
     assert code == 0
     payload = json.loads(out)
     # flag beats file beats default
-    assert payload["metadata"]["config"]["plane_order"] == 24
+    assert payload["metadata"]["config"]["disk_angular"] == 24
     assert payload["metadata"]["config"]["source_order"] == 80
     assert payload["metadata"]["config"]["disk_radial"] == 120
 
@@ -310,15 +329,16 @@ def test_verify_explicit_config_path(tmp_path, capsys):
 
 
 def test_verify_detects_failure_with_coarse_disk_rule(capsys):
-    # an 8-radius disk rule cannot integrate the degree-24 Gram matrix of
-    # the disk targets exactly, so their isometry and Gram checks fail
+    # an 8-radius polar rule cannot integrate the degree-24 Gram matrix of
+    # the targets with a rule exactly, so their isometry and Gram checks fail;
+    # --disk-radial sizes the Gaussian plane rule of the classical target too
     code, out, _ = run_cli(capsys, ["verify", "transforms", "--disk-radial", "8"])
     assert code == 1
     payload = json.loads(out)
     assert payload["passed"] is False
     failing = {c["id"] for c in payload["checks"] if c["measured"] > c["tolerance"]}
     assert failing == {f"transforms.{check}.{kind}" for check in ("isometry", "gram")
-                       for kind in ("second", "generalized_second")}
+                       for kind in ("classical", "second", "generalized_second")}
 
 
 def test_verify_bad_config_values(tmp_path, capsys):

@@ -372,7 +372,7 @@ def test_kernel_domain_validation():
     with pytest.raises(ValueError):
         dirichlet_kernel(0.3, 0.5, rule=gauss_halfline(40, 0.0))  # wrong measure
     # plane points: NaN and inf would flow through as NaN
-    classical = make_transform("classical", source_order=12, plane_order=8)
+    classical = make_transform("classical", source_order=12)
     for bad in (np.nan, complex(0.2, np.inf), [0.1, -np.inf]):
         for call in (lambda: classical_kernel(bad, 1.0),
                      lambda: reproducing_kernel(bargmann_fock(), bad, 0.3),

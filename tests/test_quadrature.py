@@ -59,16 +59,28 @@ def test_halfline_moments():
 
 
 def test_plane_monomial_moments():
-    # int_C z^a conj(z)^b e^(-|z|^2) dA = pi a! delta_ab
-    rule = gaussian_plane_rule(12)
-    for a in range(6):
-        for b in range(6):
-            moment = np.sum(rule.weights * rule.nodes**a * np.conj(rule.nodes) ** b)
-            if a == b:
-                want = np.pi * np.exp(gammaln(a + 1.0))
-                assert_allclose(moment, want, rtol=1e-12)
-            else:
-                assert abs(moment) < 1e-12
+    # int_C z^a conj(z)^b e^(-|z|^2) dA = pi a! delta_ab.  The polar rule,
+    # Gauss-Laguerre in u = |z|^2 times the n_theta-point trapezoid, is exact
+    # for a = b through 2 n_r - 1 and annihilates a != b for |a - b| < n_theta,
+    # and no further
+    n_r, n_theta = 6, 8
+    rule = gaussian_plane_rule(n_r, n_theta)
+    assert_allclose(rule.nodes[::n_theta].real ** 2, gauss_halfline(n_r, 0.0).nodes,
+                    rtol=1e-15)
+
+    def moment(a, b):
+        return np.sum(rule.weights * rule.nodes**a * np.conj(rule.nodes) ** b)
+
+    def scale(a, b):
+        return np.pi * np.exp(0.5 * (gammaln(a + 1.0) + gammaln(b + 1.0)))
+
+    for a in range(2 * n_r):
+        assert_allclose(moment(a, a), scale(a, a), rtol=1e-12)
+        for b in range(2 * n_r + n_theta):
+            if 0 < abs(a - b) < n_theta:
+                assert abs(moment(a, b)) < 1e-13 * scale(a, b), (a, b)
+    assert abs(moment(2 * n_r, 2 * n_r) / scale(2 * n_r, 2 * n_r) - 1.0) > 1e-3
+    assert abs(moment(n_theta, 0)) > 1e-3 * scale(n_theta, 0)
 
 
 def test_disk_monomial_norms():
@@ -116,7 +128,7 @@ def test_single_node_rules():
 
 def test_positive_weights():
     for rule in (gauss_line(64), gauss_halfline(64, 0.5), disk_rule(30, 64, 1.0),
-                 gaussian_plane_rule(20)):
+                 gaussian_plane_rule(20, 32)):
         assert np.all(rule.weights > 0.0)
 
 
@@ -127,8 +139,9 @@ def test_validation():
         gauss_halfline(4, -1.0)
     with pytest.raises(ValueError):
         disk_rule(4, 8, -1.5)
-    with pytest.raises(ValueError):
-        gaussian_plane_rule(0)
+    for orders in ((0, 8), (4, 0)):
+        with pytest.raises(ValueError):
+            gaussian_plane_rule(*orders)
     # NaN compares false against "alpha <= -1"-style checks
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="alpha"):
@@ -141,7 +154,7 @@ def test_total_mass():
     rule = disk_rule(16, 32, 0.0)
     # area of the unit disk
     assert_allclose(np.sum(rule.weights), np.pi, rtol=1e-13)
-    rule = gaussian_plane_rule(16)
+    rule = gaussian_plane_rule(16, 32)
     assert_allclose(np.sum(rule.weights), np.pi, rtol=1e-13)
 
 

@@ -47,8 +47,8 @@ from bargmann.transforms import _circle_taylor, _target_contract, _target_values
 # Cheap operators for the structural tests: a degree-8 input only needs the
 # source rule to integrate degree <= 23 exactly.
 OPS = {
-    "classical": make_transform("classical", source_order=24, plane_order=40,
-                                series_truncation=24),
+    "classical": make_transform("classical", source_order=24,
+                                disk_orders=(60, 128), series_truncation=24),
     "second": make_transform("second", 1.5, source_order=24,
                              disk_orders=(60, 128), series_truncation=24),
     "generalized_second": make_transform("generalized_second", 3.0, 2,
@@ -98,6 +98,18 @@ def test_pairing_on_plane_target():
     assert np.max(res) < 1e-9
 
 
+def test_closed_classical_kernel_pairs_far_out_on_the_plane():
+    # every whole-rule image takes the series route, so this keeps the closed
+    # classical kernel covered beyond the verify suite's |z| <= 1.2: B[phi_j]
+    # = psi_j on circles out to |z| = 10, relative to e^(|z|^2 / 2), the
+    # growth of a unit vector of the Fock space
+    op = make_transform("classical")
+    theta = 2.0 * np.pi * (np.arange(16) + 0.3) / 16
+    for r in (1.2, 2.0, 4.0, 6.0, 8.0, 10.0):
+        res = pairing_residuals(op, 24, r * np.exp(1j * theta))
+        assert np.max(res) * np.exp(-r * r / 2.0) <= 1e-13, r
+
+
 def test_pairing_on_disk_targets():
     z = np.array([0.3 + 0.2j, -0.4 - 0.1j, 0.05 + 0.45j])
     for kind in ("second", "generalized_second", "dirichlet",
@@ -113,7 +125,7 @@ def test_reverse_pairing_l2_targets():
     for kind, params in (("classical", ()), ("second", (1.5,)),
                          ("generalized_second", (3.0, 2))):
         op = make_transform(kind, *params, source_order=12,
-                            disk_orders=(120, 256), plane_order=60,
+                            disk_orders=(120, 256),
                             series_truncation=15, inverse_truncation=40)
         res = max(reverse_pairing_residual(op, j) for j in range(7))
         assert res < 1e-6, kind
@@ -177,8 +189,7 @@ def test_round_trip_integral_l2_targets():
         op = make_transform(kind, *{"classical": (), "second": (1.5,),
                                     "generalized_second": (3.0, 2)}[kind],
                             source_order=12, disk_orders=(120, 256),
-                            plane_order=60, series_truncation=15,
-                            inverse_truncation=40)
+                            series_truncation=15, inverse_truncation=40)
         values = np.zeros(16, dtype=complex)
         values[:7] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         c = CoefficientVector(values, op.kernel.source_basis(), 15)
@@ -250,13 +261,14 @@ def test_target_is_built_on_first_read(monkeypatch):
     # a replaced operator builds its own
     other = dataclasses.replace(op, series_truncation=16)
     assert len(builds) == 1 and other.target is not target and len(builds) == 2
-    want = kernels.FAMILIES["second"].target_space((1.5,), (20, 32), 60)
+    want = kernels.FAMILIES["second"].target_space((1.5,), (20, 32))
     assert np.array_equal(target.rule.nodes, want.rule.nodes)
     assert np.array_equal(target.node_weights, want.node_weights)
     # the orders are still checked when the operator is made
-    for orders in ({"disk_orders": (0, 32)}, {"disk_orders": (20, 0)}, {"plane_order": 0}):
-        with pytest.raises(ValueError, match="orders"):
-            make_transform("second", 1.5, source_order=12, **orders)
+    for kind, params in (("second", (1.5,)), ("classical", ())):
+        for orders in ((0, 32), (20, 0)):
+            with pytest.raises(ValueError, match="orders"):
+                make_transform(kind, *params, source_order=12, disk_orders=orders)
 
 
 def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
@@ -346,13 +358,15 @@ def test_inverse_integral_matches_series_kernel_matrix(kind, params):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-# On disk targets the whole-rule routes run in polar form: radial products
-# and one FFT per radius.  These pin them to the basis matrix on the rule's
-# flat nodes, at weights with gamma < 0 (second(0.6): -0.4; (1.55, 1): -0.9;
-# (2.6, 2): -0.8) as well as gamma >= 0.
+# On every target rule the whole-rule routes run in polar form: radial
+# products and one FFT per radius.  These pin them to the basis matrix on the
+# rule's flat nodes: on the Gaussian plane rule, and on disk rules at weights
+# with gamma < 0 (second(0.6): -0.4; (1.55, 1): -0.9; (2.6, 2): -0.8) as well
+# as gamma >= 0.
 POLAR_CASES = [("second", (0.6,)), ("second", (1.5,)),
                ("generalized_second", (3.0, 2)), ("generalized_second", (1.55, 1)),
-               ("generalized_second", (2.6, 2)), ("generalized_second", (1.7, 0))]
+               ("generalized_second", (2.6, 2)), ("generalized_second", (1.7, 0)),
+               ("classical", ())]
 
 
 @pytest.mark.parametrize("kind, params", POLAR_CASES)
