@@ -5,11 +5,12 @@ and target space.
 Every kernel has at least two independent evaluation routes:
 
 - a primary route (closed form, or a quadrature of an integral
-  representation for the two Dirichlet-type families: both t-integrals run
-  on a trapezoid in u = sqrt(t), of sqrt(t)e^-t dt for the plain family and
-  of the convolution weight omega dt for the generalized one, written in
-  s = e^-t and compressed by keeping its atoms near s = 1 and replacing the
-  rest by a Gauss rule), and
+  representation for the two Dirichlet-type families: one integrand,
+  ``_dirichlet_type_kernel``, the plain family being (alpha, m) = (0, 1),
+  each family on its own rule, a trapezoid in u = sqrt(t) of sqrt(t)e^-t dt
+  for the plain family and of the convolution weight omega dt for the
+  generalized one, written in s = e^-t and compressed by keeping its atoms
+  near s = 1 and replacing the rest by a Gauss rule), and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -331,84 +332,102 @@ def _default_t_rule() -> QuadratureRule:
     return _compressed_s_rule("dirichlet_s", t, 2.0 * h * t * np.exp(-t), {"h_u": h})
 
 
-# cap on the (points x t-grid) scratch arrays formed by the integral kernels
-_BLOCK_ENTRIES = 1 << 24
-# cap on one x block of ``_x_blocked``: 6144 complex values, 96 KB, under
-# glibc's default 128 KB mmap threshold
-_X_BLOCK_ENTRIES = 6144
+# cap on one block of the integral kernels' (points x nodes) scratch: 6144
+# complex values, 96 KB, under glibc's default 128 KB mmap threshold
+_BLOCK_ENTRIES = 6144
 
 
-def _blocked(z, x, nt, evaluate):
-    """Evaluate a (z, x)-broadcast t-integral in blocks of z rows.
+def _even_width(n: int, cap: int) -> int:
+    """Width of the fewest equal blocks of at most ``cap`` that cover n."""
+    return max(1, -(-n // max(1, -(-n // cap))))
 
-    The integral representations build arrays of shape broadcast(z, x) x nt;
-    a full target rule against a full source rule would need several GB, so
-    the z axis is processed in slices that keep the scratch below
-    ~_BLOCK_ENTRIES complex values.  Slicing z alone (rather than
-    broadcasting it against x first) matters: the powers of (1 - z e^-t)
-    are x-independent, and the evaluators only stay cheap while that axis
-    keeps length one.
+
+def _blocked(z, x, nt, factors, block):
+    """A (z, x)-broadcast t-integral on an nt-node rule, in the fewest equal
+    blocks whose (points x nodes) scratch stays within ``_BLOCK_ENTRIES``.
+
+    ``factors(z)`` forms the x-independent factors at some z, and
+    ``block(f, x)`` integrates against them at x.  Evaluated whole, 129 z
+    against 120 x on 86 nodes would need ~60 MB of temporaries, and even a
+    forward-map row's 144 KB ones would each be mapped, faulted in and
+    unmapped again by glibc; a block costs a fixed overhead instead.  In
+    ``kernel_matrix``'s layout (z a column, x a row) the grid is tiled and
+    the factors formed once per block of z rows (a forward-map row is two x
+    blocks of 60); any other shape is cut into chunks of its broadcast
+    (z, x) pairs.
     """
-    shape = np.broadcast(z, x).shape
-    total = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if total * nt <= _BLOCK_ENTRIES or not shape:
-        return evaluate(z, x)
-    z = np.asarray(z)
-    x = np.asarray(x)
-    sliceable = (
-        z.ndim == len(shape)
-        and z.shape[0] == shape[0]
-        and (x.ndim < len(shape) or x.shape[0] == 1)
-    )
-    if not sliceable:
-        return evaluate(z, x)
-    rows = max(1, _BLOCK_ENTRIES // max(1, (total // shape[0]) * nt))
+    shape = np.broadcast_shapes(np.shape(z), np.shape(x))
+    per_block = max(1, _BLOCK_ENTRIES // nt)
     out = np.empty(shape, dtype=complex)
-    for lo in range(0, shape[0], rows):
-        out[lo : lo + rows] = evaluate(z[lo : lo + rows], x)
+    if np.ndim(z) == np.ndim(x) == 2 and z.shape[1] == x.shape[0] == 1:
+        width = _even_width(shape[1], per_block)
+        rows = _even_width(shape[0], max(1, per_block // width))
+        for lo in range(0, shape[0], rows):
+            f = factors(z[lo : lo + rows])
+            for left in range(0, shape[1], width):
+                out[lo : lo + rows, left : left + width] = block(f, x[:, left : left + width])
+        return out
+    zs, xs = (np.broadcast_to(a, shape).reshape(-1) for a in (z, x))
+    flat = out.reshape(-1)   # a view: ``out`` is a fresh contiguous array
+    size = _even_width(flat.shape[0], per_block)
+    for lo in range(0, flat.shape[0], size):
+        flat[lo : lo + size] = block(factors(zs[lo : lo + size]), xs[lo : lo + size])
     return out
 
 
-def _x_blocked(z, x, nt, block):
-    """``block(x)``, the t-integral at z, over few x at a time when z is small.
+def _dirichlet_type_kernel(alpha: float, m: int, z, x, s, weights):
+    """The Dirichlet-type kernel of order m with weight exponent alpha, its
+    t-integral on the rule (s, weights) in s = e^-t.
 
-    A forward-map row (one z, 120 x, 75 s-nodes) builds (1, 120, 75) complex
-    temporaries of 144 KB, just above glibc's default mmap threshold: unless
-    earlier frees happened to raise that threshold, each one is mapped,
-    faulted in page by page and unmapped again (~110-140 minor faults per
-    row).  The fewest equal blocks of the x axis whose (z points x x block
-    x nodes) scratch stays within ``_X_BLOCK_ENTRIES`` come from the heap
-    instead: two of 60 x for such a row.  Each block costs a fixed overhead,
-    so a third block made 20-row processes ~15 % slower.  z is sliced
-    nowhere and broadcast against nothing, since the powers of (1 - z s)
-    stay cheap only while they keep a length-one x axis.  Calls with more z
-    points than fit one x column, or with z spread along x's axis, go
-    through whole.
+    Head: sum_{j<m} sqrt(j+alpha+1) z^j L_j^(alpha)(x) / sqrt(pi Gamma(1+alpha))
+    (each term is conj(phi_j) psi_j for the orthonormal families, which is
+    what the pairing and isometry checks require; see the decision notes on
+    the head normalization).  Tail: c_m = m! Gamma(3/2)^-m Gamma(1/2)^(1-m) /
+    sqrt(pi Gamma(1+alpha)) times z^m times the integral of
+    (1-v)^(-alpha-m-1) e^(-xv/(1-v)) L_m^(alpha)(x/(1-v)), v = zs, formed
+    from w = 1/(1-v) by products: one division per z point and node, none
+    per x.
     """
-    per_x = z.size * nt
-    count = x.shape[-1] if x.ndim else 1
-    if (per_x > _X_BLOCK_ENTRIES or count * per_x <= _X_BLOCK_ENTRIES
-            or (z.ndim and z.shape[-1] != 1)):
-        return block(x)
-    blocks = -(-count // (_X_BLOCK_ENTRIES // per_x))
-    width = -(-count // blocks)
-    shape = np.broadcast_shapes(z.shape, x.shape)
-    out = np.empty(shape, dtype=complex)
-    for lo in range(0, shape[-1], width):
-        out[..., lo : lo + width] = block(x[..., lo : lo + width])
-    return out
+    lg_a1 = log_gamma(alpha + 1.0)
+    lag = laguerre_sequence(m - 1, alpha, x)
+    head = np.zeros(np.broadcast(z, x).shape, dtype=complex)
+    for j in range(m):
+        head = head + np.sqrt(j + alpha + 1.0) * z**j * lag[..., j]
+    head = head * np.exp(-0.5 * (_LOG_PI + lg_a1))
+
+    def factors(zz):
+        # the x-independent factors once per block of z
+        v = zz[..., None] * s
+        w = 1.0 / (1.0 - v)
+        return w, v * w, w ** (alpha + m + 1.0)
+
+    def block(f, xx):
+        w, decay, power = f
+        xx = xx[..., None]
+        # the products in place, operands in this order: numpy would
+        # otherwise reuse a temporary past 256 KB and swap the operands,
+        # which moves complex products by an ulp, so a block's values would
+        # depend on its size
+        lag = laguerre(m, alpha, xx * w)
+        g = np.exp(-xx * decay)
+        np.multiply(power, g, out=g)
+        g *= lag
+        return np.dot(g, weights)   # not @: see _discrete_gauss
+
+    integral = _blocked(z, x, s.shape[0], factors, block)
+    c_m = np.exp(log_gamma(m + 1.0) - m * log_gamma(1.5) - (m - 1) * log_gamma(0.5)
+                 - 0.5 * (_LOG_PI + lg_a1))
+    return head + c_m * z**m * integral
 
 
 def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
-    """Kernel of the Dirichlet-space transform, by quadrature of its
-    Laplace-type integral representation.
-
-    K(z,x) = (1/sqrt(pi)) [1 + (z/Gamma(3/2)) I(z,x)] where I integrates
-    (1-v)^-2 exp(-xv/(1-v)) L_1(x/(1-v)), v = ze^-t, against sqrt(t)e^-t dt
-    over the half-line.  The integrand is analytic in s = e^-t on the closed
-    unit interval, and the default rule is the measure's trapezoid in
-    u = sqrt(t), compressed in s (``_default_t_rule``, 86 nodes).  ``rule``
-    may instead be a half-line rule with alpha = 1/2, evaluated at s = e^-t.
+    """Kernel of the Dirichlet-space transform, ``_dirichlet_type_kernel``
+    at (alpha, m) = (0, 1): (1/sqrt(pi)) [1 + (z/Gamma(3/2)) I(z,x)], I the
+    integral of (1-v)^-2 exp(-xv/(1-v)) L_1(x/(1-v)) against sqrt(t)e^-t dt.
+    The integrand is analytic in s = e^-t on the closed unit interval, and
+    the default rule is the measure's trapezoid in u = sqrt(t), compressed
+    in s (``_default_t_rule``, 86 nodes).  ``rule`` may instead be a
+    half-line rule with alpha = 1/2, evaluated at s = e^-t.
     """
     z = _check_disk_point(z)
     x = _check_source_point(x)
@@ -419,30 +438,16 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
         s = np.exp(-rule.nodes)
     else:
         raise ValueError("dirichlet_kernel needs a half-line rule with alpha = 1/2")
-
-    def evaluate(zz, xx):
-        v = zz[..., None] * s
-        w = 1.0 / (1.0 - v)
-        xx = xx[..., None]
-        g = w * w * np.exp(-xx * (v * w)) * (1.0 - xx * w)
-        return np.dot(g, rule.weights)   # not @: see _discrete_gauss
-
-    integral = _blocked(z, x, s.shape[0], evaluate)
-    return (1.0 + z * integral / np.exp(log_gamma(1.5))) / np.sqrt(np.pi)
+    return _dirichlet_type_kernel(0.0, 1, z, x, s, rule.weights)
 
 
 def gen_dirichlet_kernel(alpha: float, m: int, z, x,
                          weight: OmegaWeight | None = None):
-    """Kernel of the order-m Bergman-Dirichlet transform.
-
-    Head: sum_{j<m} sqrt(j+alpha+1) z^j L_j^(alpha)(x) / sqrt(pi Gamma(1+alpha))
-    (each term is conj(phi_j) psi_j for the orthonormal families, which is
-    what the pairing and isometry checks require; see the decision notes on
-    the head normalization).  Tail: m! Gamma(3/2)^-m Gamma(1/2)^(1-m) /
-    sqrt(pi Gamma(1+alpha)) times z^m times the omega-weighted t-integral:
-    the weight's trapezoid in u = sqrt(t), which leaves no endpoint term,
-    evaluated through its compressed rule in s = e^-t (``OmegaWeight.s_rule``,
-    75 nodes).
+    """Kernel of the order-m Bergman-Dirichlet transform:
+    ``_dirichlet_type_kernel``, its t-integral against the convolution
+    weight omega_(alpha, m) dt.  The weight's trapezoid in u = sqrt(t),
+    which leaves no endpoint term, is evaluated through its compressed rule
+    in s = e^-t (``OmegaWeight.s_rule``, 75 nodes).
     """
     alpha, m = _check_omega_args(alpha, m)
     z = _check_disk_point(z)
@@ -451,43 +456,13 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         weight = _default_omega(alpha, m)
     if weight.m != m or abs(weight.alpha - alpha) > 1e-14:
         raise ValueError("omega weight was built for different (alpha, m)")
-
-    lg_a1 = log_gamma(alpha + 1.0)
-    norm = np.exp(-0.5 * (_LOG_PI + lg_a1))
-    lag = laguerre_sequence(m - 1, alpha, x)
-    head = np.zeros(np.broadcast(z, x).shape, dtype=complex)
-    for j in range(m):
-        head = head + np.sqrt(j + alpha + 1.0) * z**j * lag[..., j]
-    head = head * norm
-
     rule = weight.s_rule
-    nt = rule.nodes.shape[0]
-
-    def evaluate(zz, xx):
-        # the x-independent factors once per z block
-        v = zz[..., None] * rule.nodes
-        one_minus_v = 1.0 - v
-        decay = v / one_minus_v
-        power = one_minus_v ** (-alpha - m - 1.0)
-
-        def block(xb):
-            xb = xb[..., None]
-            # the Laguerre factor first and the last product in place: fewer
-            # (points x nodes) temporaries alive at once, same arithmetic
-            lag = laguerre(m, alpha, xb / one_minus_v)
-            g = power * np.exp(-xb * decay)
-            g *= lag
-            return np.dot(g, rule.weights)   # not @: see _discrete_gauss
-
-        return _x_blocked(zz, xx, nt, block)
-
-    integral = _blocked(z, x, nt, evaluate)
-    c_m = np.exp(log_gamma(m + 1.0) - m * log_gamma(1.5) - (m - 1) * log_gamma(0.5)
-                 - 0.5 * (_LOG_PI + lg_a1))
-    return head + c_m * z**m * integral
+    return _dirichlet_type_kernel(alpha, m, z, x, rule.nodes, rule.weights)
 
 
-@lru_cache(maxsize=8)
+# 16 slots: a stream of point queries over 12 (alpha, m) pairs in two
+# independently shuffled orders kept rebuilding weights in 8
+@lru_cache(maxsize=16)
 def _default_omega(alpha: float, m: int) -> OmegaWeight:
     return omega(alpha, m)
 

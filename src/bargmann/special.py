@@ -596,7 +596,17 @@ def _disk_eigen_kernel(basis, z, w):
     )
 
 
+# the closed generalized Dirichlet kernel sums this many terms of its 3F2
+# series, and refuses points where their tail may exceed this share of it
+_GEN_DIRICHLET_TERMS, _GEN_DIRICHLET_RTOL = 600, 1e-12
+
+
 def _gen_dirichlet_kernel(basis, z, w):
+    """(alpha+1)/pi (head + u^m 3F2(1, 1, alpha+2; m+1, m+1; u) / m!^2), u =
+    z conj(w).  The 3F2's tail past K terms is at most |t_K| / (1 - rho),
+    rho = max(|u|, the term ratio at K), since the ratio tends monotonically
+    to u; where that exceeds 1e-12 of the value (|u| >~ 0.96 at (0, 1)),
+    ValueError, not a quietly wrong sum."""
     alpha, m = basis.params
     u = z * np.conj(w)
     scalar = np.ndim(u) == 0
@@ -604,12 +614,21 @@ def _gen_dirichlet_kernel(basis, z, w):
     head = np.zeros_like(uu)
     for j in range(m):
         head += pochhammer(alpha + 2.0, j) / np.exp(log_gamma(j + 1.0)) * uu**j
-    tail = np.array(
-        [hyp3f2([1.0, 1.0, alpha + 2.0], [m + 1.0, m + 1.0], val, truncation=600)
-         for val in uu],
-        dtype=complex,
-    )
-    out = (alpha + 1.0) / np.pi * (head + uu**m * tail / np.exp(2.0 * log_gamma(m + 1.0)))
+    k = _GEN_DIRICHLET_TERMS
+    sums = [hyp_series([1.0, 1.0, alpha + 2.0], [m + 1.0, m + 1.0], val, k) for val in uu]
+    norm = np.exp(2.0 * log_gamma(m + 1.0))
+    series = np.array([r.value for r in sums], dtype=complex)
+    out = (alpha + 1.0) / np.pi * (head + uu**m * series / norm)
+    rho = np.abs(uu) * max(1.0, (k + 1.0) * (alpha + 2.0 + k) / (m + 1.0 + k) ** 2)
+    first_omitted = (alpha + 1.0) / np.pi * np.abs(uu) ** m / norm * np.array(
+        [r.first_omitted for r in sums])
+    # |t_K| / (1 - rho) > rtol |value|, without dividing by a gap that may vanish
+    uncertain = (first_omitted
+                 > _GEN_DIRICHLET_RTOL * np.abs(out) * np.maximum(1.0 - rho, 0.0))
+    if uncertain.any():
+        raise ValueError(f"{basis}: the closed kernel's 3F2 series is uncertain beyond "
+                         f"{_GEN_DIRICHLET_RTOL:g} at |z conj(w)| = "
+                         f"{np.abs(uu[uncertain]).max():.4g}")
     return out[0] if scalar else out.reshape(np.shape(u))
 
 

@@ -2,6 +2,8 @@
 representations, the convolution weight and its Laplace identity, and
 reproducing-kernel structure (symmetry, positivity, basis sums)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,24 @@ def test_omega_s_rule_is_built_once_per_weight(monkeypatch):
 _GBD_PAIRS = [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
 
 
+def test_default_omega_cache_holds_point_queries_pairs(monkeypatch):
+    # two walks through the twelve pairs in different orders build each
+    # weight's s-rule once
+    calls = []
+    build = kernels._discrete_gauss
+    monkeypatch.setattr(kernels, "_discrete_gauss",
+                        lambda *args: calls.append(1) or build(*args))
+    kernels._default_omega.cache_clear()
+    rng = np.random.default_rng(12)
+    orders = [rng.permutation(len(_GBD_PAIRS)) for _ in range(2)]
+    assert not np.array_equal(*orders)
+    for order in orders:
+        for i in order:
+            alpha, m = _GBD_PAIRS[i]
+            gen_dirichlet_kernel(alpha, m, 0.3 + 0.2j, 1.5)
+    assert len(calls) == len(_GBD_PAIRS)
+
+
 def test_omega_rule_moments_meet_closed_laplace():
     # the moments sum_k w_k s_k^j of the rule the kernel integrates with,
     # against the Gamma-product closed form the weight is inverted from: this
@@ -336,6 +356,66 @@ def test_dirichlet_forward_map_rows_match_u_trapezoid():
     want = _dirichlet_u_trapezoid(z, x) * w
     err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
     assert err.max() < 1e-14
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda z, x: dirichlet_kernel(z, x),
+    lambda z, x: gen_dirichlet_kernel(0.5, 2, z, x, weight=W_HALF),
+], ids=["dirichlet", "gen_bergman_dirichlet"])
+def test_blocked_kernels_equal_one_whole_evaluation(evaluate, monkeypatch):
+    rng = np.random.default_rng(19)
+    z = _disk_points(150, 0.95, seed=19)
+    x = rng.uniform(0.0, 30.0, 150)
+    shapes = [
+        (z[:7, None], x[None, :]),              # kernel_matrix's layout
+        (z, 1.7),                               # 1-D z, scalar x
+        (0.4 - 0.5j, x),                        # scalar z, 1-D x
+        (z[:120].reshape(3, 40), x[:40]),       # a 2-D broadcast, not a matrix
+        (np.asarray(0.6 + 0.3j), np.asarray(2.5)),
+    ]
+    blocked = kernels._blocked
+    calls = {"factors": 0, "block": 0}
+
+    def counting(z, x, nt, factors, block):
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        return blocked(z, x, nt, count("factors", factors), count("block", block))
+
+    monkeypatch.setattr(kernels, "_blocked", counting)
+    for k, (zz, xx) in enumerate(shapes):
+        calls.update(factors=0, block=0)
+        tiled = evaluate(zz, xx)
+        if k == 0:   # more than one tile along z, and along x
+            assert 1 < calls["factors"] < calls["block"]
+        else:
+            assert calls["block"] > 1 or np.size(tiled) == 1, np.shape(tiled)
+        with monkeypatch.context() as whole:
+            whole.setattr(kernels, "_BLOCK_ENTRIES", 1 << 40)
+            calls.update(factors=0, block=0)
+            want = evaluate(zz, xx)
+            assert calls["block"] == 1
+        assert np.array_equal(tiled, want), np.shape(tiled)
+
+
+@pytest.mark.parametrize("family", [KernelFamily("dirichlet"),
+                                    KernelFamily("gen_bergman_dirichlet", (0.5, 2))],
+                         ids=["dirichlet", "gen_bergman_dirichlet"])
+def test_kernel_matrix_scratch_stays_small(family):
+    # a circle of 129 z against 120 source nodes: evaluated whole, the
+    # t-integral would need 55-65 MB of temporaries
+    z = 0.75 * np.exp(2j * np.pi * np.arange(129) / 256)
+    x = make_transform(family.kind, *family.params).source_rule.nodes
+    kernel_matrix(family, z, x)   # the cached rule and weight first
+    tracemalloc.start()
+    try:
+        kernel_matrix(family, z, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
 
 
 def test_kernel_domain_validation():
@@ -543,6 +623,34 @@ def test_reproducing_kernel_positive_definite():
         gram = reproducing_kernel(space, pts[:, None], pts[None, :])
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() > -1e-12 * eigs.max()
+
+
+def test_closed_gen_dirichlet_kernel_meets_mpmath_or_raises():
+    # 600 terms of its 3F2 series: the tail bound admits |u| = 0.9 and 0.96,
+    # u = z conj(w), and refuses 0.99 and 0.999, where the sum was 6.2e-5
+    # and 5.7e-2 off at (0, 1)
+    mp = pytest.importorskip("mpmath")
+
+    def oracle(alpha, m, u):
+        with mp.workdps(40):
+            u = mp.mpc(u)
+            head = sum(mp.rf(alpha + 2, j) / mp.factorial(j) * u**j for j in range(m))
+            tail = u**m * mp.hyp3f2(1, 1, alpha + 2, m + 1, m + 1, u) / mp.factorial(m) ** 2
+            return complex((alpha + 1) / mp.pi * (head + tail))
+
+    for alpha, m in ((0.0, 1), (0.5, 2)):
+        for r in (0.9, 0.96):
+            for angle in (0.0, 1.0):
+                z, w = np.sqrt(r) * np.exp(1j * angle), complex(np.sqrt(r))
+                got = reproducing_kernel(gen_dirichlet(alpha, m), z, w)
+                want = oracle(alpha, m, z * np.conj(w))
+                assert abs(got - want) <= 1e-12 * abs(want), (alpha, m, r, angle)
+    for r in (0.99, 0.999):
+        with pytest.raises(ValueError, match="3F2"):
+            reproducing_kernel(gen_dirichlet(0.0, 1), np.sqrt(r), np.sqrt(r))
+        with pytest.raises(ValueError, match="3F2"):   # one bad point of many
+            reproducing_kernel(gen_dirichlet(0.0, 1), np.array([0.5, np.sqrt(r)]),
+                               np.sqrt(r))
 
 
 def test_papadakis_sums_converge():
