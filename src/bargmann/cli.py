@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config",
                    help="flat 'key = value' config file (default: "
                         "$BARGMANN_CONFIG if set)")
-    for f in dataclasses.fields(RunConfig):   # one flag per configuration key
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
+    for name, cast in RunConfig.key_types().items():   # one flag per configuration key
+        p.add_argument("--" + name.replace("_", "-"), type=cast)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -520,6 +520,19 @@ class TargetSpace:
         return np.repeat(self.radial_weights, self.n_theta)
 
 
+def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
+    """(n_r, n_theta) of a polar target rule for truncations up to J whose
+    highest product, psi_j conj(psi_k) times the weight factor, is a
+    polynomial of degree J + fold in u = |z|^2 on each circle.  n_theta is
+    the least power of two >= J + 1, so no two degrees share an angular bin,
+    and n_r the least Gauss order exact to that degree (2 n_r - 1 >= J + fold).
+    An entry of ``orders`` that is not None overrides its derived value,
+    and J is needed only for the derived ones."""
+    n_r, n_theta = orders
+    return ((J + fold) // 2 + 1 if n_r is None else n_r,
+            1 << J.bit_length() if n_theta is None else n_theta)
+
+
 def _polar_target(rule: QuadratureRule, factor, shift: int = 0) -> TargetSpace:
     """A target on a polar rule whose node weights are the rule's times
     factor(r), a function of the radius alone."""
@@ -528,26 +541,34 @@ def _polar_target(rule: QuadratureRule, factor, shift: int = 0) -> TargetSpace:
     return TargetSpace(rule, rule.weights[::n_theta] * factor(radii), shift)
 
 
-def _bergman_target(params, orders) -> TargetSpace:
+def _plane_target(params, orders, J=None) -> TargetSpace:
+    """exp(-|z|^2) dA, the Fock basis' own measure; |psi_j|^2 is u^j."""
+    return _polar_target(gaussian_plane_rule(*_polar_orders(orders, J)),
+                         lambda r: 1.0)
+
+
+def _bergman_target(params, orders, J=None) -> TargetSpace:
     """(delta/pi)(1-|z|^2)^(delta-1) dA: the probability normalization is
-    what makes the Bergman monomial basis orthonormal."""
+    what makes the Bergman monomial basis orthonormal; |psi_j|^2 is a
+    multiple of u^j."""
     (delta,) = params
-    rule = disk_rule(*orders, delta - 1.0)
+    rule = disk_rule(*_polar_orders(orders, J), delta - 1.0)
     return _polar_target(rule, lambda r: delta / np.pi)
 
 
-def _disk_eigen_target(params, orders) -> TargetSpace:
+def _disk_eigen_target(params, orders, J=None) -> TargetSpace:
     """(1-|z|^2)^(2 nu - 2) dA, folded: the eigenspace basis carries a factor
     (1-|z|^2)^(-ell), so the rule is built for the reduced exponent
     2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the radii.
     Pointwise this is an identity; on polynomials it restores exactness that
-    the raw weight cannot offer."""
+    the raw weight cannot offer.  Folded, |psi_j|^2 is u^(j - ell) times a
+    polynomial of degree 2 ell in u, so degree J + ell at most."""
     nu, ell = params
-    rule = disk_rule(*orders, 2.0 * nu - 2.0 - 2 * ell)
+    rule = disk_rule(*_polar_orders(orders, J, ell), 2.0 * nu - 2.0 - 2 * ell)
     return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell), shift=ell)
 
 
-def _coefficient_target(params, orders) -> TargetSpace:
+def _coefficient_target(params, orders, J=None) -> TargetSpace:
     """A Dirichlet-type target: norms on Taylor coefficients, no rule."""
     return TargetSpace()
 
@@ -569,12 +590,16 @@ class FamilySpec:
     at call time, so code that rebinds those names (a tracer wrapping each
     layer, a test double) sees every call.
 
-    ``target_space(params, orders)`` builds the :class:`TargetSpace` of the
-    target basis: a polar rule of (n_r, n_theta) = ``orders``, the Gaussian
+    ``target_space(params, orders, J=None)`` builds the :class:`TargetSpace`
+    of the target basis for truncations up to J: a polar rule, the Gaussian
     plane rule or a disk rule, with the basis' measure folded into its
-    weights, or no rule for the Dirichlet-type targets.  ``inverse_truncation``
-    is the default truncation of the integral inverse, one the default target
-    rule integrates exactly (0 where there is no rule).
+    weights, or no rule for the Dirichlet-type targets.  Its orders
+    (n_r, n_theta) are the least at which it integrates the Gram matrix of
+    psi_0..psi_J exactly (``_polar_orders``), each overridden by its entry
+    of ``orders`` unless that is None (J may be left out when neither is).
+    ``inverse_truncation`` is the default truncation of the integral
+    inverse, which with the series truncation sizes the operator's target
+    rule (0 where there is no rule).
     """
 
     params: tuple
@@ -591,8 +616,7 @@ FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock, "closed",
         lambda p, z, x, weight: classical_kernel(z, x),
-        # exp(-|z|^2) dA, the Fock basis' own measure
-        lambda p, orders: _polar_target(gaussian_plane_rule(*orders), lambda r: 1.0), 100),
+        _plane_target, 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman, "closed",

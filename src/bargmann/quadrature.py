@@ -32,8 +32,9 @@ Only numpy and ``math`` are needed.
 The one-dimensional builders (``gauss_line``, ``gauss_halfline`` and the
 radial Gauss-Jacobi rule of ``disk_rule``) keep their last results, a few KB
 each, and return them as read-only arrays shared by every caller.  The
-polar rules are built afresh from those radial rules: one of 120 x 256
-nodes alone is ~0.7 MB.
+polar rules are built afresh from those radial rules: ~0.2 MB of nodes and
+weights for a default target rule (at most 57 x 128 nodes), ~0.7 MB at
+120 x 256.
 """
 
 from __future__ import annotations

@@ -119,15 +119,17 @@ def _source_rule(basis: BasisFamily, n: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class TransformOperator:
-    """A kernel, its source basis' Gauss rule, and the orders of its target
-    space, which is built on first read of ``target``."""
+    """A kernel, its source basis' Gauss rule, its truncations, and the
+    overrides (n_r, n_theta) of its target rule's orders, None where the
+    order is derived from the truncations; the target space is built on the
+    first read of ``target``."""
 
     kernel: KernelFamily
     source_rule: QuadratureRule
     series_truncation: int = 64
     inverse_truncation: int = 100
     weight: OmegaWeight | None = field(default=None, repr=False)
-    disk_orders: tuple[int, int] = (120, 256)
+    disk_orders: tuple[int | None, int | None] = (None, None)
     # Taylor maps of the extraction circle by sample count (_circle_taylor)
     _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -137,19 +139,21 @@ class TransformOperator:
         expected = _source_rule(self.kernel.source_basis(), rule.nodes.shape[0])
         if (rule.kind, rule.meta) != (expected.kind, expected.meta):
             raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
-        if min(self.disk_orders) < 1:
+        if any(n is not None and n < 1 for n in self.disk_orders):
             raise ValueError("target rule orders must be positive")
 
     @functools.cached_property
     def target(self) -> TargetSpace:
-        """The family's target space at this operator's orders, built once
+        """The family's target space, sized for the larger of the two
+        truncations unless ``disk_orders`` overrides an order, built once
         per operator (``dataclasses.replace`` starts a new one without it)."""
+        J = max(self.series_truncation, self.inverse_truncation)
         return FAMILIES[self.kernel.kind].target_space(self.kernel.params,
-                                                       self.disk_orders)
+                                                       self.disk_orders, J)
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
-                   disk_orders: tuple[int, int] = (120, 256),
+                   disk_orders: tuple[int | None, int | None] = (None, None),
                    series_truncation: int = 64,
                    inverse_truncation: int | None = None) -> TransformOperator:
     """Build one of the five transforms with default discretizations.
@@ -171,11 +175,15 @@ def make_transform(kind: str, *params, source_order: int = 120,
     operator, so a transform and a kernel evaluation of one pair build its
     s-rule once.
 
-    ``disk_orders`` = (n_r, n_theta) sizes every target rule, the disk
-    rules and the Gaussian plane rule alike, all of them polar.  The
-    whole-rule routes work in polar form, so the angular order n_theta must
-    exceed every truncation they are asked for; they raise ValueError
-    otherwise.
+    Every target rule, the disk rules and the Gaussian plane rule alike, is
+    polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,
+    inverse_truncation): n_theta is the least power of two >= J + 1 and n_r
+    the least Gauss order that integrates the Gram matrix of psi_0..psi_J
+    exactly (``kernels.FAMILIES``).  For the defaults, J = 100 or 110, that
+    is 128 angles and 51 to 57 radii.  An entry of ``disk_orders`` that is
+    not None overrides its order.  The whole-rule routes work in polar form,
+    so the angular order n_theta must exceed every truncation they are asked
+    for; they raise ValueError otherwise.
     """
     kernel = KernelFamily(kind, params)
     source = _source_rule(kernel.source_basis(), source_order)
@@ -288,10 +296,12 @@ def _target_images(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     ~Im(1/(1-z)), which is unbounded as z approaches the boundary, and no
     fixed source rule resolves that.  On the plane the classical kernel
     exp(sqrt(2) x z - z^2/2) stays finite but does not stay small: between
-    the default 120 x 256 rule (outer circle r ~ 21.3) and the 120-node
-    source rule (|x| <= 14.8) it reaches ~3e145, and the classical
-    isometry computed through it is off by 3.4, against 1.2e-14 through the
-    series.  The closed and integral kernels are exercised on compacta
+    the default 51 x 128 rule (outer circle r ~ 13.6) and the 120-node
+    source rule (|x| <= 14.8) it reaches ~3e87.  The classical isometry
+    computed through it still holds there (~1e-14), but not once the rule is
+    refined: at 120 x 256 (r ~ 21.3) the kernel reaches ~7e145 and that
+    isometry is off by ~2, against ~3e-14 through the series.  The closed
+    and integral kernels are exercised on compacta
     instead, by the pairing and dual-path checks (for the classical kernel:
     ``transforms.pairing.classical``, ``kernels.dual_path.classical`` and a
     tier-1 pairing test on circles out to |z| = 10).

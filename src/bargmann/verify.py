@@ -2,8 +2,10 @@
 
 Every check compares one measured quantity against a tolerance, and a
 suite report is the ordered list of check results plus the effective
-configuration, the wall time, and the library versions, platform and BLAS
-thread settings it ran under.  All randomness is seeded, so a report is
+configuration, what the suites record of their discretizations (the
+transforms suite: the orders of each operator's target rule), the wall
+time, and the library versions, platform and BLAS thread settings it ran
+under.  All randomness is seeded, so a report is
 reproducible bit-for-bit on one platform for a fixed configuration.
 """
 
@@ -123,11 +125,13 @@ class VerificationReport:
 class RunConfig:
     """Knobs shared by the suites: each is a key of the flat key = value
     config file and a long-form flag of ``verify``.  ``disk_radial`` and
-    ``disk_angular`` size every polar target rule of the transforms suite:
-    the disk rules and the Gaussian plane rule of the classical target."""
+    ``disk_angular`` override the orders (n_r, n_theta) of every polar
+    target rule of the transforms suite, the disk rules and the Gaussian
+    plane rule of the classical target; None leaves each operator's order
+    derived from its truncations (``transforms.make_transform``)."""
 
-    disk_radial: int = 120
-    disk_angular: int = 256
+    disk_radial: int | None = None
+    disk_angular: int | None = None
     source_order: int = 120
     series_truncation: int = 64
     fd_step: float = 1e-3
@@ -135,7 +139,8 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("disk_radial", "disk_angular", "source_order"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.series_truncation < 8:
             raise ValueError("series_truncation must be at least 8")
@@ -148,14 +153,20 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    @classmethod
+    def key_types(cls) -> dict:
+        """The type each key's value parses as: its default's, and int for
+        the target orders, whose default None means derived."""
+        return {f.name: int if f.default is None else type(f.default)
+                for f in dataclasses.fields(cls)}
+
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        known = {f.name: f.type for f in dataclasses.fields(self)}
+        known = self.key_types()
         clean = {}
         for key, value in overrides.items():
             if key not in known:
                 raise ValueError(f"unknown configuration key {key!r}")
-            current = getattr(self, key)
-            clean[key] = type(current)(value)
+            clean[key] = known[key](value)
         return dataclasses.replace(self, **clean)
 
     @classmethod
@@ -182,7 +193,7 @@ def _rel_max(series, closed) -> float:
     return float(np.max(np.abs(series - closed) / np.abs(closed)))
 
 
-def suite_special(cfg: RunConfig) -> list:
+def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     scale = cfg.tolerance_scale
     N = 120
@@ -269,7 +280,7 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(values - top))))
 
 
-def suite_quadrature(cfg: RunConfig) -> list:
+def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     scale = cfg.tolerance_scale
     orders = (4, 16, 64)
@@ -373,7 +384,7 @@ def _sample_disk(radii, per_circle=5, rmax=1.0):
     return np.concatenate(pts)
 
 
-def suite_kernels(cfg: RunConfig) -> list:
+def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     scale = cfg.tolerance_scale
     z = _sample_disk((0.15, 0.3, 0.45, 0.6))
@@ -452,7 +463,14 @@ def _roundtrip_op(cfg: RunConfig, kind: str, params: tuple):
     )
 
 
-def suite_transforms(cfg: RunConfig) -> list:
+def _rule_orders(op) -> list | None:
+    """(n_r, n_theta) of an operator's target rule; None for no operator or
+    no rule."""
+    rule = None if op is None else op.target.rule
+    return None if rule is None else [rule.meta["n_r"], rule.meta["n_theta"]]
+
+
+def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED)
@@ -461,6 +479,9 @@ def suite_transforms(cfg: RunConfig) -> list:
     small_ops = {kind: _roundtrip_op(cfg, kind, params)
                  for kind, params, *_ in _TRANSFORM_CASES
                  if ops[kind].target.rule is not None}
+    metadata["target_orders"] = {
+        kind: {"default": _rule_orders(op), "round_trip": _rule_orders(small_ops.get(kind))}
+        for kind, op in ops.items()}
 
     for kind, *_, reach in _TRANSFORM_CASES:
         op = ops[kind]
@@ -557,7 +578,7 @@ def suite_transforms(cfg: RunConfig) -> list:
 # Suite: operators
 # ---------------------------------------------------------------------------
 
-def suite_operators(cfg: RunConfig) -> list:
+def suite_operators(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED + 1)
@@ -701,6 +722,8 @@ def suite_operators(cfg: RunConfig) -> list:
 # Runner
 # ---------------------------------------------------------------------------
 
+# Each suite takes the configuration and the report's metadata, to which it
+# may add what it records of its discretization, and returns its checks.
 SUITES = {
     "special": suite_special,
     "quadrature": suite_quadrature,
@@ -753,11 +776,11 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     else:
         raise KeyError(f"unknown suite {name!r}")
     start = time.perf_counter()
-    checks = []
+    checks, details = [], {}
     for suite_name in names:
-        checks.extend(SUITES[suite_name](cfg))
+        checks.extend(SUITES[suite_name](cfg, details))
     elapsed = time.perf_counter() - start
     return VerificationReport(
         name, tuple(checks),
-        {"config": cfg.to_dict(), "wall_time_s": elapsed, **_environment()},
+        {"config": cfg.to_dict(), **details, "wall_time_s": elapsed, **_environment()},
     )

@@ -316,7 +316,7 @@ def test_verify_flag_overrides_config_file(tmp_path, capsys, monkeypatch):
     # flag beats file beats default
     assert payload["metadata"]["config"]["disk_angular"] == 24
     assert payload["metadata"]["config"]["source_order"] == 80
-    assert payload["metadata"]["config"]["disk_radial"] == 120
+    assert payload["metadata"]["config"]["disk_radial"] == verify.RunConfig().disk_radial
 
 
 def test_verify_explicit_config_path(tmp_path, capsys):
@@ -339,6 +339,25 @@ def test_verify_detects_failure_with_coarse_disk_rule(capsys):
     failing = {c["id"] for c in payload["checks"] if c["measured"] > c["tolerance"]}
     assert failing == {f"transforms.{check}.{kind}" for check in ("isometry", "gram")
                        for kind in ("classical", "second", "generalized_second")}
+
+
+def test_verify_transforms_reports_its_target_orders(capsys):
+    # (n_r, n_theta) of each operator's target rule, derived from its
+    # truncations (J = 100 or 110 by default, 40 for the round trip) unless a
+    # flag overrides an entry; the Dirichlet-type targets have no rule
+    orders = verify.run_suite("transforms").metadata["target_orders"]
+    assert orders == {
+        "classical": {"default": [51, 128], "round_trip": [21, 64]},
+        "second": {"default": [56, 128], "round_trip": [21, 64]},
+        "generalized_second": {"default": [57, 128], "round_trip": [22, 64]},
+        "dirichlet": {"default": None, "round_trip": None},
+        "gen_bergman_dirichlet": {"default": None, "round_trip": None},
+    }
+    code, out, _ = run_cli(capsys, ["verify", "transforms", "--disk-radial", "8"])
+    orders = json.loads(out)["metadata"]["target_orders"]
+    assert {kind: orders[kind] for kind in ("classical", "generalized_second")} == {
+        kind: {"default": [8, 128], "round_trip": [8, 64]}
+        for kind in ("classical", "generalized_second")}
 
 
 def test_verify_bad_config_values(tmp_path, capsys):

@@ -20,6 +20,7 @@ from bargmann import (
     basis_matrix,
     circle_points,
     dirichlet,
+    disk_rule,
     forward,
     forward_gram,
     forward_map,
@@ -269,6 +270,54 @@ def test_target_is_built_on_first_read(monkeypatch):
         for orders in ((0, 32), (20, 0)):
             with pytest.raises(ValueError, match="orders"):
                 make_transform(kind, *params, source_order=12, disk_orders=orders)
+
+
+# Default operators whose target rule is sized from their truncations: the
+# verify cases, a second weight above 2, and eigenspace levels with the
+# reduced weight exponent 2 nu - 2 - 2 ell at 1.8, 0.8, -0.9 and -0.8.
+SIZED_CASES = [("classical", ()), ("second", (1.5,)), ("second", (2.9,)),
+               ("generalized_second", (3.0, 2)), ("generalized_second", (3.9, 3)),
+               ("generalized_second", (1.55, 1)), ("generalized_second", (2.6, 2))]
+
+
+def _least_power_of_two_above(J):
+    n = 1
+    while n < J + 1:
+        n *= 2
+    return n
+
+
+@pytest.mark.parametrize("kind, params", SIZED_CASES)
+def test_derived_target_rule_integrates_the_gram_matrix_exactly(kind, params):
+    op = make_transform(kind, *params)
+    J = op.inverse_truncation
+    assert op.target.n_theta == _least_power_of_two_above(
+        max(op.series_truncation, J)) == 128
+    # psi_0..psi_J through the polar routes the whole-rule checks use
+    eye = np.eye(J + 1)
+    gram = _target_contract(op, _target_values(op, eye), J)
+    assert np.max(np.abs(gram - eye)) <= 1e-12
+    small = make_transform(kind, *params, source_order=12,
+                           series_truncation=15, inverse_truncation=40)
+    assert small.target.n_theta == 64
+
+
+def test_target_orders_are_derived_lazily_and_overridden_entry_by_entry():
+    op = make_transform("generalized_second", 3.0, 2)
+    assert "target" not in vars(op)
+    forward_map(op, np.array([0.3 + 0.1j, -0.2j]))
+    assert "target" not in vars(op)
+    assert (op.target.rule.meta["n_r"], op.target.n_theta) == (57, 128)
+    # one entry overridden, the other still derived
+    coarse = make_transform("generalized_second", 3.0, 2, disk_orders=(8, None))
+    assert (coarse.target.rule.meta["n_r"], coarse.target.n_theta) == (8, 128)
+    wide = make_transform("second", 1.5, disk_orders=(None, 256))
+    assert (wide.target.rule.meta["n_r"], wide.target.n_theta) == (56, 256)
+    # both overridden: exactly that rule
+    fixed = make_transform("second", 1.5, disk_orders=(120, 256))
+    want = disk_rule(120, 256, 0.5)
+    assert np.array_equal(fixed.target.rule.nodes, want.nodes)
+    assert np.array_equal(fixed.target.rule.weights, want.weights)
 
 
 def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
