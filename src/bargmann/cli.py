@@ -3,10 +3,10 @@ application, operator application, and the verification suites.
 
 Exit codes: 0 success (all checks passed for ``verify``), 1 a verification
 check failed, 2 usage or configuration error.  Reports are JSON on stdout;
-node dumps are CSV.  ``verify`` reads an optional flat ``key = value``
-config file (``--config`` or the BARGMANN_CONFIG environment variable) and
-applies long-form flag overrides on top; the effective configuration is
-echoed into the report metadata.
+node dumps are CSV.  ``verify`` takes one setting, the target-rule orders
+``--disk-radial`` and ``--disk-angular`` of the transforms suite
+(``verify.RunConfig``), echoed into the report metadata; every other
+discretization and every tolerance of the suites is fixed.
 
 ``main`` parses with one parser per process, built on its first call and
 reused by every later one; the subcommands look up the library functions
@@ -18,10 +18,8 @@ those names (a tracer wrapping each layer, a test double) sees every call.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -187,12 +185,7 @@ def _cmd_operator(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    path = args.config or os.environ.get("BARGMANN_CONFIG")
-    cfg = RunConfig.from_file(path) if path else RunConfig()
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
-    cfg = cfg.with_overrides({k: v for k, v in overrides.items() if v is not None})
-    cfg.validate()
-    report = run_suite(args.suite, cfg)
+    report = run_suite(args.suite, RunConfig(args.disk_radial, args.disk_angular))
     _emit(report.to_json())
     return 0 if report.passed else 1
 
@@ -260,11 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite and print the "
                                       "JSON report")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--config",
-                   help="flat 'key = value' config file (default: "
-                        "$BARGMANN_CONFIG if set)")
-    for name, cast in RunConfig.key_types().items():   # one flag per configuration key
-        p.add_argument("--" + name.replace("_", "-"), type=cast)
+    p.add_argument("--disk-radial", type=int,
+                   help="radial order of every target rule (default: derived)")
+    p.add_argument("--disk-angular", type=int,
+                   help="angular order of every target rule (default: derived)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

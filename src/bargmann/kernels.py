@@ -242,7 +242,7 @@ def omega(alpha: float, m: int) -> OmegaWeight:
     if values.min() < -64.0 * np.finfo(float).eps * values.max():
         raise RuntimeError(f"omega samples went negative beyond round-off: {values.min()}")
     values = np.where(values < 0.0, 0.0, values)
-    _read_only(values)   # operators and kernel calls share a weight
+    _read_only(values)   # every kernel call of one (alpha, m) shares a weight
     return OmegaWeight(alpha, m, values)
 
 
@@ -447,7 +447,9 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     ``_dirichlet_type_kernel``, its t-integral against the convolution
     weight omega_(alpha, m) dt.  The weight's trapezoid in u = sqrt(t),
     which leaves no endpoint term, is evaluated through its compressed rule
-    in s = e^-t (``OmegaWeight.s_rule``, 75 nodes).
+    in s = e^-t (``OmegaWeight.s_rule``, 75 nodes).  The weight is the one
+    ``_default_omega`` keeps for (alpha, m); ``weight`` substitutes another
+    built for the same pair, so a measurement can hold one fixed.
     """
     alpha, m = _check_omega_args(alpha, m)
     z = _check_disk_point(z)
@@ -583,12 +585,13 @@ class FamilySpec:
 
     ``params``: (name, type, description) per parameter; the names are also
     the CLI flags.  ``source``/``target`` build the bases phi_j/psi_j from
-    the parameters.  ``evaluate(params, z, x, weight)`` is the primary
-    route, 'closed' or 'integral' as ``primary`` says; ``weighted`` marks the
-    route that integrates against the convolution weight omega_(alpha, m).
-    ``evaluate`` looks the kernel functions up by their module-level names
-    at call time, so code that rebinds those names (a tracer wrapping each
-    layer, a test double) sees every call.
+    the parameters.  ``evaluate(params, z, x)`` is the primary route, a
+    closed form or an integral representation; ``weighted`` marks the route
+    that integrates against the convolution weight omega_(alpha, m), which
+    the kernel looks up (``_default_omega``).  ``evaluate`` looks the kernel
+    functions up by their module-level names at call time, so code that
+    rebinds those names (a tracer wrapping each layer, a test double) sees
+    every call.
 
     ``target_space(params, orders, J=None)`` builds the :class:`TargetSpace`
     of the target basis for truncations up to J: a polar rule, the Gaussian
@@ -605,7 +608,6 @@ class FamilySpec:
     params: tuple
     source: Callable
     target: Callable
-    primary: str
     evaluate: Callable
     target_space: Callable = _coefficient_target
     inverse_truncation: int = 0
@@ -614,29 +616,29 @@ class FamilySpec:
 
 FAMILIES = {
     "classical": FamilySpec(
-        (), hermite_l2, bargmann_fock, "closed",
-        lambda p, z, x, weight: classical_kernel(z, x),
+        (), hermite_l2, bargmann_fock,
+        lambda p, z, x: classical_kernel(z, x),
         _plane_target, 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
-        laguerre_l2, bergman, "closed",
-        lambda p, z, x, weight: second_kernel(*p, z, x),
+        laguerre_l2, bergman,
+        lambda p, z, x: second_kernel(*p, z, x),
         _bergman_target, 110),
     "generalized_second": FamilySpec(
         (("nu", float, "generalized-second parameter"),
          ("ell", int, "generalized-second level")),
-        lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen, "closed",
-        lambda p, z, x, weight: generalized_second_kernel(*p, z, x),
+        lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen,
+        lambda p, z, x: generalized_second_kernel(*p, z, x),
         _disk_eigen_target, 110),
     "dirichlet": FamilySpec(
-        (), lambda: laguerre_l2(0.0), dirichlet, "integral",
-        lambda p, z, x, weight: dirichlet_kernel(z, x)),
+        (), lambda: laguerre_l2(0.0), dirichlet,
+        lambda p, z, x: dirichlet_kernel(z, x)),
     "gen_bergman_dirichlet": FamilySpec(
         (("alpha", float, "Bergman-Dirichlet weight exponent"),
          ("m", int, "Bergman-Dirichlet derivative order")),
         lambda alpha, m: laguerre_l2(alpha),
-        lambda alpha, m: gen_dirichlet(*_check_omega_args(alpha, m)), "integral",
-        lambda p, z, x, weight: gen_dirichlet_kernel(*p, z, x, weight=weight),
+        lambda alpha, m: gen_dirichlet(*_check_omega_args(alpha, m)),
+        lambda p, z, x: gen_dirichlet_kernel(*p, z, x),
         weighted=True),
 }
 
@@ -644,10 +646,10 @@ FAMILIES = {
 @dataclass(frozen=True)
 class KernelFamily:
     """One of the five transform kernels, named by a key of ``FAMILIES``,
-    with its strategies: the family's primary route (closed form or integral
-    representation) and a truncated basis series.  ``params`` follows the
-    family's parameter list and is converted to its types; an int parameter
-    must be integral (1.5 raises rather than becoming 1)."""
+    with its two strategies: the family's primary route (closed form or
+    integral representation) and a truncated basis series.  ``params``
+    follows the family's parameter list and is converted to its types; an
+    int parameter must be integral (1.5 raises rather than becoming 1)."""
 
     kind: str
     params: tuple = ()
@@ -673,28 +675,21 @@ class KernelFamily:
     def target_basis(self) -> BasisFamily:
         return FAMILIES[self.kind].target(*self.params)
 
-    @property
-    def primary_strategy(self) -> str:
-        return FAMILIES[self.kind].primary
-
     __str__ = BasisFamily.__str__   # the same (kind, params) formatting
 
 
-def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary",
-                  J: int = 120, weight: OmegaWeight | None = None):
-    """K(z_i, x_k) for arrays of targets z and sources x.
-
-    strategy: 'primary', 'series', or the primary route's own name
-    ('closed' or 'integral', see ``FAMILIES``).
-    """
+def kernel_matrix(family: KernelFamily, z, x, strategy: str = "primary", J: int = 120):
+    """K(z_i, x_k) for arrays of targets z and sources x, by the family's
+    primary route (``strategy="primary"``, see ``FAMILIES``) or its basis
+    series truncated at J (``strategy="series"``)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if strategy == "series":
         return kernel_series(family, z, x, J)
-    if strategy not in ("primary", family.primary_strategy):
+    if strategy != "primary":
         raise ValueError(f"{family.kind} kernel has no {strategy!r} strategy; its "
-                         f"routes are {family.primary_strategy!r} and 'series'")
-    return FAMILIES[family.kind].evaluate(family.params, z[:, None], x[None, :], weight)
+                         "routes are 'primary' and 'series'")
+    return FAMILIES[family.kind].evaluate(family.params, z[:, None], x[None, :])
 
 
 def kernel_series(family: KernelFamily, z, x, J: int = 120):

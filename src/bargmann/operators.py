@@ -208,13 +208,13 @@ def operator_sample_points(radii=(0.3, 0.6), per_circle: int = 10) -> np.ndarray
     return np.concatenate(points)
 
 
-def eigen_check(nu: float, ell: int, j: int, h: float = 1e-3) -> dict:
+def eigen_check(nu: float, ell: int, j: int) -> dict:
     """Relative residual of the Landau eigenvalue equation at the
     ``operator_sample_points()``.
 
     The eigenfunctions carry the non-polynomial (1-|z|^2)^(-ell) factor, so
-    the operator is applied by finite differences at steps h and h/2 and
-    Richardson-extrapolated to cancel the leading O(h^2) error.
+    the operator is applied by finite differences at steps h = 1e-3 and
+    h/2 and Richardson-extrapolated to cancel the leading O(h^2) error.
     """
     family = disk_eigen(nu, ell)
     op = hyperbolic_landau(nu)
@@ -223,8 +223,8 @@ def eigen_check(nu: float, ell: int, j: int, h: float = 1e-3) -> dict:
     def F(w):
         return basis_matrix(family, j, w)[..., j]
 
-    coarse = apply_fd(op, F, points, h)
-    fine = apply_fd(op, F, points, h / 2.0)
+    coarse = apply_fd(op, F, points, 1e-3)
+    fine = apply_fd(op, F, points, 5e-4)
     applied = (4.0 * fine - coarse) / 3.0
     psi = F(points)
     eigenvalue = landau_eigenvalue(nu, ell)
@@ -241,7 +241,7 @@ def eigen_check(nu: float, ell: int, j: int, h: float = 1e-3) -> dict:
 def point_spectrum(kind: str, value: float):
     """Finite point spectrum as (level, eigenvalue) pairs, plus a regime flag.
 
-    'hyperbolic_landau': levels ell = 0..floor(nu - 1/2), eigenvalues
+    'hyperbolic_landau': levels 0 <= ell < nu - 1/2, eigenvalues
     4 ell (2 nu - ell - 1).  'gen_invariant_laplacian': levels
     l = 0..floor((alpha-1)/2), eigenvalues 4 l (alpha - l + 1); for
     alpha < 1 that index range is empty although 0 stays an eigenvalue
@@ -252,7 +252,7 @@ def point_spectrum(kind: str, value: float):
         nu = float(value)
         if nu <= 0.5:
             raise ValueError("hyperbolic_landau requires nu > 1/2")
-        lmax = int(np.floor(nu - 0.5))
+        lmax = int(np.ceil(nu - 0.5)) - 1   # the levels disk_eigen admits
         return [(l, landau_eigenvalue(nu, l)) for l in range(lmax + 1)], False
     if kind == "gen_invariant_laplacian":
         alpha = float(value)

@@ -330,14 +330,15 @@ def bergman(delta: float) -> BasisFamily:
 def disk_eigen(nu: float, ell: int) -> BasisFamily:
     """Eigenfunction family of the hyperbolic Landau level ell at weight nu.
 
-    Requires 2 nu > 1 and 0 <= ell <= floor(nu - 1/2); orthonormal in
-    L^2 of the disk with weight (1-|z|^2)^(2 nu - 2) dA.
+    Orthonormal in L^2 of the disk with weight (1-|z|^2)^(2 nu - 2) dA.
+    Requires 0 <= ell < nu - 1/2: only those levels lie in that space, and
+    at ell = nu - 1/2 their norm constant 2(nu - ell) - 1 is 0.
     """
     if not 0.5 < nu < np.inf:  # NaN fails this too
         raise ValueError("disk_eigen requires finite nu > 1/2")
     ell = _check_integer(ell, "disk_eigen level ell")
-    if ell < 0 or ell > int(np.floor(nu - 0.5)):
-        raise ValueError("disk_eigen requires 0 <= ell <= floor(nu - 1/2)")
+    if not 0 <= ell < nu - 0.5:
+        raise ValueError("disk_eigen requires 0 <= ell < nu - 1/2")
     return BasisFamily("disk_eigen", (float(nu), ell))
 
 

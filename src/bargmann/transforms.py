@@ -65,8 +65,7 @@ import numpy as np
 
 from .special import BasisFamily, basis_matrix, monomial_normalizer
 from .quadrature import QuadratureRule
-from .kernels import (FAMILIES, KernelFamily, OmegaWeight, TargetSpace, _default_omega,
-                      kernel_matrix)
+from .kernels import FAMILIES, KernelFamily, TargetSpace, _default_omega, kernel_matrix
 
 __all__ = [
     "TransformOperator",
@@ -122,14 +121,13 @@ class TransformOperator:
     """A kernel, its source basis' Gauss rule, its truncations, and the
     overrides (n_r, n_theta) of its target rule's orders, None where the
     order is derived from the truncations; the target space is built on the
-    first read of ``target``."""
+    first read of ``target``.  ``make_transform`` sets every field."""
 
     kernel: KernelFamily
     source_rule: QuadratureRule
-    series_truncation: int = 64
-    inverse_truncation: int = 100
-    weight: OmegaWeight | None = field(default=None, repr=False)
-    disk_orders: tuple[int | None, int | None] = (None, None)
+    series_truncation: int
+    inverse_truncation: int
+    disk_orders: tuple[int | None, int | None]
     # Taylor maps of the extraction circle by sample count (_circle_taylor)
     _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -169,11 +167,11 @@ def make_transform(kind: str, *params, source_order: int = 120,
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
     (kernel times polynomial times the measure weight) are entire and
-    converge superexponentially.  For the generalized family the operator
-    carries the shared convolution weight of its (alpha, m)
-    (``kernels._default_omega``), the one the kernel reaches without an
-    operator, so a transform and a kernel evaluation of one pair build its
-    s-rule once.
+    converge superexponentially.  For the generalized family this builds
+    the convolution weight of its (alpha, m) and the weight's s-rule
+    (``kernels._default_omega``, ``OmegaWeight.s_rule``), the ones its
+    kernel looks up, so an operator's first forward map does not pay for
+    them and a transform and a kernel evaluation of one pair share them.
 
     Every target rule, the disk rules and the Gaussian plane rule alike, is
     polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,
@@ -190,9 +188,10 @@ def make_transform(kind: str, *params, source_order: int = 120,
     spec = FAMILIES[kernel.kind]
     if inverse_truncation is None:
         inverse_truncation = spec.inverse_truncation
-    weight = _default_omega(*kernel.params) if spec.weighted else None
+    if spec.weighted:   # built here, not in the first forward map
+        _default_omega(*kernel.params).s_rule
     return TransformOperator(kernel, source, series_truncation, inverse_truncation,
-                             weight, tuple(disk_orders))
+                             tuple(disk_orders))
 
 
 def _source_values(op: TransformOperator, f) -> np.ndarray:
@@ -219,7 +218,7 @@ def forward_map(op: TransformOperator, z, strategy: str = "primary") -> np.ndarr
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     kmat = kernel_matrix(op.kernel, zz, op.source_rule.nodes, strategy=strategy,
-                         J=op.series_truncation, weight=op.weight)
+                         J=op.series_truncation)
     return kmat * op.source_rule.weights
 
 

@@ -1,12 +1,13 @@
 """Verification engine: named numerical checks grouped into suites.
 
-Every check compares one measured quantity against a tolerance, and a
-suite report is the ordered list of check results plus the effective
-configuration, what the suites record of their discretizations (the
-transforms suite: the orders of each operator's target rule), the wall
-time, and the library versions, platform and BLAS thread settings it ran
-under.  All randomness is seeded, so a report is
-reproducible bit-for-bit on one platform for a fixed configuration.
+Every check compares one measured quantity against its fixed tolerance,
+and a suite report is the ordered list of check results plus the
+configuration (``RunConfig``: the target-rule orders, if overridden), what
+the suites record of their discretizations (the transforms suite: the
+orders of each operator's target rule), the wall time, and the library
+versions, platform and BLAS thread settings it ran under.  All randomness
+is seeded, so a report is reproducible bit-for-bit on one platform for a
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -123,65 +124,21 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the suites: each is a key of the flat key = value
-    config file and a long-form flag of ``verify``.  ``disk_radial`` and
-    ``disk_angular`` override the orders (n_r, n_theta) of every polar
+    """The one setting of the suites, as ``verify --disk-radial`` and
+    ``--disk-angular`` give it: the orders (n_r, n_theta) of every polar
     target rule of the transforms suite, the disk rules and the Gaussian
-    plane rule of the classical target; None leaves each operator's order
-    derived from its truncations (``transforms.make_transform``)."""
+    plane rule of the classical target.  None leaves each operator's order
+    derived from its truncations (``transforms.make_transform``).  Every
+    other discretization and every tolerance is a constant of its suite."""
 
     disk_radial: int | None = None
     disk_angular: int | None = None
-    source_order: int = 120
-    series_truncation: int = 64
-    fd_step: float = 1e-3
-    tolerance_scale: float = 1.0
 
     def validate(self) -> None:
-        for name in ("disk_radial", "disk_angular", "source_order"):
+        for name in ("disk_radial", "disk_angular"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.series_truncation < 8:
-            raise ValueError("series_truncation must be at least 8")
-        # written as negated ranges so that NaN, which compares false, fails too
-        if not 0.0 < self.fd_step <= 0.1:
-            raise ValueError("fd_step must lie in (0, 0.1]")
-        if not 0.0 < self.tolerance_scale < np.inf:
-            raise ValueError("tolerance_scale must be finite and positive")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def key_types(cls) -> dict:
-        """The type each key's value parses as: its default's, and int for
-        the target orders, whose default None means derived."""
-        return {f.name: int if f.default is None else type(f.default)
-                for f in dataclasses.fields(cls)}
-
-    def with_overrides(self, overrides: dict) -> "RunConfig":
-        known = self.key_types()
-        clean = {}
-        for key, value in overrides.items():
-            if key not in known:
-                raise ValueError(f"unknown configuration key {key!r}")
-            clean[key] = known[key](value)
-        return dataclasses.replace(self, **clean)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        overrides = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"malformed config line: {raw.rstrip()}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                overrides[key] = value
-        return cls().with_overrides(overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +152,6 @@ def _rel_max(series, closed) -> float:
 
 def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks = []
-    scale = cfg.tolerance_scale
     N = 120
     j = np.arange(N + 1)
     inv_fact = np.exp(-log_gamma(j + 1.0))
@@ -209,7 +165,7 @@ def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "special.hermite_gf",
         "Hermite generating function, series N=120 vs closed form",
-        worst, 1e-8 * scale,
+        worst, 1e-8,
         "sum_j H_j(x) t^j / j! = exp(2xt - t^2)",
     ))
 
@@ -224,7 +180,7 @@ def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "special.laguerre_gf",
         "Laguerre generating function for orders 0, 0.5, 2.5",
-        worst, 1e-8 * scale,
+        worst, 1e-8,
         "sum_j z^j L_j^(d)(x) = (1-z)^(-d-1) exp(-xz/(1-z))",
     ))
 
@@ -244,7 +200,7 @@ def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "special.shifted_laguerre_gf",
         "Index-shifted Laguerre generating function, shifts 1..3",
-        worst, 1e-8 * scale,
+        worst, 1e-8,
         "sum_j C(j+k,k) L_(j+k)^(b)(y) s^j = (1-s)^(-b-k-1) e^(-ys/(1-s)) L_k^(b)(y/(1-s))",
     ))
 
@@ -265,7 +221,7 @@ def suite_special(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "special.bilateral_gf",
         "Bilateral Laguerre x Gauss-series generating function",
-        worst, 1e-8 * scale,
+        worst, 1e-8,
         "sum_j lam^j 2F1(-j,b;1+a;y) L_j^(a)(x) = closed confluent form",
     ))
     return checks
@@ -282,7 +238,6 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks = []
-    scale = cfg.tolerance_scale
     orders = (4, 16, 64)
 
     worst = 0.0
@@ -295,7 +250,7 @@ def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "quadrature.line_moments",
         "Full-line Gaussian rules: even moments through degree 2n-2",
-        worst, 1e-11 * scale,
+        worst, 1e-11,
         "int x^k exp(-x^2) dx = Gamma((k+1)/2), k even",
     ))
 
@@ -312,7 +267,7 @@ def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "quadrature.halfline_moments",
         "Half-line rules (orders 0, 0.5, 2): all moments through degree 2n-1",
-        worst, 1e-11 * scale,
+        worst, 1e-11,
         "int x^(a+k) exp(-x) dx = Gamma(a+k+1)",
     ))
 
@@ -333,7 +288,7 @@ def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "quadrature.disk_norms",
         "Disk rules: monomial norms vs the beta-function closed form",
-        max(worst, offdiag), 1e-11 * scale,
+        max(worst, offdiag), 1e-11,
         "int |z|^(2j) (1-|z|^2)^g dA = pi B(j+1, g+1); unequal powers vanish",
     ))
 
@@ -349,7 +304,7 @@ def suite_quadrature(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "quadrature.plane_moments",
         "Gaussian plane rules: radial monomial moments and one unequal pair",
-        worst, 1e-11 * scale,
+        worst, 1e-11,
         "int z^a conj(z)^b exp(-|z|^2) dA = pi a! [a = b]",
     ))
     return checks
@@ -386,7 +341,6 @@ def _sample_disk(radii, per_circle=5, rmax=1.0):
 
 def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
     checks = []
-    scale = cfg.tolerance_scale
     z = _sample_disk((0.15, 0.3, 0.45, 0.6))
 
     for name, params, tol, ref, xs, _ in _TRANSFORM_CASES:
@@ -398,7 +352,7 @@ def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
             f"kernels.dual_path.{name}",
             f"{name} kernel: primary evaluation vs truncated series at "
             f"{z.size * xs.size} points",
-            measured, tol * scale, ref,
+            measured, tol, ref,
         ))
 
     worst = 0.0
@@ -413,7 +367,7 @@ def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
         "kernels.omega_laplace",
         "Convolution weight: compressed-rule moments vs the closed Laplace transform "
         "it is inverted from, m in {2,3}, orders {0, 0.5, 1.5}, j <= 5",
-        worst, 1e-4 * scale,
+        worst, 1e-4,
         "checks the Talbot inversion, u-trapezoid and compression; the Gamma-ratio "
         "formula itself is checked by kernels.dual_path.gen_bergman_dirichlet",
     ))
@@ -430,7 +384,7 @@ def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
         "kernels.papadakis",
         "Truncated orthonormal sums vs closed reproducing kernels, "
         "five spaces at |z|,|w| <= 0.5",
-        worst, 1e-6 * scale,
+        worst, 1e-6,
         "sum_j psi_j(z) conj(psi_j(w)) converges to K(z, w)",
     ))
     return checks
@@ -441,12 +395,7 @@ def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
 # ---------------------------------------------------------------------------
 
 def _default_op(cfg: RunConfig, kind: str, params: tuple):
-    return make_transform(
-        kind, *params,
-        source_order=cfg.source_order,
-        disk_orders=(cfg.disk_radial, cfg.disk_angular),
-        series_truncation=cfg.series_truncation,
-    )
+    return make_transform(kind, *params, disk_orders=(cfg.disk_radial, cfg.disk_angular))
 
 
 def _roundtrip_op(cfg: RunConfig, kind: str, params: tuple):
@@ -472,7 +421,6 @@ def _rule_orders(op) -> list | None:
 
 def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
     checks = []
-    scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED)
     ops = {kind: _default_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
     # the integral inverse needs a target rule
@@ -491,7 +439,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
             f"transforms.pairing.{kind}",
             f"{kind}: forward images of the first nine basis elements vs "
             "the target family at 10 points",
-            measured, 1e-7 * scale,
+            measured, 1e-7,
             "B maps phi_j to psi_j",
         ))
 
@@ -500,7 +448,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         checks.append(Check(
             f"transforms.reverse_pairing.{kind}",
             f"{kind}: integral inverse of psi_j vs phi_j at the source nodes",
-            measured, 1e-6 * scale,
+            measured, 1e-6,
             "B^-1 maps psi_j back to phi_j",
         ))
 
@@ -511,7 +459,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         checks.append(Check(
             f"transforms.isometry.{kind}",
             f"{kind}: norm preservation on 20 random degree-8 vectors",
-            measured, 1e-6 * scale,
+            measured, 1e-6,
             "||Bf|| = ||f||",
         ))
 
@@ -521,7 +469,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         checks.append(Check(
             f"transforms.gram.{kind}",
             f"{kind}: Gram matrix of forward images through degree 24",
-            measured, 1e-8 * scale,
+            measured, 1e-8,
             "B*B = I on the truncated span",
         ))
 
@@ -533,7 +481,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         checks.append(Check(
             f"transforms.round_trip.{kind}",
             f"{kind}: integral inverse of the forward image at source nodes",
-            measured, 1e-4 * scale,
+            measured, 1e-4,
             "B^-1 B = identity",
         ))
 
@@ -547,7 +495,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         checks.append(Check(
             f"transforms.round_trip_series.{kind}",
             f"{kind}: coefficient inverse of the forward image",
-            measured, 1e-8 * scale,
+            measured, 1e-8,
             "series inverse recovers the source coefficients",
         ))
 
@@ -568,7 +516,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         "transforms.reproducing.weighted_bergman",
         "Weighted Bergman kernels reproduce degree-6 polynomials under "
         "the disk rule",
-        worst, 1e-8 * scale,
+        worst, 1e-8,
         "f(z) = int K(z, w) f(w) dmu(w)",
     ))
     return checks
@@ -580,7 +528,6 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
 
 def suite_operators(cfg: RunConfig, metadata: dict) -> list:
     checks = []
-    scale = cfg.tolerance_scale
     rng = np.random.default_rng(_SEED + 1)
 
     worst = 0.0
@@ -646,7 +593,7 @@ def suite_operators(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "operators.fd_richardson",
         "Richardson-extrapolated differences vs exact action",
-        measured, 1e-8 * scale,
+        measured, 1e-8,
         "extrapolation cancels the h^2 error term",
     ))
 
@@ -654,13 +601,13 @@ def suite_operators(cfg: RunConfig, metadata: dict) -> list:
     for nu in (1.0, 2.0, 3.0):
         for ell in range(int(np.floor(nu - 0.5)) + 1):
             for jv in range(6):
-                report = eigen_check(nu, ell, jv, h=cfg.fd_step)
+                report = eigen_check(nu, ell, jv)
                 worst = max(worst, report["residual"])
     checks.append(Check(
         "operators.eigen_residuals",
         "Landau eigenfunctions: relative eigen-equation residuals, "
         "weights 1..3, all levels, j <= 5",
-        worst, 1e-4 * scale,
+        worst, 1e-4,
         "eigenvalue 4 ell (2 nu - ell - 1)",
     ))
 
@@ -692,7 +639,7 @@ def suite_operators(cfg: RunConfig, metadata: dict) -> list:
         "operators.point_spectrum",
         "Finite point-spectrum enumerations for both specializations",
         float(mismatches), 0.0,
-        "levels ell <= floor(nu - 1/2), resp. l <= floor((a-1)/2)",
+        "levels ell < nu - 1/2, resp. l <= floor((a-1)/2)",
     ))
 
     verdicts = 0
@@ -712,7 +659,7 @@ def suite_operators(cfg: RunConfig, metadata: dict) -> list:
     checks.append(Check(
         "operators.membership_residual",
         "Annihilation residual of conj(z) matches its closed-form norm",
-        float(residual_dev), 1e-10 * scale,
+        float(residual_dev), 1e-10,
         "||8 conj(z)(1-|z|^2)|| over the disk",
     ))
     return checks
@@ -782,5 +729,5 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     elapsed = time.perf_counter() - start
     return VerificationReport(
         name, tuple(checks),
-        {"config": cfg.to_dict(), **details, "wall_time_s": elapsed, **_environment()},
+        {"config": dataclasses.asdict(cfg), **details, "wall_time_s": elapsed, **_environment()},
     )

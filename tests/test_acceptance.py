@@ -238,3 +238,62 @@ def test_criterion_10_cli_verify_all(capsys):
     assert code == 0
     assert wall < 180.0, wall
     print(f"criterion 10 PASS: 'verify all' exit 0 in {wall:.1f}s < 180s")
+
+
+# the ids of `verify all` in report order, each with its tolerance
+_VERIFY_ALL_CHECKS = [
+    ("special.hermite_gf", 1e-08),
+    ("special.laguerre_gf", 1e-08),
+    ("special.shifted_laguerre_gf", 1e-08),
+    ("special.bilateral_gf", 1e-08),
+    ("quadrature.line_moments", 1e-11),
+    ("quadrature.halfline_moments", 1e-11),
+    ("quadrature.disk_norms", 1e-11),
+    ("quadrature.plane_moments", 1e-11),
+    ("kernels.dual_path.classical", 1e-10),
+    ("kernels.dual_path.second", 1e-10),
+    ("kernels.dual_path.generalized_second", 1e-10),
+    ("kernels.dual_path.dirichlet", 1e-07),
+    ("kernels.dual_path.gen_bergman_dirichlet", 1e-05),
+    ("kernels.omega_laplace", 0.0001),
+    ("kernels.papadakis", 1e-06),
+    ("transforms.pairing.classical", 1e-07),
+    ("transforms.pairing.second", 1e-07),
+    ("transforms.pairing.generalized_second", 1e-07),
+    ("transforms.pairing.dirichlet", 1e-07),
+    ("transforms.pairing.gen_bergman_dirichlet", 1e-07),
+    ("transforms.reverse_pairing.classical", 1e-06),
+    ("transforms.reverse_pairing.second", 1e-06),
+    ("transforms.reverse_pairing.generalized_second", 1e-06),
+    ("transforms.isometry.classical", 1e-06),
+    ("transforms.isometry.second", 1e-06),
+    ("transforms.isometry.generalized_second", 1e-06),
+    ("transforms.isometry.dirichlet", 1e-06),
+    ("transforms.isometry.gen_bergman_dirichlet", 1e-06),
+    ("transforms.gram.classical", 1e-08),
+    ("transforms.gram.second", 1e-08),
+    ("transforms.gram.generalized_second", 1e-08),
+    ("transforms.gram.dirichlet", 1e-08),
+    ("transforms.gram.gen_bergman_dirichlet", 1e-08),
+    ("transforms.round_trip.classical", 0.0001),
+    ("transforms.round_trip.second", 0.0001),
+    ("transforms.round_trip.generalized_second", 0.0001),
+    ("transforms.round_trip_series.dirichlet", 1e-08),
+    ("transforms.round_trip_series.gen_bergman_dirichlet", 1e-08),
+    ("transforms.reproducing.weighted_bergman", 1e-08),
+    ("operators.holomorphic_annihilation", 0.0),
+    ("operators.antiholomorphic_example", 0.0),
+    ("operators.casimir_constant", 0.0),
+    ("operators.fd_order", 0.1),
+    ("operators.fd_richardson", 1e-08),
+    ("operators.eigen_residuals", 0.0001),
+    ("operators.specialization", 0.0),
+    ("operators.point_spectrum", 0.0),
+    ("operators.membership_verdicts", 0.0),
+    ("operators.membership_residual", 1e-10),
+]
+
+def test_verify_all_ids_order_and_tolerances():
+    # every check keeps its id, its place and its fixed tolerance
+    report = run_suite("all")
+    assert [(c.id, c.tolerance) for c in report.checks] == _VERIFY_ALL_CHECKS

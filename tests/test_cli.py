@@ -1,5 +1,5 @@
-"""Command-line interface: output formats, exit codes, and the config
-precedence chain (flags over file over defaults), all run in-process."""
+"""Command-line interface: output formats, exit codes, and the one verify
+setting (the target-rule orders), all run in-process."""
 
 import importlib.metadata
 import json
@@ -90,6 +90,16 @@ def test_kernel_eval_cross_check(capsys):
     payload = json.loads(out)
     assert payload["discrepancy"] < 1e-10
     assert payload["cross_check_re"] == pytest.approx(payload["value_re"], rel=1e-9)
+
+
+def test_kernel_eval_refuses_level_at_nu_minus_ell_one_half(capsys):
+    # at nu - ell = 1/2 the kernel's norm constant is 0; the level is
+    # outside the eigenspace family, a usage error, not a printed 0
+    code, out, err = run_cli(capsys, ["kernel-eval", "--family", "generalized_second",
+                                      "--nu", "1.5", "--ell", "1", "--z", "0.3,0.1",
+                                      "--x", "0.5"])
+    assert code == 2
+    assert out == "" and "ell < nu - 1/2" in err
 
 
 def test_kernel_eval_missing_parameter(capsys):
@@ -195,8 +205,10 @@ def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatc
                                   "--at", "0.2,-0.1"])
     assert code == 0
     assert len(calls) == 1
-    op = make_transform("gen_bergman_dirichlet", 1.5, 3)
-    assert op.weight is kernels._default_omega(1.5, 3)
+    # the operator builds the weight and its s-rule, the ones its kernel looks up
+    kernels._default_omega.cache_clear()
+    make_transform("gen_bergman_dirichlet", 1.5, 3)
+    assert "s_rule" in vars(kernels._default_omega(1.5, 3))
 
 
 @pytest.mark.parametrize("text", ['{"1,1": [1, 0], "01,1": [2, 0]}',
@@ -252,7 +264,7 @@ def test_verify_quadrature_passes(capsys):
     assert payload["suite"] == "quadrature"
     assert payload["passed"] is True
     assert all(c["measured"] <= c["tolerance"] for c in payload["checks"])
-    assert payload["metadata"]["config"]["source_order"] == 120
+    assert payload["metadata"]["config"] == {"disk_radial": None, "disk_angular": None}
 
 
 _WITHOUT_SCIPY = """
@@ -305,29 +317,6 @@ def test_verify_report_records_environment(capsys, monkeypatch):
                                          "MKL_NUM_THREADS"}
 
 
-def test_verify_flag_overrides_config_file(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# narrow run\nsource_order = 80\ndisk_angular = 30\n")
-    monkeypatch.setenv("BARGMANN_CONFIG", str(cfg))
-    code, out, _ = run_cli(capsys, ["verify", "quadrature",
-                                    "--disk-angular", "24"])
-    assert code == 0
-    payload = json.loads(out)
-    # flag beats file beats default
-    assert payload["metadata"]["config"]["disk_angular"] == 24
-    assert payload["metadata"]["config"]["source_order"] == 80
-    assert payload["metadata"]["config"]["disk_radial"] == verify.RunConfig().disk_radial
-
-
-def test_verify_explicit_config_path(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("fd_step = 0.002\n")
-    code, out, _ = run_cli(capsys, ["verify", "operators", "--config", str(cfg)])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["metadata"]["config"]["fd_step"] == 0.002
-
-
 def test_verify_detects_failure_with_coarse_disk_rule(capsys):
     # an 8-radius polar rule cannot integrate the degree-24 Gram matrix of
     # the targets with a rule exactly, so their isometry and Gram checks fail;
@@ -360,34 +349,20 @@ def test_verify_transforms_reports_its_target_orders(capsys):
         for kind in ("classical", "generalized_second")}
 
 
-def test_verify_bad_config_values(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("fd_step = -0.5\n")
-    code, _, err = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
-    assert code == 2
-    assert "error:" in err
-
-    cfg.write_text("no_such_knob = 3\n")
-    code, _, _ = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
-    assert code == 2
-
-    # NaN compares false against every range check and would reach the
-    # report as the non-JSON token NaN
-    cfg.write_text("tolerance_scale = nan\n")
-    code, _, _ = run_cli(capsys, ["verify", "quadrature", "--config", str(cfg)])
-    assert code == 2
-    for flag in ("--fd-step", "--tolerance-scale"):
-        for value in ("nan", "inf"):
-            code, out, err = run_cli(capsys, ["verify", "quadrature", flag, value])
-            assert code == 2, (flag, value)
-            assert out == "" and "error:" in err
-
-
-def test_verify_missing_config_file(capsys):
-    code, _, err = run_cli(capsys, ["verify", "quadrature",
-                                    "--config", "/no/such/file.cfg"])
-    assert code == 2
-    assert "error:" in err
+def test_verify_bad_config_values(capsys):
+    # RunConfig.validate refuses an order below 1: exit 2, nothing on stdout
+    for flag, value in (("--disk-radial", "0"), ("--disk-angular", "-3")):
+        code, out, err = run_cli(capsys, ["verify", "quadrature", flag, value])
+        assert code == 2, (flag, value)
+        assert out == "" and "error:" in err
+    # the int parser refuses a NaN, and the settings that are constants are
+    # not options: each is a usage error
+    for argv in (["--disk-radial", "nan"], ["--tolerance-scale", "2"],
+                 ["--fd-step", "0.002"], ["--config", "f"]):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", "quadrature", *argv])
+        assert stop.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -435,7 +410,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
          "--input", str(coeffs), "--at", "0.1,0.4"],
         ["operator", "--gamma", "2", "--casimir", "--apply", str(terms)],
         ["operator", "--gamma", "1.5", "--apply", str(terms), "--fd", "--at", "0.2,0.1"],
-        ["verify", "special", "--tolerance-scale", "2"],
+        ["verify", "special", "--disk-radial", "40"],
         ["verify", "special"],
     ]
 
@@ -461,8 +436,8 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     reused = run_all()
     assert len(built) == 1
     assert [r[0] for r in reused] == [("exit", 2), 2] + [0] * (len(sequence) - 2)
-    assert reused[-2][1]["metadata"]["config"]["tolerance_scale"] == 2.0
-    assert reused[-1][1]["metadata"]["config"]["tolerance_scale"] == 1.0
+    assert reused[-2][1]["metadata"]["config"]["disk_radial"] == 40
+    assert reused[-1][1]["metadata"]["config"]["disk_radial"] is None
     monkeypatch.setattr(cli, "_parser", build_parser)
     assert run_all() == reused
     assert build_parser() is not build_parser()

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from bargmann import (
     DiskOperator,
+    KernelFamily,
     MonomialExpansion,
     apply_exact,
     apply_fd,
@@ -22,6 +23,7 @@ from bargmann import (
     hyperbolic_landau,
     invariant_laplacian,
     landau_eigenvalue,
+    make_transform,
     operator_sample_points,
     point_spectrum,
 )
@@ -216,6 +218,27 @@ def test_point_spectrum_validation():
         point_spectrum("gen_invariant_laplacian", -1.5)
     with pytest.raises(ValueError):
         point_spectrum("dirac", 1.0)
+
+
+def test_levels_at_nu_minus_ell_one_half():
+    # the level-ell eigenfunctions lie in L^2(D, (1-|z|^2)^(2 nu - 2) dA) only
+    # for ell < nu - 1/2: at nu - ell = 1/2 their norm constant is 0, so the
+    # basis, the family, the operator and the eigen check refuse the level
+    # and the point spectrum does not list it
+    with pytest.raises(ValueError):
+        disk_eigen(1.5, 1)
+    with pytest.raises(ValueError):
+        KernelFamily("generalized_second", (1.5, 1))
+    with pytest.raises(ValueError):
+        make_transform("generalized_second", 1.5, 1)
+    with pytest.raises(ValueError):
+        eigen_check(1.5, 1, 0)
+    assert point_spectrum("hyperbolic_landau", 1.5) == ([(0, 0.0)], False)
+    assert point_spectrum("hyperbolic_landau", 2.5) == ([(0, 0.0), (1, 12.0)], False)
+    # just inside the range the level is admitted and listed
+    assert disk_eigen(1.55, 1).params == (1.55, 1)
+    assert [level for level, _ in point_spectrum("hyperbolic_landau", 1.55)[0]] == [0, 1]
+    assert eigen_check(1.55, 1, 0)["residual"] < 1e-4
 
 
 def test_membership_of_polynomials():
