@@ -175,6 +175,10 @@ def apply_fd(op: DiskOperator, F, z, h: float = 1e-3):
     Uses d^2/(dz dzbar) = (1/4)(d^2/dx^2 + d^2/dy^2) and
     d/dzbar = (1/2)(d/dx + i d/dy) with central differences of step h;
     the error is O(h^2) for C^4 integrands.
+
+    F is called once, on the five stencil points z, z +- h, z +- ih stacked
+    along a new leading axis, so it must act elementwise on an array of
+    points (a ``MonomialExpansion`` and a column of ``basis_matrix`` do).
     """
     h = float(h)
     if not h > 0.0:
@@ -183,9 +187,8 @@ def apply_fd(op: DiskOperator, F, z, h: float = 1e-3):
     z = np.asarray(z, dtype=complex)
     if not np.all(np.abs(z) + 2.0 * h < 1.0):  # NaN fails this too
         raise ValueError("finite-difference stencil leaves the unit disk")
-    f0 = F(z)
-    fpx, fmx = F(z + h), F(z - h)
-    fpy, fmy = F(z + 1j * h), F(z - 1j * h)
+    steps = np.array([0.0, h, -h, 1j * h, -1j * h]).reshape((5,) + (1,) * z.ndim)
+    f0, fpx, fmx, fpy, fmy = F(z + steps)
     mixed = 0.25 * (fpx + fmx + fpy + fmy - 4.0 * f0) / (h * h)
     dzbar = 0.5 * ((fpx - fmx) / (2.0 * h) + 1j * (fpy - fmy) / (2.0 * h))
     u = (z * np.conj(z)).real

@@ -542,8 +542,12 @@ def _disk_eigen_matrix(family, jmax, z, out):
     For j >= ell an Euler-transformed terminating hypergeometric form is
     used: it has only ell+1 terms and stays finite at z = 0, where the raw
     formula pairs a negative power of conj(z) with a vanishing Jacobi factor.
-    For j < ell the defining Jacobi form (first parameter ell - j > 0) is
-    evaluated directly.
+    Those degrees are filled together: the normalizers come from one
+    ``log_gamma`` call per Gamma argument over every degree, the 2F1 runs
+    as ell steps over every degree at once, and z^(j - ell) is a running
+    product (``np.cumprod``).  Only the degrees j < ell, where the defining
+    Jacobi form (first parameter ell - j > 0) is evaluated directly, run
+    one at a time.
     """
     nu, ell = family.params
     beta_p = 2.0 * (nu - ell) - 1.0
@@ -553,34 +557,30 @@ def _disk_eigen_matrix(family, jmax, z, out):
     lg_bl = log_gamma(beta_p + 1.0 + ell)
     lg_l = log_gamma(ell + 1.0)
     fold = one_minus_u ** (-ell)
-    zp = np.ones_like(z)      # z^(j - ell), advanced once per degree j > ell
-    for j in range(jmax + 1):
-        lognorm = 0.5 * (
-            np.log(beta_p / np.pi)
-            + log_gamma(j + 1.0) + lg_bl - lg_l - log_gamma(beta_p + 1.0 + j)
-        )
-        if j >= ell:
-            # binom(j + beta, j) in log space
-            logbin = log_gamma(j + beta_p + 1.0) - log_gamma(j + 1.0) - log_gamma(beta_p + 1.0)
-            # terminating 2F1(-ell, 1 + beta + j; 1 + beta; 1 - u)
-            f = np.ones_like(u)
-            term = np.ones_like(u)
-            for k in range(ell):
-                term = term * ((-ell + k) * (1.0 + beta_p + j + k)
-                               / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
-                f = f + term
-            if j > ell:
-                zp = zp * z
-            out[..., j] = np.exp(lognorm + logbin) * zp * fold * f
-        else:
-            pj = jacobi_sequence(j, ell - j, beta_p, 1.0 - 2.0 * u)[..., j]
-            out[..., j] = (
-                (-1.0) ** j
-                * np.exp(lognorm)
-                * np.conj(z) ** (ell - j)
-                * fold
-                * pj
-            )
+    degrees = np.arange(jmax + 1, dtype=float)
+    lg_j = log_gamma(degrees + 1.0)
+    lg_bj = log_gamma(beta_p + 1.0 + degrees)
+    lognorm = 0.5 * (np.log(beta_p / np.pi) + lg_j + lg_bl - lg_l - lg_bj)
+    for j in range(min(ell, jmax + 1)):
+        pj = jacobi_sequence(j, ell - j, beta_p, 1.0 - 2.0 * u)[..., j]
+        out[..., j] = (-1.0) ** j * np.exp(lognorm[j]) * np.conj(z) ** (ell - j) * fold * pj
+    if jmax < ell:
+        return
+    high = degrees[ell:]
+    # binom(j + beta, j) in log space
+    logbin = lg_bj[ell:] - lg_j[ell:] - log_gamma(beta_p + 1.0)
+    # terminating 2F1(-ell, 1 + beta + j; 1 + beta; 1 - u), degrees on the last axis
+    omu = one_minus_u[..., None]
+    f = np.ones(u.shape + high.shape)
+    term = np.ones_like(f)
+    for k in range(ell):
+        term = term * ((-ell + k) * (1.0 + beta_p + high + k)
+                       / ((1.0 + beta_p + k) * (k + 1.0))) * omu
+        f = f + term
+    zp = np.ones(z.shape + high.shape, dtype=complex)
+    zp[..., 1:] = z[..., None]
+    zp = np.cumprod(zp, axis=-1)      # z^(j - ell)
+    out[..., ell:] = np.exp(lognorm[ell:] + logbin) * zp * fold[..., None] * f
 
 
 def _disk_eigen_kernel(basis, z, w):

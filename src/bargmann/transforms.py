@@ -17,11 +17,14 @@ coefficients are also the source coefficients of the inverse.
 Circle extraction samples |z| = 0.75 at a power-of-two count N, so the
 truncations in use share one circle.  Each kernel is conjugate-symmetric in
 z, so the primary kernel is evaluated on the closed upper half only and the
-lower half is its conjugate.  The operator keeps the circle's Taylor map
-(the FFT over the circle of the forward map, divided by N) per N; the
-isometry, Gram, series round-trip and ``target_coefficients`` extractions
-of one operator all apply that map to source values, and none of them
-reads the source coefficients of f.
+lower half is its conjugate.  The circle's Taylor map (the FFT over the
+circle of the forward map, divided by N) depends only on the kernel, the
+source order and N, so it is kept once for the process, keyed by those
+three, in a bounded cache of read-only arrays (``_circle_map``), not per
+operator: equal operators, and operators that differ only in their
+truncations or target orders, share it.  The isometry, Gram, series
+round-trip and ``target_coefficients`` extractions all apply that map to
+source values, and none of them reads the source coefficients of f.
 
 Inversion quadrature deliberately uses the *series-truncated* kernel rather
 than the closed form.  The closed kernels grow double-exponentially in the
@@ -59,7 +62,7 @@ ValueError is raised.  ``forward`` at arbitrary points stays pointwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,22 +124,25 @@ class TransformOperator:
     """A kernel, its source basis' Gauss rule, its truncations, and the
     overrides (n_r, n_theta) of its target rule's orders, None where the
     order is derived from the truncations; the target space is built on the
-    first read of ``target``.  ``make_transform`` sets every field."""
+    first read of ``target``.  ``make_transform`` sets every field.
+
+    The source rule is pinned to the cached Gauss rule of its order, so the
+    kernel and that order fix the forward map; the circle Taylor maps of
+    the extraction are therefore not kept per operator but once for the
+    process (``_circle_map``)."""
 
     kernel: KernelFamily
     source_rule: QuadratureRule
     series_truncation: int
     inverse_truncation: int
     disk_orders: tuple[int | None, int | None]
-    # Taylor maps of the extraction circle by sample count (_circle_taylor)
-    _circle_maps: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         rule = self.source_rule
         expected = _source_rule(self.kernel.source_basis(), rule.nodes.shape[0])
         if (rule.kind, rule.meta) != (expected.kind, expected.meta):
             raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
+        object.__setattr__(self, "source_rule", expected)
         if any(n is not None and n < 1 for n in self.disk_orders):
             raise ValueError("target rule orders must be positive")
 
@@ -385,6 +391,22 @@ def taylor_from_circle(F, J: int, radius: float, n_points: int) -> np.ndarray:
 _EXTRACTION_RADIUS = 0.75
 
 
+# a map holds N x source_order complex values: ~0.5 MB at N = 256 and the
+# default 120 nodes, so eight maps stay within a few MB
+@functools.lru_cache(maxsize=8)
+def _circle_map(kernel: KernelFamily, source_order: int, n_points: int) -> np.ndarray:
+    """The Taylor map of ``_circle_taylor`` for one kernel, source order and
+    sample count N, read-only and shared by every operator of that key: the
+    real FFT (``np.fft.hfft``) of the forward-map rows on the closed upper
+    half of the circle, divided by N."""
+    rule = _source_rule(kernel.source_basis(), source_order)
+    z = circle_points(_EXTRACTION_RADIUS, n_points)[: n_points // 2 + 1]
+    half = kernel_matrix(kernel, z, rule.nodes) * rule.weights
+    taylor = np.fft.hfft(half, n_points, axis=0) / n_points
+    taylor.flags.writeable = False
+    return taylor
+
+
 def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> np.ndarray:
     """Taylor coefficients a_0..a_J of B[f] from forward values on the
     extraction circle, for f given by its values on the source nodes (one
@@ -400,22 +422,19 @@ def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> 
 
     The forward map is linear, so the FFT over the circle of its rows,
     divided by N, is a Taylor map: its row k applied to source values gives
-    r^k a_k.  The operator keeps that map per N, read-only, and each
-    extraction is one (J+1) x k product with it.  Every kernel is
-    conjugate-symmetric in z, K(conj z, x) = conj K(z, x), since the source
-    nodes and weights are real and the target bases have real Taylor
-    coefficients; row N - k of the map is thus the conjugate of row k, so
-    only the closed upper half k = 0..N/2 is evaluated and the (real) FFT of
-    the Hermitian columns is taken from it (``np.fft.hfft``).
+    r^k a_k.  That map depends only on the kernel, the source order and N;
+    it is built once for the process, read-only, in a bounded cache keyed
+    by those three (``_circle_map``), and each extraction is one
+    (J+1) x k product with it.  Every kernel is conjugate-symmetric in z,
+    K(conj z, x) = conj K(z, x), since the source nodes and weights are
+    real and the target bases have real Taylor coefficients; row N - k of
+    the map is thus the conjugate of row k, so only the closed upper half
+    k = 0..N/2 is evaluated.
     """
     radius = _EXTRACTION_RADIUS
     guard = int(np.ceil(np.log(1e-15) / np.log(radius))) + J + 1
     n_points = 1 << (max(64, 4 * (J + 1), guard) - 1).bit_length()
-    taylor = op._circle_maps.get(n_points)
-    if taylor is None:
-        half = forward_map(op, circle_points(radius, n_points)[: n_points // 2 + 1])
-        taylor = op._circle_maps[n_points] = np.fft.hfft(half, n_points, axis=0) / n_points
-        taylor.flags.writeable = False
+    taylor = _circle_map(op.kernel, op.source_rule.nodes.shape[0], n_points)
     return (taylor[: J + 1] / radius ** np.arange(J + 1)[:, None]) @ source_values
 
 

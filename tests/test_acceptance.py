@@ -29,7 +29,7 @@ from bargmann import (
     run_suite,
 )
 from bargmann.cli import main as cli_main
-from bargmann.verify import _TRANSFORM_CASES
+from bargmann.verify import _SUITE_ORDER, _TRANSFORM_CASES
 
 CASES = [
     ("classical", ()),
@@ -293,7 +293,20 @@ _VERIFY_ALL_CHECKS = [
     ("operators.membership_residual", 1e-10),
 ]
 
-def test_verify_all_ids_order_and_tolerances():
+
+@pytest.fixture(scope="module")
+def all_report():
+    return run_suite("all")
+
+
+def test_verify_all_ids_order_and_tolerances(all_report):
     # every check keeps its id, its place and its fixed tolerance
-    report = run_suite("all")
-    assert [(c.id, c.tolerance) for c in report.checks] == _VERIFY_ALL_CHECKS
+    assert [(c.id, c.tolerance) for c in all_report.checks] == _VERIFY_ALL_CHECKS
+
+
+def test_verify_all_reports_each_suites_wall_time(all_report):
+    meta = all_report.metadata
+    suite_wall = meta["suite_wall_s"]
+    assert tuple(suite_wall) == _SUITE_ORDER
+    assert all(seconds >= 0.0 for seconds in suite_wall.values())
+    assert sum(suite_wall.values()) <= meta["wall_time_s"]

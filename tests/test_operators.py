@@ -172,6 +172,51 @@ def test_fd_domain_guards():
         apply_fd(op, f, complex(np.nan, 0.1))
 
 
+def _five_call_stencil(op, F, z, h):
+    """apply_fd's formula with F called once per stencil point."""
+    f0 = F(z)
+    fpx, fmx = F(z + h), F(z - h)
+    fpy, fmy = F(z + 1j * h), F(z - 1j * h)
+    mixed = 0.25 * (fpx + fmx + fpy + fmy - 4.0 * f0) / (h * h)
+    dzbar = 0.5 * ((fpx - fmx) / (2.0 * h) + 1j * (fpy - fmy) / (2.0 * h))
+    u = (z * np.conj(z)).real
+    return (-4.0 * (1.0 - u) * ((1.0 - u) * mixed - op.gamma * np.conj(z) * dzbar)
+            + op.constant_shift * f0)
+
+
+@pytest.mark.parametrize("case", ["expansion", "disk_eigen"])
+def test_fd_calls_F_once_on_the_stacked_stencil(case):
+    if case == "expansion":
+        rng = np.random.default_rng(4)
+        F = MonomialExpansion({(a, b): complex(*rng.standard_normal(2))
+                               for a in range(3) for b in range(3)})
+        op = DiskOperator(2.6, 0.4)
+    else:
+        family = disk_eigen(3.0, 2)
+        F = lambda w: basis_matrix(family, 7, w)[..., 7]  # noqa: E731
+        op = hyperbolic_landau(3.0)
+    shapes = []
+
+    def counted(w):
+        shapes.append(np.shape(w))
+        return F(w)
+
+    pts = operator_sample_points()
+    for z in (pts, pts.reshape(4, 5), pts[3]):
+        for h in (1e-2, 1e-3):
+            shapes.clear()
+            got = apply_fd(op, counted, z, h)
+            assert shapes == [(5,) + np.shape(z)]
+            # a point is compared as a one-point array: numpy's scalar complex
+            # products and powers round apart from its array loops, and 1/h^2
+            # magnifies that to ~1e-11
+            want = _five_call_stencil(op, F, np.atleast_1d(z), h)
+            if np.ndim(z) == 0:
+                assert isinstance(got, complex)
+                want = want[0]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (case, np.shape(z), h)
+
+
 def test_operator_sample_points_stay_inside():
     pts = operator_sample_points()
     assert pts.shape == (20,)

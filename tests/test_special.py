@@ -331,6 +331,56 @@ def test_disk_eigen_running_powers_match_per_degree_powers(nu, ell):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
+def _disk_eigen_per_degree_loop(nu, ell, jmax, z):
+    """psi_j^{nu,ell}(z), j = 0..jmax, one degree at a time: the scalar
+    log-Gamma normalizers, the terminating 2F1 and a running z^(j - ell)
+    per degree, which the evaluator now forms over all degrees at once."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape + (jmax + 1,), dtype=complex)
+    beta_p = 2.0 * (nu - ell) - 1.0
+    u = (z * np.conj(z)).real
+    one_minus_u = 1.0 - u
+    lg_bl = log_gamma(beta_p + 1.0 + ell)
+    lg_l = log_gamma(ell + 1.0)
+    fold = one_minus_u ** (-ell)
+    zp = np.ones_like(z)
+    for j in range(jmax + 1):
+        lognorm = 0.5 * (np.log(beta_p / np.pi) + log_gamma(j + 1.0) + lg_bl - lg_l
+                         - log_gamma(beta_p + 1.0 + j))
+        if j >= ell:
+            logbin = log_gamma(j + beta_p + 1.0) - log_gamma(j + 1.0) - log_gamma(beta_p + 1.0)
+            f = np.ones_like(u)
+            term = np.ones_like(u)
+            for k in range(ell):
+                term = term * ((-ell + k) * (1.0 + beta_p + j + k)
+                               / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
+                f = f + term
+            if j > ell:
+                zp = zp * z
+            out[..., j] = np.exp(lognorm + logbin) * zp * fold * f
+        else:
+            pj = jacobi_sequence(j, ell - j, beta_p, 1.0 - 2.0 * u)[..., j]
+            out[..., j] = ((-1.0) ** j * np.exp(lognorm) * np.conj(z) ** (ell - j)
+                           * fold * pj)
+    return out
+
+
+@pytest.mark.parametrize("nu, ell", [(3.0, 2), (2.3, 1), (1.7, 0), (2.6, 2), (4.0, 3)])
+def test_disk_eigen_matrix_matches_per_degree_loop(nu, ell):
+    rng = np.random.default_rng(31)
+    seeded = np.sqrt(rng.uniform(0.0, 0.98, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+    points = np.concatenate(([0.0, 0.99 * np.exp(0.7j)], seeded))
+    family = disk_eigen(nu, ell)
+    for jmax in sorted({0, ell - 1, ell, ell + 1, 64, 110} - {-1}):
+        for z in (*points[:3], points, points.reshape(6, 7)):
+            z = np.asarray(z)
+            got = basis_matrix(family, jmax, z)
+            want = _disk_eigen_per_degree_loop(nu, ell, jmax, z)
+            assert got.shape == want.shape == z.shape + (jmax + 1,)
+            # relative per entry; where the loop gives 0 (z = 0), exactly 0
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (jmax, z.shape)
+
+
 def test_disk_bases_reject_points_off_the_open_disk():
     for z in (1.0 + 0j, np.nan + 0j, complex(0.1, np.inf)):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ from bargmann import (
     target_coefficients,
     taylor_from_circle,
 )
-from bargmann import kernels, special
+from bargmann import kernels, special, transforms
 from bargmann.cli import main
 from bargmann.transforms import _circle_taylor, _target_contract, _target_values
 
@@ -228,8 +228,9 @@ def test_circle_taylor_matches_full_circle_route(kind, params):
 def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
     # isometry (J_t = 16), Gram (J = 24) and series round trip (J = 15) used
     # to sample 138, 146 and 137 full-circle points; now they share the 129
-    # points k = 0..128 of one 256-point circle
-    op = make_transform("dirichlet")
+    # points k = 0..128 of one 256-point circle, and a second equal operator
+    # reads the same map without evaluating the kernel again
+    transforms._circle_map.cache_clear()
     rows = []
     kernel = kernels.dirichlet_kernel
 
@@ -238,13 +239,16 @@ def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
         return kernel(z, x, rule=rule)
 
     monkeypatch.setattr(kernels, "dirichlet_kernel", counting)
-    rng = np.random.default_rng(12)
-    isometry_norms(op, rng.standard_normal((9, 3)) + 0j)
-    forward_gram(op, 24)
-    values = np.zeros(16, dtype=complex)
-    values[:9] = rng.standard_normal(9)
-    round_trip_series(op, CoefficientVector(values, op.kernel.source_basis(), 15))
-    assert sum(rows) == 129
+    for want in (129, 0):
+        rows.clear()
+        op = make_transform("dirichlet")
+        rng = np.random.default_rng(12)
+        isometry_norms(op, rng.standard_normal((9, 3)) + 0j)
+        forward_gram(op, 24)
+        values = np.zeros(16, dtype=complex)
+        values[:9] = rng.standard_normal(9)
+        round_trip_series(op, CoefficientVector(values, op.kernel.source_basis(), 15))
+        assert sum(rows) == want
 
 
 def test_target_is_built_on_first_read(monkeypatch):
@@ -333,16 +337,32 @@ def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
         assert op.source_rule is build(*args)
 
 
-def test_circle_maps_are_per_operator_and_read_only():
+def test_circle_maps_are_shared_per_key_and_read_only(monkeypatch):
+    # one Taylor map per (kernel, source order, sample count) for the process
+    cached = transforms._circle_map
+    assert 0 < cached.cache_info().maxsize <= 8
+    cached.cache_clear()
+    read = []
+    monkeypatch.setattr(transforms, "_circle_map",
+                        lambda *key: read.append((key, cached(*key))) or read[-1][1])
     op = make_transform("dirichlet", source_order=24, series_truncation=24)
-    forward_gram(op, 8)
-    assert list(op._circle_maps) == [256]
-    taylor = op._circle_maps[256]
-    assert taylor.shape == (256, 24) and not taylor.flags.writeable
-    with pytest.raises(ValueError):
-        taylor[0, 0] = 0.0
-    assert dataclasses.replace(op)._circle_maps == {}
-    assert dataclasses.replace(op, series_truncation=16)._circle_maps == {}
+    ops = [op, make_transform("dirichlet", source_order=24, series_truncation=24),
+           dataclasses.replace(op, series_truncation=16),
+           make_transform("dirichlet", source_order=12),
+           make_transform("gen_bergman_dirichlet", 0.5, 2, source_order=24)]
+    for each in ops:
+        forward_gram(each, 8)
+    assert [key for key, _ in read] == [(op.kernel, 24, 256)] * 3 + [
+        (op.kernel, 12, 256), (ops[4].kernel, 24, 256)]
+    maps = [taylor for _, taylor in read]
+    assert maps[0] is maps[1] is maps[2]
+    assert len({id(taylor) for taylor in maps}) == 3
+    assert cached.cache_info().currsize == 3
+    assert maps[0].shape == (256, 24) and maps[3].shape == (256, 12)
+    for taylor in maps:
+        assert not taylor.flags.writeable
+        with pytest.raises(ValueError):
+            taylor[0, 0] = 0.0
 
 
 def test_forward_evaluates_series_consistently():
