@@ -34,6 +34,7 @@ __all__ = [
     "hyp1f1",
     "hyp2f1",
     "hyp3f2",
+    "hyp2f1_table",
     "BasisFamily",
     "BasisSpec",
     "BASES",
@@ -181,6 +182,7 @@ class HypResult(NamedTuple):
     value: complex
     first_omitted: float
     terms_used: int
+    rounding_bound: float
 
 
 class HypSeriesError(ValueError):
@@ -193,11 +195,15 @@ def hyp_series(upper: Sequence[float], lower: Sequence[float],
     p = len(upper) and q = len(lower), and an error indicator.
 
     Returns the partial sum over ``truncation`` terms, the magnitude of the
-    first omitted term (zero when the series terminated exactly), and the
-    number of terms actually summed.  Raises :class:`HypSeriesError` when
-    the terms are still growing at the truncation point, or when a
-    Gauss-type series (p = q + 1) is evaluated outside its disk of
-    convergence without terminating.
+    first omitted term (zero when the series terminated exactly), the
+    number of terms actually summed, and a bound on the rounding error of
+    the summation, gamma_K sum_k |t_k| for K terms (gamma_K = K u / (1 - K u),
+    u = 2^-53; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 4.2): where the terms cancel, that bound, not
+    ``first_omitted``, says how far off the sum may be.  Raises
+    :class:`HypSeriesError` when the terms are still growing at the
+    truncation point, or when a Gauss-type series (p = q + 1) is evaluated
+    outside its disk of convergence without terminating.
     """
     label = f"{len(upper)}F{len(lower)}"
     if not all(np.isfinite(c) for c in (*upper, *lower)):
@@ -216,6 +222,7 @@ def hyp_series(upper: Sequence[float], lower: Sequence[float],
     x = complex(x)
     term: complex = 1.0 + 0.0j
     total: complex = term
+    magnitude = 1.0     # sum of |t_k| over the terms summed
     used = 1
     for k in range(truncation - 1):
         num = 1.0
@@ -227,8 +234,9 @@ def hyp_series(upper: Sequence[float], lower: Sequence[float],
         term = term * (num / den) * x / (k + 1.0)
         if term == 0.0:
             # exact termination: a nonpositive-integer upper parameter ran out
-            return HypResult(_realify(total), 0.0, used)
+            return HypResult(_realify(total), 0.0, used, _rounding_bound(used, magnitude))
         total += term
+        magnitude += abs(term)
         used += 1
     # first omitted term
     num = 1.0
@@ -238,18 +246,39 @@ def hyp_series(upper: Sequence[float], lower: Sequence[float],
     for c in lower:
         den *= c + (truncation - 1)
     omitted = term * (num / den) * x / float(truncation)
+    bound = _rounding_bound(used, magnitude)
     if omitted == 0.0:
-        return HypResult(_realify(total), 0.0, used)
+        return HypResult(_realify(total), 0.0, used, bound)
     if abs(omitted) >= abs(term):
         raise HypSeriesError(
             f"{label} terms are not decreasing after {truncation} terms "
             f"(|t_K| = {abs(omitted):.3g} >= |t_K-1| = {abs(term):.3g})"
         )
-    return HypResult(_realify(total), abs(omitted), used)
+    return HypResult(_realify(total), abs(omitted), used, bound)
+
+
+def _rounding_bound(terms: int, magnitude: float) -> float:
+    """gamma_K sum_k |t_k|, the bound on the rounding error of a K-term sum."""
+    unit = 2.0 ** -53
+    return terms * unit / (1.0 - terms * unit) * magnitude
 
 
 def _realify(value: complex):
     return value.real if value.imag == 0.0 else value
+
+
+# the public wrappers refuse a sum whose rounding bound exceeds this share of
+# its magnitude: the terms cancelled too far for the value to mean anything
+_HYP_RTOL = 1e-8
+
+
+def _certified(result: HypResult, label: str):
+    """result.value, or ValueError where cancellation ate the sum."""
+    if not result.rounding_bound <= _HYP_RTOL * abs(result.value):
+        raise ValueError(
+            f"{label}: the terms cancel, the rounding bound {result.rounding_bound:.3g} "
+            f"exceeds {_HYP_RTOL:g} of the value {abs(result.value):.3g}")
+    return result.value
 
 
 def hyp1f1(a: float, c: float, x, truncation: int = 200):
@@ -258,19 +287,78 @@ def hyp1f1(a: float, c: float, x, truncation: int = 200):
     For real negative arguments the Kummer transformation
     1F1(a; c; x) = e^x 1F1(c-a; c; -x) is applied first, turning an
     alternating (cancellation-prone) sum into an all-positive one.
+    Raises ValueError where the summed series' rounding bound exceeds 1e-8
+    of its magnitude (``hyp_series``), as for the wrappers below.
     """
     if np.isrealobj(x) and np.real(x) < 0.0:
-        return float(np.exp(x) * hyp_series([c - a], [c], -x, truncation).value)
-    return hyp_series([a], [c], x, truncation).value
+        kummer = hyp_series([c - a], [c], -x, truncation)
+        return float(np.exp(x) * _certified(kummer, "1F1"))
+    return _certified(hyp_series([a], [c], x, truncation), "1F1")
 
 
 def hyp2f1(a: float, b: float, c: float, x, truncation: int = 200):
-    return hyp_series([a, b], [c], x, truncation).value
+    """Gauss's 2F1(a, b; c; x) by its partial sum; ValueError where the
+    rounding bound exceeds 1e-8 of the sum's magnitude (a terminating
+    series of alternating terms that cancel, such as 2F1(-120, 3.5; 2.5; 0.7):
+    ``hyp2f1_table`` runs such sequences stably)."""
+    return _certified(hyp_series([a, b], [c], x, truncation), "2F1")
 
 
 def hyp3f2(uppers: Sequence[float], lowers: Sequence[float], x,
            truncation: int = 200):
-    return hyp_series(list(uppers), list(lowers), x, truncation).value
+    """3F2(uppers; lowers; x) by its partial sum; ValueError where the
+    rounding bound exceeds 1e-8 of the sum's magnitude."""
+    return _certified(hyp_series(list(uppers), list(lowers), x, truncation), "3F2")
+
+
+def hyp2f1_table(nmax: int, b: float, c: float, y: float) -> np.ndarray:
+    """2F1(-n, b; c; y) for n = 0..nmax, in one pass over n.
+
+    Where c - b is not a nonpositive integer, F_n is the dominant solution
+    of the three-term recurrence in n
+
+        (c + n) F_{n+1} = (2n + c - (b + n) y) F_n + n (y - 1) F_{n-1},
+
+    and runs forward from F_0 = 1, F_1 = 1 - b y / c (Gautschi,
+    *Computational aspects of three-term recurrence relations*, SIAM Review
+    9, 1967).  Where c - b = -k for an integer k >= 0, F_n is the minimal
+    solution, which forward recurrence loses, and Euler's transformation
+    leaves a (k+1)-term sum:
+
+        F_n = (1 - y)^(n-k) sum_{i<=k} (c+n)_i (-k)_i / ((c)_i i!) y^i.
+
+    That route takes only k <= 1, F_n = (1 - y)^(n-k) (1 - k (c+n) y / c),
+    whose sum cancels only at its one root: at larger k and y near 1 it
+    loses digits (2e-11 at k = 4, y = 0.95).
+
+    Domain: finite b, finite c > 0, 0 < y < 1, nmax >= 0, and c - b not an
+    integer below -1; elsewhere ValueError.  Tested against exact
+    terminating sums (mpmath, 250 digits) for n <= 120 within 1e-12
+    relative, or 1e-15 of max |F_n| at an exact zero, at
+    (b, c) = (2, 1.5), (3.5, 2.5) and (2.5, 2.5), y = 0.2 and 0.7.  Near a
+    sign change in n the forward route is accurate relative to max |F_n|,
+    not to F_n, and it degrades as c - b nears a nonpositive integer
+    (5e-9 at a distance of 1e-6).
+    """
+    b, c, y = float(b), float(c), float(y)
+    if not (math.isfinite(b) and 0.0 < c < math.inf and 0.0 < y < 1.0):
+        raise ValueError("hyp2f1_table requires finite b, finite c > 0 and 0 < y < 1")
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    k = b - c
+    if k >= 0.0 and k.is_integer():
+        if k > 1.0:
+            raise ValueError("hyp2f1_table takes c - b = -k only for k <= 1")
+        n = np.arange(nmax + 1, dtype=float)
+        return (1.0 - y) ** (n - k) * (1.0 - k * (c + n) / c * y)
+    out = np.empty(nmax + 1)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = 1.0 - b * y / c
+    for n in range(1, nmax):
+        out[n + 1] = ((2.0 * n + c - (b + n) * y) * out[n]
+                      + n * (y - 1.0) * out[n - 1]) / (c + n)
+    return out
 
 
 # ---------------------------------------------------------------------------

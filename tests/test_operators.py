@@ -27,6 +27,7 @@ from bargmann import (
     operator_sample_points,
     point_spectrum,
 )
+from bargmann import operators
 
 
 def test_expansion_prunes_zero_terms():
@@ -144,6 +145,41 @@ def test_eigen_check_residuals():
             report = eigen_check(nu, ell, j)
             assert report["eigenvalue"] == pytest.approx(landau_eigenvalue(nu, ell))
             assert report["residual"] < 1e-4
+
+
+# eigen_check(nu, ell, j)["residual"] for j = 0..5 as it was computed one
+# degree at a time, at the operators suite's six (nu, ell)
+_EIGEN_RESIDUALS = {
+    (1.0, 0): [0.0, 4.801253184094482e-10, 1.337807391940757e-09,
+               1.36278012551351e-09, 1.8280688558751524e-09, 1.4863698623979417e-09],
+    (2.0, 0): [0.0, 8.272979724978352e-10, 1.8526469004755927e-09,
+               1.406643099914556e-09, 1.4361812453731943e-09, 2.5621238939219334e-09],
+    (2.0, 1): [2.2489662919005403e-09, 7.907151427384864e-09, 4.674593983732469e-09,
+               3.41477864830887e-09, 3.1716630466778494e-09, 2.6563721958018494e-09],
+    (3.0, 0): [0.0, 1.0469792861023568e-09, 1.237801120826047e-09,
+               1.300815906466531e-09, 2.049485615542834e-09, 2.2140641551098977e-09],
+    (3.0, 1): [1.7582658200602224e-09, 8.402648427139503e-09, 1.1870687017874133e-08,
+               9.397684963081721e-09, 5.304211781565006e-09, 5.171686404557237e-09],
+    (3.0, 2): [2.3313261396783337e-09, 2.6737971694806042e-09, 1.4180098806569365e-08,
+               1.6295409267917715e-08, 2.1277059057943553e-08, 6.168412253209353e-09],
+}
+
+
+def test_eigen_residuals_of_every_degree_come_from_three_basis_calls(monkeypatch):
+    calls = []
+
+    def counted(family, jmax, points):
+        calls.append(jmax)
+        return basis_matrix(family, jmax, points)
+
+    monkeypatch.setattr(operators, "basis_matrix", counted)
+    for (nu, ell), want in _EIGEN_RESIDUALS.items():
+        calls.clear()
+        got = operators._eigen_residuals(nu, ell, 5)
+        assert calls == [5, 5, 5]       # two stencils and the points themselves
+        assert [repr(float(v)) for v in got] == [repr(v) for v in want]
+        assert repr(float(operators._eigen_residuals(nu, ell, 0)[0])) == repr(want[0])
+        assert eigen_check(nu, ell, 4)["residual"] == want[4]
 
 
 def test_fd_matches_exact_at_second_order():

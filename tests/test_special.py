@@ -23,6 +23,7 @@ from bargmann import (
     hermite_sequence,
     hyp1f1,
     hyp2f1,
+    hyp2f1_table,
     hyp3f2,
     hyp_series,
     jacobi_sequence,
@@ -218,6 +219,7 @@ def test_hyp_series_reports_termination():
     r = hyp_series((-3.0,), (1.5,), 2.0)
     assert r.first_omitted == 0.0
     assert r.terms_used <= 5
+    assert 0.0 < r.rounding_bound <= 1e-8 * abs(r.value)
 
 
 def test_hyp_series_order_follows_the_parameter_lists():
@@ -238,6 +240,59 @@ def test_hyp_series_rejects_bad_input():
     # divergent: terms grow without bound
     with pytest.raises(HypSeriesError):
         hyp1f1(2.0, 0.5, 400.0, truncation=20)
+
+
+def test_cancelled_sums_raise_and_convergent_ones_keep_their_value():
+    # 2F1(-120, 3.5; 2.5; 0.7) is -2.0e-61; its float64 sum reads -7.1e11
+    # with first_omitted 0, and only the rounding bound shows the cancellation
+    r = hyp_series((-120.0, 3.5), (2.5,), 0.7)
+    assert r.first_omitted == 0.0
+    assert r.rounding_bound > 1e3 * abs(r.value)
+    with pytest.raises(ValueError, match="cancel"):
+        hyp2f1(-120, 3.5, 2.5, 0.7)
+    # a convergent series passes through the check with its value unchanged
+    assert repr(hyp2f1(0.5, 0.5, 1.5, 0.3)) == "1.0582725367454624"
+
+
+# (b, c, y): the four (b, 1 + alpha, y) of special.bilateral_gf -- the
+# forward recurrence at c - b = -0.5, Euler's route at c - b = -1 -- and
+# Euler's route at c = b
+_TABLE_CASES = [(2.0, 1.5, 0.2), (2.0, 1.5, 0.7), (3.5, 2.5, 0.2), (3.5, 2.5, 0.7),
+                (2.5, 2.5, 0.2), (2.5, 2.5, 0.7)]
+# where F_n vanishes at the decimal y: F_10 = 0.8^9 (1 - 5y) at (3.5, 2.5, 0.2),
+# -7.45e-18 at the float 0.2 and 0.0 in float64
+_TABLE_ZEROS = {(3.5, 2.5, 0.2): 10}
+
+
+@pytest.mark.parametrize("b, c, y", _TABLE_CASES)
+def test_hyp2f1_table_meets_exact_terminating_sums(b, c, y):
+    mp = pytest.importorskip("mpmath")
+    table = hyp2f1_table(120, b, c, y)
+    with mp.workdps(250):       # the sums cancel by up to ~1e91 at y = 0.7
+        exact = []
+        for n in range(121):
+            term = total = mp.mpf(1)
+            for i in range(n):
+                term *= mp.mpf(i - n) * (b + i) / ((c + i) * (i + 1)) * y
+                total += term
+            exact.append(total)
+        err = [float(abs(t - e)) for t, e in zip(table, exact)]
+        size = [float(abs(e)) for e in exact]
+    zero = _TABLE_ZEROS.get((b, c, y))
+    for n in range(121):
+        bound = 1e-15 * max(size) if n == zero else 1e-12 * size[n]
+        assert err[n] <= bound, (n, err[n], size[n])
+
+
+@pytest.mark.parametrize("args", [
+    (-1, 2.0, 1.5, 0.2), (120, NAN, 1.5, 0.2), (120, 2.0, INF, 0.2),
+    (120, 2.0, 0.0, 0.2), (120, 2.0, 1.5, 0.0), (120, 2.0, 1.5, 1.0),
+    (120, 2.0, 1.5, NAN),
+    (120, 4.5, 2.5, 0.2),       # c - b = -2: Euler's route is tested at k <= 1
+])
+def test_hyp2f1_table_refuses_inputs_outside_its_domain(args):
+    with pytest.raises(ValueError):
+        hyp2f1_table(*args)
 
 
 def test_gamma_helpers():
