@@ -477,17 +477,22 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 class TargetSpace:
     """Where a transform lands: a polar quadrature rule for the target
     measure and the effective weight of each of its circles, or no rule.
+    Only the integral inverse legs integrate over it (``transforms``:
+    ``inverse_integral``, ``reverse_pairing_residual``,
+    ``round_trip_integral``).  The forward isometry and Gram checks read
+    the target basis on one circle instead (``special.BASES`` circles), so
+    an operator that never inverts never builds its rule.
 
     Every target with a rule is polar: ``rule`` is a ``quadrature.disk_rule``
     or ``quadrature.gaussian_plane_rule``, n_r radii times an n_theta-point
     trapezoid in radius-major node order, and its target basis factors as
-    psi_j(r e^(i theta)) = psi_j(r) e^(i (j - shift) theta), where ``shift``
-    is the eigenspace level ell (0 for Fock and Bergman).
+    psi_j(r e^(i theta)) = psi_j(r) e^(i (j - ell) theta), ell the basis'
+    ``shift`` (``special.BasisFamily``: the eigenspace level, 0 for Fock
+    and Bergman).
     ``radial_weights`` holds the effective weight of each node on the circle
     of each radius: the rule's weight times whatever turns the rule's measure
     into the one that makes the target basis orthonormal (see the builders
-    below).  ``radii``, ``n_theta`` and ``node_weights`` (the radial weights
-    repeated ``n_theta`` times, one per node) are read off those.  Both an
+    below).  ``radii`` and ``n_theta`` are read off those.  Both an
     eigenspace's weight factor and its basis' fold (1-|z|^2)^(-ell) take
     1-|z|^2 from the radius, once per circle, so the two cancel on the rule
     exactly as they do pointwise.
@@ -500,7 +505,6 @@ class TargetSpace:
 
     rule: QuadratureRule | None = None
     radial_weights: np.ndarray | None = field(default=None, repr=False)
-    shift: int = 0
 
     def __post_init__(self):
         if (self.rule is None) != (self.radial_weights is None) or (
@@ -517,10 +521,6 @@ class TargetSpace:
     def radii(self) -> np.ndarray:
         return self.rule.nodes[::self.n_theta].real
 
-    @cached_property
-    def node_weights(self) -> np.ndarray:
-        return np.repeat(self.radial_weights, self.n_theta)
-
 
 def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
     """(n_r, n_theta) of a polar target rule for truncations up to J whose
@@ -535,12 +535,12 @@ def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
             1 << J.bit_length() if n_theta is None else n_theta)
 
 
-def _polar_target(rule: QuadratureRule, factor, shift: int = 0) -> TargetSpace:
+def _polar_target(rule: QuadratureRule, factor) -> TargetSpace:
     """A target on a polar rule whose node weights are the rule's times
     factor(r), a function of the radius alone."""
     n_theta = rule.meta["n_theta"]
     radii = rule.nodes[::n_theta].real
-    return TargetSpace(rule, rule.weights[::n_theta] * factor(radii), shift)
+    return TargetSpace(rule, rule.weights[::n_theta] * factor(radii))
 
 
 def _plane_target(params, orders, J=None) -> TargetSpace:
@@ -567,7 +567,7 @@ def _disk_eigen_target(params, orders, J=None) -> TargetSpace:
     polynomial of degree 2 ell in u, so degree J + ell at most."""
     nu, ell = params
     rule = disk_rule(*_polar_orders(orders, J, ell), 2.0 * nu - 2.0 - 2 * ell)
-    return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell), shift=ell)
+    return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell))
 
 
 def _coefficient_target(params, orders, J=None) -> TargetSpace:

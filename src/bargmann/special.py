@@ -387,6 +387,12 @@ class BasisFamily:
             raise ValueError(f"unknown basis family {self.kind!r}")
         return spec
 
+    @property
+    def shift(self) -> int:
+        """ell of psi_j(r e^(i theta)) = psi_j(r) e^(i (j - ell) theta), a
+        target basis' polar form (``BasisSpec.shift``)."""
+        return self.spec.shift(*self.params)
+
 
 def hermite_l2() -> BasisFamily:
     """Hermite functions h_j(x) = H_j(x) e^0 / (pi^(1/4) sqrt(2^j j!)) on the
@@ -723,13 +729,39 @@ def _gen_dirichlet_kernel(basis, z, w):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """What one kind of orthonormal basis is; None marks what a kind lacks."""
+    """What one kind of orthonormal basis is; None or () marks what a kind lacks.
+
+    A target basis factors on every circle as psi_j(r e^(i theta)) =
+    psi_j(r) e^(i (j - shift) theta), shift = ``shift(*params)`` (the level
+    ell of the disk eigenspaces, 0 for the monomial kinds).  ``circles``
+    lists the radii on which ``transforms`` reads <B f, psi_j> off the
+    forward image, first choice first: the next radius serves where psi_j
+    is too small on the one before (a zero of an eigenfunction, or the
+    decay of a high degree).
+    """
 
     check: Callable                  # points -> array, once all lie in the domain
     evaluate: Callable               # (family, jmax, checked x, out): members into out
     norms: Callable | None = None    # (j, *params) -> n_j of psi_j = n_j z^j
     kernel: Callable | None = None   # (family, checked z, w) -> closed kernel
     rule: Callable | None = None     # (n, *params) -> Gauss rule of the source measure
+    circles: tuple = ()              # extraction radii of a target basis, in order
+    shift: Callable = lambda *params: 0   # (*params) -> angular shift of psi_j
+
+
+# The extraction circles.  On |z| = r a bin's rounding, ~1e-16 of the norm of
+# (psi_0(r)..psi_J(r)), is divided by psi_j(r), and ``transforms`` takes the
+# first radius on which no |psi_j(r)| is below 1e-7 of that norm.  For the
+# Fock basis that is r = 3 through J = 40 (the Gram matrix through degree 24
+# to 1.5e-14) and r = 5 through J = 72 (2e-11 at 64, where psi_64(3) ~ 5e-15).
+# On the disk the 120-node source rules resolve the kernels at r = 0.75.
+# Past it the monomial kinds take 0.85, where psi_j decays slower (the plain
+# Dirichlet Gram matrix through degree 64: 7.9e-9 at 0.75, 5.5e-12 at 0.85);
+# the eigenfunctions take 0.6, whose zeros in (nu, ell) for nu <= 4 avoid
+# those at 0.75 (psi_6 of disk_eigen(10/3, 1) vanishes at 0.75).
+_FOCK_CIRCLES = (3.0, 5.0)
+_MONOMIAL_DISK_CIRCLES = (0.75, 0.85)
+_EIGEN_DISK_CIRCLES = (0.75, 0.6)
 
 
 # a rule looks its builder up by name at call time, so code that rebinds
@@ -742,19 +774,22 @@ BASES = {
     "bargmann_fock": BasisSpec(
         _check_plane_point, _fock_matrix,
         lambda j: np.cumprod(np.concatenate(([np.pi ** -0.5], np.sqrt(1.0 / j[1:])))),
-        lambda basis, z, w: np.exp(z * np.conj(w)) / np.pi),
+        lambda basis, z, w: np.exp(z * np.conj(w)) / np.pi, circles=_FOCK_CIRCLES),
     "bergman": BasisSpec(
         _check_disk_point, _bergman_matrix,
         lambda j, delta: np.exp(0.5 * _cumulative_log1p(delta / j[1:])),
-        lambda basis, z, w: (1.0 - z * np.conj(w)) ** (-basis.params[0] - 1.0)),
+        lambda basis, z, w: (1.0 - z * np.conj(w)) ** (-basis.params[0] - 1.0),
+        circles=_MONOMIAL_DISK_CIRCLES),
     "disk_eigen": BasisSpec(_check_disk_point, _disk_eigen_matrix,
-                            kernel=_disk_eigen_kernel),
+                            kernel=_disk_eigen_kernel, circles=_EIGEN_DISK_CIRCLES,
+                            shift=lambda nu, ell: ell),
     "dirichlet": BasisSpec(
         _check_disk_point, _scaled_powers,
         lambda j: np.exp(-0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0)))),
-        lambda basis, z, w: (1.0 + np.log(1.0 / (1.0 - z * np.conj(w)))) / np.pi),
+        lambda basis, z, w: (1.0 + np.log(1.0 / (1.0 - z * np.conj(w)))) / np.pi,
+        circles=_MONOMIAL_DISK_CIRCLES),
     "gen_dirichlet": BasisSpec(
         _check_disk_point, _scaled_powers,
         lambda j, alpha, m: np.exp(_gen_dirichlet_log_norms(j, alpha, m)),
-        _gen_dirichlet_kernel),
+        _gen_dirichlet_kernel, circles=_MONOMIAL_DISK_CIRCLES),
 }

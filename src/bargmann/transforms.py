@@ -4,27 +4,37 @@ and the pairing/isometry machinery.
 A :class:`TransformOperator` bundles a kernel family with a source
 quadrature rule (matching the kernel's source measure) and the family's
 target space (``kernels.TargetSpace``, built by ``kernels.FAMILIES`` on the
-first read of ``op.target`` and kept by the operator; ``forward`` and
-``forward_map`` at given points never read it).  A
-target with a rule (Gaussian plane, weighted disk) integrates against its
-node weights, so both ``forward`` and ``inverse_integral`` are discretized
-integrals.  A Dirichlet-type target has no rule: its norm is a weighted sum
-over Taylor coefficients, read off the forward image on a circle
-(``target_coefficients``), with the weights n_j^(-2) of the target basis
-psi_j = n_j z^j.  The transform carries phi_j to psi_j, so those target
-coefficients are also the source coefficients of the inverse.
+first read of ``op.target`` and kept by the operator; ``forward``,
+``forward_map`` and every circle extraction never read it).
 
-Circle extraction samples |z| = 0.75 at a power-of-two count N, so the
-truncations in use share one circle.  Each kernel is conjugate-symmetric in
-z, so the primary kernel is evaluated on the closed upper half only and the
-lower half is its conjugate.  The circle's Taylor map (the FFT over the
-circle of the forward map, divided by N) depends only on the kernel, the
-source order and N, so it is kept once for the process, keyed by those
-three, in a bounded cache of read-only arrays (``_circle_map``), not per
-operator: equal operators, and operators that differ only in their
-truncations or target orders, share it.  The isometry, Gram, series
-round-trip and ``target_coefficients`` extractions all apply that map to
-source values, and none of them reads the source coefficients of f.
+The forward checks of all five families, isometry and Gram, take one route
+through the primary kernel: the target inner products <B f, psi_j> are read
+off the forward image on one circle |z| = r (``_circle_coefficients``).
+On a circle every target basis factors as psi_j(r) e^(i (j - ell) theta)
+(ell = 0 but for the disk eigenspaces, whose level it is), so bin
+(j - ell) mod N of the circle's FFT, divided by N and by psi_j(r), is that
+inner product.  The radius is the target basis' (``special.BASES``: 3 for
+the Fock space, 0.75 on the disk, each with a second radius where some
+psi_j(r) is too small to divide by).  The sample count N is a power of two,
+so the truncations in use share one circle.  Each kernel is
+conjugate-symmetric in z, so the kernel is evaluated on the closed upper
+half only and the lower half is its conjugate.  The circle's map (the FFT
+over the circle of the forward map, divided by N) depends only on the
+kernel, the source order, N and the radius, so it is kept once for the
+process, keyed by those four, in a bounded cache of read-only arrays
+(``_circle_map``), not per operator: equal operators, and operators that
+differ only in their truncations or target orders, share it.  The isometry,
+Gram, series round-trip and ``target_coefficients`` extractions all apply
+that map to source values, and none of them reads the source coefficients
+of f.
+
+The inverse is an integral over the target space, so it needs a target
+rule: a target with a rule (Gaussian plane, weighted disk) integrates
+against its node weights, and the integral inverse legs
+(``inverse_integral``, ``reverse_pairing_residual``, ``round_trip_integral``)
+run on it.  A Dirichlet-type target has no rule: its inverse is the
+coefficient vector itself, since the transform carries phi_j to psi_j
+(``target_coefficients``, ``round_trip_series``).
 
 Inversion quadrature deliberately uses the *series-truncated* kernel rather
 than the closed form.  The closed kernels grow double-exponentially in the
@@ -40,7 +50,8 @@ routes contract through the (J+1) basis coefficients instead of forming a
 target x source kernel matrix: forward is psi_J(z) (phi_J(x)^T (w * f)) and
 the inverse is phi_J(x) (psi_J(z)^H (w_t * F)).
 
-On a target rule neither side forms psi_J at the rule's nodes either.
+On a target rule the inverse legs do not form psi_J at the rule's nodes
+either.
 Every target rule is polar, a tensor of n_r radii and an n_theta-point
 trapezoid (the Gaussian plane rule and the disk rules alike), and every
 target basis with a rule factors as psi_j(r e^(i theta)) = psi_j(r)
@@ -66,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import BasisFamily, basis_matrix, monomial_normalizer
+from .special import BasisFamily, basis_matrix
 from .quadrature import QuadratureRule
 from .kernels import FAMILIES, KernelFamily, TargetSpace, _default_omega, kernel_matrix
 
@@ -266,8 +277,9 @@ def _polar_radial(op: TransformOperator, J: int) -> tuple[np.ndarray, np.ndarray
         raise ValueError(
             f"truncation {J} needs at least {J + 1} angular nodes on the "
             f"target rule, which has {t.n_theta}: frequencies would alias")
-    R = basis_matrix(op.kernel.target_basis(), J, t.radii)
-    return R, (np.arange(J + 1) - t.shift) % t.n_theta
+    basis = op.kernel.target_basis()
+    R = basis_matrix(basis, J, t.radii)
+    return R, (np.arange(J + 1) - basis.shift) % t.n_theta
 
 
 def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
@@ -294,7 +306,9 @@ def _target_contract(op: TransformOperator, F: np.ndarray, J: int) -> np.ndarray
 def _target_images(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     """B[f] at every target rule node, for f given by its values on the
     source nodes (one column per function), by the series-truncated kernel
-    in polar form.
+    in polar form: the forward leg of the integral round trip.  The forward
+    checks do not come here; they read the primary kernel on a circle
+    (``_circle_coefficients``).
 
     No closed kernel survives a whole target rule.  On disk targets the
     closed kernels oscillate in the source variable at frequency
@@ -353,7 +367,7 @@ def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
 
 
 # ---------------------------------------------------------------------------
-# Taylor-coefficient helpers for Dirichlet-type targets
+# Circle extraction: <B f, psi_j> from the forward image on one circle
 # ---------------------------------------------------------------------------
 
 def circle_points(radius: float, n_points: int) -> np.ndarray:
@@ -388,71 +402,106 @@ def taylor_from_circle(F, J: int, radius: float, n_points: int) -> np.ndarray:
     return hat[: J + 1] / powers[:, None]
 
 
-_EXTRACTION_RADIUS = 0.75
+# an extraction divides each bin's rounding, ~1e-16 of the norm of
+# (psi_0(r)..psi_J(r)), by psi_j(r): a radius is refused where some |psi_j(r)|
+# is below this share of that norm, which bounds the error near 2e-16 / 1e-7
+_CIRCLE_FLOOR = 1e-7
 
 
-# a map holds N x source_order complex values: ~0.5 MB at N = 256 and the
+def _extraction_circle(basis: BasisFamily, J: int) -> tuple[float, np.ndarray]:
+    """The first radius r of the target basis' ``BASES`` circles at which no
+    |psi_j(r)|, j = 0..J, is below ``_CIRCLE_FLOOR`` times the norm of
+    (psi_0(r)..psi_J(r)), and those values; ValueError if none is.
+
+    Measured as the Gram error of the forward map on |z| = r against that
+    ratio, the error stayed within ~2e-16 / ratio for the five families,
+    zeros included: psi_6 of ``disk_eigen(10/3, 1)`` vanishes at r = 0.75,
+    where the Gram matrix through degree 24 came out 1.4 off, and at
+    nu = 10/3 + 1e-9 (ratio 2.3e-10) 6.0e-7 off; at r = 0.6 it is 5.3e-14.
+    """
+    for radius in basis.spec.circles:
+        psi = basis_matrix(basis, J, np.array([radius]))[0]
+        if np.min(np.abs(psi)) >= _CIRCLE_FLOOR * np.linalg.norm(psi):
+            return radius, psi
+    raise ValueError(f"{basis}: some psi_j, j <= {J}, is below {_CIRCLE_FLOOR:g} of "
+                     f"the basis' norm on every extraction circle {basis.spec.circles}")
+
+
+def _circle_samples(radius: float, J: int) -> int:
+    """The sample count N of an extraction circle for degrees up to J.
+
+    Aliasing folds bin k + N onto k.  On a disk circle psi_(k+N)(r) carries
+    r^N, and the guard keeps that fold below double rounding for every
+    retained degree; the Fock basis' psi_j(r) decays faster than any power,
+    so there the 4 (J + 1) floor suffices.  The count is rounded up to a
+    power of two, so nearby truncations share one circle (on |z| = 0.75,
+    J = 15, 16 and 24 all sample N = 256 points).
+    """
+    fold = int(np.ceil(np.log(1e-15) / np.log(radius))) if radius < 1.0 else 0
+    return 1 << (max(64, 4 * (J + 1), fold + J + 1) - 1).bit_length()
+
+
+# a map holds N x source_order real values: ~0.25 MB at N = 256 and the
 # default 120 nodes, so eight maps stay within a few MB
 @functools.lru_cache(maxsize=8)
-def _circle_map(kernel: KernelFamily, source_order: int, n_points: int) -> np.ndarray:
-    """The Taylor map of ``_circle_taylor`` for one kernel, source order and
-    sample count N, read-only and shared by every operator of that key: the
-    real FFT (``np.fft.hfft``) of the forward-map rows on the closed upper
-    half of the circle, divided by N."""
+def _circle_map(kernel: KernelFamily, source_order: int, n_points: int,
+                radius: float) -> np.ndarray:
+    """The circle's Taylor map for one kernel, source order, sample count N
+    and radius, read-only and shared by every operator of that key: the FFT
+    over |z| = radius of the primary forward-map rows, divided by N.
+
+    Row k applied to source values is bin k of B[f] on the circle.  Every
+    kernel is conjugate-symmetric in z, K(conj z, x) = conj K(z, x), since
+    the source nodes and weights are real and the target bases have real
+    values psi_j(r); row N - t of the forward map is thus the conjugate of
+    row t, so only the closed upper half t = 0..N/2 is evaluated, and its
+    FFT is real (``np.fft.hfft``)."""
     rule = _source_rule(kernel.source_basis(), source_order)
-    z = circle_points(_EXTRACTION_RADIUS, n_points)[: n_points // 2 + 1]
+    z = circle_points(radius, n_points)[: n_points // 2 + 1]
     half = kernel_matrix(kernel, z, rule.nodes) * rule.weights
     taylor = np.fft.hfft(half, n_points, axis=0) / n_points
     taylor.flags.writeable = False
     return taylor
 
 
-def _circle_taylor(op: TransformOperator, source_values: np.ndarray, J: int) -> np.ndarray:
-    """Taylor coefficients a_0..a_J of B[f] from forward values on the
-    extraction circle, for f given by its values on the source nodes (one
-    column per function).
+def _circle_coefficients(op: TransformOperator, source_values: np.ndarray,
+                         J: int) -> np.ndarray:
+    """<B[f], psi_j>_target for j = 0..J, read off the forward image on one
+    circle, for f given by its values on the source nodes (one column per
+    function).
 
-    Extraction divides the k-th FFT bin by radius^k, amplifying the float64
-    noise of the sampled values by radius^(-J); a larger radius tames that
-    but needs more samples, since aliasing folds coefficient k+N back onto
-    k with the factor radius^N.  The guard on the sample count keeps the
-    fold below double rounding for every retained coefficient; the count
-    is then rounded up to a power of two, so nearby truncations share one
-    circle (J = 15, 16 and 24 all sample N = 256 points).
-
-    The forward map is linear, so the FFT over the circle of its rows,
-    divided by N, is a Taylor map: its row k applied to source values gives
-    r^k a_k.  That map depends only on the kernel, the source order and N;
-    it is built once for the process, read-only, in a bounded cache keyed
-    by those three (``_circle_map``), and each extraction is one
-    (J+1) x k product with it.  Every kernel is conjugate-symmetric in z,
-    K(conj z, x) = conj K(z, x), since the source nodes and weights are
-    real and the target bases have real Taylor coefficients; row N - k of
-    the map is thus the conjugate of row k, so only the closed upper half
-    k = 0..N/2 is evaluated.
+    On |z| = r every target basis factors as psi_j(r) e^(i (j - ell) theta)
+    (``special.BasisSpec``), so the FFT of B[f] over the circle, divided by
+    N, holds <B[f], psi_j> psi_j(r) in bin (j - ell) mod N; dividing by
+    psi_j(r) gives the coefficient.  For the Dirichlet-type bases psi_j(r)
+    is n_j r^j, and this is the Cauchy-trapezoid extraction of the Taylor
+    coefficients (see Bornemann, Found. Comput. Math. 11, 2011, on choosing
+    its radius).  The radius is the target basis' (``_extraction_circle``).
+    The map behind it depends only on the kernel, the source order, N and
+    the radius (``_circle_map``), so each extraction is one (J+1) x k
+    product with a cached map, and none reads the source coefficients of f.
     """
-    radius = _EXTRACTION_RADIUS
-    guard = int(np.ceil(np.log(1e-15) / np.log(radius))) + J + 1
-    n_points = 1 << (max(64, 4 * (J + 1), guard) - 1).bit_length()
-    taylor = _circle_map(op.kernel, op.source_rule.nodes.shape[0], n_points)
-    return (taylor[: J + 1] / radius ** np.arange(J + 1)[:, None]) @ source_values
+    basis = op.kernel.target_basis()
+    radius, psi = _extraction_circle(basis, J)
+    n_points = _circle_samples(radius, J)
+    taylor = _circle_map(op.kernel, op.source_rule.nodes.shape[0], n_points, radius)
+    bins = (np.arange(J + 1) - basis.shift) % n_points
+    return (taylor[bins] / psi[:, None]) @ source_values
 
 
 def target_coefficients(op: TransformOperator, f, J: int | None = None) -> CoefficientVector:
-    """<B[f], psi_j> for a Dirichlet-type target, via circle extraction.
+    """<B[f], psi_j> for j = 0..J (default the series truncation), by
+    circle extraction (``_circle_coefficients``).
 
-    Evaluates the forward transform on a circle, reads off Taylor
-    coefficients by FFT, and converts to the orthonormal basis.  This is
-    the honest dual route for isometry and round-trip checks: it never
-    consults the source coefficients of f.
+    The transform carries phi_j to psi_j, so these are also the source
+    coefficients of the inverse image: for the Dirichlet-type targets, which
+    have no rule, this is the inverse.  It never consults the source
+    coefficients of f.
     """
-    if op.target.rule is not None:
-        raise ValueError("target_coefficients is for Dirichlet-type targets")
     if J is None:
         J = op.series_truncation
-    a = _circle_taylor(op, _source_values(op, f), J)
-    basis = op.kernel.target_basis()
-    return CoefficientVector(a / monomial_normalizer(basis, J), basis, J)
+    c = _circle_coefficients(op, _source_values(op, f), J)
+    return CoefficientVector(c, op.kernel.target_basis(), J)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +534,11 @@ def reverse_pairing_residual(op: TransformOperator, j: int) -> float:
 def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(||f_k||_source, ||B f_k||_target) for coefficient columns C[:, k].
 
-    Source norms are quadrature norms on the source rule.  L2-type targets
-    take a quadrature norm of forward values on the target nodes
-    (``_target_images``);
-    Dirichlet-type targets evaluate the forward transform on a circle,
-    extract Taylor coefficients, and use the coefficient inner product.
-    Neither side looks at sum |c_j|^2.  One ``forward`` call serves all
-    columns.
+    Source norms are quadrature norms on the source rule.  Target norms are
+    the coefficient norms of <B f_k, psi_j>, j <= J + 8 for degree-J input,
+    read off the primary forward map on the target basis' circle
+    (``_circle_coefficients``), so the kernel itself is on trial.  Neither
+    side looks at sum |c_j|^2.
     """
     C = np.asarray(C, dtype=complex)
     if C.ndim == 1:
@@ -499,25 +546,16 @@ def isometry_norms(op: TransformOperator, C: np.ndarray) -> tuple[np.ndarray, np
     J = C.shape[0] - 1
     FV = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
     norm_source = np.sqrt(op.source_rule.weights @ np.abs(FV) ** 2)
-    if op.target.rule is not None:
-        T = _target_images(op, FV)
-        norm_target = np.sqrt((op.target.node_weights @ np.abs(T) ** 2).real)
-    else:
-        J_t = J + 8
-        a = _circle_taylor(op, FV, J_t)
-        w = monomial_normalizer(op.kernel.target_basis(), J_t) ** -2.0
-        norm_target = np.sqrt((w @ np.abs(a) ** 2).real)
+    norm_target = np.linalg.norm(_circle_coefficients(op, FV, J + 8), axis=0)
     return norm_source, norm_target
 
 
 def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
-    """G[j, k] = <B[phi_k], psi_j>_target; the identity up to truncation."""
+    """G[j, k] = <B[phi_k], psi_j>_target for j, k <= J, the identity up to
+    truncation, through the primary kernel on the target basis' circle
+    (``_circle_coefficients``)."""
     phi = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes)
-    if op.target.rule is not None:
-        return _target_contract(op, _target_images(op, phi), J)
-    a = _circle_taylor(op, phi, J)
-    # <F, psi_j> = n_j^(-2) a_j n_j for diagonal psi_j = n_j z^j
-    return a / monomial_normalizer(op.kernel.target_basis(), J)[:, None]
+    return _circle_coefficients(op, phi, J)
 
 
 def round_trip_integral(op: TransformOperator, c: CoefficientVector) -> float:

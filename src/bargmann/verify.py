@@ -4,8 +4,9 @@ Every check compares one measured quantity against its fixed tolerance,
 and a suite report is the ordered list of check results plus the
 configuration (``RunConfig``: the target-rule orders, if overridden), what
 the suites record of their discretizations (the transforms suite: the
-orders of each operator's target rule), the wall time, and the Python and
-numpy versions, platform and BLAS thread settings it ran under.  All
+orders of the target rule of each operator it inverts), the wall time, and
+the Python and numpy versions, platform and BLAS thread settings it ran
+under.  All
 randomness is seeded, so a report is reproducible bit-for-bit on one
 platform for a fixed configuration.
 """
@@ -126,9 +127,11 @@ class RunConfig:
     """The one setting of the suites, as ``verify --disk-radial`` and
     ``--disk-angular`` give it: the orders (n_r, n_theta) of every polar
     target rule of the transforms suite, the disk rules and the Gaussian
-    plane rule of the classical target.  None leaves each operator's order
-    derived from its truncations (``transforms.make_transform``).  Every
-    other discretization and every tolerance is a constant of its suite."""
+    plane rule of the classical target, which only its integral inverse
+    checks (``reverse_pairing``, ``round_trip``) integrate over.  None
+    leaves each operator's order derived from its truncations
+    (``transforms.make_transform``).  Every other discretization and every
+    tolerance is a constant of its suite."""
 
     disk_radial: int | None = None
     disk_angular: int | None = None
@@ -417,24 +420,17 @@ def _roundtrip_op(cfg: RunConfig, kind: str, params: tuple):
     )
 
 
-def _rule_orders(op) -> list | None:
-    """(n_r, n_theta) of an operator's target rule; None for no operator or
-    no rule."""
-    rule = None if op is None else op.target.rule
-    return None if rule is None else [rule.meta["n_r"], rule.meta["n_theta"]]
-
-
 def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
     checks = []
     rng = np.random.default_rng(_SEED)
+    # the forward checks read the default operators on a circle, and only
+    # the integral inverse, which needs a target rule, builds one
     ops = {kind: _default_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
-    # the integral inverse needs a target rule
-    small_ops = {kind: _roundtrip_op(cfg, kind, params)
-                 for kind, params, *_ in _TRANSFORM_CASES
-                 if ops[kind].target.rule is not None}
+    trip_ops = {kind: _roundtrip_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
+    small_ops = {kind: op for kind, op in trip_ops.items() if op.target.rule is not None}
     metadata["target_orders"] = {
-        kind: {"default": _rule_orders(op), "round_trip": _rule_orders(small_ops.get(kind))}
-        for kind, op in ops.items()}
+        kind: [op.target.rule.meta["n_r"], op.target.n_theta]
+        for kind, op in small_ops.items()}
 
     for kind, *_, reach in _TRANSFORM_CASES:
         op = ops[kind]
@@ -452,7 +448,8 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         measured = max(reverse_pairing_residual(op, jv) for jv in range(9))
         checks.append(Check(
             f"transforms.reverse_pairing.{kind}",
-            f"{kind}: integral inverse of psi_j vs phi_j at the source nodes",
+            f"{kind}: integral inverse of psi_j vs phi_j at the source nodes, "
+            "over the target rule with the series kernel: tests the rule and the bases",
             measured, 1e-6,
             "B^-1 maps psi_j back to phi_j",
         ))
@@ -463,7 +460,8 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         measured = float(np.max(np.abs(src - tgt)))
         checks.append(Check(
             f"transforms.isometry.{kind}",
-            f"{kind}: norm preservation on 20 random degree-8 vectors",
+            f"{kind}: norm preservation on 9 random degree-19 vectors, target norms "
+            "from the primary kernel on a circle",
             measured, 1e-6,
             "||Bf|| = ||f||",
         ))
@@ -473,7 +471,8 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         measured = float(np.max(np.abs(gram - np.eye(25))))
         checks.append(Check(
             f"transforms.gram.{kind}",
-            f"{kind}: Gram matrix of forward images through degree 24",
+            f"{kind}: Gram matrix of forward images through degree 24, from the "
+            "primary kernel on a circle",
             measured, 1e-8,
             "B*B = I on the truncated span",
         ))
@@ -485,13 +484,14 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         measured = round_trip_integral(op, c)
         checks.append(Check(
             f"transforms.round_trip.{kind}",
-            f"{kind}: integral inverse of the forward image at source nodes",
+            f"{kind}: integral inverse of the series forward image at source nodes, "
+            "over the target rule: tests the rule and the bases",
             measured, 1e-4,
             "B^-1 B = identity",
         ))
 
     for kind, op in ops.items():
-        if op.target.rule is not None:
+        if trip_ops[kind].target.rule is not None:   # inverted by the integral
             continue
         values = np.zeros(16, dtype=complex)
         values[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -688,6 +688,18 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
                           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
+def _platform() -> str:
+    """system-release-machine, and the C library where it is glibc (its libm
+    computes exp and log): ``platform.platform()``'s string, built without
+    the processor lookup that function makes, which starts ``uname -p``."""
+    parts = [platform.system(), platform.release(), platform.machine()]
+    try:
+        parts.append("with-" + os.confstr("CS_GNU_LIBC_VERSION").replace(" ", ""))
+    except (AttributeError, ValueError, OSError):   # no such name off glibc
+        pass
+    return "-".join(parts)
+
+
 def _environment() -> dict:
     """The Python and numpy versions, platform and BLAS thread settings,
     which the measured values (through the BLAS) and the wall time depend
@@ -696,7 +708,7 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": _platform(),
         "cpu_count": os.cpu_count(),
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }

@@ -164,7 +164,7 @@ def test_criterion_6_isometry(default_ops):
         src, tgt = isometry_norms(op, C)
         worst = max(worst, float(np.max(np.abs(src - tgt))))
     assert worst <= 1e-6, worst
-    print(f"criterion 6 PASS: isometry on 20 random degree-8 vectors per "
+    print(f"criterion 6 PASS: isometry on 9 random degree-19 vectors per "
           f"transform, worst norm discrepancy {worst:.2e} <= 1e-6")
 
 

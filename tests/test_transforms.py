@@ -41,9 +41,10 @@ from bargmann import (
     target_coefficients,
     taylor_from_circle,
 )
-from bargmann import kernels, special, transforms
+from bargmann import kernels, special, transforms, verify
 from bargmann.cli import main
-from bargmann.transforms import _circle_taylor, _target_contract, _target_values
+from bargmann.transforms import (_circle_coefficients, _extraction_circle,
+                                 _target_contract, _target_values)
 
 # Cheap operators for the structural tests: a degree-8 input only needs the
 # source rule to integrate degree <= 23 exactly.
@@ -212,17 +213,21 @@ CIRCLE_CASES = [("dirichlet", ()), ("gen_bergman_dirichlet", (0.5, 2))]
 
 @pytest.mark.parametrize("kind, params", CIRCLE_CASES)
 def test_circle_taylor_matches_full_circle_route(kind, params):
-    # half the circle plus conjugates, through the operator's Taylor map,
-    # against forward at every point of the same circle and an FFT per call
+    # half the circle plus conjugates, through the cached circle map, against
+    # forward at every point of the same circle and an FFT per call: for
+    # psi_j = n_j z^j the extracted <B f, psi_j> is the Taylor coefficient
+    # a_j over n_j
     op = make_transform(kind, *params)
     rng = np.random.default_rng(11)
     for J in (8, 15, 24):   # all sample N = 256 points
         C = rng.standard_normal((J + 1, 4)) + 1j * rng.standard_normal((J + 1, 4))
         fv = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
-        got = _circle_taylor(op, fv, J)
+        n = monomial_normalizer(op.kernel.target_basis(), J)[:, None]
+        got = _circle_coefficients(op, fv, J) * n
         want = taylor_from_circle(forward(op, fv, circle_points(0.75, 256)), J, 0.75, 256)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), J
-        assert_allclose(_circle_taylor(op, fv[:, 0], J), got[:, 0], rtol=1e-14)
+        assert_allclose(_circle_coefficients(op, fv[:, 0], J) * n[:, 0], got[:, 0],
+                        rtol=1e-14)
 
 
 def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
@@ -268,7 +273,7 @@ def test_target_is_built_on_first_read(monkeypatch):
     assert len(builds) == 1 and other.target is not target and len(builds) == 2
     want = kernels.FAMILIES["second"].target_space((1.5,), (20, 32))
     assert np.array_equal(target.rule.nodes, want.rule.nodes)
-    assert np.array_equal(target.node_weights, want.node_weights)
+    assert np.array_equal(target.radial_weights, want.radial_weights)
     # the orders are still checked when the operator is made
     for kind, params in (("second", (1.5,)), ("classical", ())):
         for orders in ((0, 32), (20, 0)):
@@ -337,8 +342,103 @@ def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
         assert op.source_rule is build(*args)
 
 
+# the module-level name of each family's primary kernel, which FAMILIES
+# looks up at call time
+PRIMARY_KERNELS = {"classical": "classical_kernel", "second": "second_kernel",
+                   "generalized_second": "generalized_second_kernel",
+                   "dirichlet": "dirichlet_kernel",
+                   "gen_bergman_dirichlet": "gen_dirichlet_kernel"}
+
+
+@pytest.fixture
+def fresh_circle_maps():
+    # a map built by a rebound kernel must not outlive the test
+    transforms._circle_map.cache_clear()
+    yield
+    transforms._circle_map.cache_clear()
+
+
+def test_isometry_and_gram_run_the_primary_kernel(monkeypatch, fresh_circle_maps):
+    # every family's isometry and Gram routes evaluate its primary kernel,
+    # so a wrong closed kernel reaches the checks: with delta off by one part
+    # in 1e6 inside second_kernel, transforms.gram.second leaves its 1e-8
+    entries = {}
+    for kind, name in PRIMARY_KERNELS.items():
+        def counting(*args, kernel=getattr(kernels, name), kind=kind):
+            entries[kind] += np.broadcast(*args[-2:]).size
+            return kernel(*args)
+        monkeypatch.setattr(kernels, name, counting)
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    for kind, params, *_ in verify._TRANSFORM_CASES:
+        op = make_transform(kind, *params)
+        for route in (lambda: isometry_norms(op, C), lambda: forward_gram(op, 24)):
+            transforms._circle_map.cache_clear()
+            entries.update(dict.fromkeys(PRIMARY_KERNELS, 0))
+            route()
+            assert entries[kind] > 0 and sum(entries.values()) == entries[kind], kind
+
+    def gram_second():
+        transforms._circle_map.cache_clear()
+        report = verify.run_suite("transforms")
+        return {c.id: c.measured for c in report.checks}["transforms.gram.second"]
+
+    assert gram_second() <= 1e-13
+    second = kernels.second_kernel
+    monkeypatch.setattr(kernels, "second_kernel",
+                        lambda delta, z, x: second(delta * (1.0 + 1e-6), z, x))
+    assert gram_second() > 1e-8
+
+
+def test_circle_extraction_steps_off_a_zero_of_psi_j(fresh_circle_maps):
+    # psi_6 of disk_eigen(10/3, 1) vanishes on |z| = 0.75, where dividing by
+    # it put the Gram matrix 1.4 off (6e-7 at nu = 10/3 + 1e-9); the basis'
+    # second circle, 0.6, takes over
+    for nu in (10.0 / 3.0, 10.0 / 3.0 + 1e-9):
+        op = make_transform("generalized_second", nu, 1)
+        basis = op.kernel.target_basis()
+        assert abs(basis_matrix(basis, 24, np.array([0.75]))[0, 6]) < 1e-8
+        assert _extraction_circle(basis, 24)[0] == 0.6
+        gram = forward_gram(op, 24)
+        assert np.max(np.abs(gram - np.eye(25))) <= 1e-12, nu
+    # where every circle has some psi_j too small to divide by, ValueError:
+    # psi_120 of the Fock basis is 3.9e-43 on |z| = 3 and 1.6e-16 on |z| = 5
+    with pytest.raises(ValueError, match="extraction circle"):
+        forward_gram(make_transform("classical"), 120)
+
+
+def test_isometry_and_gram_over_the_eigenspace_parameters(fresh_circle_maps):
+    # nu on a grid over [1, 4], every level ell < nu - 1/2: the forward
+    # checks hold off the zeros of psi_j too (worst measured: Gram 2.1e-13
+    # at nu = 3.4, ell = 2, and isometry 4.0e-13 at nu = 3.6, ell = 3)
+    rng = np.random.default_rng(21)
+    C = rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))
+    worst_gram = worst_iso = 0.0
+    for nu in np.linspace(1.0, 4.0, 61):
+        for ell in range(int(np.ceil(nu - 0.5))):
+            op = make_transform("generalized_second", nu, ell)
+            gram = forward_gram(op, 24)
+            worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(25)))))
+            src, tgt = isometry_norms(op, C)
+            worst_iso = max(worst_iso, float(np.max(np.abs(src - tgt))))
+    assert worst_gram <= 1e-12 and worst_iso <= 2e-12, (worst_gram, worst_iso)
+
+
+def test_verify_transforms_builds_only_the_round_trip_rules(monkeypatch):
+    # no check reads the default operators' 51-57 x 128 target rules, so the
+    # suite builds only the 64-angle rules its round trips integrate over
+    orders = []
+    for name in ("disk_rule", "gaussian_plane_rule"):
+        build = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, build=build: orders.append(a[:2]) or build(*a))
+    assert verify.run_suite("transforms").passed
+    assert sorted(orders) == [(21, 64), (21, 64), (22, 64)]
+
+
 def test_circle_maps_are_shared_per_key_and_read_only(monkeypatch):
-    # one Taylor map per (kernel, source order, sample count) for the process
+    # one Taylor map per (kernel, source order, sample count, radius) for
+    # the process
     cached = transforms._circle_map
     assert 0 < cached.cache_info().maxsize <= 8
     cached.cache_clear()
@@ -349,16 +449,21 @@ def test_circle_maps_are_shared_per_key_and_read_only(monkeypatch):
     ops = [op, make_transform("dirichlet", source_order=24, series_truncation=24),
            dataclasses.replace(op, series_truncation=16),
            make_transform("dirichlet", source_order=12),
-           make_transform("gen_bergman_dirichlet", 0.5, 2, source_order=24)]
+           make_transform("gen_bergman_dirichlet", 0.5, 2, source_order=24),
+           make_transform("classical", source_order=24)]
     for each in ops:
         forward_gram(each, 8)
-    assert [key for key, _ in read] == [(op.kernel, 24, 256)] * 3 + [
-        (op.kernel, 12, 256), (ops[4].kernel, 24, 256)]
+    # the key takes the radius of the target basis' circle: 0.75 on the
+    # disk, 3 for the Fock space, whose circle needs 64 samples, not 256
+    assert [key for key, _ in read] == [(op.kernel, 24, 256, 0.75)] * 3 + [
+        (op.kernel, 12, 256, 0.75), (ops[4].kernel, 24, 256, 0.75),
+        (ops[5].kernel, 24, 64, 3.0)]
     maps = [taylor for _, taylor in read]
     assert maps[0] is maps[1] is maps[2]
-    assert len({id(taylor) for taylor in maps}) == 3
-    assert cached.cache_info().currsize == 3
+    assert len({id(taylor) for taylor in maps}) == 4
+    assert cached.cache_info().currsize == 4
     assert maps[0].shape == (256, 24) and maps[3].shape == (256, 12)
+    assert maps[5].shape == (64, 24)
     for taylor in maps:
         assert not taylor.flags.writeable
         with pytest.raises(ValueError):
@@ -423,7 +528,7 @@ def test_inverse_integral_matches_series_kernel_matrix(kind, params):
     F = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
     got = inverse_integral(op, F, x)
     kmat = kernel_matrix(op.kernel, z, x, strategy="series", J=op.inverse_truncation)
-    want = (op.target.node_weights * F) @ np.conj(kmat)
+    want = (np.repeat(op.target.radial_weights, op.target.n_theta) * F) @ np.conj(kmat)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -451,11 +556,12 @@ def test_polar_routes_match_basis_matrix_on_flat_nodes(kind, params):
     # evaluation, compared without the eigenspace fold (1-|z|^2)^(-ell): near
     # the boundary a flat node's |z|^2 and its radius' r^2 differ by an ulp,
     # which the fold alone amplifies to ~1e-11 relative
-    want = (1.0 - (t.rule.nodes * np.conj(t.rule.nodes)).real)[:, None] ** t.shift * (psi @ C)
-    got = np.repeat(1.0 - t.radii ** 2, t.n_theta)[:, None] ** t.shift * _target_values(op, C)
+    ell = op.kernel.target_basis().shift
+    want = (1.0 - (t.rule.nodes * np.conj(t.rule.nodes)).real)[:, None] ** ell * (psi @ C)
+    got = np.repeat(1.0 - t.radii ** 2, t.n_theta)[:, None] ** ell * _target_values(op, C)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # contraction
-    want = np.conj(psi).T @ (t.node_weights[:, None] * F)
+    want = np.conj(psi).T @ (np.repeat(t.radial_weights, t.n_theta)[:, None] * F)
     got = _target_contract(op, F, J)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # a single column keeps its shape
@@ -480,15 +586,15 @@ def test_polar_routes_take_one_minus_u_once_per_radius(nu, ell):
 
 
 def test_polar_routes_reject_aliasing_truncations(capsys):
-    # J + 1 > n_theta would put two degrees in one angular bin
+    # J + 1 > n_theta would put two degrees in one angular bin; the forward
+    # checks read a circle, not the rule, so only the inverse legs can alias
     op = make_transform("second", 1.5, source_order=12, disk_orders=(120, 64))
     F = np.ones(op.target.rule.nodes.shape[0], dtype=complex)
     with pytest.raises(ValueError, match="alias"):
         inverse_integral(op, F, 1.0, J=110)
-    with pytest.raises(ValueError, match="alias"):
-        forward_gram(op, 24)          # the series truncation, 64, needs 65 bins
     assert inverse_integral(op, F, 1.0, J=63) is not None
-    assert main(["verify", "transforms", "--disk-angular", "64"]) == 2
+    # the round-trip operators invert at J = 40, which 32 angles cannot carry
+    assert main(["verify", "transforms", "--disk-angular", "32"]) == 2
     assert "alias" in capsys.readouterr().err
 
 
