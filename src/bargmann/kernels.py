@@ -7,10 +7,13 @@ Every kernel has at least two independent evaluation routes:
 - a primary route (closed form, or a quadrature of an integral
   representation for the two Dirichlet-type families: one integrand,
   ``_dirichlet_type_kernel``, the plain family being (alpha, m) = (0, 1),
-  each family on its own rule, a trapezoid in u = sqrt(t) of sqrt(t)e^-t dt
-  for the plain family and of the convolution weight omega dt for the
-  generalized one, written in s = e^-t and compressed by keeping its atoms
-  near s = 1 and replacing the rest by a Gauss rule), and
+  each family on its own discrete measure, a trapezoid in u = sqrt(t) of
+  sqrt(t)e^-t dt for the plain family and of the convolution weight omega dt
+  for the generalized one, written in s = e^-t.  A call whose largest |z|
+  is at most 0.9 integrates on the Gauss rule of the whole measure sized
+  from that |z| (``_T_RULE_LADDER``); past it, on the measure compressed
+  by keeping its atoms near s = 1 and replacing the rest by a Gauss rule),
+  and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -74,19 +77,16 @@ __all__ = [
 # Convolution weight omega_(alpha, m)
 # ---------------------------------------------------------------------------
 
-def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
-    """n-point Gauss rule of the discrete measure sum_k masses_k delta(s - atoms_k).
+def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
+    """Jacobi matrix of order n, (diag, off), and total mass mu0 of the discrete
+    measure sum_k masses_k delta(s - atoms_k).
 
     Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, 2004, sec. 2.2), run on the vectors
     u_k = sqrt(masses_k) p_j(atoms_k): the three-term recurrence forms each
     new orthogonal polynomial and scales it to unit norm in the measure, so
-    its values neither under- nor overflow.  ``quadrature._tridiagonal_gauss``
-    then takes the nodes and weights from the Jacobi matrix.  O(n N) for N
-    atoms.  Without reorthogonalization the recurrence may repeat a node the
-    rule has already resolved; each copy has its own eigenvector, and the
-    sum stays right: at (alpha, m) = (1.5, 12) two nodes 2.5e-6 apart carry
-    weights 9.3e-34 and 1.2e-56.
+    its values neither under- nor overflow.  O(n N) for N atoms.  The
+    leading block of order k < n is the pass run to order k, bit for bit.
     """
     mu0 = float(masses.sum())
     diag = np.empty(n)
@@ -109,7 +109,61 @@ def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
         b = off[j] = math.sqrt(np.dot(q, q))
         q /= b
         u_prev, u, q = u, q, u_prev
-    return _tridiagonal_gauss(diag, off, mu0)
+    return diag, off, mu0
+
+
+def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
+    """n-point Gauss rule of the discrete measure sum_k masses_k delta(s - atoms_k):
+    its Jacobi matrix (``_stieltjes``), whose nodes and weights
+    ``quadrature._tridiagonal_gauss`` takes.  Without reorthogonalization the
+    recurrence may repeat a node the rule has already resolved; each copy
+    has its own eigenvector, and the sum stays right: at (alpha, m) =
+    (1.5, 12) two nodes 2.5e-6 apart carry weights 9.3e-34 and 1.2e-56.
+    """
+    return _tridiagonal_gauss(*_stieltjes(atoms, masses, n))
+
+
+# the ladder of sized t-rules, (rho, n) per rung: a call whose largest |z| is
+# at most rho integrates on the n-point Gauss rule of its whole discrete
+# measure; past the last rung, on the compressed rule.  Against the
+# uncompressed trapezoid at |z| = rho and x <= 30, for the plain measure and
+# 16 omega pairs, each rung is within 2.3e-14 of the largest |K| over x (20
+# nodes at 0.75 read 4.2e-13).  At 0.9, 48 nodes were ~10x noisier than 40
+# for omega(0, 2) (the weights of its tridiagonal solve): 1.7e-11 relative
+# against mpmath at x = 28.8, where every rule of the measure reads ~1e-12
+_T_RULE_LADDER = ((0.6, 16), (0.75, 24), (0.85, 32), (0.9, 40))
+# relative slack on rho: circle_points(0.75, N) reaches |z| = 0.75 + 1.1e-16
+_RUNG_SLACK = 1e-12
+
+
+def _gauss_ladder(kind: str, atoms: np.ndarray,
+                  masses: np.ndarray) -> tuple[QuadratureRule, ...]:
+    """One rule per rung of ``_T_RULE_LADDER``: the n-point Gauss rule of the
+    discrete measure sum_k masses_k delta(s - atoms_k), each the leading
+    block of one Stieltjes pass to the largest n.
+
+    The kernels' integrands are analytic in s but for their singularity at
+    s = 1/z, so on |z| <= rho the rule converges to the discrete sum
+    geometrically, at a rate set by rho (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19): far fewer nodes than the compressed
+    rule, which serves every |z| < 1.
+    """
+    diag, off, mu0 = _stieltjes(atoms, masses, _T_RULE_LADDER[-1][1])
+    rungs = []
+    for rho, n in _T_RULE_LADDER:
+        nodes, weights = _tridiagonal_gauss(diag[:n], off[:n - 1], mu0)
+        _read_only(nodes, weights)
+        rungs.append(QuadratureRule(kind, nodes, weights, {"rho": rho, "gauss": n}))
+    return tuple(rungs)
+
+
+def _rung(z) -> int | None:
+    """Index of the first rung of ``_T_RULE_LADDER`` whose rho bounds the
+    largest |z| of a kernel call at the points z, or None past the last one
+    (so a call past it builds no rung)."""
+    radius = np.max(np.abs(z), initial=0.0)
+    return next((k for k, (rho, _) in enumerate(_T_RULE_LADDER)
+                 if radius <= rho * (1.0 + _RUNG_SLACK)), None)
 
 
 # compressed rules in s = e^-t: atoms kept below this t, and the size of the
@@ -127,8 +181,10 @@ def _compressed_s_rule(kind: str, t: np.ndarray, masses: np.ndarray,
     64-point Gauss rule of their own masses (``_discrete_gauss``).  For f
     analytic in s beyond [0, e^-0.05], such as the kernels' integrands
     (their singularity s = 1/z lies past s = 1 for every |z| < 1), the rule
-    reproduces the discrete sum to rounding, so no size has to be chosen
-    from |z|.  A measure with at most 64 atoms past t = 0.05 keeps them all.
+    reproduces the discrete sum to rounding at every |z| < 1.  The kernels
+    take it only past the last rung of ``_T_RULE_LADDER``; below that a
+    Gauss rule sized from |z| is cheaper.  A measure with at most 64 atoms
+    past t = 0.05 keeps them all.
     """
     atoms = np.exp(-t)
     k = int(np.searchsorted(t, _S_RULE_SPLIT))
@@ -149,7 +205,8 @@ _OMEGA_U_STEP = 0.02
 _OMEGA_T_MAX = 40.0
 _OMEGA_U = np.arange(1, int(np.sqrt(_OMEGA_T_MAX) / _OMEGA_U_STEP) + 1) * _OMEGA_U_STEP
 _OMEGA_T = _OMEGA_U**2
-_read_only(_OMEGA_U, _OMEGA_T)
+_OMEGA_S = np.exp(-_OMEGA_T)
+_read_only(_OMEGA_U, _OMEGA_T, _OMEGA_S)
 
 # omega by Talbot inversion: the node count N and the constants (sigma, mu,
 # nu, beta) of the cotangent contour z(theta) = N (sigma + mu theta
@@ -178,12 +235,28 @@ _read_only(_TALBOT_Z, _TALBOT_DZ)
 class OmegaWeight:
     """omega_(alpha,m) at the atoms ``_OMEGA_T``, t_k = (k h_u)^2 <= 40: the
     convolution of 2m - 1 densities t^(a-1) e^(-bt), whose transforms
-    Gamma(a) (p + b)^(-a) multiply to ``omega_laplace_closed``.  ``s_rule`` is
-    the measure the kernel's t-integral and ``omega_laplace`` integrate against."""
+    Gamma(a) (p + b)^(-a) multiply to ``omega_laplace_closed``.  Its measure
+    is the trapezoid in u = sqrt(t) written in s = e^-t (``masses``); the
+    kernel's t-integral runs on the Gauss rules of that measure in ``rungs``
+    where |z| <= 0.9, and on the compressed ``s_rule`` past that, which is
+    also what ``omega_laplace`` integrates against.  Each is built once per
+    weight, on first use."""
 
     alpha: float
     m: int
     values: np.ndarray
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The masses 2 h_u u_k omega(t_k) of the trapezoid in u = sqrt(t), at
+        the atoms e^(-t_k) (``_OMEGA_S``)."""
+        return 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
+
+    @cached_property
+    def rungs(self) -> tuple[QuadratureRule, ...]:
+        """The Gauss rules of the weight's whole measure, one per rung of
+        ``_T_RULE_LADDER`` (``_gauss_ladder``)."""
+        return _gauss_ladder("omega_s", _OMEGA_S, self.masses)
 
     @cached_property
     def s_rule(self) -> QuadratureRule:
@@ -193,11 +266,9 @@ class OmegaWeight:
         entire, and omega(t) f(t) dt = 2 u^(4m-2) G(u^2) f(u^2) du is even
         and analytic in u: the trapezoid in u converges exponentially and
         leaves no endpoint term (Trefethen & Weideman, SIAM Review 56, 2014).
-        Its masses 2 h_u u_k omega(t_k) at the atoms e^(-t_k) go through
-        ``_compressed_s_rule``, once per weight, on first use.
+        Its ``masses`` at the atoms e^(-t_k) go through ``_compressed_s_rule``.
         """
-        masses = 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
-        return _compressed_s_rule("omega_s", _OMEGA_T, masses, {"h_u": _OMEGA_U_STEP})
+        return _compressed_s_rule("omega_s", _OMEGA_T, self.masses, {"h_u": _OMEGA_U_STEP})
 
 
 def _check_omega_args(alpha, m, j=0.0) -> tuple[float, int]:
@@ -311,9 +382,14 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
 
 
 # the plain Dirichlet kernel's measure sqrt(t) e^-t dt as a trapezoid in
-# u = sqrt(t): the step, and the last node (the measure beyond it is ~1e-16)
+# u = sqrt(t): the step, the last node (the measure beyond it is ~1e-16), and
+# the atoms t_k = (k h)^2, k = 1..620, with their masses 2 h t_k e^(-t_k)
 _DIRICHLET_U_STEP = 0.01
 _DIRICHLET_U_MAX = 6.2
+_DIRICHLET_T = (np.arange(1, int(round(_DIRICHLET_U_MAX / _DIRICHLET_U_STEP)) + 1)
+                * _DIRICHLET_U_STEP) ** 2
+_DIRICHLET_MASSES = 2.0 * _DIRICHLET_U_STEP * _DIRICHLET_T * np.exp(-_DIRICHLET_T)
+_read_only(_DIRICHLET_T, _DIRICHLET_MASSES)
 
 
 @lru_cache(maxsize=1)
@@ -327,9 +403,15 @@ def _default_t_rule() -> QuadratureRule:
     ``_compressed_s_rule`` then keeps the 22 atoms below t = 0.05 and
     compresses the rest into 64 Gauss nodes.
     """
-    h = _DIRICHLET_U_STEP
-    t = (np.arange(1, int(round(_DIRICHLET_U_MAX / h)) + 1) * h) ** 2
-    return _compressed_s_rule("dirichlet_s", t, 2.0 * h * t * np.exp(-t), {"h_u": h})
+    return _compressed_s_rule("dirichlet_s", _DIRICHLET_T, _DIRICHLET_MASSES,
+                              {"h_u": _DIRICHLET_U_STEP})
+
+
+@lru_cache(maxsize=1)
+def _dirichlet_rungs() -> tuple[QuadratureRule, ...]:
+    """The Gauss rules of the plain measure's 620 atoms, one per rung of
+    ``_T_RULE_LADDER`` (``_gauss_ladder``), all built on first use."""
+    return _gauss_ladder("dirichlet_s", np.exp(-_DIRICHLET_T), _DIRICHLET_MASSES)
 
 
 # cap on one block of the integral kernels' (points x nodes) scratch: 6144
@@ -348,13 +430,14 @@ def _blocked(z, x, nt, factors, block):
 
     ``factors(z)`` forms the x-independent factors at some z, and
     ``block(f, x)`` integrates against them at x.  Evaluated whole, 129 z
-    against 120 x on 86 nodes would need ~60 MB of temporaries, and even a
-    forward-map row's 144 KB ones would each be mapped, faulted in and
-    unmapped again by glibc; a block costs a fixed overhead instead.  In
-    ``kernel_matrix``'s layout (z a column, x a row) the grid is tiled and
-    the factors formed once per block of z rows (a forward-map row is two x
-    blocks of 60); any other shape is cut into chunks of its broadcast
-    (z, x) pairs.
+    against 120 x on the 86-node compressed rule would need ~60 MB of
+    temporaries (~17 MB on the 24-node rung), and even a forward-map row's
+    144 KB ones would each be mapped, faulted in and unmapped again by
+    glibc; a block costs a fixed overhead instead.  In ``kernel_matrix``'s
+    layout (z a column, x a row) the grid is tiled and the factors formed
+    once per block of z rows (a forward-map row on the compressed rule is
+    two x blocks of 60, on a rung of at most 40 nodes one block); any other
+    shape is cut into chunks of its broadcast (z, x) pairs.
     """
     shape = np.broadcast_shapes(np.shape(z), np.shape(x))
     per_block = max(1, _BLOCK_ENTRIES // nt)
@@ -425,14 +508,17 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
     at (alpha, m) = (0, 1): (1/sqrt(pi)) [1 + (z/Gamma(3/2)) I(z,x)], I the
     integral of (1-v)^-2 exp(-xv/(1-v)) L_1(x/(1-v)) against sqrt(t)e^-t dt.
     The integrand is analytic in s = e^-t on the closed unit interval, and
-    the default rule is the measure's trapezoid in u = sqrt(t), compressed
-    in s (``_default_t_rule``, 86 nodes).  ``rule`` may instead be a
-    half-line rule with alpha = 1/2, evaluated at s = e^-t.
+    the default rule is a Gauss rule of the measure's trapezoid in u =
+    sqrt(t), written in s, sized from the largest |z| of the call
+    (``_dirichlet_rungs``: 16 to 40 nodes for |z| <= 0.9), or past 0.9 that
+    trapezoid compressed (``_default_t_rule``, 86 nodes).  ``rule`` may
+    instead be a half-line rule with alpha = 1/2, evaluated at s = e^-t.
     """
     z = _check_disk_point(z)
     x = _check_source_point(x)
     if rule is None:
-        rule = _default_t_rule()
+        k = _rung(z)
+        rule = _default_t_rule() if k is None else _dirichlet_rungs()[k]
         s = rule.nodes
     elif rule.kind == "halfline" and abs(rule.meta.get("alpha", -1.0) - 0.5) <= 1e-14:
         s = np.exp(-rule.nodes)
@@ -446,10 +532,13 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     """Kernel of the order-m Bergman-Dirichlet transform:
     ``_dirichlet_type_kernel``, its t-integral against the convolution
     weight omega_(alpha, m) dt.  The weight's trapezoid in u = sqrt(t),
-    which leaves no endpoint term, is evaluated through its compressed rule
-    in s = e^-t (``OmegaWeight.s_rule``, 75 nodes).  The weight is the one
+    which leaves no endpoint term, is evaluated in s = e^-t on a Gauss rule
+    of it sized from the largest |z| of the call (``OmegaWeight.rungs``: 16
+    to 40 nodes for |z| <= 0.9), or past 0.9 on its compressed rule
+    (``OmegaWeight.s_rule``, 75 nodes).  The weight is the one
     ``_default_omega`` keeps for (alpha, m); ``weight`` substitutes another
-    built for the same pair, so a measurement can hold one fixed.
+    built for the same pair, whose own rules the call then uses, so a
+    measurement can hold one fixed.
     """
     alpha, m = _check_omega_args(alpha, m)
     z = _check_disk_point(z)
@@ -458,7 +547,8 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
         weight = _default_omega(alpha, m)
     if weight.m != m or abs(weight.alpha - alpha) > 1e-14:
         raise ValueError("omega weight was built for different (alpha, m)")
-    rule = weight.s_rule
+    k = _rung(z)
+    rule = weight.s_rule if k is None else weight.rungs[k]
     return _dirichlet_type_kernel(alpha, m, z, x, rule.nodes, rule.weights)
 
 

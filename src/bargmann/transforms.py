@@ -185,10 +185,12 @@ def make_transform(kind: str, *params, source_order: int = 120,
     beyond the series truncations in use, while the forward integrands
     (kernel times polynomial times the measure weight) are entire and
     converge superexponentially.  For the generalized family this builds
-    the convolution weight of its (alpha, m) and the weight's s-rule
-    (``kernels._default_omega``, ``OmegaWeight.s_rule``), the ones its
-    kernel looks up, so an operator's first forward map does not pay for
-    them and a transform and a kernel evaluation of one pair share them.
+    the convolution weight of its (alpha, m) and the weight's Gauss rules
+    sized from |z| (``kernels._default_omega``, ``OmegaWeight.rungs``), the
+    ones its kernel looks up wherever |z| <= 0.9, so an operator's first
+    forward map does not pay for them and a transform and a kernel
+    evaluation of one pair share them.  The compressed ``s_rule``, which
+    only points past |z| = 0.9 read, is left to its first use.
 
     Every target rule, the disk rules and the Gaussian plane rule alike, is
     polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,
@@ -206,7 +208,7 @@ def make_transform(kind: str, *params, source_order: int = 120,
     if inverse_truncation is None:
         inverse_truncation = spec.inverse_truncation
     if spec.weighted:   # built here, not in the first forward map
-        _default_omega(*kernel.params).s_rule
+        _default_omega(*kernel.params).rungs
     return TransformOperator(kernel, source, series_truncation, inverse_truncation,
                              tuple(disk_orders))
 

@@ -189,11 +189,12 @@ def test_transform_rejects_boolean_or_long_coefficients(tmp_path, capsys, coeffs
 
 
 def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatch):
-    # one omega weight per (alpha, m), its s-rule built once across both commands
+    # one omega weight per (alpha, m), its rungs (one Stieltjes pass) built
+    # once across both commands
     kernels._default_omega.cache_clear()
     calls = []
-    build = kernels._discrete_gauss
-    monkeypatch.setattr(kernels, "_discrete_gauss",
+    build = kernels._stieltjes
+    monkeypatch.setattr(kernels, "_stieltjes",
                         lambda *args: calls.append(1) or build(*args))
     params = ["--family", "gen_bergman_dirichlet", "--alpha", "1.5", "--m", "3"]
     code, _, _ = run_cli(capsys, ["kernel-eval", *params, "--z", "0.4,0.3", "--x", "2.0"])
@@ -204,10 +205,12 @@ def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatc
                                   "--at", "0.2,-0.1"])
     assert code == 0
     assert len(calls) == 1
-    # the operator builds the weight and its s-rule, the ones its kernel looks up
+    # the operator builds the weight and its rungs, the ones its kernel looks
+    # up where |z| <= 0.9; the compressed s-rule waits for a point past that
     kernels._default_omega.cache_clear()
     make_transform("gen_bergman_dirichlet", 1.5, 3)
-    assert "s_rule" in vars(kernels._default_omega(1.5, 3))
+    assert "rungs" in vars(kernels._default_omega(1.5, 3))
+    assert "s_rule" not in vars(kernels._default_omega(1.5, 3))
 
 
 @pytest.mark.parametrize("text", ['{"1,1": [1, 0], "01,1": [2, 0]}',

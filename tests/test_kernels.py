@@ -12,7 +12,6 @@ from scipy.special import gammaln
 
 from bargmann import (
     KernelFamily,
-    OmegaWeight,
     QuadratureRule,
     classical_kernel,
     dirichlet_kernel,
@@ -40,7 +39,7 @@ from bargmann import (
     laguerre_l2,
     make_transform,
 )
-from bargmann import kernels
+from bargmann import kernels, transforms
 
 # one weight shared by the generalized-kernel tests below, passed explicitly
 # so that they exercise the kernel's weight argument
@@ -155,31 +154,50 @@ def test_omega_s_rule_reproduces_trapezoid(m):
 
 
 def test_forward_map_rows_match_trapezoid_route():
-    # circle-map rows: the weight the kernel looks up at r = 0.75, against
-    # the same kernel run on the uncompressed u-trapezoid
+    # circle-map rows: the rule the kernel takes at r = 0.75 (the 24-node
+    # rung), against the same integrand run on the uncompressed u-trapezoid
     op = make_transform("gen_bergman_dirichlet", 0.5, 2)
-    reference = OmegaWeight(0.5, 2, kernels._default_omega(0.5, 2).values)
-    vars(reference)["s_rule"] = _trapezoid_rule(reference)   # fills the cached property
+    trapezoid = _trapezoid_rule(kernels._default_omega(0.5, 2))
     z = np.array([0.75 * np.exp(2.9j)])
     got = forward_map(op, z)
     x = op.source_rule.nodes
-    want = gen_dirichlet_kernel(0.5, 2, z[:, None], x[None, :],
-                                weight=reference) * op.source_rule.weights
+    want = kernels._dirichlet_type_kernel(0.5, 2, z[:, None], x[None, :], trapezoid.nodes,
+                                          trapezoid.weights) * op.source_rule.weights
     err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
     assert err.max() < 1e-13
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named ``kernels`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
 def test_omega_s_rule_is_built_once_per_weight(monkeypatch):
-    calls = []
-    build = kernels._discrete_gauss
-    monkeypatch.setattr(kernels, "_discrete_gauss",
-                        lambda *args: calls.append(1) or build(*args))
+    # the rungs (one Stieltjes pass) where |z| <= 0.9, the compressed rule
+    # (one Gauss rule of the atoms past t = 0.05) past it, each once
+    calls = _count_calls(monkeypatch, "_stieltjes", "_discrete_gauss")
     weight = omega(0.5, 2)
     first = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
     second = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
-    assert len(calls) == 1
+    assert calls == {"_stieltjes": 1, "_discrete_gauss": 0}
+    assert first == second
+    assert "s_rule" not in vars(weight)
+    first = gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=weight)
+    second = gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=weight)
+    assert calls["_discrete_gauss"] == 1
     assert first == second
     assert weight.s_rule is weight.s_rule
+    assert weight.rungs is weight.rungs
+    # a call past the last rung builds no rung
+    fresh = omega(0.5, 2)
+    gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=fresh)
+    assert "rungs" not in vars(fresh)
 
 
 # point-queries' twelve (alpha, m) pairs
@@ -188,11 +206,8 @@ _GBD_PAIRS = [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
 
 def test_default_omega_cache_holds_point_queries_pairs(monkeypatch):
     # two walks through the twelve pairs in different orders build each
-    # weight's s-rule once
-    calls = []
-    build = kernels._discrete_gauss
-    monkeypatch.setattr(kernels, "_discrete_gauss",
-                        lambda *args: calls.append(1) or build(*args))
+    # weight's rungs once (one Stieltjes pass each)
+    calls = _count_calls(monkeypatch, "_stieltjes")
     kernels._default_omega.cache_clear()
     rng = np.random.default_rng(12)
     orders = [rng.permutation(len(_GBD_PAIRS)) for _ in range(2)]
@@ -201,7 +216,7 @@ def test_default_omega_cache_holds_point_queries_pairs(monkeypatch):
         for i in order:
             alpha, m = _GBD_PAIRS[i]
             gen_dirichlet_kernel(alpha, m, 0.3 + 0.2j, 1.5)
-    assert len(calls) == len(_GBD_PAIRS)
+    assert calls["_stieltjes"] == len(_GBD_PAIRS)
 
 
 def test_omega_rule_moments_meet_closed_laplace():
@@ -280,6 +295,92 @@ def test_gen_dirichlet_kernel_meets_mpmath_series_where_it_cancels():
                 assert tail <= 1e-20 * abs(want), (alpha, m, point)
                 err = abs(value - complex(want)) / abs(complex(want))
                 assert err <= 2e-13, (alpha, m, point, err)
+
+
+# ---------------------------------------------------------------------------
+# the ladder of t-rules sized from |z|
+# ---------------------------------------------------------------------------
+
+def _measure(alpha, m):
+    """(rungs, compressed rule, atoms, masses) of a Dirichlet-type kernel's
+    discrete measure; the plain family is (alpha, m) = (0, 1)."""
+    if m == 1:
+        return (kernels._dirichlet_rungs(), kernels._default_t_rule(),
+                np.exp(-kernels._DIRICHLET_T), kernels._DIRICHLET_MASSES)
+    weight = omega(alpha, m)
+    return weight.rungs, weight.s_rule, kernels._OMEGA_S, weight.masses
+
+
+# a few points on each rung's largest circle, and x up to querygen.X_MAX = 30;
+# the top of that range is where the head and the tail cancel most.  Near
+# x = 28.77, a zero of the (0, 2) kernel at z = 0.9, every rule of the
+# measure, its uncompressed trapezoid included, reads ~1e-12 relative, so no
+# point sits there; a 48-node rung read 1.4e-12 to 1.7e-12 at x = 28.5 and 29
+_RUNG_ANGLES = np.array([0.0, 1.1, 2.5])
+_RUNG_X = np.array([0.0, 1.0, 4.0, 12.0, 22.0, 28.5, 29.0, 30.0])
+
+
+@pytest.mark.parametrize("alpha, m", [(0.0, 1), (0.5, 2), (0.0, 2), (3.0, 4)],
+                         ids=["dirichlet", "omega-0.5-2", "omega-0-2", "omega-3-4"])
+def test_rungs_meet_mpmath_series_at_their_largest_radius(alpha, m):
+    # each rung at its rho against a 40-digit series, truncated at the J
+    # where rho^J = 1e-25 and checked to leave a tail below 1e-20 relative;
+    # each rung is also the Gauss rule of the whole measure that
+    # _discrete_gauss builds, bit for bit
+    mp = pytest.importorskip("mpmath")
+    rungs, _, atoms, masses = _measure(alpha, m)
+    assert [(r.meta["rho"], r.nodes.shape[0]) for r in rungs] == list(kernels._T_RULE_LADDER)
+    truncations = [int(np.ceil(-25.0 / np.log10(r.meta["rho"]))) for r in rungs]
+    with mp.workdps(40):
+        coef = [_gen_dirichlet_series_coefficients(mp, alpha, m, x, max(truncations))
+                for x in _RUNG_X]
+        for rule, J in zip(rungs, truncations):
+            nodes, weights = kernels._discrete_gauss(atoms, masses, rule.nodes.shape[0])
+            assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+            z = rule.meta["rho"] * np.exp(1j * _RUNG_ANGLES)
+            got = kernels._dirichlet_type_kernel(alpha, m, z[:, None], _RUNG_X[None, :],
+                                                 rule.nodes, rule.weights)
+            for j, c in enumerate(coef):
+                c = c[:J + 1]
+                for i, point in enumerate(z):
+                    want = mp.polyval(c[::-1], mp.mpc(point.real, point.imag))
+                    tail = max(abs(t) for t in c[-20:]) * abs(point) ** J
+                    assert tail <= 1e-20 * abs(want), (point, _RUNG_X[j])
+                    err = abs(got[i, j] - complex(want)) / abs(complex(want))
+                    assert err <= 1e-12, (rule.meta["rho"], point, _RUNG_X[j], err)
+
+
+@pytest.mark.parametrize("family", [KernelFamily("dirichlet"),
+                                    KernelFamily("gen_bergman_dirichlet", (0.5, 2))],
+                         ids=["dirichlet", "gen_bergman_dirichlet"])
+def test_circle_maps_integrate_on_the_sized_rung(family, monkeypatch):
+    # the transforms suite's |z| = 0.75 circle takes the 24-node rung, though
+    # circle_points reaches |z| = 0.75 + 1.1e-16; a call with some |z| > 0.9
+    # takes the compressed rule
+    sizes = []
+    inner = kernels._dirichlet_type_kernel
+    monkeypatch.setattr(kernels, "_dirichlet_type_kernel",
+                        lambda alpha, m, z, x, s, w: sizes.append(s.shape[0])
+                        or inner(alpha, m, z, x, s, w))
+    transforms._circle_map.cache_clear()
+    transforms._circle_map(family, 120, 256, 0.75)
+    assert sizes == [24]
+    _, compressed, _, _ = _measure(*(family.params or (0.0, 1)))
+    sizes.clear()
+    kernel_matrix(family, np.array([0.2, 0.91j]), np.array([1.0, 30.0]))
+    kernel_matrix(family, np.array([0.2, 0.9j]), np.array([1.0, 30.0]))
+    assert sizes == [compressed.nodes.shape[0], kernels._T_RULE_LADDER[-1][1]]
+
+
+def test_make_transform_leaves_the_compressed_rule_unbuilt():
+    # the operator prebuilds the rungs; a forward map at |z| <= 0.9 reads
+    # nothing else
+    kernels._default_omega.cache_clear()
+    op = make_transform("gen_bergman_dirichlet", 0.5, 2)
+    weight = kernels._default_omega(0.5, 2)
+    assert "rungs" in vars(weight)
+    forward_map(op, np.array([0.3, 0.9 * np.exp(0.4j)]))
+    assert "s_rule" not in vars(weight)
 
 
 def test_kernel_matrix_strategies():
@@ -373,7 +474,7 @@ def test_blocked_kernels_equal_one_whole_evaluation(evaluate, monkeypatch):
     shapes = [
         (z[:7, None], x[None, :]),              # kernel_matrix's layout
         (z, 1.7),                               # 1-D z, scalar x
-        (0.4 - 0.5j, x),                        # scalar z, 1-D x
+        (0.8 - 0.5j, x),                        # scalar z past the last rung, 1-D x
         (z[:120].reshape(3, 40), x[:40]),       # a 2-D broadcast, not a matrix
         (np.asarray(0.6 + 0.3j), np.asarray(2.5)),
     ]
