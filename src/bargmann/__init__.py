@@ -72,7 +72,6 @@ from .transforms import (
     round_trip_series,
     series_transform,
     target_coefficients,
-    taylor_from_circle,
 )
 from .operators import (
     DiskOperator,
@@ -80,7 +79,6 @@ from .operators import (
     apply_exact,
     apply_fd,
     casimir,
-    eigen_check,
     gen_invariant_laplacian,
     harmonic_membership,
     hyperbolic_landau,

@@ -39,6 +39,7 @@ from .special import (
     _check_integer,
     _check_plane_point,
     _check_source_point,
+    _laguerre,
     bargmann_fock,
     basis_matrix,
     bergman,
@@ -46,7 +47,6 @@ from .special import (
     disk_eigen,
     gen_dirichlet,
     hermite_l2,
-    laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
@@ -78,8 +78,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
-    """Jacobi matrix of order n, (diag, off), and total mass mu0 of the discrete
-    measure sum_k masses_k delta(s - atoms_k).
+    """Recurrence coefficients a_0..a_(n-1) (``diag``) and b_1..b_n (``off``)
+    and total mass mu0 of the discrete measure sum_k masses_k delta(s - atoms_k):
+    the Jacobi matrix of order n, and b_n, the scale of p_n.
 
     Discretized Stieltjes procedure (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, 2004, sec. 2.2), run on the vectors
@@ -90,7 +91,7 @@ def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
     """
     mu0 = float(masses.sum())
     diag = np.empty(n)
-    off = np.empty(n - 1)
+    off = np.empty(n)
     u = np.sqrt(masses / mu0)
     u_prev = np.zeros_like(atoms)
     q = np.empty_like(atoms)
@@ -101,8 +102,6 @@ def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
     for j in range(n):
         np.multiply(atoms, u, out=q)
         a = diag[j] = np.dot(q, u)
-        if j == n - 1:
-            break
         q -= np.multiply(u, a, out=scratch)
         if j:
             q -= np.multiply(u_prev, off[j - 1], out=scratch)
@@ -114,13 +113,15 @@ def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
 
 def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
     """n-point Gauss rule of the discrete measure sum_k masses_k delta(s - atoms_k):
-    its Jacobi matrix (``_stieltjes``), whose nodes and weights
+    its recurrence (``_stieltjes``), whose nodes and weights
     ``quadrature._tridiagonal_gauss`` takes.  Without reorthogonalization the
-    recurrence may repeat a node the rule has already resolved; each copy
-    has its own eigenvector, and the sum stays right: at (alpha, m) =
-    (1.5, 12) two nodes 2.5e-6 apart carry weights 9.3e-34 and 1.2e-56.
+    recurrence may repeat a node the rule has already resolved, and the sum
+    stays right: past t = 0.05 for (alpha, m) = (1.5, 12) (the compressed
+    rule), two nodes 1.8e-6 apart carry weights 7.5e-35 and 1.2e-56, where
+    the eigenvectors of its Jacobi matrix (mpmath, 60 digits) give 9.3e-34
+    and 1.2e-56: 8.6e-34 missed, 6e-18 of the measure's mass 1.5e-16.
     """
-    return _tridiagonal_gauss(*_stieltjes(atoms, masses, n))
+    return _tridiagonal_gauss(*_stieltjes(atoms, masses, n), (n,))[0]
 
 
 # the ladder of sized t-rules, (rho, n) per rung: a call whose largest |z| is
@@ -128,9 +129,11 @@ def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
 # measure; past the last rung, on the compressed rule.  Against the
 # uncompressed trapezoid at |z| = rho and x <= 30, for the plain measure and
 # 16 omega pairs, each rung is within 2.3e-14 of the largest |K| over x (20
-# nodes at 0.75 read 4.2e-13).  At 0.9, 48 nodes were ~10x noisier than 40
-# for omega(0, 2) (the weights of its tridiagonal solve): 1.7e-11 relative
-# against mpmath at x = 28.8, where every rule of the measure reads ~1e-12
+# nodes at 0.75 read 4.2e-13).  At 0.9, 48 nodes are no better than 40
+# against mpmath (three angles, x <= 30): for omega(0, 2) both read 1.3e-12
+# relative at x = 28.8, where every rule of the measure reads ~1e-12, and
+# 6.4e-14 (40) and 1.3e-13 (48) elsewhere; for the plain measure and
+# omega(0.5, 2) both read within 5.8e-15
 _T_RULE_LADDER = ((0.6, 16), (0.75, 24), (0.85, 32), (0.9, 40))
 # relative slack on rho: circle_points(0.75, N) reaches |z| = 0.75 + 1.1e-16
 _RUNG_SLACK = 1e-12
@@ -148,10 +151,10 @@ def _gauss_ladder(kind: str, atoms: np.ndarray,
     Approximation Practice, ch. 19): far fewer nodes than the compressed
     rule, which serves every |z| < 1.
     """
-    diag, off, mu0 = _stieltjes(atoms, masses, _T_RULE_LADDER[-1][1])
+    orders = [n for _, n in _T_RULE_LADDER]
+    rules = _tridiagonal_gauss(*_stieltjes(atoms, masses, orders[-1]), orders)
     rungs = []
-    for rho, n in _T_RULE_LADDER:
-        nodes, weights = _tridiagonal_gauss(diag[:n], off[:n - 1], mu0)
+    for (rho, n), (nodes, weights) in zip(_T_RULE_LADDER, rules):
         _read_only(nodes, weights)
         rungs.append(QuadratureRule(kind, nodes, weights, {"rho": rho, "gauss": n}))
     return tuple(rungs)
@@ -377,7 +380,7 @@ def generalized_second_kernel(nu: float, ell: int, z, x):
         * s ** (-float(ell))
         * (1.0 - z) ** (-2.0 * nu)
         * np.exp(x * z / (z - 1.0))
-        * laguerre(ell, beta_p, x * s)
+        * _laguerre(ell, beta_p, x * s)
     )
 
 
@@ -491,7 +494,7 @@ def _dirichlet_type_kernel(alpha: float, m: int, z, x, s, weights):
         # otherwise reuse a temporary past 256 KB and swap the operands,
         # which moves complex products by an ulp, so a block's values would
         # depend on its size
-        lag = laguerre(m, alpha, xx * w)
+        lag = _laguerre(m, alpha, xx * w)
         g = np.exp(-xx * decay)
         np.multiply(power, g, out=g)
         g *= lag

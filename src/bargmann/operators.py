@@ -32,7 +32,6 @@ __all__ = [
     "apply_fd",
     "landau_eigenvalue",
     "operator_sample_points",
-    "eigen_check",
     "point_spectrum",
     "harmonic_membership",
 ]
@@ -213,9 +212,13 @@ def operator_sample_points(radii=(0.3, 0.6), per_circle: int = 10) -> np.ndarray
 
 def _eigen_residuals(nu: float, ell: int, jmax: int) -> np.ndarray:
     """Relative eigen-equation residuals of the level-ell eigenfunctions
-    psi_0..psi_jmax at weight nu, one per degree: ``basis_matrix`` runs once
-    per stencil and step on the sample points shaped (20, 1), so
-    ``apply_fd`` broadcasts over the degree axis."""
+    psi_0..psi_jmax at weight nu, one per degree, at the
+    ``operator_sample_points()``.  The eigenfunctions carry the
+    non-polynomial (1-|z|^2)^(-ell) factor, so the operator is applied by
+    finite differences at steps h = 1e-3 and h/2, Richardson-extrapolated to
+    cancel the leading O(h^2) error.  ``basis_matrix`` runs once per stencil
+    and step on the sample points shaped (20, 1), so ``apply_fd`` broadcasts
+    over the degree axis."""
     family = disk_eigen(nu, ell)
     op = hyperbolic_landau(nu)
     points = operator_sample_points()[:, None]
@@ -230,23 +233,6 @@ def _eigen_residuals(nu: float, ell: int, jmax: int) -> np.ndarray:
     eigenvalue = landau_eigenvalue(nu, ell)
     return (np.max(np.abs(applied - eigenvalue * psi), axis=0)
             / np.max(np.abs(psi), axis=0))
-
-
-def eigen_check(nu: float, ell: int, j: int) -> dict:
-    """Relative residual of the Landau eigenvalue equation at the
-    ``operator_sample_points()``, entry j of ``_eigen_residuals(nu, ell, j)``.
-
-    The eigenfunctions carry the non-polynomial (1-|z|^2)^(-ell) factor, so
-    the operator is applied by finite differences at steps h = 1e-3 and
-    h/2 and Richardson-extrapolated to cancel the leading O(h^2) error.
-    """
-    return {
-        "nu": float(nu),
-        "ell": int(ell),
-        "j": int(j),
-        "eigenvalue": landau_eigenvalue(nu, ell),
-        "residual": float(_eigen_residuals(nu, ell, j)[j]),
-    }
 
 
 def point_spectrum(kind: str, value: float):

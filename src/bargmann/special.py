@@ -73,9 +73,11 @@ def log_gamma(x):
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1, for finite a."""
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
+    if not np.isfinite(a):
+        raise ValueError("pochhammer argument must be finite")
     out = 1.0
     for k in range(n):
         out *= a + k
@@ -104,9 +106,17 @@ def hermite_sequence(jmax: int, x):
 
 
 def laguerre(j: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1, for real
-    or complex x.  Only two degrees are held at a time, so wide arguments
-    (the kernels' t-integrands) need no (j+1)-fold scratch array."""
+    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1, for finite
+    real or complex x."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Laguerre points must be finite")
+    return _laguerre(j, alpha, x)
+
+
+def _laguerre(j: int, alpha: float, x):
+    """``laguerre`` with x unchecked, for the kernels, whose points are
+    checked on entry.  Only two degrees are held at a time, so wide
+    arguments (the kernels' t-integrands) need no (j+1)-fold scratch array."""
     for value in _laguerre_degrees(j, alpha, x):
         pass
     return value

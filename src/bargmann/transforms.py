@@ -90,7 +90,6 @@ __all__ = [
     "inverse_integral",
     "series_transform",
     "circle_points",
-    "taylor_from_circle",
     "target_coefficients",
     "isometry_norms",
     "pairing_residuals",
@@ -373,35 +372,11 @@ def series_transform(c: CoefficientVector, target_basis: BasisFamily, z):
 # ---------------------------------------------------------------------------
 
 def circle_points(radius: float, n_points: int) -> np.ndarray:
-    """Equispaced samples of the circle |z| = radius, as used by
-    taylor_from_circle; 0 < radius < inf and n_points >= 1."""
+    """Equispaced samples of the circle |z| = radius, the points the circle
+    extraction reads; 0 < radius < inf and n_points >= 1."""
     if not (0.0 < radius < np.inf and n_points >= 1):  # NaN fails this too
         raise ValueError("a sample circle needs a finite radius > 0 and n_points >= 1")
     return radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-
-
-def taylor_from_circle(F, J: int, radius: float, n_points: int) -> np.ndarray:
-    """Taylor coefficients a_0..a_J of a holomorphic F from circle samples.
-
-    a_k = (1/N) sum_t F(r e^(i theta_t)) e^(-i k theta_t) / r^k, i.e. an
-    FFT of equispaced samples.  Assumes F is holomorphic on a disk larger
-    than ``radius`` and its coefficients beyond n_points are negligible at
-    that radius (aliasing folds a_(k+N) r^N into a_k).
-
-    ``F`` may be a callable, an array of values on circle_points(radius,
-    n_points), or a matrix of such values with one column per function.
-    """
-    if J >= n_points:
-        raise ValueError("need more circle samples than requested coefficients")
-    z = circle_points(radius, n_points)
-    vals = F(z) if callable(F) else np.asarray(F)
-    if vals.shape[0] != n_points:
-        raise ValueError("circle values must match circle_points(radius, n_points)")
-    hat = np.fft.fft(vals, axis=0) / n_points
-    powers = radius ** np.arange(J + 1)
-    if vals.ndim == 1:
-        return hat[: J + 1] / powers
-    return hat[: J + 1] / powers[:, None]
 
 
 # an extraction divides each bin's rounding, ~1e-16 of the norm of

@@ -2,6 +2,7 @@
 representations, the convolution weight and its Laplace identity, and
 reproducing-kernel structure (symmetry, positivity, basis sums)."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -315,7 +316,7 @@ def _measure(alpha, m):
 # the top of that range is where the head and the tail cancel most.  Near
 # x = 28.77, a zero of the (0, 2) kernel at z = 0.9, every rule of the
 # measure, its uncompressed trapezoid included, reads ~1e-12 relative, so no
-# point sits there; a 48-node rung read 1.4e-12 to 1.7e-12 at x = 28.5 and 29
+# point sits there
 _RUNG_ANGLES = np.array([0.0, 1.1, 2.5])
 _RUNG_X = np.array([0.0, 1.0, 4.0, 12.0, 22.0, 28.5, 29.0, 30.0])
 
@@ -348,6 +349,30 @@ def test_rungs_meet_mpmath_series_at_their_largest_radius(alpha, m):
                     assert tail <= 1e-20 * abs(want), (point, _RUNG_X[j])
                     err = abs(got[i, j] - complex(want)) / abs(complex(want))
                     assert err <= 1e-12, (rule.meta["rho"], point, _RUNG_X[j], err)
+
+
+@pytest.mark.parametrize("alpha, m", [(0.0, 1), (0.0, 2), (0.5, 2), (0.0, 4), (3.0, 8),
+                                      (1.5, 12)],
+                         ids=["dirichlet", "omega-0-2", "omega-0.5-2", "omega-0-4", "omega-3-8",
+                              "omega-1.5-12"])
+def test_discrete_gauss_rules_integrate_exponentials_with_positive_weights(alpha, m):
+    # every Gauss rule of a discrete measure (the rungs from 24 nodes, the
+    # whole measure's rule at 44, 48 and 64 nodes, the compressed rule)
+    # against the measure's own sum of e^(-c s), c = 5..50; the compressed
+    # rule keeps its atoms below t = 0.05 with their masses, which for
+    # omega(1.5, 12) underflow to 0, and its Gauss nodes carry positive weights
+    rungs, compressed, atoms, masses = _measure(alpha, m)
+    rules = [(r.nodes, r.weights) for r in rungs if r.nodes.shape[0] >= 24]
+    rules += [kernels._discrete_gauss(atoms, masses, n) for n in (44, 48, 64)]
+    kept = compressed.meta["atoms"]
+    assert np.array_equal(compressed.weights[:kept], masses[:kept])
+    for _, weights in rules + [(None, compressed.weights[kept:])]:
+        assert np.all(weights > 0.0), weights.shape[0]
+    for nodes, weights in rules + [(compressed.nodes, compressed.weights)]:
+        for c in range(5, 51):
+            want = math.fsum((masses * np.exp(-c * atoms)).tolist())
+            got = math.fsum((weights * np.exp(-c * nodes)).tolist())
+            assert abs(got - want) <= 3e-15 * abs(want), (nodes.shape[0], c)
 
 
 @pytest.mark.parametrize("family", [KernelFamily("dirichlet"),

@@ -16,7 +16,6 @@ from bargmann import (
     casimir,
     dirichlet,
     disk_eigen,
-    eigen_check,
     gen_dirichlet,
     gen_invariant_laplacian,
     harmonic_membership,
@@ -142,12 +141,10 @@ def test_landau_eigenvalues():
 def test_eigen_check_residuals():
     for nu, ell in ((2.0, 1), (3.0, 2)):
         for j in (0, 2):
-            report = eigen_check(nu, ell, j)
-            assert report["eigenvalue"] == pytest.approx(landau_eigenvalue(nu, ell))
-            assert report["residual"] < 1e-4
+            assert operators._eigen_residuals(nu, ell, j)[j] < 1e-4
 
 
-# eigen_check(nu, ell, j)["residual"] for j = 0..5 as it was computed one
+# _eigen_residuals(nu, ell, j)[j] for j = 0..5 as it was computed one
 # degree at a time, at the operators suite's six (nu, ell)
 _EIGEN_RESIDUALS = {
     (1.0, 0): [0.0, 4.801253184094482e-10, 1.337807391940757e-09,
@@ -179,7 +176,7 @@ def test_eigen_residuals_of_every_degree_come_from_three_basis_calls(monkeypatch
         assert calls == [5, 5, 5]       # two stencils and the points themselves
         assert [repr(float(v)) for v in got] == [repr(v) for v in want]
         assert repr(float(operators._eigen_residuals(nu, ell, 0)[0])) == repr(want[0])
-        assert eigen_check(nu, ell, 4)["residual"] == want[4]
+        assert operators._eigen_residuals(nu, ell, 4)[4] == want[4]
 
 
 def test_fd_matches_exact_at_second_order():
@@ -313,13 +310,13 @@ def test_levels_at_nu_minus_ell_one_half():
     with pytest.raises(ValueError):
         make_transform("generalized_second", 1.5, 1)
     with pytest.raises(ValueError):
-        eigen_check(1.5, 1, 0)
+        operators._eigen_residuals(1.5, 1, 0)
     assert point_spectrum("hyperbolic_landau", 1.5) == ([(0, 0.0)], False)
     assert point_spectrum("hyperbolic_landau", 2.5) == ([(0, 0.0), (1, 12.0)], False)
     # just inside the range the level is admitted and listed
     assert disk_eigen(1.55, 1).params == (1.55, 1)
     assert [level for level, _ in point_spectrum("hyperbolic_landau", 1.55)[0]] == [0, 1]
-    assert eigen_check(1.55, 1, 0)["residual"] < 1e-4
+    assert operators._eigen_residuals(1.55, 1, 0)[0] < 1e-4
 
 
 def test_membership_of_polynomials():

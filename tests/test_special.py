@@ -130,6 +130,10 @@ def test_sequence_validation():
     pytest.param(lambda: laguerre_sequence(3, 0.5, [1.0, NAN]), id="laguerre-x"),
     pytest.param(lambda: laguerre_sequence(3, NAN, 1.0), id="laguerre-alpha"),
     pytest.param(lambda: laguerre_sequence(3, INF, 1.0), id="laguerre-alpha-inf"),
+    pytest.param(lambda: laguerre(3, 0.5, NAN), id="laguerre-scalar-x"),
+    pytest.param(lambda: laguerre(3, 0.5, [1.0, complex(0.5, INF)]), id="laguerre-scalar-x-inf"),
+    pytest.param(lambda: pochhammer(NAN, 2), id="pochhammer-a"),
+    pytest.param(lambda: pochhammer(-INF, 0), id="pochhammer-a-inf"),
     pytest.param(lambda: jacobi_sequence(3, 0.5, 0.5, [0.1, -INF]), id="jacobi-x"),
     pytest.param(lambda: jacobi_sequence(3, NAN, 0.5, 0.1), id="jacobi-a"),
     pytest.param(lambda: jacobi_sequence(3, 0.5, NAN, 0.1), id="jacobi-b"),

@@ -39,7 +39,6 @@ from bargmann import (
     round_trip_series,
     series_transform,
     target_coefficients,
-    taylor_from_circle,
 )
 from bargmann import kernels, special, transforms, verify
 from bargmann.cli import main
@@ -224,7 +223,8 @@ def test_circle_taylor_matches_full_circle_route(kind, params):
         fv = basis_matrix(op.kernel.source_basis(), J, op.source_rule.nodes) @ C
         n = monomial_normalizer(op.kernel.target_basis(), J)[:, None]
         got = _circle_coefficients(op, fv, J) * n
-        want = taylor_from_circle(forward(op, fv, circle_points(0.75, 256)), J, 0.75, 256)
+        values = forward(op, fv, circle_points(0.75, 256))
+        want = np.fft.fft(values, axis=0)[:J + 1] / 256 / 0.75 ** np.arange(J + 1)[:, None]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), J
         assert_allclose(_circle_coefficients(op, fv[:, 0], J) * n[:, 0], got[:, 0],
                         rtol=1e-14)
@@ -612,22 +612,11 @@ def test_forward_rejects_wrong_leading_dimension():
 # coefficient machinery
 # ---------------------------------------------------------------------------
 
-def test_taylor_from_circle_recovers_polynomial():
-    a = np.array([1.0, 2.0 - 1.0j, 0.0, 3.5j, -0.25])
-    pts = circle_points(0.5, 64)
-    F = sum(a[k] * pts**k for k in range(5))
-    got = taylor_from_circle(F, 8, 0.5, 64)
-    assert_allclose(got[:5], a, atol=1e-13)
-    assert np.max(np.abs(got[5:])) < 1e-13
-
-
 @pytest.mark.parametrize("radius, n_points", [
     (0.0, 8), (-0.5, 8), (float("nan"), 4), (float("inf"), 4), (0.5, 0)])
 def test_sample_circle_rejects_bad_radius_or_count(radius, n_points):
     with pytest.raises(ValueError):
         circle_points(radius, n_points)
-    with pytest.raises(ValueError):
-        taylor_from_circle(lambda z: 1 + z, min(3, n_points - 1), radius, n_points)
 
 
 def test_dirichlet_monomial_weights_closed_form():
