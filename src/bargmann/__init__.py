@@ -20,9 +20,7 @@ from .special import (
     hermite_l2,
     hermite_sequence,
     hyp1f1,
-    hyp2f1,
     hyp2f1_table,
-    hyp3f2,
     hyp_series,
     jacobi_sequence,
     laguerre,

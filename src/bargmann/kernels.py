@@ -10,10 +10,8 @@ Every kernel has at least two independent evaluation routes:
   each family on its own discrete measure, a trapezoid in u = sqrt(t) of
   sqrt(t)e^-t dt for the plain family and of the convolution weight omega dt
   for the generalized one, written in s = e^-t.  A call whose largest |z|
-  is at most 0.9 integrates on the Gauss rule of the whole measure sized
-  from that |z| (``_T_RULE_LADDER``); past it, on the measure compressed
-  by keeping its atoms near s = 1 and replacing the rest by a Gauss rule),
-  and
+  is at most 0.9 integrates on the Gauss rule of that measure sized from
+  that |z| (``_T_RULE_LADDER``); past it, on the whole measure), and
 - a truncated series over the orthonormal source/target bases.
 
 The two routes are compared in the verification suite; the series route is
@@ -111,23 +109,10 @@ def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
     return diag, off, mu0
 
 
-def _discrete_gauss(atoms: np.ndarray, masses: np.ndarray, n: int):
-    """n-point Gauss rule of the discrete measure sum_k masses_k delta(s - atoms_k):
-    its recurrence (``_stieltjes``), whose nodes and weights
-    ``quadrature._tridiagonal_gauss`` takes.  Without reorthogonalization the
-    recurrence may repeat a node the rule has already resolved, and the sum
-    stays right: past t = 0.05 for (alpha, m) = (1.5, 12) (the compressed
-    rule), two nodes 1.8e-6 apart carry weights 7.5e-35 and 1.2e-56, where
-    the eigenvectors of its Jacobi matrix (mpmath, 60 digits) give 9.3e-34
-    and 1.2e-56: 8.6e-34 missed, 6e-18 of the measure's mass 1.5e-16.
-    """
-    return _tridiagonal_gauss(*_stieltjes(atoms, masses, n), (n,))[0]
-
-
 # the ladder of sized t-rules, (rho, n) per rung: a call whose largest |z| is
-# at most rho integrates on the n-point Gauss rule of its whole discrete
-# measure; past the last rung, on the compressed rule.  Against the
-# uncompressed trapezoid at |z| = rho and x <= 30, for the plain measure and
+# at most rho integrates on the n-point Gauss rule of its discrete measure;
+# past the last rung, on the whole measure.  Against the whole measure at
+# |z| = rho and x <= 30, for the plain measure and
 # 16 omega pairs, each rung is within 2.3e-14 of the largest |K| over x (20
 # nodes at 0.75 read 4.2e-13).  At 0.9, 48 nodes are no better than 40
 # against mpmath (three angles, x <= 30): for omega(0, 2) both read 1.3e-12
@@ -139,24 +124,24 @@ _T_RULE_LADDER = ((0.6, 16), (0.75, 24), (0.85, 32), (0.9, 40))
 _RUNG_SLACK = 1e-12
 
 
-def _gauss_ladder(kind: str, atoms: np.ndarray,
-                  masses: np.ndarray) -> tuple[QuadratureRule, ...]:
+def _gauss_ladder(measure: QuadratureRule) -> tuple[QuadratureRule, ...]:
     """One rule per rung of ``_T_RULE_LADDER``: the n-point Gauss rule of the
-    discrete measure sum_k masses_k delta(s - atoms_k), each the leading
+    discrete measure sum_k weights_k delta(s - nodes_k), each the leading
     block of one Stieltjes pass to the largest n.
 
     The kernels' integrands are analytic in s but for their singularity at
     s = 1/z, so on |z| <= rho the rule converges to the discrete sum
     geometrically, at a rate set by rho (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 19): far fewer nodes than the compressed
-    rule, which serves every |z| < 1.
+    Approximation Practice, ch. 19): far fewer nodes than the whole measure,
+    which serves every |z| < 1.
     """
     orders = [n for _, n in _T_RULE_LADDER]
-    rules = _tridiagonal_gauss(*_stieltjes(atoms, masses, orders[-1]), orders)
+    rules = _tridiagonal_gauss(*_stieltjes(measure.nodes, measure.weights, orders[-1]),
+                               orders)
     rungs = []
     for (rho, n), (nodes, weights) in zip(_T_RULE_LADDER, rules):
         _read_only(nodes, weights)
-        rungs.append(QuadratureRule(kind, nodes, weights, {"rho": rho, "gauss": n}))
+        rungs.append(QuadratureRule(measure.kind, nodes, weights, {"rho": rho, "gauss": n}))
     return tuple(rungs)
 
 
@@ -167,39 +152,6 @@ def _rung(z) -> int | None:
     radius = np.max(np.abs(z), initial=0.0)
     return next((k for k, (rho, _) in enumerate(_T_RULE_LADDER)
                  if radius <= rho * (1.0 + _RUNG_SLACK)), None)
-
-
-# compressed rules in s = e^-t: atoms kept below this t, and the size of the
-# Gauss rule that replaces the others
-_S_RULE_SPLIT = 0.05
-_S_RULE_NODES = 64
-
-
-def _compressed_s_rule(kind: str, t: np.ndarray, masses: np.ndarray,
-                       meta: dict) -> QuadratureRule:
-    """The discrete measure sum_k masses_k delta(s - e^(-t_k)), compressed.
-
-    ``t`` is ascending.  Atoms with t < 0.05, where a kernel's integrand
-    peaks as |z| -> 1, are kept as nodes; the others are replaced by the
-    64-point Gauss rule of their own masses (``_discrete_gauss``).  For f
-    analytic in s beyond [0, e^-0.05], such as the kernels' integrands
-    (their singularity s = 1/z lies past s = 1 for every |z| < 1), the rule
-    reproduces the discrete sum to rounding at every |z| < 1.  The kernels
-    take it only past the last rung of ``_T_RULE_LADDER``; below that a
-    Gauss rule sized from |z| is cheaper.  A measure with at most 64 atoms
-    past t = 0.05 keeps them all.
-    """
-    atoms = np.exp(-t)
-    k = int(np.searchsorted(t, _S_RULE_SPLIT))
-    if atoms.shape[0] - k <= _S_RULE_NODES:   # too few atoms to compress
-        k = atoms.shape[0]
-        nodes, weights = atoms, masses
-    else:
-        s, w = _discrete_gauss(atoms[k:], masses[k:], _S_RULE_NODES)
-        nodes, weights = np.concatenate([atoms[:k], s]), np.concatenate([masses[:k], w])
-    _read_only(nodes, weights)
-    return QuadratureRule(kind, nodes, weights,
-                          {"atoms": k, "gauss": nodes.shape[0] - k, **meta})
 
 
 # the weight's t-integral as a trapezoid in u = sqrt(t): the step, the last
@@ -238,40 +190,37 @@ _read_only(_TALBOT_Z, _TALBOT_DZ)
 class OmegaWeight:
     """omega_(alpha,m) at the atoms ``_OMEGA_T``, t_k = (k h_u)^2 <= 40: the
     convolution of 2m - 1 densities t^(a-1) e^(-bt), whose transforms
-    Gamma(a) (p + b)^(-a) multiply to ``omega_laplace_closed``.  Its measure
-    is the trapezoid in u = sqrt(t) written in s = e^-t (``masses``); the
-    kernel's t-integral runs on the Gauss rules of that measure in ``rungs``
-    where |z| <= 0.9, and on the compressed ``s_rule`` past that, which is
-    also what ``omega_laplace`` integrates against.  Each is built once per
-    weight, on first use."""
+    Gamma(a) (p + b)^(-a) multiply to ``omega_laplace_closed``.  Its
+    ``measure`` is the trapezoid in u = sqrt(t) written in s = e^-t, which
+    ``omega_laplace`` integrates against; the kernel's t-integral runs on
+    the Gauss rules of that measure in ``rungs`` where |z| <= 0.9, and on
+    the whole measure past that.  Each is built once per weight, on first
+    use."""
 
     alpha: float
     m: int
     values: np.ndarray
 
-    @property
-    def masses(self) -> np.ndarray:
-        """The masses 2 h_u u_k omega(t_k) of the trapezoid in u = sqrt(t), at
-        the atoms e^(-t_k) (``_OMEGA_S``)."""
-        return 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
-
     @cached_property
-    def rungs(self) -> tuple[QuadratureRule, ...]:
-        """The Gauss rules of the weight's whole measure, one per rung of
-        ``_T_RULE_LADDER`` (``_gauss_ladder``)."""
-        return _gauss_ladder("omega_s", _OMEGA_S, self.masses)
-
-    @cached_property
-    def s_rule(self) -> QuadratureRule:
-        """The weight's trapezoid in u = sqrt(t), written in s = e^-t, compressed.
+    def measure(self) -> QuadratureRule:
+        """The weight's trapezoid in u = sqrt(t), written in s = e^-t: masses
+        2 h_u u_k omega(t_k) at the 316 atoms e^(-t_k) (``_OMEGA_S``),
+        read-only.
 
         The exponents a sum to 2m - 1/2, so omega(t) = t^(2m-3/2) G(t) with G
         entire, and omega(t) f(t) dt = 2 u^(4m-2) G(u^2) f(u^2) du is even
         and analytic in u: the trapezoid in u converges exponentially and
         leaves no endpoint term (Trefethen & Weideman, SIAM Review 56, 2014).
-        Its ``masses`` at the atoms e^(-t_k) go through ``_compressed_s_rule``.
         """
-        return _compressed_s_rule("omega_s", _OMEGA_T, self.masses, {"h_u": _OMEGA_U_STEP})
+        masses = 2.0 * _OMEGA_U_STEP * _OMEGA_U * self.values
+        _read_only(masses)
+        return QuadratureRule("omega_s", _OMEGA_S, masses, {"h_u": _OMEGA_U_STEP})
+
+    @cached_property
+    def rungs(self) -> tuple[QuadratureRule, ...]:
+        """The Gauss rules of the weight's measure, one per rung of
+        ``_T_RULE_LADDER`` (``_gauss_ladder``)."""
+        return _gauss_ladder(self.measure)
 
 
 def _check_omega_args(alpha, m, j=0.0) -> tuple[float, int]:
@@ -322,9 +271,9 @@ def omega(alpha: float, m: int) -> OmegaWeight:
 
 def omega_laplace(weight: OmegaWeight, j: float) -> float:
     """Laplace transform of the weight at rate j >= 0, as the kernel integrates
-    it: the moment sum_k w_k s_k^j of the compressed rule in s = e^-t."""
+    it: the moment sum_k masses_k s_k^j of its measure in s = e^-t."""
     _check_omega_args(weight.alpha, weight.m, j)
-    return float(np.dot(weight.s_rule.nodes**j, weight.s_rule.weights))
+    return float(np.dot(weight.measure.nodes**j, weight.measure.weights))
 
 
 def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
@@ -397,24 +346,25 @@ _read_only(_DIRICHLET_T, _DIRICHLET_MASSES)
 
 @lru_cache(maxsize=1)
 def _default_t_rule() -> QuadratureRule:
-    """The plain Dirichlet kernel's t-integral as a compressed rule in s = e^-t.
+    """The plain Dirichlet kernel's t-integral as a rule in s = e^-t: the
+    whole discrete measure, 620 atoms.
 
     With t = u^2 the measure sqrt(t) e^-t dt becomes 2 u^2 e^(-u^2) du,
     whose integrands are even and analytic in u, so the trapezoid in u
     converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
     masses 2 h u_k^2 e^(-u_k^2) at the atoms s_k = e^(-u_k^2), u_k = k h.
-    ``_compressed_s_rule`` then keeps the 22 atoms below t = 0.05 and
-    compresses the rest into 64 Gauss nodes.
     """
-    return _compressed_s_rule("dirichlet_s", _DIRICHLET_T, _DIRICHLET_MASSES,
-                              {"h_u": _DIRICHLET_U_STEP})
+    atoms = np.exp(-_DIRICHLET_T)
+    _read_only(atoms)
+    return QuadratureRule("dirichlet_s", atoms, _DIRICHLET_MASSES,
+                          {"h_u": _DIRICHLET_U_STEP})
 
 
 @lru_cache(maxsize=1)
 def _dirichlet_rungs() -> tuple[QuadratureRule, ...]:
     """The Gauss rules of the plain measure's 620 atoms, one per rung of
     ``_T_RULE_LADDER`` (``_gauss_ladder``), all built on first use."""
-    return _gauss_ladder("dirichlet_s", np.exp(-_DIRICHLET_T), _DIRICHLET_MASSES)
+    return _gauss_ladder(_default_t_rule())
 
 
 # cap on one block of the integral kernels' (points x nodes) scratch: 6144
@@ -433,14 +383,15 @@ def _blocked(z, x, nt, factors, block):
 
     ``factors(z)`` forms the x-independent factors at some z, and
     ``block(f, x)`` integrates against them at x.  Evaluated whole, 129 z
-    against 120 x on the 86-node compressed rule would need ~60 MB of
+    against 120 x on the plain measure's 620 atoms would need ~0.46 GB of
     temporaries (~17 MB on the 24-node rung), and even a forward-map row's
-    144 KB ones would each be mapped, faulted in and unmapped again by
+    ~1 MB ones would each be mapped, faulted in and unmapped again by
     glibc; a block costs a fixed overhead instead.  In ``kernel_matrix``'s
     layout (z a column, x a row) the grid is tiled and the factors formed
-    once per block of z rows (a forward-map row on the compressed rule is
-    two x blocks of 60, on a rung of at most 40 nodes one block); any other
-    shape is cut into chunks of its broadcast (z, x) pairs.
+    once per block of z rows (a forward-map row on a rung of at most 40
+    nodes is one block, on omega's 316 atoms seven x blocks of at most 18,
+    on the plain measure's 620 fourteen of at most 9); any other shape is
+    cut into chunks of its broadcast (z, x) pairs.
     """
     shape = np.broadcast_shapes(np.shape(z), np.shape(x))
     per_block = max(1, _BLOCK_ENTRIES // nt)
@@ -498,7 +449,7 @@ def _dirichlet_type_kernel(alpha: float, m: int, z, x, s, weights):
         g = np.exp(-xx * decay)
         np.multiply(power, g, out=g)
         g *= lag
-        return np.dot(g, weights)   # not @: see _discrete_gauss
+        return np.dot(g, weights)   # not @: see _stieltjes
 
     integral = _blocked(z, x, s.shape[0], factors, block)
     c_m = np.exp(log_gamma(m + 1.0) - m * log_gamma(1.5) - (m - 1) * log_gamma(0.5)
@@ -514,8 +465,8 @@ def dirichlet_kernel(z, x, rule: QuadratureRule | None = None):
     the default rule is a Gauss rule of the measure's trapezoid in u =
     sqrt(t), written in s, sized from the largest |z| of the call
     (``_dirichlet_rungs``: 16 to 40 nodes for |z| <= 0.9), or past 0.9 that
-    trapezoid compressed (``_default_t_rule``, 86 nodes).  ``rule`` may
-    instead be a half-line rule with alpha = 1/2, evaluated at s = e^-t.
+    whole trapezoid (``_default_t_rule``, 620 atoms).  ``rule`` may instead
+    be a half-line rule with alpha = 1/2, evaluated at s = e^-t.
     """
     z = _check_disk_point(z)
     x = _check_source_point(x)
@@ -537,8 +488,8 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     weight omega_(alpha, m) dt.  The weight's trapezoid in u = sqrt(t),
     which leaves no endpoint term, is evaluated in s = e^-t on a Gauss rule
     of it sized from the largest |z| of the call (``OmegaWeight.rungs``: 16
-    to 40 nodes for |z| <= 0.9), or past 0.9 on its compressed rule
-    (``OmegaWeight.s_rule``, 75 nodes).  The weight is the one
+    to 40 nodes for |z| <= 0.9), or past 0.9 on the whole trapezoid
+    (``OmegaWeight.measure``, 316 atoms).  The weight is the one
     ``_default_omega`` keeps for (alpha, m); ``weight`` substitutes another
     built for the same pair, whose own rules the call then uses, so a
     measurement can hold one fixed.
@@ -551,7 +502,7 @@ def gen_dirichlet_kernel(alpha: float, m: int, z, x,
     if weight.m != m or abs(weight.alpha - alpha) > 1e-14:
         raise ValueError("omega weight was built for different (alpha, m)")
     k = _rung(z)
-    rule = weight.s_rule if k is None else weight.rungs[k]
+    rule = weight.measure if k is None else weight.rungs[k]
     return _dirichlet_type_kernel(alpha, m, z, x, rule.nodes, rule.weights)
 
 

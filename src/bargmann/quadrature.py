@@ -128,11 +128,12 @@ def _newton_christoffel(x, diag, b, p0, orders=None):
     moved nodes, not of x: summed at the float64 singular-value nodes, a
     half-line weight, which varies like e^-x, was up to 2e-12 off at n = 200.
     The first-order term is taken as exp(-2 step S'/S) / S, which stays
-    positive where 1 / (S + 2 step S') does not: at a repeated node of a
-    discrete measure (``kernels._discrete_gauss``) that form reached
-    -2.5e-33.  ``orders`` gives each node its own n <= len(diag), the order of
-    a leading block: its step reads p_n, and its sums stop at k < n, so its
-    step and weight are bit for bit those of a call on that block alone.
+    positive where 1 / (S + 2 step S') does not: at a node that an
+    unreorthogonalized Stieltjes recurrence of a discrete measure had
+    repeated, 1.8e-6 from its twin, that form reached -2.5e-33.  ``orders``
+    gives each node its own n <= len(diag), the order of a leading block:
+    its step reads p_n, and its sums stop at k < n, so its step and weight
+    are bit for bit those of a call on that block alone.
     """
     n = diag.shape[0]
     shifted = x - diag[:, None]              # row k: x - a_k
@@ -296,10 +297,10 @@ def _tridiagonal_gauss(diag, off, mu0: float, orders):
     measures of ``kernels`` (the plain one, and omega at five (alpha, m)
     pairs up to (1.5, 12)), the rules of 24 to 64 nodes reproduce
     sum masses_k e^(-c s_k), c = 5..50, within 1.8e-15 relative (7.1e-16 for
-    omega), and every weight is positive.  Where the recurrence repeats a
-    node (``kernels._discrete_gauss``), the pair's weights may be far from
-    the eigenvectors' own: 7.5e-35 and 1.2e-56 against 9.3e-34 and 1.2e-56
-    for omega(1.5, 12), whose mass is 1.5e-16.
+    omega), and every weight is positive.  The recurrence runs without
+    reorthogonalization, so it could repeat a node it has already resolved;
+    on those six measures no rung of ``kernels._T_RULE_LADDER`` does, its
+    nodes lying at least 1.49e-3 apart (omega(1.5, 12) at 40 nodes).
     """
     ld = np.longdouble
     factors = _cholesky_bidiagonals(diag, off[:-1])

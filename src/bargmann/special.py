@@ -32,8 +32,6 @@ __all__ = [
     "HypSeriesError",
     "hyp_series",
     "hyp1f1",
-    "hyp2f1",
-    "hyp3f2",
     "hyp2f1_table",
     "BasisFamily",
     "BasisSpec",
@@ -277,8 +275,8 @@ def _realify(value: complex):
     return value.real if value.imag == 0.0 else value
 
 
-# the public wrappers refuse a sum whose rounding bound exceeds this share of
-# its magnitude: the terms cancelled too far for the value to mean anything
+# ``hyp1f1`` refuses a sum whose rounding bound exceeds this share of its
+# magnitude: the terms cancelled too far for the value to mean anything
 _HYP_RTOL = 1e-8
 
 
@@ -298,27 +296,12 @@ def hyp1f1(a: float, c: float, x, truncation: int = 200):
     1F1(a; c; x) = e^x 1F1(c-a; c; -x) is applied first, turning an
     alternating (cancellation-prone) sum into an all-positive one.
     Raises ValueError where the summed series' rounding bound exceeds 1e-8
-    of its magnitude (``hyp_series``), as for the wrappers below.
+    of its magnitude (``hyp_series``).
     """
     if np.isrealobj(x) and np.real(x) < 0.0:
         kummer = hyp_series([c - a], [c], -x, truncation)
         return float(np.exp(x) * _certified(kummer, "1F1"))
     return _certified(hyp_series([a], [c], x, truncation), "1F1")
-
-
-def hyp2f1(a: float, b: float, c: float, x, truncation: int = 200):
-    """Gauss's 2F1(a, b; c; x) by its partial sum; ValueError where the
-    rounding bound exceeds 1e-8 of the sum's magnitude (a terminating
-    series of alternating terms that cancel, such as 2F1(-120, 3.5; 2.5; 0.7):
-    ``hyp2f1_table`` runs such sequences stably)."""
-    return _certified(hyp_series([a, b], [c], x, truncation), "2F1")
-
-
-def hyp3f2(uppers: Sequence[float], lowers: Sequence[float], x,
-           truncation: int = 200):
-    """3F2(uppers; lowers; x) by its partial sum; ValueError where the
-    rounding bound exceeds 1e-8 of the sum's magnitude."""
-    return _certified(hyp_series(list(uppers), list(lowers), x, truncation), "3F2")
 
 
 def hyp2f1_table(nmax: int, b: float, c: float, y: float) -> np.ndarray:

@@ -188,8 +188,8 @@ def make_transform(kind: str, *params, source_order: int = 120,
     sized from |z| (``kernels._default_omega``, ``OmegaWeight.rungs``), the
     ones its kernel looks up wherever |z| <= 0.9, so an operator's first
     forward map does not pay for them and a transform and a kernel
-    evaluation of one pair share them.  The compressed ``s_rule``, which
-    only points past |z| = 0.9 read, is left to its first use.
+    evaluation of one pair share them.  Points past |z| = 0.9 integrate on
+    the weight's whole measure, which needs no build beyond its masses.
 
     Every target rule, the disk rules and the Gaussian plane rule alike, is
     polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,

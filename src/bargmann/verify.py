@@ -373,10 +373,10 @@ def suite_kernels(cfg: RunConfig, metadata: dict) -> list:
                 worst = max(worst, abs(numeric - closed) / abs(closed))
     checks.append(Check(
         "kernels.omega_laplace",
-        "Convolution weight: compressed-rule moments vs the closed Laplace transform "
+        "Convolution weight: discrete-measure moments vs the closed Laplace transform "
         "it is inverted from, m in {2,3}, orders {0, 0.5, 1.5}, j <= 5",
         worst, 1e-4,
-        "checks the Talbot inversion, u-trapezoid and compression; the Gamma-ratio "
+        "checks the Talbot inversion and the u-trapezoid; the Gamma-ratio "
         "formula itself is checked by kernels.dual_path.gen_bergman_dirichlet",
     ))
 

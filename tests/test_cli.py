@@ -206,11 +206,10 @@ def test_kernel_eval_and_transform_share_one_weight(tmp_path, capsys, monkeypatc
     assert code == 0
     assert len(calls) == 1
     # the operator builds the weight and its rungs, the ones its kernel looks
-    # up where |z| <= 0.9; the compressed s-rule waits for a point past that
+    # up where |z| <= 0.9
     kernels._default_omega.cache_clear()
     make_transform("gen_bergman_dirichlet", 1.5, 3)
     assert "rungs" in vars(kernels._default_omega(1.5, 3))
-    assert "s_rule" not in vars(kernels._default_omega(1.5, 3))
 
 
 @pytest.mark.parametrize("text", ['{"1,1": [1, 0], "01,1": [2, 0]}',

@@ -36,11 +36,10 @@ from bargmann import (
     forward_map,
     gen_dirichlet,
     hermite_l2,
-    laguerre,
     laguerre_l2,
     make_transform,
 )
-from bargmann import kernels, transforms
+from bargmann import kernels, quadrature, transforms
 
 # one weight shared by the generalized-kernel tests below, passed explicitly
 # so that they exercise the kernel's weight argument
@@ -117,20 +116,12 @@ def test_gen_dirichlet_integral_agrees_with_series():
 
 
 # ---------------------------------------------------------------------------
-# the omega t-integral: the s-rule against the trapezoid it compresses
+# the omega t-integral against its trapezoid in u = sqrt(t)
 # ---------------------------------------------------------------------------
 
-def _omega_integrand(alpha, m, z, x, s):
-    """The kernel's tail integrand at s = e^-t for points z[:, None], x[None, :]."""
-    v = z[:, None, None] * s
-    xx = x[None, :, None]
-    return ((1.0 - v) ** (-alpha - m - 1.0) * np.exp(-xx * v / (1.0 - v))
-            * laguerre(m, alpha, xx / (1.0 - v)))
-
-
 def _trapezoid_rule(weight):
-    """The uncompressed trapezoid in u = sqrt(t) of a weight as a rule in
-    s = e^-t: masses 2 h_u u_k omega(u_k^2) at the 316 atoms e^(-u_k^2)."""
+    """The trapezoid in u = sqrt(t) of a weight as a rule in s = e^-t, formed
+    here: masses 2 h_u u_k omega(u_k^2) at the 316 atoms e^(-u_k^2)."""
     h = kernels._OMEGA_U_STEP
     u = h * np.arange(1, weight.values.shape[0] + 1)
     return QuadratureRule("omega_s", np.exp(-u * u), 2.0 * h * u * weight.values)
@@ -138,25 +129,27 @@ def _trapezoid_rule(weight):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_omega_s_rule_reproduces_trapezoid(m):
-    # point-queries' (alpha, m) pairs; angle 0 puts the singularity s = 1/z
-    # nearest the atoms
+    # the kernel past the last rung integrates on the weight's rule in
+    # s = e^-t (``OmegaWeight.measure``), which is the trapezoid formed here,
+    # at point-queries' (alpha, m) pairs; angle 0 puts the singularity
+    # s = 1/z nearest the atoms
     z = np.array([0.5, 0.75 * np.exp(2.2j), 0.95, 0.99, 0.999])
     x = np.array([0.0, 3.0, 30.0])
     for alpha in (0.0, 0.5, 1.5, 3.0):
         weight = omega(alpha, m)
         trapezoid = _trapezoid_rule(weight)
         assert trapezoid.nodes.shape == (316,)
-        want = _omega_integrand(alpha, m, z, x, trapezoid.nodes) @ trapezoid.weights
-        rule = weight.s_rule
-        got = _omega_integrand(alpha, m, z, x, rule.nodes) @ rule.weights
+        assert np.array_equal(weight.measure.nodes, trapezoid.nodes)
+        want = kernels._dirichlet_type_kernel(alpha, m, z[:, None], x[None, :],
+                                              trapezoid.nodes, trapezoid.weights)
+        got = gen_dirichlet_kernel(alpha, m, z[:, None], x[None, :], weight=weight)
         err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
-        assert err.max() < 1e-12, (alpha, m, z[err.argmax()])
-        assert rule.nodes.shape[0] == 75
+        assert err.max() <= 1e-15, (alpha, m, z[err.argmax()])
 
 
 def test_forward_map_rows_match_trapezoid_route():
     # circle-map rows: the rule the kernel takes at r = 0.75 (the 24-node
-    # rung), against the same integrand run on the uncompressed u-trapezoid
+    # rung), against the same integrand run on the u-trapezoid
     op = make_transform("gen_bergman_dirichlet", 0.5, 2)
     trapezoid = _trapezoid_rule(kernels._default_omega(0.5, 2))
     z = np.array([0.75 * np.exp(2.9j)])
@@ -180,21 +173,22 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_omega_s_rule_is_built_once_per_weight(monkeypatch):
-    # the rungs (one Stieltjes pass) where |z| <= 0.9, the compressed rule
-    # (one Gauss rule of the atoms past t = 0.05) past it, each once
-    calls = _count_calls(monkeypatch, "_stieltjes", "_discrete_gauss")
+    # the weight's rules in s = e^-t: the rungs (one Stieltjes pass) where
+    # |z| <= 0.9, once; past it the whole measure, built once and read-only
+    calls = _count_calls(monkeypatch, "_stieltjes")
     weight = omega(0.5, 2)
     first = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
     second = gen_dirichlet_kernel(0.5, 2, 0.3 + 0.2j, 1.5, weight=weight)
-    assert calls == {"_stieltjes": 1, "_discrete_gauss": 0}
+    assert calls == {"_stieltjes": 1}
     assert first == second
-    assert "s_rule" not in vars(weight)
     first = gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=weight)
     second = gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=weight)
-    assert calls["_discrete_gauss"] == 1
+    assert calls == {"_stieltjes": 1}
     assert first == second
-    assert weight.s_rule is weight.s_rule
+    assert weight.measure is weight.measure
     assert weight.rungs is weight.rungs
+    assert weight.measure.nodes is kernels._OMEGA_S
+    assert not weight.measure.weights.flags.writeable
     # a call past the last rung builds no rung
     fresh = omega(0.5, 2)
     gen_dirichlet_kernel(0.5, 2, 0.95j, 1.5, weight=fresh)
@@ -221,12 +215,12 @@ def test_default_omega_cache_holds_point_queries_pairs(monkeypatch):
 
 
 def test_omega_rule_moments_meet_closed_laplace():
-    # the moments sum_k w_k s_k^j of the rule the kernel integrates with,
-    # against the Gamma-product closed form the weight is inverted from: this
-    # checks the inversion, the trapezoid and the compression, not the formula
-    # (the long-series test below does that)
+    # the moments sum_k masses_k s_k^j of the measure the kernel integrates
+    # on past the last rung, against the Gamma-product closed form the weight
+    # is inverted from: this checks the inversion and the trapezoid, not the
+    # formula (the long-series test below does that)
     for alpha, m in _GBD_PAIRS:
-        rule = kernels._default_omega(alpha, m).s_rule
+        rule = kernels._default_omega(alpha, m).measure
         for j in range(61):
             got = rule.nodes**j @ rule.weights
             want = omega_laplace_closed(alpha, m, j)
@@ -303,20 +297,26 @@ def test_gen_dirichlet_kernel_meets_mpmath_series_where_it_cancels():
 # ---------------------------------------------------------------------------
 
 def _measure(alpha, m):
-    """(rungs, compressed rule, atoms, masses) of a Dirichlet-type kernel's
-    discrete measure; the plain family is (alpha, m) = (0, 1)."""
+    """(rungs, whole measure) of a Dirichlet-type kernel's discrete measure;
+    the plain family is (alpha, m) = (0, 1)."""
     if m == 1:
-        return (kernels._dirichlet_rungs(), kernels._default_t_rule(),
-                np.exp(-kernels._DIRICHLET_T), kernels._DIRICHLET_MASSES)
+        return kernels._dirichlet_rungs(), kernels._default_t_rule()
     weight = omega(alpha, m)
-    return weight.rungs, weight.s_rule, kernels._OMEGA_S, weight.masses
+    return weight.rungs, weight.measure
+
+
+def _gauss_rule(measure, n):
+    """(nodes, weights) of the n-point Gauss rule of a discrete measure, from
+    its own Stieltjes pass to order n."""
+    return quadrature._tridiagonal_gauss(
+        *kernels._stieltjes(measure.nodes, measure.weights, n), (n,))[0]
 
 
 # a few points on each rung's largest circle, and x up to querygen.X_MAX = 30;
 # the top of that range is where the head and the tail cancel most.  Near
 # x = 28.77, a zero of the (0, 2) kernel at z = 0.9, every rule of the
-# measure, its uncompressed trapezoid included, reads ~1e-12 relative, so no
-# point sits there
+# measure, the whole measure included, reads ~1e-12 relative, so no point
+# sits there
 _RUNG_ANGLES = np.array([0.0, 1.1, 2.5])
 _RUNG_X = np.array([0.0, 1.0, 4.0, 12.0, 22.0, 28.5, 29.0, 30.0])
 
@@ -326,17 +326,17 @@ _RUNG_X = np.array([0.0, 1.0, 4.0, 12.0, 22.0, 28.5, 29.0, 30.0])
 def test_rungs_meet_mpmath_series_at_their_largest_radius(alpha, m):
     # each rung at its rho against a 40-digit series, truncated at the J
     # where rho^J = 1e-25 and checked to leave a tail below 1e-20 relative;
-    # each rung is also the Gauss rule of the whole measure that
-    # _discrete_gauss builds, bit for bit
+    # each rung is also the Gauss rule of the measure that a Stieltjes pass
+    # to its own order gives, bit for bit
     mp = pytest.importorskip("mpmath")
-    rungs, _, atoms, masses = _measure(alpha, m)
+    rungs, measure = _measure(alpha, m)
     assert [(r.meta["rho"], r.nodes.shape[0]) for r in rungs] == list(kernels._T_RULE_LADDER)
     truncations = [int(np.ceil(-25.0 / np.log10(r.meta["rho"]))) for r in rungs]
     with mp.workdps(40):
         coef = [_gen_dirichlet_series_coefficients(mp, alpha, m, x, max(truncations))
                 for x in _RUNG_X]
         for rule, J in zip(rungs, truncations):
-            nodes, weights = kernels._discrete_gauss(atoms, masses, rule.nodes.shape[0])
+            nodes, weights = _gauss_rule(measure, rule.nodes.shape[0])
             assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
             z = rule.meta["rho"] * np.exp(1j * _RUNG_ANGLES)
             got = kernels._dirichlet_type_kernel(alpha, m, z[:, None], _RUNG_X[None, :],
@@ -351,24 +351,42 @@ def test_rungs_meet_mpmath_series_at_their_largest_radius(alpha, m):
                     assert err <= 1e-12, (rule.meta["rho"], point, _RUNG_X[j], err)
 
 
+def test_gen_dirichlet_kernel_past_the_last_rung_meets_mpmath_series():
+    # past |z| = 0.9 the kernel sums omega's whole measure: against a 40-digit
+    # series truncated where |z|^J = 1e-25, at the rungs' angles and x up to
+    # 30.  The worst point read 3.1e-15
+    mp = pytest.importorskip("mpmath")
+    x = np.array([0.0, 12.0, 22.0, 28.5, 30.0])
+    for r in (0.93, 0.97):
+        z = r * np.exp(1j * _RUNG_ANGLES)
+        got = gen_dirichlet_kernel(0.5, 2, z[:, None], x[None, :])
+        J = int(np.ceil(-25.0 / np.log10(r)))
+        with mp.workdps(40):
+            for j, xv in enumerate(x):
+                coef = _gen_dirichlet_series_coefficients(mp, 0.5, 2, xv, J)
+                for i, point in enumerate(z):
+                    want = mp.polyval(coef[::-1], mp.mpc(point.real, point.imag))
+                    tail = max(abs(c) for c in coef[-20:]) * r ** J
+                    assert tail <= 1e-20 * abs(want), (point, xv)
+                    err = abs(got[i, j] - complex(want)) / abs(complex(want))
+                    assert err <= 1e-14, (point, xv, err)
+
+
 @pytest.mark.parametrize("alpha, m", [(0.0, 1), (0.0, 2), (0.5, 2), (0.0, 4), (3.0, 8),
                                       (1.5, 12)],
                          ids=["dirichlet", "omega-0-2", "omega-0.5-2", "omega-0-4", "omega-3-8",
                               "omega-1.5-12"])
 def test_discrete_gauss_rules_integrate_exponentials_with_positive_weights(alpha, m):
-    # every Gauss rule of a discrete measure (the rungs from 24 nodes, the
-    # whole measure's rule at 44, 48 and 64 nodes, the compressed rule)
-    # against the measure's own sum of e^(-c s), c = 5..50; the compressed
-    # rule keeps its atoms below t = 0.05 with their masses, which for
-    # omega(1.5, 12) underflow to 0, and its Gauss nodes carry positive weights
-    rungs, compressed, atoms, masses = _measure(alpha, m)
+    # every Gauss rule of a discrete measure (the rungs from 24 nodes, and
+    # the measure's rules at 44, 48 and 64 nodes) against the measure's own
+    # sum of e^(-c s), c = 5..50, with positive weights, though the masses
+    # of omega(1.5, 12) underflow to 0 at its 28 atoms nearest s = 1
+    rungs, measure = _measure(alpha, m)
+    atoms, masses = measure.nodes, measure.weights
     rules = [(r.nodes, r.weights) for r in rungs if r.nodes.shape[0] >= 24]
-    rules += [kernels._discrete_gauss(atoms, masses, n) for n in (44, 48, 64)]
-    kept = compressed.meta["atoms"]
-    assert np.array_equal(compressed.weights[:kept], masses[:kept])
-    for _, weights in rules + [(None, compressed.weights[kept:])]:
+    rules += [_gauss_rule(measure, n) for n in (44, 48, 64)]
+    for nodes, weights in rules:
         assert np.all(weights > 0.0), weights.shape[0]
-    for nodes, weights in rules + [(compressed.nodes, compressed.weights)]:
         for c in range(5, 51):
             want = math.fsum((masses * np.exp(-c * atoms)).tolist())
             got = math.fsum((weights * np.exp(-c * nodes)).tolist())
@@ -381,7 +399,7 @@ def test_discrete_gauss_rules_integrate_exponentials_with_positive_weights(alpha
 def test_circle_maps_integrate_on_the_sized_rung(family, monkeypatch):
     # the transforms suite's |z| = 0.75 circle takes the 24-node rung, though
     # circle_points reaches |z| = 0.75 + 1.1e-16; a call with some |z| > 0.9
-    # takes the compressed rule
+    # takes the whole measure, the plain one's 620 atoms or omega's 316
     sizes = []
     inner = kernels._dirichlet_type_kernel
     monkeypatch.setattr(kernels, "_dirichlet_type_kernel",
@@ -390,22 +408,11 @@ def test_circle_maps_integrate_on_the_sized_rung(family, monkeypatch):
     transforms._circle_map.cache_clear()
     transforms._circle_map(family, 120, 256, 0.75)
     assert sizes == [24]
-    _, compressed, _, _ = _measure(*(family.params or (0.0, 1)))
     sizes.clear()
     kernel_matrix(family, np.array([0.2, 0.91j]), np.array([1.0, 30.0]))
     kernel_matrix(family, np.array([0.2, 0.9j]), np.array([1.0, 30.0]))
-    assert sizes == [compressed.nodes.shape[0], kernels._T_RULE_LADDER[-1][1]]
-
-
-def test_make_transform_leaves_the_compressed_rule_unbuilt():
-    # the operator prebuilds the rungs; a forward map at |z| <= 0.9 reads
-    # nothing else
-    kernels._default_omega.cache_clear()
-    op = make_transform("gen_bergman_dirichlet", 0.5, 2)
-    weight = kernels._default_omega(0.5, 2)
-    assert "rungs" in vars(weight)
-    forward_map(op, np.array([0.3, 0.9 * np.exp(0.4j)]))
-    assert "s_rule" not in vars(weight)
+    atoms = 620 if family.kind == "dirichlet" else 316
+    assert sizes == [atoms, kernels._T_RULE_LADDER[-1][1]]
 
 
 def test_kernel_matrix_strategies():
@@ -428,13 +435,13 @@ def test_kernel_matrix_strategies():
 
 
 # ---------------------------------------------------------------------------
-# the plain Dirichlet t-integral: the compressed rule against the u-trapezoid
-# it compresses and against an mpmath quadrature
+# the plain Dirichlet t-integral against its u-trapezoid and against an
+# mpmath quadrature
 # ---------------------------------------------------------------------------
 
 def _dirichlet_u_trapezoid(z, x, h=0.01, umax=6.2):
-    """K(z[:, None], x[None, :]) with the t-integral on the uncompressed
-    trapezoid in u = sqrt(t): masses 2 h u^2 e^(-u^2) at u = h, 2h, ..."""
+    """K(z[:, None], x[None, :]) with the t-integral on the trapezoid in
+    u = sqrt(t), formed here: masses 2 h u^2 e^(-u^2) at u = h, 2h, ..."""
     u = np.arange(1, int(round(umax / h)) + 1) * h
     v = z[:, None, None] * np.exp(-u * u)
     xx = x[None, :, None]
@@ -473,7 +480,7 @@ def test_dirichlet_rule_reproduces_u_trapezoid():
         got = dirichlet_kernel(z[:, None], x[None, :])
         err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
         assert err.max() < 5e-14, (r, z[err.argmax()])
-    assert kernels._default_t_rule().nodes.shape[0] < 128
+    assert kernels._default_t_rule().nodes.shape[0] == 620
 
 
 def test_dirichlet_forward_map_rows_match_u_trapezoid():
@@ -535,7 +542,7 @@ def test_blocked_kernels_equal_one_whole_evaluation(evaluate, monkeypatch):
                          ids=["dirichlet", "gen_bergman_dirichlet"])
 def test_kernel_matrix_scratch_stays_small(family):
     # a circle of 129 z against 120 source nodes: evaluated whole, the
-    # t-integral would need 55-65 MB of temporaries
+    # t-integral would need ~17 MB of temporaries on the 24-node rung
     z = 0.75 * np.exp(2j * np.pi * np.arange(129) / 256)
     x = make_transform(family.kind, *family.params).source_rule.nodes
     kernel_matrix(family, z, x)   # the cached rule and weight first
@@ -680,7 +687,7 @@ def test_omega_grid_and_thinning():
     assert w.values.shape == (316,)
     assert np.all(w.values >= 0.0)
     assert w.values[0] > 0.0
-    assert w.s_rule.meta["atoms"] == 11 and w.s_rule.meta["gauss"] == 64
+    assert w.measure.nodes.shape == (316,) and w.measure.meta == {"h_u": 0.02}
 
 
 def test_omega_small_t_power_law():
@@ -700,7 +707,7 @@ def test_omega_small_t_power_law():
 
 def test_omega_laplace_identity():
     # int_0^inf omega(t) e^(-(1+j) t) dt has a Gamma-product closed form;
-    # the numeric side takes the moments of the weight's compressed rule.
+    # the numeric side takes the moments of the weight's discrete measure.
     for m in (2, 3):
         for alpha in (0.0, 1.5):
             w = omega(alpha, m)

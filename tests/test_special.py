@@ -22,9 +22,7 @@ from bargmann import (
     hermite_l2,
     hermite_sequence,
     hyp1f1,
-    hyp2f1,
     hyp2f1_table,
-    hyp3f2,
     hyp_series,
     jacobi_sequence,
     laguerre,
@@ -195,14 +193,15 @@ def test_gauss_summation_inside_disk_limit():
     for n in (0, 1, 4, 9):
         for b, c in ((0.7, 1.9), (2.0, 3.5)):
             want = pochhammer(c - b, n) / pochhammer(c, n)
-            assert_allclose(hyp2f1(-n, b, c, 1.0), want, rtol=1e-12)
+            assert_allclose(hyp_series((-n, b), (c,), 1.0).value, want, rtol=1e-12)
 
 
 def test_gauss_series_against_scipy():
     from scipy.special import hyp2f1 as scipy_hyp2f1
     for x in (-0.8, -0.2, 0.3, 0.7):
         for a, b, c in ((0.5, 0.5, 1.5), (1.0, 2.0, 3.2)):
-            assert_allclose(hyp2f1(a, b, c, x), scipy_hyp2f1(a, b, c, x), rtol=1e-9)
+            assert_allclose(hyp_series((a, b), (c,), x).value, scipy_hyp2f1(a, b, c, x),
+                            rtol=1e-9)
 
 
 def test_saalschuetz_identity():
@@ -213,7 +212,7 @@ def test_saalschuetz_identity():
     for n in (1, 3, 6):
         for a, b, c in ((0.5, 1.2, 2.6), (1.0, 0.3, 3.1)):
             d = 1.0 + a + b - c - n
-            got = hyp3f2((-n, a, b), (c, d), 1.0)
+            got = hyp_series((-n, a, b), (c, d), 1.0).value
             want = (pochhammer(c - a, n) * pochhammer(c - b, n)
                     / (pochhammer(c, n) * pochhammer(c - a - b, n)))
             assert_allclose(got, want, rtol=1e-11)
@@ -235,12 +234,12 @@ def test_hyp_series_order_follows_the_parameter_lists():
 
 def test_hyp_series_rejects_bad_input():
     with pytest.raises(ValueError):
-        hyp2f1(0.5, 0.5, -2.0, 0.3)  # nonpositive-integer lower parameter
+        hyp_series((0.5, 0.5), (-2.0,), 0.3)  # nonpositive-integer lower parameter
     # Gauss-type series outside the unit disk without termination
     with pytest.raises(HypSeriesError):
-        hyp2f1(0.5, 0.5, 1.5, 1.2)
+        hyp_series((0.5, 0.5), (1.5,), 1.2)
     with pytest.raises(HypSeriesError):
-        hyp3f2((0.5, 1.0, 1.5), (2.0, 2.5), -1.0)
+        hyp_series((0.5, 1.0, 1.5), (2.0, 2.5), -1.0)
     # divergent: terms grow without bound
     with pytest.raises(HypSeriesError):
         hyp1f1(2.0, 0.5, 400.0, truncation=20)
@@ -248,14 +247,18 @@ def test_hyp_series_rejects_bad_input():
 
 def test_cancelled_sums_raise_and_convergent_ones_keep_their_value():
     # 2F1(-120, 3.5; 2.5; 0.7) is -2.0e-61; its float64 sum reads -7.1e11
-    # with first_omitted 0, and only the rounding bound shows the cancellation
+    # with first_omitted 0, and only the rounding bound shows the cancellation,
+    # far past the 1e-8 share of the value at which hyp1f1 refuses a sum
     r = hyp_series((-120.0, 3.5), (2.5,), 0.7)
     assert r.first_omitted == 0.0
     assert r.rounding_bound > 1e3 * abs(r.value)
+    # 1F1(-40; 1; 30) = L_40(30) cancels too, and hyp1f1 refuses it
     with pytest.raises(ValueError, match="cancel"):
-        hyp2f1(-120, 3.5, 2.5, 0.7)
-    # a convergent series passes through the check with its value unchanged
-    assert repr(hyp2f1(0.5, 0.5, 1.5, 0.3)) == "1.0582725367454624"
+        hyp1f1(-40, 1.0, 30.0)
+    # a convergent series keeps its value, its rounding bound far below it
+    r = hyp_series((0.5, 0.5), (1.5,), 0.3)
+    assert repr(r.value) == "1.0582725367454624"
+    assert r.rounding_bound <= 1e-8 * abs(r.value)
 
 
 # (b, c, y): the four (b, 1 + alpha, y) of special.bilateral_gf -- the
