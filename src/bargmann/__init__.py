@@ -23,7 +23,6 @@ from .special import (
     hyp2f1_table,
     hyp_series,
     jacobi_sequence,
-    laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,

@@ -2,11 +2,12 @@
 application, operator application, and the verification suites.
 
 Exit codes: 0 success (all checks passed for ``verify``), 1 a verification
-check failed, 2 usage or configuration error.  Reports are JSON on stdout;
-node dumps are CSV.  ``verify`` takes one setting, the target-rule orders
-``--disk-radial`` and ``--disk-angular`` of the transforms suite
-(``verify.RunConfig``), echoed into the report metadata; every other
-discretization and every tolerance of the suites is fixed.
+check failed, 2 usage or configuration error, or a result not finite in
+float64.  Reports are JSON on stdout; node dumps are CSV.  ``verify`` takes
+one setting, the target-rule orders ``--disk-radial`` and
+``--disk-angular`` of the transforms suite (``verify.RunConfig``), echoed
+into the report metadata; every other discretization and every tolerance
+of the suites is fixed.
 
 ``main`` parses with one parser per process, built on its first call and
 reused by every later one; the subcommands look up the library functions
@@ -70,9 +71,15 @@ def _family_params(args: argparse.Namespace) -> tuple:
     return tuple(values)
 
 
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(payload: dict, allow_nan: bool = False) -> None:
+    """Write one JSON report, serialized first: JSON holds no NaN or Infinity,
+    so a non-finite number (a kernel past float64) raises ValueError and
+    writes nothing.  Only a verify report may carry one, in a failed check."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=allow_nan)
+    except ValueError:
+        raise ValueError("the result is not finite in float64") from None
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +193,7 @@ def _cmd_operator(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, RunConfig(args.disk_radial, args.disk_angular))
-    _emit(report.to_json())
+    _emit(report.to_json(), allow_nan=True)
     return 0 if report.passed else 1
 
 

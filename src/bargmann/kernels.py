@@ -1,6 +1,6 @@
 """Transform kernels, the convolution weight for the generalized family,
-and the family table with each family's bases (``special.BASES`` kinds)
-and target space.
+the family table with each family's bases (``special.BASES`` kinds), and
+the target space built from a target basis' measure.
 
 Every kernel has at least two independent evaluation routes:
 
@@ -32,7 +32,6 @@ import numpy as np
 from .special import (
     BasisFamily,
     _LOG_PI,
-    _abs2,
     _check_disk_point,
     _check_integer,
     _check_plane_point,
@@ -49,8 +48,7 @@ from .special import (
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import (QuadratureRule, _read_only, _tridiagonal_gauss, disk_rule,
-                         gaussian_plane_rule)
+from .quadrature import QuadratureRule, _read_only, _tridiagonal_gauss
 
 __all__ = [
     "OmegaWeight",
@@ -519,43 +517,32 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 
 @dataclass(frozen=True)
 class TargetSpace:
-    """Where a transform lands: a polar quadrature rule for the target
-    measure and the effective weight of each of its circles, or no rule.
-    Only the integral inverse legs integrate over it (``transforms``:
-    ``inverse_integral``, ``reverse_pairing_residual``,
+    """Where a transform lands: the polar rule of the target basis' measure
+    (``special.BasisSpec.measure``) and the effective weight of each of its
+    circles.  Only the integral inverse legs integrate over it
+    (``transforms``: ``inverse_integral``, ``reverse_pairing_residual``,
     ``round_trip_integral``).  The forward isometry and Gram checks read
     the target basis on one circle instead (``special.BASES`` circles), so
     an operator that never inverts never builds its rule.
 
-    Every target with a rule is polar: ``rule`` is a ``quadrature.disk_rule``
-    or ``quadrature.gaussian_plane_rule``, n_r radii times an n_theta-point
-    trapezoid in radius-major node order, and its target basis factors as
-    psi_j(r e^(i theta)) = psi_j(r) e^(i (j - ell) theta), ell the basis'
-    ``shift`` (``special.BasisFamily``: the eigenspace level, 0 for Fock
-    and Bergman).
-    ``radial_weights`` holds the effective weight of each node on the circle
-    of each radius: the rule's weight times whatever turns the rule's measure
-    into the one that makes the target basis orthonormal (see the builders
-    below).  ``radii`` and ``n_theta`` are read off those.  Both an
-    eigenspace's weight factor and its basis' fold (1-|z|^2)^(-ell) take
-    1-|z|^2 from the radius, once per circle, so the two cancel on the rule
-    exactly as they do pointwise.
-
-    The two Dirichlet-type targets have no rule (``rule`` and
-    ``radial_weights`` are None): their norm is the sum over Taylor
-    coefficients with the weights n_j^(-2) of the target basis
+    ``rule`` has n_r radii times an n_theta-point trapezoid in radius-major
+    node order, and the target basis factors as psi_j(r e^(i theta)) =
+    psi_j(r) e^(i (j - ell) theta), ell the basis' ``shift``
+    (``special.BasisFamily``: the eigenspace level, 0 for Fock and
+    Bergman).  ``radial_weights`` holds the effective weight of each node
+    on the circle of each radius: the rule's weight times the measure's
+    factor there.  ``radii`` and ``n_theta`` are read off those.
+    The two Dirichlet-type bases have no measure and no target space: their
+    norm is the sum over Taylor coefficients with the weights n_j^(-2) of
     psi_j = n_j z^j (``special.monomial_normalizer``).
     """
 
-    rule: QuadratureRule | None = None
-    radial_weights: np.ndarray | None = field(default=None, repr=False)
+    rule: QuadratureRule
+    radial_weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if (self.rule is None) != (self.radial_weights is None) or (
-                self.rule is not None
-                and self.radial_weights.shape != (self.rule.meta["n_r"],)):
-            raise ValueError("a target space has one weight per circle of its "
-                             "polar rule, or no rule")
+        if self.radial_weights.shape != (self.rule.meta["n_r"],):
+            raise ValueError("a target space has one weight per circle of its polar rule")
 
     @property
     def n_theta(self) -> int:
@@ -579,44 +566,17 @@ def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
             1 << J.bit_length() if n_theta is None else n_theta)
 
 
-def _polar_target(rule: QuadratureRule, factor) -> TargetSpace:
-    """A target on a polar rule whose node weights are the rule's times
-    factor(r), a function of the radius alone."""
+def _target_space(basis: BasisFamily, orders, J: int | None = None) -> TargetSpace | None:
+    """The target space of a target basis for truncations up to J, or None
+    for a basis without a measure.  Its orders (n_r, n_theta) come from
+    ``_polar_orders`` with the basis' shift as the fold, each overridden by
+    its entry of ``orders`` unless that is None."""
+    measure = basis.spec.measure
+    if measure is None:
+        return None
+    rule, factor = measure(*_polar_orders(orders, J, basis.shift), *basis.params)
     n_theta = rule.meta["n_theta"]
-    radii = rule.nodes[::n_theta].real
-    return TargetSpace(rule, rule.weights[::n_theta] * factor(radii))
-
-
-def _plane_target(params, orders, J=None) -> TargetSpace:
-    """exp(-|z|^2) dA, the Fock basis' own measure; |psi_j|^2 is u^j."""
-    return _polar_target(gaussian_plane_rule(*_polar_orders(orders, J)),
-                         lambda r: 1.0)
-
-
-def _bergman_target(params, orders, J=None) -> TargetSpace:
-    """(delta/pi)(1-|z|^2)^(delta-1) dA: the probability normalization is
-    what makes the Bergman monomial basis orthonormal; |psi_j|^2 is a
-    multiple of u^j."""
-    (delta,) = params
-    rule = disk_rule(*_polar_orders(orders, J), delta - 1.0)
-    return _polar_target(rule, lambda r: delta / np.pi)
-
-
-def _disk_eigen_target(params, orders, J=None) -> TargetSpace:
-    """(1-|z|^2)^(2 nu - 2) dA, folded: the eigenspace basis carries a factor
-    (1-|z|^2)^(-ell), so the rule is built for the reduced exponent
-    2 nu - 2 - 2 ell and the weights take (1-|z|^2)^(2 ell) on the radii.
-    Pointwise this is an identity; on polynomials it restores exactness that
-    the raw weight cannot offer.  Folded, |psi_j|^2 is u^(j - ell) times a
-    polynomial of degree 2 ell in u, so degree J + ell at most."""
-    nu, ell = params
-    rule = disk_rule(*_polar_orders(orders, J, ell), 2.0 * nu - 2.0 - 2 * ell)
-    return _polar_target(rule, lambda r: (1.0 - _abs2(r)) ** (2 * ell))
-
-
-def _coefficient_target(params, orders, J=None) -> TargetSpace:
-    """A Dirichlet-type target: norms on Taylor coefficients, no rule."""
-    return TargetSpace()
+    return TargetSpace(rule, rule.weights[::n_theta] * factor(rule.nodes[::n_theta].real))
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +597,16 @@ class FamilySpec:
     rebinds those names (a tracer wrapping each layer, a test double) sees
     every call.
 
-    ``target_space(params, orders, J=None)`` builds the :class:`TargetSpace`
-    of the target basis for truncations up to J: a polar rule, the Gaussian
-    plane rule or a disk rule, with the basis' measure folded into its
-    weights, or no rule for the Dirichlet-type targets.  Its orders
-    (n_r, n_theta) are the least at which it integrates the Gram matrix of
-    psi_0..psi_J exactly (``_polar_orders``), each overridden by its entry
-    of ``orders`` unless that is None (J may be left out when neither is).
     ``inverse_truncation`` is the default truncation of the integral
     inverse, which with the series truncation sizes the operator's target
-    rule (0 where there is no rule).
+    space (``_target_space``, from the target basis' measure; 0 where the
+    target basis has none).
     """
 
     params: tuple
     source: Callable
     target: Callable
     evaluate: Callable
-    target_space: Callable = _coefficient_target
     inverse_truncation: int = 0
     weighted: bool = False
 
@@ -661,19 +614,16 @@ class FamilySpec:
 FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock,
-        lambda p, z, x: classical_kernel(z, x),
-        _plane_target, 100),
+        lambda p, z, x: classical_kernel(z, x), 100),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman,
-        lambda p, z, x: second_kernel(*p, z, x),
-        _bergman_target, 110),
+        lambda p, z, x: second_kernel(*p, z, x), 110),
     "generalized_second": FamilySpec(
         (("nu", float, "generalized-second parameter"),
          ("ell", int, "generalized-second level")),
         lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen,
-        lambda p, z, x: generalized_second_kernel(*p, z, x),
-        _disk_eigen_target, 110),
+        lambda p, z, x: generalized_second_kernel(*p, z, x), 110),
     "dirichlet": FamilySpec(
         (), lambda: laguerre_l2(0.0), dirichlet,
         lambda p, z, x: dirichlet_kernel(z, x)),

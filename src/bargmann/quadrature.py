@@ -341,9 +341,9 @@ def _polar_rule(kind: str, u, wu, n_theta: int, meta: dict) -> QuadratureRule:
     moment structure of the measure.  Nodes are radius-major: node
     a * n_theta + b is r_a e^(2 pi i b / n_theta), so the values on the rule
     reshape to (n_r, n_theta), node a * n_theta is the radius r_a itself (a
-    real number), and every node of a circle has the same weight.  Polar
-    callers (``kernels.TargetSpace``) read the radii and radial weights off
-    that layout.
+    real number), and every node of a circle has the same weight.  The
+    target spaces (``kernels._target_space``, on the measures of
+    ``special.BASES``) read the radii and radial weights off that layout.
     """
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()

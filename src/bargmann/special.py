@@ -19,11 +19,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_halfline, gauss_line
+from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 
 __all__ = [
     "hermite_sequence",
-    "laguerre",
     "laguerre_sequence",
     "jacobi_sequence",
     "log_gamma",
@@ -103,18 +102,12 @@ def hermite_sequence(jmax: int, x):
     return out
 
 
-def laguerre(j: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1, for finite
-    real or complex x."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("Laguerre points must be finite")
-    return _laguerre(j, alpha, x)
-
-
 def _laguerre(j: int, alpha: float, x):
-    """``laguerre`` with x unchecked, for the kernels, whose points are
-    checked on entry.  Only two degrees are held at a time, so wide
-    arguments (the kernels' t-integrands) need no (j+1)-fold scratch array."""
+    """Generalized Laguerre polynomial L_j^(alpha)(x), alpha > -1, with x
+    unchecked, for the kernels, whose points are checked on entry: the last
+    column of ``laguerre_sequence``, bit for bit.  Only two degrees are held
+    at a time, so wide arguments (the kernels' t-integrands) need no
+    (j+1)-fold scratch array."""
     for value in _laguerre_degrees(j, alpha, x):
         pass
     return value
@@ -731,6 +724,10 @@ class BasisSpec:
     forward image, first choice first: the next radius serves where psi_j
     is too small on the one before (a zero of an eigenfunction, or the
     decay of a high degree).
+    ``measure`` gives the measure mu_2 in whose L^2 a target basis is
+    orthonormal as a polar rule (``quadrature._polar_rule``) and a factor of
+    the radius that turns the rule's measure into mu_2 (none for the
+    Dirichlet-type bases, whose norms are sums over Taylor coefficients).
     """
 
     check: Callable                  # points -> array, once all lie in the domain
@@ -740,6 +737,7 @@ class BasisSpec:
     rule: Callable | None = None     # (n, *params) -> Gauss rule of the source measure
     circles: tuple = ()              # extraction radii of a target basis, in order
     shift: Callable = lambda *params: 0   # (*params) -> angular shift of psi_j
+    measure: Callable | None = None  # (n_r, n_theta, *params) -> polar rule, factor(r)
 
 
 # The extraction circles.  On |z| = r a bin's rounding, ~1e-16 of the norm of
@@ -757,8 +755,21 @@ _MONOMIAL_DISK_CIRCLES = (0.75, 0.85)
 _EIGEN_DISK_CIRCLES = (0.75, 0.6)
 
 
-# a rule looks its builder up by name at call time, so code that rebinds
-# ``gauss_line``/``gauss_halfline`` here (a tracer, a test double) sees each build
+def _disk_eigen_measure(n_r: int, n_theta: int, nu: float, ell: int):
+    """(1-|z|^2)^(2 nu - 2) dA, folded: the basis carries (1-|z|^2)^(-ell), so
+    the rule is built for the exponent 2 nu - 2 - 2 ell and the weights take
+    (1-|z|^2)^(2 ell) on the radii.  Pointwise an identity, on polynomials
+    this restores exactness: folded, |psi_j|^2 is of degree J + ell in u at
+    most (the shift is the fold).  Factor and basis take 1-|z|^2 from the
+    radius (``_abs2``), so the two cancel on the rule as they do pointwise."""
+    return (disk_rule(n_r, n_theta, 2.0 * nu - 2.0 - 2 * ell),
+            lambda r: (1.0 - _abs2(r)) ** (2 * ell))
+
+
+# a rule or measure looks its builder up by name at call time, so code that
+# rebinds ``gauss_line``, ``disk_rule`` etc. here (a tracer, a test double)
+# sees each build.  The Fock and Bergman measures are exp(-|z|^2) dA and
+# (delta/pi)(1-|z|^2)^(delta-1) dA
 BASES = {
     "hermite_l2": BasisSpec(_check_source_point, _hermite_matrix,
                             rule=lambda n: gauss_line(n)),
@@ -767,15 +778,19 @@ BASES = {
     "bargmann_fock": BasisSpec(
         _check_plane_point, _fock_matrix,
         lambda j: np.cumprod(np.concatenate(([np.pi ** -0.5], np.sqrt(1.0 / j[1:])))),
-        lambda basis, z, w: np.exp(z * np.conj(w)) / np.pi, circles=_FOCK_CIRCLES),
+        lambda basis, z, w: np.exp(z * np.conj(w)) / np.pi, circles=_FOCK_CIRCLES,
+        measure=lambda n_r, n_theta: (gaussian_plane_rule(n_r, n_theta), lambda r: 1.0)),
     "bergman": BasisSpec(
         _check_disk_point, _bergman_matrix,
         lambda j, delta: np.exp(0.5 * _cumulative_log1p(delta / j[1:])),
         lambda basis, z, w: (1.0 - z * np.conj(w)) ** (-basis.params[0] - 1.0),
-        circles=_MONOMIAL_DISK_CIRCLES),
+        circles=_MONOMIAL_DISK_CIRCLES,
+        measure=lambda n_r, n_theta, delta: (disk_rule(n_r, n_theta, delta - 1.0),
+                                             lambda r: delta / np.pi)),
     "disk_eigen": BasisSpec(_check_disk_point, _disk_eigen_matrix,
                             kernel=_disk_eigen_kernel, circles=_EIGEN_DISK_CIRCLES,
-                            shift=lambda nu, ell: ell),
+                            shift=lambda nu, ell: ell,
+                            measure=_disk_eigen_measure),
     "dirichlet": BasisSpec(
         _check_disk_point, _scaled_powers,
         lambda j: np.exp(-0.5 * (_LOG_PI + np.log(np.maximum(j, 1.0)))),

@@ -2,10 +2,11 @@
 and the pairing/isometry machinery.
 
 A :class:`TransformOperator` bundles a kernel family with a source
-quadrature rule (matching the kernel's source measure) and the family's
-target space (``kernels.TargetSpace``, built by ``kernels.FAMILIES`` on the
-first read of ``op.target`` and kept by the operator; ``forward``,
-``forward_map`` and every circle extraction never read it).
+quadrature rule (matching the kernel's source measure) and its target
+space (``kernels.TargetSpace``, built from the target basis' measure,
+``special.BasisSpec.measure``, on the first read of ``op.target`` and kept
+by the operator; ``forward``, ``forward_map`` and every circle extraction
+never read it).
 
 The forward checks of all five families, isometry and Gram, take one route
 through the primary kernel: the target inner products <B f, psi_j> are read
@@ -28,13 +29,13 @@ Gram, series round-trip and ``target_coefficients`` extractions all apply
 that map to source values, and none of them reads the source coefficients
 of f.
 
-The inverse is an integral over the target space, so it needs a target
-rule: a target with a rule (Gaussian plane, weighted disk) integrates
-against its node weights, and the integral inverse legs
-(``inverse_integral``, ``reverse_pairing_residual``, ``round_trip_integral``)
-run on it.  A Dirichlet-type target has no rule: its inverse is the
-coefficient vector itself, since the transform carries phi_j to psi_j
-(``target_coefficients``, ``round_trip_series``).
+The inverse is an integral over the target space L^2(M_2, mu_2): the
+integral inverse legs (``inverse_integral``, ``reverse_pairing_residual``,
+``round_trip_integral``) run on the rule of the measure mu_2.  A
+Dirichlet-type target basis has no measure, so ``op.target`` is None and
+they raise: its inverse is the coefficient vector itself, since the
+transform carries phi_j to psi_j (``target_coefficients``,
+``round_trip_series``).
 
 Inversion quadrature deliberately uses the *series-truncated* kernel rather
 than the closed form.  The closed kernels grow double-exponentially in the
@@ -54,7 +55,7 @@ On a target rule the inverse legs do not form psi_J at the rule's nodes
 either.
 Every target rule is polar, a tensor of n_r radii and an n_theta-point
 trapezoid (the Gaussian plane rule and the disk rules alike), and every
-target basis with a rule factors as psi_j(r e^(i theta)) = psi_j(r)
+target basis with a measure factors as psi_j(r e^(i theta)) = psi_j(r)
 e^(i (j - ell) theta) (ell = 0 for Fock and Bergman, the level for the
 eigenspaces), so the target space keeps the rule in polar form
 (``TargetSpace.radii``) and:
@@ -79,7 +80,8 @@ import numpy as np
 
 from .special import BasisFamily, basis_matrix
 from .quadrature import QuadratureRule
-from .kernels import FAMILIES, KernelFamily, TargetSpace, _default_omega, kernel_matrix
+from .kernels import (FAMILIES, KernelFamily, TargetSpace, _default_omega, _target_space,
+                      kernel_matrix)
 
 __all__ = [
     "TransformOperator",
@@ -157,13 +159,13 @@ class TransformOperator:
             raise ValueError("target rule orders must be positive")
 
     @functools.cached_property
-    def target(self) -> TargetSpace:
-        """The family's target space, sized for the larger of the two
-        truncations unless ``disk_orders`` overrides an order, built once
-        per operator (``dataclasses.replace`` starts a new one without it)."""
+    def target(self) -> TargetSpace | None:
+        """The target basis' target space (``kernels._target_space``, or
+        None), sized for the larger of the two truncations unless
+        ``disk_orders`` overrides an order, built once per operator
+        (``dataclasses.replace`` starts a new one without it)."""
         J = max(self.series_truncation, self.inverse_truncation)
-        return FAMILIES[self.kernel.kind].target_space(self.kernel.params,
-                                                       self.disk_orders, J)
+        return _target_space(self.kernel.target_basis(), self.disk_orders, J)
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
@@ -175,10 +177,11 @@ def make_transform(kind: str, *params, source_order: int = 120,
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
     source rule is the Gauss rule of its source basis' measure, as the
     basis' ``special.BASES`` entry builds it (``_source_rule``); the target
-    space and the default inverse truncation are the family's
-    (``FAMILIES``).  The target space is built on the first read of
-    ``op.target``, not here, so a caller that reads only the kernel and the
-    source rule (a point ``forward``) never builds it.
+    space is the target basis' (``kernels._target_space``) and the default
+    inverse truncation the family's (``FAMILIES``).  The target space is
+    built on the first read of ``op.target``, not here, so a caller that
+    reads only the kernel and the source rule (a point ``forward``) never
+    builds it.
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
@@ -195,7 +198,7 @@ def make_transform(kind: str, *params, source_order: int = 120,
     polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,
     inverse_truncation): n_theta is the least power of two >= J + 1 and n_r
     the least Gauss order that integrates the Gram matrix of psi_0..psi_J
-    exactly (``kernels.FAMILIES``).  For the defaults, J = 100 or 110, that
+    exactly (``kernels._polar_orders``).  For the defaults, J = 100 or 110, that
     is 128 angles and 51 to 57 radii.  An entry of ``disk_orders`` that is
     not None overrides its order.  The whole-rule routes work in polar form,
     so the angular order n_theta must exceed every truncation they are asked
@@ -270,24 +273,32 @@ def _series_coefficients(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     return (op.source_rule.weights[:, None] * phi).T @ fv
 
 
-def _polar_radial(op: TransformOperator, J: int) -> tuple[np.ndarray, np.ndarray]:
-    """psi_j(r) on the target's radii for j = 0..J, and the angular bin
-    (j - ell) mod n_theta that carries degree j."""
-    t = op.target
+def _integral_target(op: TransformOperator) -> TargetSpace:
+    """``op.target``, which every integral inverse leg runs on; ValueError
+    for a target basis without a measure."""
+    if op.target is None:
+        raise ValueError(f"{op.kernel} has no target rule to integrate over; a Dirichlet-"
+                         "type target inverts by coefficients via target_coefficients")
+    return op.target
+
+
+def _polar_radial(op: TransformOperator, J: int):
+    """The target space, psi_j(r) on its radii for j = 0..J, and the angular
+    bin (j - ell) mod n_theta that carries degree j."""
+    t = _integral_target(op)
     if J + 1 > t.n_theta:
         raise ValueError(
             f"truncation {J} needs at least {J + 1} angular nodes on the "
             f"target rule, which has {t.n_theta}: frequencies would alias")
     basis = op.kernel.target_basis()
     R = basis_matrix(basis, J, t.radii)
-    return R, (np.arange(J + 1) - basis.shift) % t.n_theta
+    return t, R, (np.arange(J + 1) - basis.shift) % t.n_theta
 
 
 def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
     """sum_j psi_j(z) coef[j] at every target rule node, for a vector or a
     matrix of coefficient columns; rows follow the rule's nodes."""
-    t = op.target
-    R, bins = _polar_radial(op, coef.shape[0] - 1)
+    t, R, bins = _polar_radial(op, coef.shape[0] - 1)
     spectrum = np.zeros((R.shape[0], t.n_theta) + coef.shape[1:], dtype=complex)
     spectrum[:, bins] = R.reshape(R.shape + (1,) * (coef.ndim - 1)) * coef
     values = np.fft.ifft(spectrum, axis=1, norm="forward")
@@ -297,8 +308,7 @@ def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
 def _target_contract(op: TransformOperator, F: np.ndarray, J: int) -> np.ndarray:
     """psi_J^H (w * F) over the target rule, i.e. <F, psi_j> for j = 0..J,
     for F on the rule's nodes (a vector or one column per function)."""
-    t = op.target
-    R, bins = _polar_radial(op, J)
+    t, R, bins = _polar_radial(op, J)
     spectrum = np.fft.fft(F.reshape((R.shape[0], t.n_theta) + F.shape[1:]), axis=1)
     radial = np.conj(R) * t.radial_weights[:, None]
     return np.einsum("aj,aj...->j...", radial, spectrum[:, bins])
@@ -332,19 +342,14 @@ def _target_images(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
 def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     """B^(-1)[F](x) = sum_i w_i conj(K(z_i, x)) F(z_i) over the target rule.
 
-    Only available for targets with a rule.  Uses the series-truncated kernel
-    (see the module docstring), contracted through its coefficients:
-    phi_J(x) (psi_J(z)^H (w * F)), in polar form.  J defaults to the
-    operator's inverse_truncation, which is sized so the target rule
-    integrates the truncated integrand exactly; J + 1 may not exceed the
-    rule's angular order (ValueError).
+    Only available for targets with a rule (``_integral_target``).  Uses the
+    series-truncated kernel (see the module docstring), contracted through
+    its coefficients: phi_J(x) (psi_J(z)^H (w * F)), in polar form.  J
+    defaults to the operator's inverse_truncation, which is sized so the
+    target rule integrates the truncated integrand exactly; J + 1 may not
+    exceed the rule's angular order (ValueError).
     """
-    if op.target.rule is None:
-        raise ValueError(
-            "integral inversion needs a target rule; Dirichlet-type targets "
-            "invert by coefficients via target_coefficients"
-        )
-    nodes = op.target.rule.nodes
+    nodes = _integral_target(op).rule.nodes
     Fv = F(nodes) if callable(F) else np.asarray(F)
     if Fv.shape != nodes.shape:
         raise ValueError("target values must live on the target rule's nodes")
@@ -472,7 +477,7 @@ def target_coefficients(op: TransformOperator, f, J: int | None = None) -> Coeff
 
     The transform carries phi_j to psi_j, so these are also the source
     coefficients of the inverse image: for the Dirichlet-type targets, which
-    have no rule, this is the inverse.  It never consults the source
+    have no measure, this is the inverse.  It never consults the source
     coefficients of f.
     """
     if J is None:
@@ -495,12 +500,8 @@ def pairing_residuals(op: TransformOperator, jmax: int, z) -> np.ndarray:
 
 
 def reverse_pairing_residual(op: TransformOperator, j: int) -> float:
-    """max over the source nodes x of |B^(-1)[psi_j](x) - phi_j(x)|."""
-    if op.target.rule is None:
-        raise ValueError(
-            "reverse pairing integrates over the target space and needs a "
-            "target rule; Dirichlet-type targets invert by coefficients via "
-            "target_coefficients")
+    """max over the source nodes x of |B^(-1)[psi_j](x) - phi_j(x)|; only
+    for targets with a rule (``_integral_target``)."""
     x = op.source_rule.nodes
     psi = _target_values(op, np.eye(j + 1)[:, j])
     got = inverse_integral(op, psi, x)
@@ -537,7 +538,7 @@ def forward_gram(op: TransformOperator, J: int) -> np.ndarray:
 
 def round_trip_integral(op: TransformOperator, c: CoefficientVector) -> float:
     """max over the source nodes x of |B^(-1)[B[f]](x) - f(x)| for
-    f = sum c_j phi_j.
+    f = sum c_j phi_j; only for targets with a rule (``_integral_target``).
 
     The forward leg is ``_target_images``: where the closed kernels degrade
     over a whole target rule, the truncated series stays a small-norm

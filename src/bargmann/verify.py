@@ -427,7 +427,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
     # the integral inverse, which needs a target rule, builds one
     ops = {kind: _default_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
     trip_ops = {kind: _roundtrip_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
-    small_ops = {kind: op for kind, op in trip_ops.items() if op.target.rule is not None}
+    small_ops = {kind: op for kind, op in trip_ops.items() if op.target is not None}
     metadata["target_orders"] = {
         kind: [op.target.rule.meta["n_r"], op.target.n_theta]
         for kind, op in small_ops.items()}
@@ -491,7 +491,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
         ))
 
     for kind, op in ops.items():
-        if trip_ops[kind].target.rule is not None:   # inverted by the integral
+        if trip_ops[kind].target is not None:   # inverted by the integral
             continue
         values = np.zeros(16, dtype=complex)
         values[:9] = rng.standard_normal(9) + 1j * rng.standard_normal(9)

@@ -91,6 +91,31 @@ def test_kernel_eval_cross_check(capsys):
     assert payload["cross_check_re"] == pytest.approx(payload["value_re"], rel=1e-9)
 
 
+# the classical kernel at z = 40i, x = 1 is pi^(-3/4) e^800 in modulus, past
+# float64: the overflow's warnings must reach the CLI, which refuses the NaN
+_LET_OVERFLOW = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@_LET_OVERFLOW
+def test_kernel_eval_refuses_a_non_finite_value(capsys):
+    code, out, err = run_cli(capsys, ["kernel-eval", "--family", "classical",
+                                      "--z", "0,40", "--x", "1", "--cross-check"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "not finite" in err
+
+
+@_LET_OVERFLOW
+def test_transform_refuses_a_non_finite_value(tmp_path, capsys):
+    path = tmp_path / "coeffs.json"
+    path.write_text("[1.0, 0.5]")
+    code, out, err = run_cli(capsys, ["transform", "--family", "classical",
+                                      "--input", str(path), "--at", "0,40"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "not finite" in err
+
+
 def test_kernel_eval_refuses_level_at_nu_minus_ell_one_half(capsys):
     # at nu - ell = 1/2 the kernel's norm constant is 0; the level is
     # outside the eigenspace family, a usage error, not a printed 0

@@ -25,7 +25,6 @@ from bargmann import (
     hyp2f1_table,
     hyp_series,
     jacobi_sequence,
-    laguerre,
     laguerre_l2,
     laguerre_sequence,
     log_gamma,
@@ -68,7 +67,7 @@ def test_laguerre_matches_scipy():
     x = np.linspace(0.0, 20.0, 11)
     for a in (0.0, 0.5, 1.5, 4.0):
         for j in (1, 3, 10, 30):
-            assert_allclose(laguerre(j, a, x), eval_genlaguerre(j, a, x),
+            assert_allclose(laguerre_sequence(j, a, x)[..., j], eval_genlaguerre(j, a, x),
                             rtol=1e-10, atol=1e-12)
 
 
@@ -79,7 +78,7 @@ def test_laguerre_is_terminating_kummer_series():
         for a in (0.0, 0.5, 2.5):
             binom = np.exp(gammaln(n + a + 1.0) - gammaln(n + 1.0) - gammaln(a + 1.0))
             kummer = np.array([hyp1f1(-n, a + 1.0, xv) for xv in x])
-            assert_allclose(laguerre(n, a, x), binom * kummer, rtol=1e-12)
+            assert_allclose(laguerre_sequence(n, a, x)[..., n], binom * kummer, rtol=1e-12)
 
 
 def test_jacobi_matches_scipy():
@@ -128,8 +127,9 @@ def test_sequence_validation():
     pytest.param(lambda: laguerre_sequence(3, 0.5, [1.0, NAN]), id="laguerre-x"),
     pytest.param(lambda: laguerre_sequence(3, NAN, 1.0), id="laguerre-alpha"),
     pytest.param(lambda: laguerre_sequence(3, INF, 1.0), id="laguerre-alpha-inf"),
-    pytest.param(lambda: laguerre(3, 0.5, NAN), id="laguerre-scalar-x"),
-    pytest.param(lambda: laguerre(3, 0.5, [1.0, complex(0.5, INF)]), id="laguerre-scalar-x-inf"),
+    pytest.param(lambda: laguerre_sequence(3, 0.5, NAN)[..., 3], id="laguerre-scalar-x"),
+    pytest.param(lambda: laguerre_sequence(3, 0.5, [1.0, complex(0.5, INF)])[..., 3],
+                 id="laguerre-scalar-x-inf"),
     pytest.param(lambda: pochhammer(NAN, 2), id="pochhammer-a"),
     pytest.param(lambda: pochhammer(-INF, 0), id="pochhammer-a-inf"),
     pytest.param(lambda: jacobi_sequence(3, 0.5, 0.5, [0.1, -INF]), id="jacobi-x"),

@@ -18,6 +18,7 @@ from bargmann import (
     CoefficientVector,
     bargmann_fock,
     basis_matrix,
+    bergman,
     circle_points,
     dirichlet,
     disk_rule,
@@ -148,10 +149,19 @@ def test_round_trip_with_boundary_heavy_folded_rule(nu, ell):
 
 
 def test_reverse_pairing_rejected_for_coefficient_targets():
-    with pytest.raises(ValueError):
-        reverse_pairing_residual(OPS["dirichlet"], 0)
-    with pytest.raises(ValueError):
-        reverse_pairing_residual(OPS["gen_bergman_dirichlet"], 0)
+    # a Dirichlet-type target basis has no measure, so its operator has no
+    # target space, and every integral inverse leg refuses alike
+    for kind, params in (("dirichlet", ()), ("gen_bergman_dirichlet", (0.5, 2))):
+        op = make_transform(kind, *params, source_order=12, series_truncation=15,
+                            inverse_truncation=40)
+        assert op.target is None
+        c = CoefficientVector(np.ones(16, dtype=complex), op.kernel.source_basis(), 15)
+        F = np.ones(64, dtype=complex)
+        for leg in (lambda: inverse_integral(op, F, 0.5),
+                    lambda: reverse_pairing_residual(op, 0),
+                    lambda: round_trip_integral(op, c)):
+            with pytest.raises(ValueError, match="target_coefficients"):
+                leg()
 
 
 def test_isometry_on_random_vectors():
@@ -259,8 +269,8 @@ def test_circle_extraction_evaluates_the_kernel_on_one_half_circle(monkeypatch):
 def test_target_is_built_on_first_read(monkeypatch):
     # a point forward reads only the kernel and the source rule
     builds = []
-    disk_rule = kernels.disk_rule
-    monkeypatch.setattr(kernels, "disk_rule", lambda *a: builds.append(a) or disk_rule(*a))
+    disk_rule = special.disk_rule
+    monkeypatch.setattr(special, "disk_rule", lambda *a: builds.append(a) or disk_rule(*a))
     op = make_transform("second", 1.5, source_order=12, disk_orders=(20, 32))
     fv = basis_matrix(op.kernel.source_basis(), 3, op.source_rule.nodes) @ np.ones(4)
     for strategy in ("primary", "series"):
@@ -271,7 +281,7 @@ def test_target_is_built_on_first_read(monkeypatch):
     # a replaced operator builds its own
     other = dataclasses.replace(op, series_truncation=16)
     assert len(builds) == 1 and other.target is not target and len(builds) == 2
-    want = kernels.FAMILIES["second"].target_space((1.5,), (20, 32))
+    want = kernels._target_space(bergman(1.5), (20, 32))
     assert np.array_equal(target.rule.nodes, want.rule.nodes)
     assert np.array_equal(target.radial_weights, want.radial_weights)
     # the orders are still checked when the operator is made
@@ -429,8 +439,8 @@ def test_verify_transforms_builds_only_the_round_trip_rules(monkeypatch):
     # suite builds only the 64-angle rules its round trips integrate over
     orders = []
     for name in ("disk_rule", "gaussian_plane_rule"):
-        build = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name,
+        build = getattr(special, name)
+        monkeypatch.setattr(special, name,
                             lambda *a, build=build: orders.append(a[:2]) or build(*a))
     assert verify.run_suite("transforms").passed
     assert sorted(orders) == [(21, 64), (21, 64), (22, 64)]
