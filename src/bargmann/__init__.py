@@ -41,7 +41,6 @@ from .quadrature import (
 from .kernels import (
     KernelFamily,
     OmegaWeight,
-    TargetSpace,
     classical_kernel,
     dirichlet_kernel,
     gen_dirichlet_kernel,

@@ -1,6 +1,5 @@
 """Transform kernels, the convolution weight for the generalized family,
-the family table with each family's bases (``special.BASES`` kinds), and
-the target space built from a target basis' measure.
+and the family table with each family's bases (``special.BASES`` kinds).
 
 Every kernel has at least two independent evaluation routes:
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,7 +32,6 @@ from .special import (
     BasisFamily,
     _LOG_PI,
     _check_disk_point,
-    _check_integer,
     _check_plane_point,
     _check_source_point,
     _laguerre,
@@ -48,7 +46,7 @@ from .special import (
     laguerre_sequence,
     log_gamma,
 )
-from .quadrature import QuadratureRule, _read_only, _tridiagonal_gauss
+from .quadrature import QuadratureRule, _check_integer, _read_only, _tridiagonal_gauss
 
 __all__ = [
     "OmegaWeight",
@@ -60,7 +58,6 @@ __all__ = [
     "generalized_second_kernel",
     "dirichlet_kernel",
     "gen_dirichlet_kernel",
-    "TargetSpace",
     "FamilySpec",
     "FAMILIES",
     "KernelFamily",
@@ -512,74 +509,6 @@ def _default_omega(alpha: float, m: int) -> OmegaWeight:
 
 
 # ---------------------------------------------------------------------------
-# Target spaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TargetSpace:
-    """Where a transform lands: the polar rule of the target basis' measure
-    (``special.BasisSpec.measure``) and the effective weight of each of its
-    circles.  Only the integral inverse legs integrate over it
-    (``transforms``: ``inverse_integral``, ``reverse_pairing_residual``,
-    ``round_trip_integral``).  The forward isometry and Gram checks read
-    the target basis on one circle instead (``special.BASES`` circles), so
-    an operator that never inverts never builds its rule.
-
-    ``rule`` has n_r radii times an n_theta-point trapezoid in radius-major
-    node order, and the target basis factors as psi_j(r e^(i theta)) =
-    psi_j(r) e^(i (j - ell) theta), ell the basis' ``shift``
-    (``special.BasisFamily``: the eigenspace level, 0 for Fock and
-    Bergman).  ``radial_weights`` holds the effective weight of each node
-    on the circle of each radius: the rule's weight times the measure's
-    factor there.  ``radii`` and ``n_theta`` are read off those.
-    The two Dirichlet-type bases have no measure and no target space: their
-    norm is the sum over Taylor coefficients with the weights n_j^(-2) of
-    psi_j = n_j z^j (``special.monomial_normalizer``).
-    """
-
-    rule: QuadratureRule
-    radial_weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.radial_weights.shape != (self.rule.meta["n_r"],):
-            raise ValueError("a target space has one weight per circle of its polar rule")
-
-    @property
-    def n_theta(self) -> int:
-        return self.rule.meta["n_theta"]
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self.rule.nodes[::self.n_theta].real
-
-
-def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
-    """(n_r, n_theta) of a polar target rule for truncations up to J whose
-    highest product, psi_j conj(psi_k) times the weight factor, is a
-    polynomial of degree J + fold in u = |z|^2 on each circle.  n_theta is
-    the least power of two >= J + 1, so no two degrees share an angular bin,
-    and n_r the least Gauss order exact to that degree (2 n_r - 1 >= J + fold).
-    An entry of ``orders`` that is not None overrides its derived value,
-    and J is needed only for the derived ones."""
-    n_r, n_theta = orders
-    return ((J + fold) // 2 + 1 if n_r is None else n_r,
-            1 << J.bit_length() if n_theta is None else n_theta)
-
-
-def _target_space(basis: BasisFamily, orders, J: int | None = None) -> TargetSpace | None:
-    """The target space of a target basis for truncations up to J, or None
-    for a basis without a measure.  Its orders (n_r, n_theta) come from
-    ``_polar_orders`` with the basis' shift as the fold, each overridden by
-    its entry of ``orders`` unless that is None."""
-    measure = basis.spec.measure
-    if measure is None:
-        return None
-    rule, factor = measure(*_polar_orders(orders, J, basis.shift), *basis.params)
-    n_theta = rule.meta["n_theta"]
-    return TargetSpace(rule, rule.weights[::n_theta] * factor(rule.nodes[::n_theta].real))
-
-
-# ---------------------------------------------------------------------------
 # The five transform families and their uniform interface
 # ---------------------------------------------------------------------------
 
@@ -596,34 +525,28 @@ class FamilySpec:
     functions up by their module-level names at call time, so code that
     rebinds those names (a tracer wrapping each layer, a test double) sees
     every call.
-
-    ``inverse_truncation`` is the default truncation of the integral
-    inverse, which with the series truncation sizes the operator's target
-    space (``_target_space``, from the target basis' measure; 0 where the
-    target basis has none).
     """
 
     params: tuple
     source: Callable
     target: Callable
     evaluate: Callable
-    inverse_truncation: int = 0
     weighted: bool = False
 
 
 FAMILIES = {
     "classical": FamilySpec(
         (), hermite_l2, bargmann_fock,
-        lambda p, z, x: classical_kernel(z, x), 100),
+        lambda p, z, x: classical_kernel(z, x)),
     "second": FamilySpec(
         (("delta", float, "second-kind weight exponent"),),
         laguerre_l2, bergman,
-        lambda p, z, x: second_kernel(*p, z, x), 110),
+        lambda p, z, x: second_kernel(*p, z, x)),
     "generalized_second": FamilySpec(
         (("nu", float, "generalized-second parameter"),
          ("ell", int, "generalized-second level")),
         lambda nu, ell: laguerre_l2(2.0 * (nu - ell) - 1.0), disk_eigen,
-        lambda p, z, x: generalized_second_kernel(*p, z, x), 110),
+        lambda p, z, x: generalized_second_kernel(*p, z, x)),
     "dirichlet": FamilySpec(
         (), lambda: laguerre_l2(0.0), dirichlet,
         lambda p, z, x: dirichlet_kernel(z, x)),

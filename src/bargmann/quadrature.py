@@ -32,8 +32,8 @@ Only numpy and ``math`` are needed.
 The one-dimensional builders (``gauss_line``, ``gauss_halfline`` and the
 radial Gauss-Jacobi rule of ``disk_rule``) keep their last results, a few KB
 each, and return them as read-only arrays shared by every caller.  The
-polar rules are built afresh from those radial rules: ~0.2 MB of nodes and
-weights for a default target rule (at most 57 x 128 nodes), ~0.7 MB at
+polar rules are built afresh from those radial rules: ~0.1 MB of nodes and
+weights for a default target rule (at most 34 x 128 nodes), ~0.7 MB at
 120 x 256.
 """
 
@@ -73,6 +73,13 @@ class QuadratureRule:
 
 
 _RULE_CACHE = 64
+
+
+def _check_integer(value, name: str) -> int:
+    """value as an int; 2.0 passes, 2.7, NaN and inf raise (no truncation)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _read_only(*arrays):
@@ -202,6 +209,7 @@ def gauss_line(n: int) -> QuadratureRule:
     sqrt(pi) / ((2k+1) prod_(j<=k) (2j-1)/(2j)).  The rule is exactly
     symmetric.
     """
+    n = _check_integer(n, "rule order")
     if n < 1:
         raise ValueError("rule order must be positive")
     k = n // 2
@@ -224,6 +232,7 @@ def gauss_line(n: int) -> QuadratureRule:
 def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     """n-point generalized Gauss-Laguerre rule for x^alpha exp(-x) dx
     (cached, read-only arrays), built by ``_laguerre_rule``."""
+    n = _check_integer(n, "rule order")
     if n < 1:
         raise ValueError("rule order must be positive")
     if not -1.0 < alpha < np.inf:  # NaN fails this too
@@ -342,8 +351,9 @@ def _polar_rule(kind: str, u, wu, n_theta: int, meta: dict) -> QuadratureRule:
     a * n_theta + b is r_a e^(2 pi i b / n_theta), so the values on the rule
     reshape to (n_r, n_theta), node a * n_theta is the radius r_a itself (a
     real number), and every node of a circle has the same weight.  The
-    target spaces (``kernels._target_space``, on the measures of
-    ``special.BASES``) read the radii and radial weights off that layout.
+    target rules (``transforms._target_rule``, on the measures of
+    ``special.BASES``) keep that layout, and the integral inverse reads the
+    radii and each circle's weight off it.
     """
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     z = (np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]).ravel()
@@ -354,6 +364,7 @@ def _polar_rule(kind: str, u, wu, n_theta: int, meta: dict) -> QuadratureRule:
 def disk_rule(n_r: int, n_theta: int, gamma: float) -> QuadratureRule:
     """Polar rule (``_polar_rule``) on the unit disk for the measure
     (1-|z|^2)^gamma dA: Gauss-Jacobi in u = r^2 times the trapezoid."""
+    n_r, n_theta = _check_integer(n_r, "rule order"), _check_integer(n_theta, "rule order")
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule orders must be positive")
     if not -1.0 < gamma < np.inf:  # NaN fails this too
@@ -367,6 +378,7 @@ def gaussian_plane_rule(n_r: int, n_theta: int) -> QuadratureRule:
     """Polar rule (``_polar_rule``) on the complex plane for the measure
     exp(-|z|^2) dA: Gauss-Laguerre (alpha = 0) in u = r^2 times the
     trapezoid."""
+    n_r, n_theta = _check_integer(n_r, "rule order"), _check_integer(n_theta, "rule order")
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule orders must be positive")
     radial = gauss_halfline(n_r, 0.0)

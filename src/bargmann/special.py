@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
+from .quadrature import _check_integer, disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
 
 __all__ = [
     "hermite_sequence",
@@ -527,13 +527,6 @@ def _check_plane_point(z):
     return z
 
 
-def _check_integer(value, name: str) -> int:
-    """value as an int; 2.0 passes, 2.7, NaN and inf raise (no truncation)."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def basis_matrix(family: BasisFamily, jmax: int, points):
     """Members 0..jmax of a family evaluated at `points`, stacked on the last axis.
 
@@ -726,8 +719,9 @@ class BasisSpec:
     decay of a high degree).
     ``measure`` gives the measure mu_2 in whose L^2 a target basis is
     orthonormal as a polar rule (``quadrature._polar_rule``) and a factor of
-    the radius that turns the rule's measure into mu_2 (none for the
-    Dirichlet-type bases, whose norms are sums over Taylor coefficients).
+    the radius that turns the rule's measure into mu_2, which
+    ``transforms._target_rule`` multiplies into the rule's weights (none for
+    the Dirichlet-type bases, whose norms are sums over Taylor coefficients).
     """
 
     check: Callable                  # points -> array, once all lie in the domain

@@ -2,11 +2,11 @@
 and the pairing/isometry machinery.
 
 A :class:`TransformOperator` bundles a kernel family with a source
-quadrature rule (matching the kernel's source measure) and its target
-space (``kernels.TargetSpace``, built from the target basis' measure,
-``special.BasisSpec.measure``, on the first read of ``op.target`` and kept
-by the operator; ``forward``, ``forward_map`` and every circle extraction
-never read it).
+quadrature rule (matching the kernel's source measure) and its target rule,
+a rule of the target measure mu_2 (``_target_rule``, from
+``special.BasisSpec.measure``), built on the first read of ``op.target``
+and kept by the operator; ``forward``, ``forward_map`` and every circle
+extraction never read it.
 
 The forward checks of all five families, isometry and Gram, take one route
 through the primary kernel: the target inner products <B f, psi_j> are read
@@ -57,8 +57,8 @@ Every target rule is polar, a tensor of n_r radii and an n_theta-point
 trapezoid (the Gaussian plane rule and the disk rules alike), and every
 target basis with a measure factors as psi_j(r e^(i theta)) = psi_j(r)
 e^(i (j - ell) theta) (ell = 0 for Fock and Bergman, the level for the
-eigenspaces), so the target space keeps the rule in polar form
-(``TargetSpace.radii``) and:
+eigenspaces), so the inverse legs read the rule in polar form (its radii
+are ``nodes[::n_theta]``, each circle's weight ``weights[::n_theta]``) and:
 
 - psi_J c at every node is the radial product psi_J(r) c placed in the
   angular bins (j - ell) mod n_theta, then one inverse FFT per radius
@@ -79,9 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import BasisFamily, basis_matrix
-from .quadrature import QuadratureRule
-from .kernels import (FAMILIES, KernelFamily, TargetSpace, _default_omega, _target_space,
-                      kernel_matrix)
+from .quadrature import QuadratureRule, _check_integer
+from .kernels import FAMILIES, KernelFamily, _default_omega, kernel_matrix
 
 __all__ = [
     "TransformOperator",
@@ -131,11 +130,46 @@ def _source_rule(basis: BasisFamily, n: int) -> QuadratureRule:
     return basis.spec.rule(n, *basis.params)
 
 
+def _polar_orders(orders, J: int | None, fold: int = 0) -> tuple[int, int]:
+    """(n_r, n_theta) of a polar target rule for truncations up to J whose
+    highest product, psi_j conj(psi_k) times the weight factor, is a
+    polynomial of degree J + fold in u = |z|^2 on each circle.  n_theta is
+    the least power of two >= J + 1, so no two degrees share an angular bin,
+    and n_r the least Gauss order exact to that degree (2 n_r - 1 >= J + fold).
+    An entry of ``orders`` that is not None overrides its derived value,
+    and J is needed only for the derived ones."""
+    n_r, n_theta = orders
+    return ((J + fold) // 2 + 1 if n_r is None else n_r,
+            1 << J.bit_length() if n_theta is None else n_theta)
+
+
+def _target_rule(basis: BasisFamily, orders, J: int | None = None) -> QuadratureRule | None:
+    """The rule of mu_2, the measure in whose L^2 a target basis is
+    orthonormal, for truncations up to J; None for a basis without one (the
+    Dirichlet-type bases).
+
+    The basis' ``measure`` gives a polar rule (``quadrature._polar_rule``)
+    and the factor of the radius that turns its measure into mu_2; each
+    node's weight is the rule's times the factor on its circle.  The orders
+    (n_r, n_theta) come from ``_polar_orders`` with the basis' shift as the
+    fold, each overridden by its entry of ``orders`` unless that is None.
+    The rule is labelled by the basis, so nothing reads it as the bare disk
+    or plane measure."""
+    measure = basis.spec.measure
+    if measure is None:
+        return None
+    n_r, n_theta = _polar_orders(orders, J, basis.shift)
+    rule, factor = measure(n_r, n_theta, *basis.params)
+    factors = np.reshape(factor(rule.nodes[::n_theta].real), (-1, 1))
+    weights = (rule.weights.reshape(n_r, n_theta) * factors).ravel()
+    return QuadratureRule(str(basis), rule.nodes, weights, {"n_r": n_r, "n_theta": n_theta})
+
+
 @dataclass(frozen=True)
 class TransformOperator:
     """A kernel, its source basis' Gauss rule, its truncations, and the
     overrides (n_r, n_theta) of its target rule's orders, None where the
-    order is derived from the truncations; the target space is built on the
+    order is derived from the truncations; the target rule is built on the
     first read of ``target``.  ``make_transform`` sets every field.
 
     The source rule is pinned to the cached Gauss rule of its order, so the
@@ -155,33 +189,34 @@ class TransformOperator:
         if (rule.kind, rule.meta) != (expected.kind, expected.meta):
             raise ValueError(f"{self.kernel} needs the source rule {expected}, not {rule}")
         object.__setattr__(self, "source_rule", expected)
-        if any(n is not None and n < 1 for n in self.disk_orders):
+        orders = tuple(None if n is None else _check_integer(n, "target rule order")
+                       for n in self.disk_orders)
+        if any(n is not None and n < 1 for n in orders):
             raise ValueError("target rule orders must be positive")
+        object.__setattr__(self, "disk_orders", orders)
 
     @functools.cached_property
-    def target(self) -> TargetSpace | None:
-        """The target basis' target space (``kernels._target_space``, or
-        None), sized for the larger of the two truncations unless
-        ``disk_orders`` overrides an order, built once per operator
-        (``dataclasses.replace`` starts a new one without it)."""
+    def target(self) -> QuadratureRule | None:
+        """The rule of the target measure mu_2 (``_target_rule``, or None),
+        sized for the larger of the two truncations unless ``disk_orders``
+        overrides an order, built once per operator (``dataclasses.replace``
+        starts a new one without it)."""
         J = max(self.series_truncation, self.inverse_truncation)
-        return _target_space(self.kernel.target_basis(), self.disk_orders, J)
+        return _target_rule(self.kernel.target_basis(), self.disk_orders, J)
 
 
 def make_transform(kind: str, *params, source_order: int = 120,
                    disk_orders: tuple[int | None, int | None] = (None, None),
                    series_truncation: int = 64,
-                   inverse_truncation: int | None = None) -> TransformOperator:
+                   inverse_truncation: int = 64) -> TransformOperator:
     """Build one of the five transforms with default discretizations.
 
     ``kind`` and ``params`` name a family of ``kernels.FAMILIES``.  The
     source rule is the Gauss rule of its source basis' measure, as the
     basis' ``special.BASES`` entry builds it (``_source_rule``); the target
-    space is the target basis' (``kernels._target_space``) and the default
-    inverse truncation the family's (``FAMILIES``).  The target space is
-    built on the first read of ``op.target``, not here, so a caller that
-    reads only the kernel and the source rule (a point ``forward``) never
-    builds it.
+    rule is the target measure's (``_target_rule``).  It is built on the
+    first read of ``op.target``, not here, so a caller that reads only the
+    kernel and the source rule (a point ``forward``) never builds it.
 
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
@@ -198,18 +233,16 @@ def make_transform(kind: str, *params, source_order: int = 120,
     polar, and its orders (n_r, n_theta) follow from J = max(series_truncation,
     inverse_truncation): n_theta is the least power of two >= J + 1 and n_r
     the least Gauss order that integrates the Gram matrix of psi_0..psi_J
-    exactly (``kernels._polar_orders``).  For the defaults, J = 100 or 110, that
-    is 128 angles and 51 to 57 radii.  An entry of ``disk_orders`` that is
-    not None overrides its order.  The whole-rule routes work in polar form,
-    so the angular order n_theta must exceed every truncation they are asked
-    for; they raise ValueError otherwise.
+    exactly (``_polar_orders``).  For the defaults, J = 64, that is 128
+    angles and (64 + ell)//2 + 1 radii (ell the eigenspace level, else 0).
+    An entry of ``disk_orders`` that is not None overrides its order.  The
+    whole-rule routes work in polar form, so the angular order n_theta must
+    exceed every truncation they are asked for; they raise ValueError
+    otherwise.
     """
     kernel = KernelFamily(kind, params)
     source = _source_rule(kernel.source_basis(), source_order)
-    spec = FAMILIES[kernel.kind]
-    if inverse_truncation is None:
-        inverse_truncation = spec.inverse_truncation
-    if spec.weighted:   # built here, not in the first forward map
+    if FAMILIES[kernel.kind].weighted:   # built here, not in the first forward map
         _default_omega(*kernel.params).rungs
     return TransformOperator(kernel, source, series_truncation, inverse_truncation,
                              tuple(disk_orders))
@@ -273,7 +306,7 @@ def _series_coefficients(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     return (op.source_rule.weights[:, None] * phi).T @ fv
 
 
-def _integral_target(op: TransformOperator) -> TargetSpace:
+def _integral_target(op: TransformOperator) -> QuadratureRule:
     """``op.target``, which every integral inverse leg runs on; ValueError
     for a target basis without a measure."""
     if op.target is None:
@@ -283,23 +316,24 @@ def _integral_target(op: TransformOperator) -> TargetSpace:
 
 
 def _polar_radial(op: TransformOperator, J: int):
-    """The target space, psi_j(r) on its radii for j = 0..J, and the angular
-    bin (j - ell) mod n_theta that carries degree j."""
+    """The target rule, its angular order n_theta, psi_j(r) on its radii for
+    j = 0..J, and the angular bin (j - ell) mod n_theta that carries degree j."""
     t = _integral_target(op)
-    if J + 1 > t.n_theta:
+    n_theta = t.meta["n_theta"]
+    if J + 1 > n_theta:
         raise ValueError(
             f"truncation {J} needs at least {J + 1} angular nodes on the "
-            f"target rule, which has {t.n_theta}: frequencies would alias")
+            f"target rule, which has {n_theta}: frequencies would alias")
     basis = op.kernel.target_basis()
-    R = basis_matrix(basis, J, t.radii)
-    return t, R, (np.arange(J + 1) - basis.shift) % t.n_theta
+    R = basis_matrix(basis, J, t.nodes[::n_theta].real)
+    return t, n_theta, R, (np.arange(J + 1) - basis.shift) % n_theta
 
 
 def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
     """sum_j psi_j(z) coef[j] at every target rule node, for a vector or a
     matrix of coefficient columns; rows follow the rule's nodes."""
-    t, R, bins = _polar_radial(op, coef.shape[0] - 1)
-    spectrum = np.zeros((R.shape[0], t.n_theta) + coef.shape[1:], dtype=complex)
+    _, n_theta, R, bins = _polar_radial(op, coef.shape[0] - 1)
+    spectrum = np.zeros((R.shape[0], n_theta) + coef.shape[1:], dtype=complex)
     spectrum[:, bins] = R.reshape(R.shape + (1,) * (coef.ndim - 1)) * coef
     values = np.fft.ifft(spectrum, axis=1, norm="forward")
     return values.reshape((-1,) + coef.shape[1:])
@@ -308,9 +342,9 @@ def _target_values(op: TransformOperator, coef: np.ndarray) -> np.ndarray:
 def _target_contract(op: TransformOperator, F: np.ndarray, J: int) -> np.ndarray:
     """psi_J^H (w * F) over the target rule, i.e. <F, psi_j> for j = 0..J,
     for F on the rule's nodes (a vector or one column per function)."""
-    t, R, bins = _polar_radial(op, J)
-    spectrum = np.fft.fft(F.reshape((R.shape[0], t.n_theta) + F.shape[1:]), axis=1)
-    radial = np.conj(R) * t.radial_weights[:, None]
+    t, n_theta, R, bins = _polar_radial(op, J)
+    spectrum = np.fft.fft(F.reshape((R.shape[0], n_theta) + F.shape[1:]), axis=1)
+    radial = np.conj(R) * t.weights[::n_theta, None]
     return np.einsum("aj,aj...->j...", radial, spectrum[:, bins])
 
 
@@ -326,8 +360,8 @@ def _target_images(op: TransformOperator, fv: np.ndarray) -> np.ndarray:
     ~Im(1/(1-z)), which is unbounded as z approaches the boundary, and no
     fixed source rule resolves that.  On the plane the classical kernel
     exp(sqrt(2) x z - z^2/2) stays finite but does not stay small: between
-    the default 51 x 128 rule (outer circle r ~ 13.6) and the 120-node
-    source rule (|x| <= 14.8) it reaches ~3e87.  The classical isometry
+    a 51 x 128 rule (outer circle r ~ 13.6) and the 120-node source rule
+    (|x| <= 14.8) it reaches ~3e87.  The classical isometry
     computed through it still holds there (~1e-14), but not once the rule is
     refined: at 120 x 256 (r ~ 21.3) the kernel reaches ~7e145 and that
     isometry is off by ~2, against ~3e-14 through the series.  The closed
@@ -349,7 +383,7 @@ def inverse_integral(op: TransformOperator, F, x, J: int | None = None):
     target rule integrates the truncated integrand exactly; J + 1 may not
     exceed the rule's angular order (ValueError).
     """
-    nodes = _integral_target(op).rule.nodes
+    nodes = _integral_target(op).nodes
     Fv = F(nodes) if callable(F) else np.asarray(F)
     if Fv.shape != nodes.shape:
         raise ValueError("target values must live on the target rule's nodes")

@@ -429,7 +429,7 @@ def suite_transforms(cfg: RunConfig, metadata: dict) -> list:
     trip_ops = {kind: _roundtrip_op(cfg, kind, params) for kind, params, *_ in _TRANSFORM_CASES}
     small_ops = {kind: op for kind, op in trip_ops.items() if op.target is not None}
     metadata["target_orders"] = {
-        kind: [op.target.rule.meta["n_r"], op.target.n_theta]
+        kind: [op.target.meta["n_r"], op.target.meta["n_theta"]]
         for kind, op in small_ops.items()}
 
     for kind, *_, reach in _TRANSFORM_CASES:
@@ -682,8 +682,6 @@ SUITES = {
     "operators": suite_operators,
 }
 
-_SUITE_ORDER = ("special", "quadrature", "kernels", "transforms", "operators")
-
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -721,7 +719,7 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
     cfg = cfg or RunConfig()
     cfg.validate()
     if name == "all":
-        names = _SUITE_ORDER
+        names = tuple(SUITES)
     elif name in SUITES:
         names = (name,)
     else:

@@ -29,7 +29,7 @@ from bargmann import (
     run_suite,
 )
 from bargmann.cli import main as cli_main
-from bargmann.verify import _SUITE_ORDER, _TRANSFORM_CASES
+from bargmann.verify import SUITES, _TRANSFORM_CASES
 
 CASES = [
     ("classical", ()),
@@ -307,6 +307,6 @@ def test_verify_all_ids_order_and_tolerances(all_report):
 def test_verify_all_reports_each_suites_wall_time(all_report):
     meta = all_report.metadata
     suite_wall = meta["suite_wall_s"]
-    assert tuple(suite_wall) == _SUITE_ORDER
+    assert tuple(suite_wall) == tuple(SUITES)
     assert all(seconds >= 0.0 for seconds in suite_wall.values())
     assert sum(suite_wall.values()) <= meta["wall_time_s"]

@@ -14,6 +14,7 @@ from bargmann import (
     gauss_halfline,
     gauss_line,
     gaussian_plane_rule,
+    make_transform,
 )
 
 
@@ -148,6 +149,31 @@ def test_validation():
             gauss_halfline(4, bad)
         with pytest.raises(ValueError, match="gamma"):
             disk_rule(4, 8, bad)
+
+
+def _second_target(*orders):
+    return make_transform("second", 1.5, source_order=12, disk_orders=orders)
+
+
+# an order is an integer: 2.5 was rounded up to 3 nodes (and labelled n=2.5),
+# or raised TypeError from numpy; a target order only failed on first read
+@pytest.mark.parametrize("build, bad, good", [
+    (gauss_line, (2.5,), (2.0,)),
+    (gauss_halfline, (3.5, 0.0), (3.0, 0.0)),
+    (disk_rule, (2.5, 8, 0.0), (2.0, 8, 0.0)),
+    (disk_rule, (3, 4.5, 0.0), (3, 4.0, 0.0)),
+    (gaussian_plane_rule, (2.5, 8), (2.0, 8)),
+    (gaussian_plane_rule, (3, 4.5), (3, 4.0)),
+    (_second_target, (2.5, None), (2.0, None)),
+    (_second_target, (None, 4.5), (None, 4.0)),
+    (_second_target, (np.nan, None), (np.int64(2), None)),
+])
+def test_non_integral_orders_raise(build, bad, good):
+    with pytest.raises(ValueError, match="integer"):
+        build(*bad)
+    built = build(*good)
+    meta = built.meta if build is not _second_target else built.target.meta
+    assert all(type(v) is int for k, v in meta.items() if k.startswith("n"))
 
 
 def test_total_mass():

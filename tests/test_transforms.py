@@ -281,9 +281,10 @@ def test_target_is_built_on_first_read(monkeypatch):
     # a replaced operator builds its own
     other = dataclasses.replace(op, series_truncation=16)
     assert len(builds) == 1 and other.target is not target and len(builds) == 2
-    want = kernels._target_space(bergman(1.5), (20, 32))
-    assert np.array_equal(target.rule.nodes, want.rule.nodes)
-    assert np.array_equal(target.radial_weights, want.radial_weights)
+    want = transforms._target_rule(bergman(1.5), (20, 32))
+    assert (target.kind, target.meta) == (want.kind, want.meta)
+    assert np.array_equal(target.nodes, want.nodes)
+    assert np.array_equal(target.weights, want.weights)
     # the orders are still checked when the operator is made
     for kind, params in (("second", (1.5,)), ("classical", ())):
         for orders in ((0, 32), (20, 0)):
@@ -310,7 +311,7 @@ def _least_power_of_two_above(J):
 def test_derived_target_rule_integrates_the_gram_matrix_exactly(kind, params):
     op = make_transform(kind, *params)
     J = op.inverse_truncation
-    assert op.target.n_theta == _least_power_of_two_above(
+    assert op.target.meta["n_theta"] == _least_power_of_two_above(
         max(op.series_truncation, J)) == 128
     # psi_0..psi_J through the polar routes the whole-rule checks use
     eye = np.eye(J + 1)
@@ -318,7 +319,7 @@ def test_derived_target_rule_integrates_the_gram_matrix_exactly(kind, params):
     assert np.max(np.abs(gram - eye)) <= 1e-12
     small = make_transform(kind, *params, source_order=12,
                            series_truncation=15, inverse_truncation=40)
-    assert small.target.n_theta == 64
+    assert small.target.meta["n_theta"] == 64
 
 
 def test_target_orders_are_derived_lazily_and_overridden_entry_by_entry():
@@ -326,17 +327,18 @@ def test_target_orders_are_derived_lazily_and_overridden_entry_by_entry():
     assert "target" not in vars(op)
     forward_map(op, np.array([0.3 + 0.1j, -0.2j]))
     assert "target" not in vars(op)
-    assert (op.target.rule.meta["n_r"], op.target.n_theta) == (57, 128)
+    # J = 64: (64 + ell)//2 + 1 radii at ell = 2, and 128 angles
+    assert op.target.meta == {"n_r": 34, "n_theta": 128}
     # one entry overridden, the other still derived
     coarse = make_transform("generalized_second", 3.0, 2, disk_orders=(8, None))
-    assert (coarse.target.rule.meta["n_r"], coarse.target.n_theta) == (8, 128)
+    assert coarse.target.meta == {"n_r": 8, "n_theta": 128}
     wide = make_transform("second", 1.5, disk_orders=(None, 256))
-    assert (wide.target.rule.meta["n_r"], wide.target.n_theta) == (56, 256)
-    # both overridden: exactly that rule
+    assert wide.target.meta == {"n_r": 33, "n_theta": 256}
+    # both overridden: exactly that rule, its weights times delta / pi
     fixed = make_transform("second", 1.5, disk_orders=(120, 256))
     want = disk_rule(120, 256, 0.5)
-    assert np.array_equal(fixed.target.rule.nodes, want.nodes)
-    assert np.array_equal(fixed.target.rule.weights, want.weights)
+    assert np.array_equal(fixed.target.nodes, want.nodes)
+    assert np.array_equal(fixed.target.weights, want.weights * (1.5 / np.pi))
 
 
 def test_source_rule_builders_are_looked_up_at_call_time(monkeypatch):
@@ -513,7 +515,7 @@ def default_op(kind, params):
 @pytest.mark.parametrize("kind, params", SERIES_CASES)
 def test_series_forward_matches_forward_map(kind, params):
     op = default_op(kind, params)
-    z = op.target.rule.nodes
+    z = op.target.nodes
     rng = np.random.default_rng(21)
     V = rng.standard_normal((120, 9)) + 1j * rng.standard_normal((120, 9))
     got = forward(op, V, z, strategy="series")
@@ -530,7 +532,7 @@ def test_series_forward_matches_forward_map(kind, params):
 @pytest.mark.parametrize("kind, params", SERIES_CASES)
 def test_inverse_integral_matches_series_kernel_matrix(kind, params):
     op = default_op(kind, params)
-    z = op.target.rule.nodes
+    z = op.target.nodes
     alpha = op.kernel.source_basis().params
     # points of modest magnitude, as reverse_pairing_residual documents
     x = gauss_line(12).nodes if kind == "classical" else gauss_halfline(12, *alpha).nodes
@@ -538,7 +540,7 @@ def test_inverse_integral_matches_series_kernel_matrix(kind, params):
     F = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
     got = inverse_integral(op, F, x)
     kmat = kernel_matrix(op.kernel, z, x, strategy="series", J=op.inverse_truncation)
-    want = (np.repeat(op.target.radial_weights, op.target.n_theta) * F) @ np.conj(kmat)
+    want = (op.target.weights * F) @ np.conj(kmat)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -560,18 +562,20 @@ def test_polar_routes_match_basis_matrix_on_flat_nodes(kind, params):
     J = op.inverse_truncation
     rng = np.random.default_rng(23)
     C = rng.standard_normal((J + 1, 3)) + 1j * rng.standard_normal((J + 1, 3))
-    F = rng.standard_normal((t.rule.nodes.shape[0], 3)) + 1j * rng.standard_normal(
-        (t.rule.nodes.shape[0], 3))
-    psi = basis_matrix(op.kernel.target_basis(), J, t.rule.nodes)
+    F = rng.standard_normal((t.nodes.shape[0], 3)) + 1j * rng.standard_normal(
+        (t.nodes.shape[0], 3))
+    psi = basis_matrix(op.kernel.target_basis(), J, t.nodes)
     # evaluation, compared without the eigenspace fold (1-|z|^2)^(-ell): near
     # the boundary a flat node's |z|^2 and its radius' r^2 differ by an ulp,
     # which the fold alone amplifies to ~1e-11 relative
     ell = op.kernel.target_basis().shift
-    want = (1.0 - (t.rule.nodes * np.conj(t.rule.nodes)).real)[:, None] ** ell * (psi @ C)
-    got = np.repeat(1.0 - t.radii ** 2, t.n_theta)[:, None] ** ell * _target_values(op, C)
+    want = (1.0 - (t.nodes * np.conj(t.nodes)).real)[:, None] ** ell * (psi @ C)
+    n_theta = t.meta["n_theta"]
+    radii = t.nodes[::n_theta].real
+    got = np.repeat(1.0 - radii ** 2, n_theta)[:, None] ** ell * _target_values(op, C)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # contraction
-    want = np.conj(psi).T @ (np.repeat(t.radial_weights, t.n_theta)[:, None] * F)
+    want = np.conj(psi).T @ (t.weights[:, None] * F)
     got = _target_contract(op, F, J)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # a single column keeps its shape
@@ -599,7 +603,7 @@ def test_polar_routes_reject_aliasing_truncations(capsys):
     # J + 1 > n_theta would put two degrees in one angular bin; the forward
     # checks read a circle, not the rule, so only the inverse legs can alias
     op = make_transform("second", 1.5, source_order=12, disk_orders=(120, 64))
-    F = np.ones(op.target.rule.nodes.shape[0], dtype=complex)
+    F = np.ones(op.target.nodes.shape[0], dtype=complex)
     with pytest.raises(ValueError, match="alias"):
         inverse_integral(op, F, 1.0, J=110)
     assert inverse_integral(op, F, 1.0, J=63) is not None
