@@ -268,12 +268,24 @@ def forward_map(op: TransformOperator, z, strategy: str = "primary") -> np.ndarr
     map costs one kernel evaluation per target point and source node (for
     the integral families, a t-integral each).  ``forward`` applies the
     primary route through this matrix; its series route contracts through
-    basis coefficients and never forms it.
+    basis coefficients and never forms it.  An entry that is not finite
+    raises ValueError (``_weighted_kernel``).
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    kmat = kernel_matrix(op.kernel, zz, op.source_rule.nodes, strategy=strategy,
-                         J=op.series_truncation)
-    return kmat * op.source_rule.weights
+    return _weighted_kernel(op.kernel, zz, op.source_rule, strategy, op.series_truncation)
+
+
+def _weighted_kernel(kernel: KernelFamily, z, rule: QuadratureRule,
+                     strategy: str = "primary", J: int = 120) -> np.ndarray:
+    """K(z_i, x_k) w_k on the source rule, or ValueError if an entry is not
+    finite: at a far node a weight that underflows to 0 times a kernel value
+    that overflows is NaN (the disk families at 480 source nodes), which
+    would otherwise reach every sum over the row."""
+    out = kernel_matrix(kernel, z, rule.nodes, strategy=strategy, J=J) * rule.weights
+    if not np.isfinite(out).all():
+        raise ValueError(f"{kernel}: a weighted kernel entry on the {rule.nodes.shape[0]}-node "
+                         "source rule is not finite in float64")
+    return out
 
 
 def forward(op: TransformOperator, f, z, strategy: str = "primary"):
@@ -474,7 +486,7 @@ def _circle_map(kernel: KernelFamily, source_order: int, n_points: int,
     FFT is real (``np.fft.hfft``)."""
     rule = _source_rule(kernel.source_basis(), source_order)
     z = circle_points(radius, n_points)[: n_points // 2 + 1]
-    half = kernel_matrix(kernel, z, rule.nodes) * rule.weights
+    half = _weighted_kernel(kernel, z, rule)
     taylor = np.fft.hfft(half, n_points, axis=0) / n_points
     taylor.flags.writeable = False
     return taylor

@@ -7,6 +7,7 @@ here pin the monomial weights and normalizers those routines rely on.
 """
 
 import dataclasses
+import warnings
 from functools import cache
 
 import numpy as np
@@ -620,6 +621,25 @@ def test_forward_rejects_wrong_leading_dimension():
         for strategy in ("primary", "series"):
             with pytest.raises(ValueError):
                 forward(op, values, z, strategy=strategy)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("second", (1.5,)), ("generalized_second", (3.0, 2)),
+    ("dirichlet", ()), ("gen_bergman_dirichlet", (0.5, 2))])
+def test_forward_raises_rather_than_return_nan(kind, params, fresh_circle_maps):
+    # on 480 source nodes the far weights underflow to 0 while the kernel
+    # overflows there for Re z < 0: 0 * inf is NaN at 7 of 16 points of
+    # |z| = 0.75, which must raise rather than reach a forward value
+    op = make_transform(kind, *params, source_order=480)
+    z = circle_points(0.75, 16)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="not finite"):
+            forward(op, np.ones(480), z)
+        with pytest.raises(ValueError, match="not finite"):
+            forward_map(op, z)
+        with pytest.raises(ValueError, match="not finite"):
+            transforms._circle_map(op.kernel, 480, 64, 0.75)
 
 
 # ---------------------------------------------------------------------------
