@@ -25,7 +25,12 @@ polynomials, without an eigensolver:
   recurrence, both in long double (``_newton_christoffel``): the Laguerre,
   Jacobi and discrete-measure rules alike (``_laguerre_rule``,
   ``_gauss_jacobi01``, ``_tridiagonal_gauss``); the Hermite rule is
-  assembled from two Laguerre halves (``gauss_line``).
+  assembled from two Laguerre halves (``gauss_line``).  The step keeps
+  three recurrence rows and running sums, O(n) long doubles, so a build's
+  traced peak is the dense bidiagonal handed to the SVD: 120 KB at n = 120,
+  717 KB at n = 300, 65 KB for the 60-point Jacobi rule, 46 KB for a t-rule
+  ladder.  A weight that is NaN or inf in float64 raises ``ValueError``
+  (``_finite_weights``); one that underflows to 0 is kept.
 
 Only numpy and ``math`` are needed.
 
@@ -88,6 +93,17 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
+def _finite_weights(weights, rule: str):
+    """The float64 ``weights`` of ``rule``, or ValueError if one is NaN or inf:
+    such a weight is lost, not small.  Zero weights pass; the far nodes of
+    large half-line rules underflow to them."""
+    bad = np.count_nonzero(~np.isfinite(weights))
+    if bad:
+        raise ValueError(f"{rule}: {bad} of {weights.shape[0]} Gauss weights "
+                         "are not finite in float64")
+    return weights
+
+
 def _squared_singular_values(diag, off):
     """sigma_k^2, ascending, of the bidiagonal B with ``diag`` on its diagonal
     and ``off`` beside it: the eigenvalues of the Jacobi matrix J = B B^T.
@@ -107,10 +123,10 @@ def _squared_singular_values(diag, off):
     (..., n-1)) go in one call.
     """
     n = diag.shape[-1]
-    i = np.arange(n)
     upper = np.zeros(diag.shape + (n,))
-    upper[..., i, i] = diag
-    upper[..., i[:-1], i[1:]] = off
+    flat = upper.reshape(diag.shape[:-1] + (n * n,))   # strided: faster than fancy indexing
+    flat[..., ::n + 1] = diag
+    flat[..., 1::n + 1] = off
     return np.linalg.svd(upper, compute_uv=False)[..., ::-1] ** 2
 
 
@@ -138,31 +154,68 @@ def _newton_christoffel(x, diag, b, p0, orders=None):
     positive where 1 / (S + 2 step S') does not: at a node that an
     unreorthogonalized Stieltjes recurrence of a discrete measure had
     repeated, 1.8e-6 from its twin, that form reached -2.5e-33.  ``orders``
-    gives each node its own n <= len(diag), the order of a leading block:
-    its step reads p_n, and its sums stop at k < n, so its step and weight
-    are bit for bit those of a call on that block alone.
+    gives each node its own n <= len(diag), non-decreasing along x, so the
+    nodes of one order form a block: its step reads p_n, and its sums stop
+    at k < n, so its step and weight are bit for bit those of a call on that
+    block alone.
+
+    The recurrence keeps three rows (p, p') of the m nodes and adds each
+    p_k (p_k, p_k') to a running sum as it passes, so a call holds O(m)
+    long doubles, ~100 KB traced at m = 300 (~350 bytes a node), where a
+    table of every p_k held O(n m): 5.9 MB for the 300-node half-line rule.
+    x - a_k is formed per step, in both rows of a (2, m) block so that the
+    step's product does not broadcast.  At step k the nodes still running,
+    those of order n > k, form a suffix: the arrays are re-sliced to it only
+    when a block finishes, which keeps that block's (p_n, p_n').  Each
+    element sees the same long-double operations in the same order as that
+    table summed along k, so every node and weight is bit for bit the
+    table's.  A step is a few ufunc calls on short rows, so their overhead
+    is its cost: the ufuncs take ``out`` by position, the coefficients as
+    0-d views (``diag[k, ...]``, ~0.2 us less a call than a scalar), and
+    each row's p and p' views are made once, not per step.
     """
-    n = diag.shape[0]
-    shifted = x - diag[:, None]              # row k: x - a_k
-    inv_b = 1.0 / b
-    vals = np.zeros((n + 1, 2, x.shape[0]), dtype=x.dtype)   # rows: p_k, p_k'
-    vals[0, 0] = p0
-    scratch = np.empty_like(vals[0])
-    for k in range(n):
-        cur, nxt = vals[k], vals[k + 1]
-        np.multiply(shifted[k], cur, out=nxt)
-        nxt[1] += cur[0]
-        if k:
-            nxt -= np.multiply(vals[k - 1], b[k - 1], out=scratch)
-        nxt *= inv_b[k]
+    m = x.shape[0]
     if orders is None:
-        last, p, dp = vals[n], vals[:n, 0], vals[:n, 1]
-    else:
-        last = vals[orders, :, np.arange(x.shape[0])].T
-        p, dp = np.where(np.arange(n)[:, None, None] < orders, vals[:n], 0.0).transpose(1, 0, 2)
+        blocks = [(diag.shape[0], m)]
+    else:                       # (order, end) of each run of equal orders
+        ends = np.append(np.flatnonzero(np.diff(orders)) + 1, m)
+        blocks = list(zip(orders[ends - 1].tolist(), ends.tolist()))
+    top, blocks = blocks[-1][0], iter(blocks)
+    inv_b = 1.0 / b
+    rows = np.zeros((3, 2, m), dtype=x.dtype)   # p_(k-1), p_k, p_(k+1), each (p, p')
+    rows[1, 0] = p0
+    totals = np.zeros((2, m), dtype=x.dtype)    # sum_k p_k^2, sum_k p_k p_k'
+    last = np.empty_like(totals)                # (p_n, p_n') at each node's own n
+    xs, sums = np.stack([x, x]), totals
+    shift, scratch = np.empty_like(totals), np.empty_like(totals)
+    prev, cur, nxt = ((r, *r) for r in rows)    # each: (row, its p, its p')
+    squares, cross = scratch
+    add, sub, mul = np.add, np.subtract, np.multiply
+    n, end = next(blocks)
+    lo = 0
+    for k in range(top):
+        (row_p, _, _), (row, p, dp), (row_n, _, dp_n) = prev, cur, nxt
+        mul(p, p, squares)
+        mul(p, dp, cross)
+        add(sums, scratch, sums)
+        mul(sub(xs, diag[k, ...], shift), row, row_n)
+        add(dp_n, p, dp_n)
+        if k:
+            sub(row_n, mul(row_p, b[k - 1, ...], scratch), row_n)
+        mul(row_n, inv_b[k, ...], row_n)
+        if k + 1 == n:                # a block finishes: keep its p_n, drop it
+            last[:, lo:end] = row_n[:, :end - lo]
+            if end == m:
+                break
+            cut, lo = end - lo, end
+            prev, cur, nxt = ((r, *r) for r in (row_p[:, cut:], row[:, cut:], row_n[:, cut:]))
+            xs, sums, shift, scratch = (a[:, cut:] for a in (xs, sums, shift, scratch))
+            squares, cross = scratch
+            n, end = next(blocks)
+        prev, cur, nxt = cur, nxt, prev
     step = -last[0] / last[1]
-    s = (p * p).sum(axis=0)
-    return x + step, np.exp(-2.0 * step * (p * dp).sum(axis=0) / s) / s
+    s, t = totals
+    return x + step, np.exp(-2.0 * step * t / s) / s
 
 
 def _laguerre_rule(n: int, alpha: float):
@@ -192,7 +245,9 @@ def _laguerre_rule(n: int, alpha: float):
     p0 = np.exp(-0.5 * x) / np.sqrt(ld(mu0))
     moved, weights = _newton_christoffel(x, 2.0 * k + a + 1.0,
                                          np.sqrt((k + 1.0) * (k + 1.0 + a)), p0)
-    return moved.astype(float), (np.exp(-x) * weights).astype(float)
+    weights = _finite_weights((np.exp(-x) * weights).astype(float),
+                              f"the {n}-point Gauss-Laguerre rule at alpha = {alpha}")
+    return moved.astype(float), weights
 
 
 @lru_cache(maxsize=_RULE_CACHE)
@@ -287,7 +342,8 @@ def _gauss_jacobi01(n: int, gamma: float):
     diag[1:] += even[:-1]
     # p_0 = 1 / sqrt(mu0), mu0 = 1 / (gamma + 1)
     x, weights = _newton_christoffel(x, diag, np.sqrt(odd * even), np.sqrt(ld(g) + 1.0))
-    u, wu = x.astype(float), weights.astype(float)
+    u = x.astype(float)
+    wu = _finite_weights(weights.astype(float), f"the {n}-point Gauss-Jacobi rule at gamma = {g}")
     _read_only(u, wu)
     return u, wu
 
@@ -309,7 +365,7 @@ def _tridiagonal_gauss(diag, off, mu0: float, orders):
     omega), and every weight is positive.  The recurrence runs without
     reorthogonalization, so it could repeat a node it has already resolved;
     on those six measures no rung of ``kernels._T_RULE_LADDER`` does, its
-    nodes lying at least 1.49e-3 apart (omega(1.5, 12) at 40 nodes).
+    nodes lying at least 1.60e-3 apart (omega(1.5, 12) at 40 nodes).
     """
     ld = np.longdouble
     factors = _cholesky_bidiagonals(diag, off[:-1])
@@ -317,9 +373,10 @@ def _tridiagonal_gauss(diag, off, mu0: float, orders):
                         for n in orders])
     x, weights = _newton_christoffel(x, diag.astype(ld), off.astype(ld), 1.0,
                                      np.repeat(orders, orders))
+    weights = _finite_weights((mu0 * weights).astype(float),
+                              f"the Gauss rules of orders {list(orders)} of a discrete measure")
     bounds = np.cumsum(orders)[:-1]
-    return list(zip(np.split(x.astype(float), bounds),
-                    np.split((mu0 * weights).astype(float), bounds)))
+    return list(zip(np.split(x.astype(float), bounds), np.split(weights, bounds)))
 
 
 def _cholesky_bidiagonals(diag, off):

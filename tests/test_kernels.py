@@ -686,22 +686,39 @@ def _check_omega_against_mpmath(pairs):
 
 def test_omega_meets_mpmath_inversion():
     # the point-queries pairs m = 2, 3, 4 at four alpha, and orders past them
+    # up to the last on the 36-node contour (m = 10)
     _check_omega_against_mpmath(
         [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
-        + [(3.0, 8), (0.0, 10), (0.5, 6)])
+        + [(3.0, 8), (0.0, 10), (0.5, 10), (0.5, 6)])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the 36-node contour's discretization error: omega(1.5, 12) is up to "
-    "2.6e-13 of max omega off at t ~ 1-2 (2.0e-15 on 40 nodes)"))
 def test_omega_at_order_12_meets_mpmath_inversion():
-    _check_omega_against_mpmath([(1.5, 12)])
+    # past m = 10 the contour has 40 nodes: on 36, omega(1.5, 12) was up to
+    # 2.6e-13 of max omega off at t ~ 1-2, and omega_laplace_closed, then a
+    # log-sum, 1.7e-14 relative at j = 2
+    _check_omega_against_mpmath([(1.5, 11), (1.5, 12)])
+
+
+def test_omega_contour_nodes_switch_after_order_10(monkeypatch):
+    # 36 nodes through m = 10, so those weights keep their values; 40 above
+    calls = []
+    inner = kernels._log_laplace
+
+    def spy(alpha, m, re, im):
+        calls.append(np.shape(re)[1])
+        return inner(alpha, m, re, im)
+
+    monkeypatch.setattr(kernels, "_log_laplace", spy)
+    for m in (2, 10, 11, 12):
+        omega(0.5, m)
+    # the contour is halved by conjugate symmetry: N / 2 nodes per atom
+    assert calls == [18, 18, 20, 20]
 
 
 @pytest.mark.parametrize("alpha, m", [(0.5, 2), (3.0, 4), (1.5, 12)])
 def test_omega_build_memory_does_not_grow_with_m(alpha, m):
-    # the Talbot sum holds a few (316, 18) float64 arrays (~45 KB each) and
-    # no (2m - 1)-deep stack of them
+    # the Talbot sum holds a few (316, 18) float64 arrays (~45 KB each;
+    # (316, 20) past m = 10) and no (2m - 1)-deep stack of them
     omega(alpha, m)
     tracemalloc.start()
     try:

@@ -3,6 +3,9 @@
 with known values."""
 
 import math
+import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +17,11 @@ from bargmann import (
     gauss_halfline,
     gauss_line,
     gaussian_plane_rule,
+    kernels,
     make_transform,
+    omega,
 )
+from bargmann.quadrature import _gauss_jacobi01, _laguerre_rule, _newton_christoffel
 
 
 def test_line_rule_matches_scipy():
@@ -321,6 +327,116 @@ def test_halfline_total_mass_at_large_alpha(alpha):
         assert abs(math.fsum(weights) / mp.gamma(mp.mpf(alpha) + 1) - 1) <= 2e-15
     with pytest.raises(ValueError, match="alpha"):
         gauss_halfline(4, 171.0)        # Gamma(172) overflows float64
+
+
+def test_non_finite_weights_are_refused(monkeypatch):
+    # where np.longdouble is float64 (emulated here), the Christoffel sums of
+    # the 40-point rule at alpha = 170.5 overflow and every weight comes out
+    # NaN or inf: the build raises rather than return them
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="40-point Gauss-Laguerre rule at alpha = 170.5"):
+            gauss_halfline.__wrapped__(40, 170.5)
+
+
+def test_underflowed_weights_are_kept():
+    # the far weights of a large half-line rule underflow to zero, which is
+    # what they are in float64, not a lost value
+    weights = gauss_halfline(480, 0.0).weights
+    assert np.all(weights >= 0.0) and np.count_nonzero(weights == 0.0) > 0
+
+
+def _traced_peak(build):
+    """Peak traced allocation of a second call of ``build``."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build, bound", [
+    # the dense 300 x 300 bidiagonal for the SVD (720 KB) is what is left
+    pytest.param(partial(_laguerre_rule, 300, 0.37), 1024 * 1024, id="laguerre-300"),
+    pytest.param(partial(_gauss_jacobi01.__wrapped__, 60, 0.7), 128 * 1024, id="jacobi-60"),
+    pytest.param(partial(kernels._gauss_ladder, omega(0.5, 2).measure), 128 * 1024,
+                 id="omega-ladder"),
+])
+def test_rule_builds_hold_no_table_of_every_order(build, bound):
+    # the Newton-Christoffel step keeps three recurrence rows and running
+    # sums, O(m) long doubles; a table of p_k for every k was 5.9 MB at
+    # n = 300, 353 KB for the Jacobi rule and 588 KB for a ladder
+    peak = _traced_peak(build)
+    assert peak <= bound, peak
+
+
+def _table_newton_christoffel(x, diag, b, p0, orders=None):
+    """The Newton-Christoffel step as a table of (p_k, p_k') for every k,
+    summed along k: the reference the running sums must reproduce."""
+    n, m = diag.shape[0], x.shape[0]
+    orders = np.full(m, n) if orders is None else orders
+    inv_b = 1.0 / b
+    vals = np.zeros((n + 1, 2, m), dtype=x.dtype)
+    vals[0, 0] = p0
+    for k in range(n):
+        vals[k + 1] = (x - diag[k]) * vals[k]
+        vals[k + 1, 1] += vals[k, 0]
+        if k:
+            vals[k + 1] -= vals[k - 1] * b[k - 1]
+        vals[k + 1] *= inv_b[k]
+    last = vals[orders, :, np.arange(m)].T
+    p, dp = np.where(np.arange(n)[:, None, None] < orders, vals[:n], 0.0).transpose(1, 0, 2)
+    step = -last[0] / last[1]
+    s = (p * p).sum(axis=0)
+    return x + step, np.exp(-2.0 * step * (p * dp).sum(axis=0) / s) / s
+
+
+def _laguerre_recurrence(n, alpha):
+    ld = np.longdouble
+    k = np.arange(n, dtype=ld)
+    return 2.0 * k + ld(alpha) + 1.0, np.sqrt((k + 1.0) * (k + 1.0 + ld(alpha)))
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (16,), (120,), (200,), (16, 24, 32, 40)],
+                         ids=["n1", "n2", "n16", "n120", "n200", "ladder-orders"])
+def test_running_sums_are_the_table_bit_for_bit(orders):
+    # nodes and weights of the O(m) step equal, to the last bit of long
+    # double, those of the table of every p_k, for one order and for the
+    # ladder's stacked orders
+    ld, alpha = np.longdouble, 0.37
+    diag, off = _laguerre_recurrence(orders[-1], alpha)
+    x = np.concatenate([gauss_halfline(n, alpha).nodes for n in orders]).astype(ld)
+    p0 = np.exp(-0.5 * x) / np.sqrt(ld(math.gamma(alpha + 1.0)))
+    per_node = None if len(orders) == 1 else np.repeat(orders, orders)
+    args = (x, diag, off, p0, per_node)
+    for got, want in zip(_newton_christoffel(*args), _table_newton_christoffel(*args)):
+        assert np.array_equal(got, want)
+
+
+def test_stacked_orders_are_each_order_alone():
+    # one call on blocks of orders 1, 3, 3 and 7 (a Laguerre recurrence, one
+    # p_0 per node): each block's nodes and weights are, bit for bit, those
+    # of a call on that block alone
+    ld, alpha = np.longdouble, 0.37
+    diag, off = _laguerre_recurrence(7, alpha)
+    orders = (1, 3, 3, 7)
+    blocks = [gauss_halfline(n, alpha).nodes.astype(ld) * (1.0 + ld(1e-9) * (i + 1))
+              for i, n in enumerate(orders)]
+
+    def p0(x):
+        return np.exp(-0.5 * x) / np.sqrt(ld(math.gamma(alpha + 1.0)))
+
+    x = np.concatenate(blocks)
+    stacked = _newton_christoffel(x, diag, off, p0(x), np.repeat(orders, orders))
+    at = 0
+    for n, block in zip(orders, blocks):
+        alone = _newton_christoffel(block, diag[:n], off[:n], p0(block))
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[at:at + n], want), n
+        at += n
 
 
 @pytest.mark.parametrize("n", [2, 3, 60, 61])
