@@ -91,18 +91,15 @@ def _stieltjes(atoms: np.ndarray, masses: np.ndarray, n: int):
     scratch = np.empty_like(atoms)
     # np.dot, not @: with the other core busy, matmul products were
     # measured to stall ~8 ms each in the threaded BLAS, at this length and
-    # at the kernel's (1, 120, 89) x (89,) alike; np.dot took ~10 us.  The
-    # ufuncs take out by position and the coefficients as 0-d views, which
-    # saves ~0.3 us a call, as in quadrature._newton_christoffel
-    sub, mul = np.subtract, np.multiply
+    # at the kernel's (1, 120, 89) x (89,) alike; np.dot took ~10 us
     for j in range(n):
-        mul(atoms, u, q)
-        diag[j] = np.dot(q, u)
-        sub(q, mul(u, diag[j, ...], scratch), q)
+        np.multiply(atoms, u, out=q)
+        a = diag[j] = np.dot(q, u)
+        q -= np.multiply(u, a, out=scratch)
         if j:
-            sub(q, mul(u_prev, off[j - 1, ...], scratch), q)
-        off[j] = math.sqrt(np.dot(q, q))
-        np.divide(q, off[j, ...], q)
+            q -= np.multiply(u_prev, off[j - 1], out=scratch)
+        b = off[j] = math.sqrt(np.dot(q, q))
+        q /= b
         u_prev, u, q = u, q, u_prev
     return diag, off, mu0
 
@@ -161,31 +158,31 @@ _OMEGA_T = _OMEGA_U**2
 _OMEGA_S = np.exp(-_OMEGA_T)
 _read_only(_OMEGA_U, _OMEGA_T, _OMEGA_S)
 
-# omega by Talbot inversion: the constants (sigma, mu, nu, beta) of the
-# cotangent contour z(theta) = N (sigma + mu theta cot(nu theta) + i beta theta)
-# (Trefethen, Weideman & Schmelzer, BIT 46, 2006), and its node count N by m:
-# 36 through m = 10 (within 2.0e-14 of max omega against mpmath), 40 above,
-# where 36 nodes leave up to 2.6e-13 of max omega at (1.5, 12) and 40 leave
-# 2.0e-15 (32 nodes let the sum go negative)
+# omega by Talbot inversion: the node count N and the constants (sigma, mu,
+# nu, beta) of the cotangent contour z(theta) = N (sigma + mu theta
+# cot(nu theta) + i beta theta) (Trefethen, Weideman & Schmelzer, BIT 46, 2006).
+# 38 nodes: 36 leave up to 2.6e-13 of max omega at (1.5, 12), and 32 let the
+# sum go negative there; more nodes add rounding at small m (every third
+# atom of (0.5, 2) within 1.4e-15 of max omega on 36, 1.9e-15 on 38,
+# 4.1e-15 on 40), which omega(0, 2)'s kernel amplifies near its zeros
+_TALBOT_NODES = 38
 _TALBOT_CONTOUR = (-0.6122, 0.5017, 0.6407, 0.2645)
-_TALBOT_LAST_M_ON_36 = 10
 
 
-def _talbot_contour(n: int):
-    """z(theta_k), z'(theta_k) at the upper half's midpoints theta_k = (2k-1) pi/n,
+def _talbot_contour():
+    """z(theta_k), z'(theta_k) at the upper half's midpoints theta_k = (2k-1) pi/N,
     formed in long double where the platform has it: near theta = 0 the real
     part cancels ~5-fold, which in float64 moved the nodes by ~4 ulps."""
-    sigma, mu, nu, beta = _TALBOT_CONTOUR
+    n, (sigma, mu, nu, beta) = _TALBOT_NODES, _TALBOT_CONTOUR
     theta = np.arange(1, n, 2) * (4 * np.arctan(np.longdouble(1)) / n)
     cot = 1 / np.tan(nu * theta)
     z = n * (sigma + mu * theta * cot + 1j * beta * theta)
     dz = n * (mu * (cot - nu * theta * (1 + cot * cot)) + 1j * beta)
-    z, dz = z.astype(complex), dz.astype(complex)
-    _read_only(z, dz)
-    return z, dz
+    return z.astype(complex), dz.astype(complex)
 
 
-_TALBOT = {n: _talbot_contour(n) for n in (36, 40)}   # N -> (z, z'), read-only
+_TALBOT_Z, _TALBOT_DZ = _talbot_contour()
+_read_only(_TALBOT_Z, _TALBOT_DZ)
 
 
 @dataclass(frozen=True)
@@ -279,31 +276,29 @@ def omega(alpha: float, m: int) -> OmegaWeight:
 
     e^t omega(t) neither grows nor decays exponentially, so the sum keeps the
     tail out to t = 40, where inverting F itself loses it (2e2 off at t = 40
-    with 32 nodes).  The contour has N = 36 nodes through m = 10 and 40
-    above, where the 36-node contour's own discretization error shows (up
-    to 2.6e-13 of max omega at (1.5, 12), t ~ 1-2).  Against mpmath (atoms
-    from t = 0.01 to 40) it is within 1.2e-15 of max omega for m = 2..4,
-    2.0e-14 at m = 10 and 2.4e-15 at (1.5, 11) and (1.5, 12).
+    with 32 nodes).  Against mpmath, on every third atom from t = 0.01 to
+    40, it is within 1.9e-15 of max omega at (0.5, 2), 1.4e-15 at (3, 4) and
+    3.5e-15 at (0, 10), and on eight atoms 1.6e-15 at (1.5, 11) and 2.5e-15
+    at (1.5, 12), where a 36-node contour was up to 2.6e-13 of max omega
+    off at t ~ 1-2, its own discretization error.
 
     The sum runs in real arithmetic: with R + i Theta = z_k + log F(z_k/t - 1)
     from ``_log_laplace``, each term is e^R (sin Theta Re z'_k + cos Theta
     Im z'_k).  No complex log or exp is taken, and the build holds a few
-    (316, N/2) float64 arrays, ~0.3 MB traced at any m.
+    (316, 19) float64 arrays, ~0.3 MB traced at any m.
     """
     alpha, m = _check_omega_args(alpha, m)
-    n = 36 if m <= _TALBOT_LAST_M_ON_36 else 40
-    z, dz = _TALBOT[n]
     t = _OMEGA_T[:, None]
-    real, imag = _log_laplace(alpha, m, z.real / t - 1.0, z.imag / t)
-    real += z.real
-    imag += z.imag
+    real, imag = _log_laplace(alpha, m, _TALBOT_Z.real / t - 1.0, _TALBOT_Z.imag / t)
+    real += _TALBOT_Z.real
+    imag += _TALBOT_Z.imag
     np.exp(real, out=real)
-    terms = np.sin(imag) * dz.real
+    terms = np.sin(imag) * _TALBOT_DZ.real
     np.cos(imag, out=imag)
-    imag *= dz.imag
+    imag *= _TALBOT_DZ.imag
     terms += imag
     terms *= real
-    values = np.exp(-_OMEGA_T) * (2.0 / n) * terms.sum(axis=1) / _OMEGA_T
+    values = np.exp(-_OMEGA_T) * (2.0 / _TALBOT_NODES) * terms.sum(axis=1) / _OMEGA_T
     # the weight is a convolution of nonnegative factors, hence nonnegative;
     # rounding dips the sum below zero where omega ~ t^(2m-3/2) vanishes
     if values.min() < -64.0 * np.finfo(float).eps * values.max():
@@ -324,16 +319,17 @@ def omega_laplace_closed(alpha: float, m: int, j: float) -> float:
     """Closed-form Laplace transform of omega_(alpha,m) at rate j >= 0,
     Gamma(3/2)^m Gamma(1/2)^(m-1) / ([(j+1)...(j+m)]^(3/2)
     [(j+alpha+2)...(j+alpha+m)]^(1/2)), as a product of factors below 1, so
-    it neither overflows nor loses digits to a large logarithm: against
-    mpmath it is within 2e-15 relative for m <= 20 (j = 0..5, 30, 1000),
-    where the log-sum of ``_log_laplace`` (-44 at (1.5, 12), j = 2) read
-    1.7e-14."""
+    it loses no digits to a large logarithm: against mpmath it is within
+    2e-15 relative for m <= 20 (j = 0..5, 30, 1000), where the log-sum of
+    ``_log_laplace`` (-44 at (1.5, 12), j = 2) read 1.7e-14.  At a large j
+    the product underflows to 0.0; (j + b)^(3/2) is formed as
+    (j + b) sqrt(j + b), which goes to inf past j ~ 1e205 where ** raises."""
     alpha, m = _check_omega_args(alpha, m, j)
     j = float(j)
     c, h = math.gamma(1.5), math.gamma(0.5)
-    out = c / (j + 1.0) ** 1.5
+    out = c / ((j + 1.0) * math.sqrt(j + 1.0))
     for b in range(2, m + 1):
-        out *= c / (j + b) ** 1.5 * (h / math.sqrt(j + alpha + b))
+        out *= c / ((j + b) * math.sqrt(j + b)) * (h / math.sqrt(j + alpha + b))
     return out
 
 

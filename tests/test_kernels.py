@@ -355,7 +355,7 @@ def test_rungs_meet_mpmath_series_at_their_largest_radius(alpha, m):
 def test_gen_dirichlet_kernel_past_the_last_rung_meets_mpmath_series():
     # past |z| = 0.9 the kernel sums omega's whole measure: against a 40-digit
     # series truncated where |z|^J = 1e-25, at the rungs' angles and x up to
-    # 30.  The worst point read 3.1e-15
+    # 30.  The worst point read 5.8e-15
     mp = pytest.importorskip("mpmath")
     x = np.array([0.0, 12.0, 22.0, 28.5, 30.0])
     for r in (0.93, 0.97):
@@ -686,39 +686,22 @@ def _check_omega_against_mpmath(pairs):
 
 def test_omega_meets_mpmath_inversion():
     # the point-queries pairs m = 2, 3, 4 at four alpha, and orders past them
-    # up to the last on the 36-node contour (m = 10)
     _check_omega_against_mpmath(
         [(alpha, m) for m in (2, 3, 4) for alpha in (0.0, 0.5, 1.5, 3.0)]
         + [(3.0, 8), (0.0, 10), (0.5, 10), (0.5, 6)])
 
 
 def test_omega_at_order_12_meets_mpmath_inversion():
-    # past m = 10 the contour has 40 nodes: on 36, omega(1.5, 12) was up to
-    # 2.6e-13 of max omega off at t ~ 1-2, and omega_laplace_closed, then a
-    # log-sum, 1.7e-14 relative at j = 2
+    # on a 36-node contour omega(1.5, 12) was up to 2.6e-13 of max omega off
+    # at t ~ 1-2, and omega_laplace_closed, then a log-sum, 1.7e-14 relative
+    # at j = 2
     _check_omega_against_mpmath([(1.5, 11), (1.5, 12)])
-
-
-def test_omega_contour_nodes_switch_after_order_10(monkeypatch):
-    # 36 nodes through m = 10, so those weights keep their values; 40 above
-    calls = []
-    inner = kernels._log_laplace
-
-    def spy(alpha, m, re, im):
-        calls.append(np.shape(re)[1])
-        return inner(alpha, m, re, im)
-
-    monkeypatch.setattr(kernels, "_log_laplace", spy)
-    for m in (2, 10, 11, 12):
-        omega(0.5, m)
-    # the contour is halved by conjugate symmetry: N / 2 nodes per atom
-    assert calls == [18, 18, 20, 20]
 
 
 @pytest.mark.parametrize("alpha, m", [(0.5, 2), (3.0, 4), (1.5, 12)])
 def test_omega_build_memory_does_not_grow_with_m(alpha, m):
-    # the Talbot sum holds a few (316, 18) float64 arrays (~45 KB each;
-    # (316, 20) past m = 10) and no (2m - 1)-deep stack of them
+    # the Talbot sum holds a few (316, 19) float64 arrays (~48 KB each) and
+    # no (2m - 1)-deep stack of them
     omega(alpha, m)
     tracemalloc.start()
     try:
@@ -771,6 +754,19 @@ def test_omega_laplace_closed_is_positive_decreasing():
     vals = [omega_laplace_closed(0.5, 2, j) for j in range(8)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("j", [1e30, 1e206, 1e300])
+@pytest.mark.parametrize("m", [2, 12])
+def test_omega_laplace_closed_underflows_at_large_rates(m, j):
+    # every finite rate is accepted; (j + b)^(3/2) as a float ** overflows
+    # past j ~ 3e205 and raises, where the transform is simply below the
+    # smallest double
+    closed = omega_laplace_closed(0.5, m, j)
+    assert type(closed) is float
+    want = math.gamma(1.5) ** m * math.gamma(0.5) ** (m - 1) * math.exp(
+        -1.5 * m * math.log(j) - 0.5 * (m - 1) * math.log(j))
+    assert closed == pytest.approx(want, rel=1e-12, abs=0.0) if want > 1e-290 else closed == 0.0
 
 
 # ---------------------------------------------------------------------------
