@@ -132,7 +132,7 @@ def _gauss_ladder(measure: QuadratureRule) -> tuple[QuadratureRule, ...]:
     """
     orders = [n for _, n in _T_RULE_LADDER]
     rules = _tridiagonal_gauss(*_stieltjes(measure.nodes, measure.weights, orders[-1]),
-                               orders)
+                               orders, f"the Gauss rules of orders {orders} of a discrete measure")
     rungs = []
     for (rho, n), (nodes, weights) in zip(_T_RULE_LADDER, rules):
         _read_only(nodes, weights)
@@ -167,6 +167,12 @@ _read_only(_OMEGA_U, _OMEGA_T, _OMEGA_S)
 # 4.1e-15 on 40), which omega(0, 2)'s kernel amplifies near its zeros
 _TALBOT_NODES = 38
 _TALBOT_CONTOUR = (-0.6122, 0.5017, 0.6407, 0.2645)
+# the largest m omega is built for.  Against mpmath at eight atoms t = 0.01
+# ... 40, alpha = -0.99 ... 30, the samples are within 4.1e-14 of max omega
+# up to m = 13 (2.5, 13), and 1.3e-13 at (3, 14), past the 1e-13 its tests
+# hold; at m = 15-16 they reach 9.3e-13, from m = 17 the sum goes negative
+# at each alpha = -0.9 ... 3 tried, and at m = 200 every sample is 0
+_OMEGA_LAST_M = 13
 
 
 def _talbot_contour():
@@ -225,12 +231,13 @@ class OmegaWeight:
 
 def _check_omega_args(alpha, m, j=0.0) -> tuple[float, int]:
     """(alpha, m) of a weight, checked by the space's basis (finite alpha > -1,
-    integral m) and for m >= 2, with a finite Laplace rate j >= 0 (not NaN)."""
+    integral m) and for 2 <= m <= ``_OMEGA_LAST_M``, with a finite Laplace
+    rate j >= 0 (not NaN)."""
     if not 0.0 <= j < np.inf:
         raise ValueError("omega's Laplace rate j must be finite and >= 0")
     alpha, m = gen_dirichlet(alpha, m).params
-    if m < 2:
-        raise ValueError("the omega weight requires m >= 2")
+    if not 2 <= m <= _OMEGA_LAST_M:
+        raise ValueError(f"the omega weight requires 2 <= m <= {_OMEGA_LAST_M}, got m = {m}")
     return alpha, m
 
 
@@ -280,7 +287,9 @@ def omega(alpha: float, m: int) -> OmegaWeight:
     40, it is within 1.9e-15 of max omega at (0.5, 2), 1.4e-15 at (3, 4) and
     3.5e-15 at (0, 10), and on eight atoms 1.6e-15 at (1.5, 11) and 2.5e-15
     at (1.5, 12), where a 36-node contour was up to 2.6e-13 of max omega
-    off at t ~ 1-2, its own discretization error.
+    off at t ~ 1-2, its own discretization error.  Past m = 13
+    (``_OMEGA_LAST_M``) the contour's error passes 1e-13 of max omega, and
+    the weight is refused with ValueError.
 
     The sum runs in real arithmetic: with R + i Theta = z_k + log F(z_k/t - 1)
     from ``_log_laplace``, each term is e^R (sin Theta Re z'_k + cos Theta
@@ -302,7 +311,7 @@ def omega(alpha: float, m: int) -> OmegaWeight:
     # the weight is a convolution of nonnegative factors, hence nonnegative;
     # rounding dips the sum below zero where omega ~ t^(2m-3/2) vanishes
     if values.min() < -64.0 * np.finfo(float).eps * values.max():
-        raise RuntimeError(f"omega samples went negative beyond round-off: {values.min()}")
+        raise ValueError(f"omega samples went negative beyond round-off: {values.min()}")
     values = np.where(values < 0.0, 0.0, values)
     _read_only(values)   # every kernel call of one (alpha, m) shares a weight
     return OmegaWeight(alpha, m, values)

@@ -247,14 +247,14 @@ def point_spectrum(kind: str, value: float):
     """
     if kind == "hyperbolic_landau":
         nu = float(value)
-        if nu <= 0.5:
-            raise ValueError("hyperbolic_landau requires nu > 1/2")
+        if not 0.5 < nu < np.inf:  # NaN fails this too
+            raise ValueError("hyperbolic_landau requires finite nu > 1/2")
         lmax = int(np.ceil(nu - 0.5)) - 1   # the levels disk_eigen admits
         return [(l, landau_eigenvalue(nu, l)) for l in range(lmax + 1)], False
     if kind == "gen_invariant_laplacian":
         alpha = float(value)
-        if alpha <= -1.0:
-            raise ValueError("gen_invariant_laplacian requires alpha > -1")
+        if not -1.0 < alpha < np.inf:  # NaN fails this too
+            raise ValueError("gen_invariant_laplacian requires finite alpha > -1")
         lmax = int(np.floor((alpha - 1.0) / 2.0))
         if lmax < 0:
             return [(0, 0.0)], True

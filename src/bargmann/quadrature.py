@@ -15,22 +15,23 @@ the last two polar: a Gauss rule in u = |z|^2 times the angular trapezoid
 Every rule comes from the Jacobi matrix J of its measure's orthogonal
 polynomials, without an eigensolver:
 
-- nodes are the squared singular values of a bidiagonal factor B of J
-  (J = B B^T), which are relatively accurate down to the smallest node
+- nodes start as the squared singular values of a bidiagonal factor B of
+  J (J = B B^T), which are relatively accurate down to the smallest node
   (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990): a closed-form
-  factor for the Laguerre rules and the radial Jacobi rule, and Cholesky
-  factors for the discrete measures of ``kernels``; on (0, 1) the factor of
-  I - J gives 1 - u near u = 1;
-- every weight is a Christoffel sum after one Newton step on the
-  recurrence, both in long double (``_newton_christoffel``): the Laguerre,
-  Jacobi and discrete-measure rules alike (``_laguerre_rule``,
-  ``_gauss_jacobi01``, ``_tridiagonal_gauss``); the Hermite rule is
-  assembled from two Laguerre halves (``gauss_line``).  The step keeps
-  three recurrence rows and running sums, O(n) long doubles, so a build's
-  traced peak is the dense bidiagonal handed to the SVD: 120 KB at n = 120,
-  717 KB at n = 300, 65 KB for the 60-point Jacobi rule, 49 KB for a t-rule
-  ladder.  A weight that is NaN or inf in float64 raises ``ValueError``
-  (``_finite_weights``); one that underflows to 0 is kept.
+  factor for the Laguerre rules, and the Cholesky factor for every measure
+  on (0, 1), the radial Jacobi rule and the discrete measures of
+  ``kernels`` alike (``_tridiagonal_gauss``);
+- one Newton step on the recurrence, in long double, then polishes every
+  node, those near u = 1 included, and every weight is a Christoffel sum
+  at the moved node (``_newton_christoffel``): the Laguerre, Jacobi and
+  discrete-measure rules alike (``_laguerre_rule``, ``_gauss_jacobi01``,
+  ``_tridiagonal_gauss``); the Hermite rule is assembled from two Laguerre
+  halves (``gauss_line``).  The step keeps three recurrence rows and
+  running sums, O(n) long doubles, so a build's traced peak is the dense
+  bidiagonal handed to the SVD: 120 KB at n = 120, 717 KB at n = 300, 38 KB
+  for the 60-point Jacobi rule, 50 KB for a t-rule ladder.  A weight that
+  is NaN or inf in float64 raises ``ValueError`` (``_finite_weights``); one
+  that underflows to 0 is kept.
 
 Only numpy and ``math`` are needed.
 
@@ -119,24 +120,14 @@ def _squared_singular_values(diag, off):
     to stall 8-215 ms per call in about one process in seven on a 2-core
     machine, while the values alone took at most 1.1 ms at n = 120.  Past
     n = 128 LAPACK reduces in blocks, at O(n^3) cost (~3 ms at n = 200,
-    ~10-40 ms at n = 300).  Stacked bidiagonals (``diag`` (..., n), ``off``
-    (..., n-1)) go in one call.
+    ~10-40 ms at n = 300).
     """
-    n = diag.shape[-1]
+    n = diag.shape[0]
     i = np.arange(n)
-    upper = np.zeros(diag.shape + (n,))
-    upper[..., i, i] = diag
-    upper[..., i[:-1], i[1:]] = off
-    return np.linalg.svd(upper, compute_uv=False)[..., ::-1] ** 2
-
-
-def _two_sided_nodes(factor, reflected):
-    """Nodes in (0, 1) of a Jacobi matrix J, ascending and in long double, from
-    the bidiagonal factors (diagonal, off-diagonal) of J and of I - J: u
-    below u = 1/2 and 1 - u above it, each relatively accurate there."""
-    u, v = _squared_singular_values(*(np.stack(pair) for pair in zip(factor, reflected)))
-    ld = np.longdouble
-    return np.where(u < 0.5, u.astype(ld), 1.0 - v[::-1].astype(ld))
+    upper = np.zeros((n, n))
+    upper[i, i] = diag
+    upper[i[:-1], i[1:]] = off
+    return np.linalg.svd(upper, compute_uv=False)[::-1] ** 2
 
 
 def _newton_christoffel(x, diag, b, p0, orders=None):
@@ -285,8 +276,8 @@ def gauss_halfline(n: int, alpha: float) -> QuadratureRule:
     return QuadratureRule("halfline", nodes, weights, {"n": n, "alpha": alpha})
 
 
-def _jacobi_chain(n: int, a, b):
-    """zeta_(2k+1) and zeta_(2k+2), k = 0..n-1, of (1-u)^a u^b du on [0, 1].
+def _jacobi_chain(n: int, a):
+    """zeta_(2k+1) and zeta_(2k+2), k = 0..n-1, of (1-u)^a du on [0, 1].
 
     The chain sequence factors the measure's Jacobi matrix as L L^T, with L
     lower bidiagonal: L_kk = sqrt(zeta_(2k+1)) and L_(k+1,k) =
@@ -294,95 +285,88 @@ def _jacobi_chain(n: int, a, b):
     Approximation, 2004, sec. 1.4).  Computed in the dtype of ``a``.
     """
     k = np.arange(n, dtype=np.result_type(a, float))
-    s = a + b
-    odd = (k + b + 1.0) * (k + s + 1.0) / ((2.0 * k + s + 1.0) * (2.0 * k + s + 2.0))
+    odd = (k + 1.0) * (k + a + 1.0) / ((2.0 * k + a + 1.0) * (2.0 * k + a + 2.0))
     k = k + 1.0
-    even = k * (k + a) / ((2.0 * k + s) * (2.0 * k + s + 1.0))
+    even = k * (k + a) / ((2.0 * k + a) * (2.0 * k + a + 1.0))
     return odd, even
-
-
-def _chain_bidiagonal(n: int, a: float, b: float):
-    """Diagonal and off-diagonal of L^T for (1-u)^a u^b du (``_jacobi_chain``)."""
-    odd, even = _jacobi_chain(n, a, b)
-    return np.sqrt(odd), np.sqrt(even[:-1])
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def _gauss_jacobi01(n: int, gamma: float):
     """Gauss rule for (1-u)^gamma du on [0, 1] (one-sided Jacobi weight;
-    cached, read-only arrays).
+    cached, read-only arrays), built by ``_tridiagonal_gauss`` from the
+    recurrence of its chain sequence (``_jacobi_chain``), formed in long
+    double: a_k = zeta_2k + zeta_(2k+1), b_k = sqrt(zeta_(2k+1) zeta_(2k+2))
+    and mass 1 / (gamma + 1).
 
-    The nodes below u = 1/2 are the squared singular values of the measure's
-    chain-sequence bidiagonal, and 1 - u above it those of the reflected
-    measure u^gamma du, whose Jacobi matrix is I - J up to signs: both
-    relatively accurate, so u near 1 is right to its last bit.  One
-    ``_newton_christoffel`` step in long double then gives the nodes and
-    their weights: weights summed at the rounded float64 nodes were 3.4e-12
-    off near u = 1 at n = 80, gamma = -1/2.  Where the platform's long double
-    is plain double, as in ``kernels._talbot_contour``, the step runs in
-    float64 and the weights keep that error.
+    The long-double step makes the weights: summed at the rounded float64
+    nodes they were 3.4e-12 off near u = 1 at n = 80, gamma = -1/2.  It also
+    makes u near 1 right to its last bit with no factor of I - J: the four
+    largest nodes at n = 40, 80 and 120 (gamma = -0.9, -0.5, 0, 2) are
+    within 0.50 ulp of a 40-digit reference, and the four smallest within
+    0.44 ulp at n = 40 and 80.  Near u = 0 the step is accurate in absolute,
+    not relative, terms: the smallest node at n = 120, gamma = -0.9 (~1e-4)
+    lands within 0.93 ulp from any start within 1000 ulp.  Where the
+    platform's long double is plain double, as in
+    ``kernels._talbot_contour``, the step runs in float64 and the weights
+    keep that error.
     """
-    g = float(gamma)
-    x = _two_sided_nodes(_chain_bidiagonal(n, g, 0.0), _chain_bidiagonal(n, 0.0, g))
-    ld = np.longdouble
-    odd, even = _jacobi_chain(n, ld(g), ld(0.0))
+    g = np.longdouble(gamma)
+    odd, even = _jacobi_chain(n, g)
     diag = odd.copy()
     diag[1:] += even[:-1]
-    # p_0 = 1 / sqrt(mu0), mu0 = 1 / (gamma + 1)
-    x, weights = _newton_christoffel(x, diag, np.sqrt(odd * even), np.sqrt(ld(g) + 1.0))
-    u = x.astype(float)
-    wu = _finite_weights(weights.astype(float), f"the {n}-point Gauss-Jacobi rule at gamma = {g}")
+    (u, wu), = _tridiagonal_gauss(diag, np.sqrt(odd * even), 1.0 / (g + 1.0), (n,),
+                                  f"the {n}-point Gauss-Jacobi rule at gamma = {float(gamma)}")
     _read_only(u, wu)
     return u, wu
 
 
-def _tridiagonal_gauss(diag, off, mu0: float, orders):
+def _tridiagonal_gauss(diag, off, mu0, orders, rule: str):
     """Gauss rules of a measure on (0, 1) with total mass mu0, one (nodes,
     weights) per n in ``orders`` (ascending), from the leading blocks of its
-    recurrence: ``diag`` a_0..a_(N-1) and ``off`` b_1..b_N.
+    recurrence: ``diag`` a_0..a_(N-1) and ``off`` b_1..b_N, in float64 or
+    long double.  ``rule`` names the rules in the ValueError on a non-finite
+    weight.
 
-    J and I - J are positive definite; their Cholesky factors are bidiagonal,
-    the factor of a leading block is the leading block of the factor, and its
-    squared singular values give u below 1/2 and 1 - u above it
-    (``_two_sided_nodes``).  One long-double ``_newton_christoffel`` step for
-    all the nodes at once then gives the weights, as for ``_gauss_jacobi01``;
-    each rule is bit for bit the one its order alone gives.  On the discrete
-    measures of ``kernels`` (the plain one, and omega at five (alpha, m)
-    pairs up to (1.5, 12)), the rules of 24 to 64 nodes reproduce
-    sum masses_k e^(-c s_k), c = 5..50, within 1.8e-15 relative (7.1e-16 for
-    omega), and every weight is positive.  The recurrence runs without
+    J is positive definite; its Cholesky factor is bidiagonal, and the factor
+    of a leading block is the leading block of the factor, so each order's
+    nodes start as that block's squared singular values
+    (``_squared_singular_values``): relative to the factor's entries, which
+    carry the rounding of its float64 pivots (the smallest start of the
+    120-point Jacobi rule at gamma = -0.9 is 260 ulps off), and near u = 1
+    a few ulps of 1, not of 1 - u.  One long-double ``_newton_christoffel``
+    step for all the nodes at once then polishes them to ~1 ulp at either
+    end (``_gauss_jacobi01``) and gives the weights; each rule is bit for
+    bit the one its order alone gives.  On the discrete measures of
+    ``kernels`` (the plain one, and omega at five (alpha, m) pairs up to
+    (1.5, 12)), the rules of 24 to 64 nodes reproduce sum masses_k
+    e^(-c s_k), c = 5..50, within 1.8e-15 relative (7.1e-16 for omega), and
+    every weight is positive.  The recurrence runs without
     reorthogonalization, so it could repeat a node it has already resolved;
     on those six measures no rung of ``kernels._T_RULE_LADDER`` does, its
     nodes lying at least 1.54e-3 apart (omega(1.5, 12) at 40 nodes).
     """
     ld = np.longdouble
-    factors = _cholesky_bidiagonals(diag, off[:-1])
-    x = np.concatenate([_two_sided_nodes(*[(d[:n], e[:n - 1]) for d, e in factors])
-                        for n in orders])
-    x, weights = _newton_christoffel(x, diag.astype(ld), off.astype(ld), 1.0,
+    d, e = _cholesky_bidiagonal(diag, off[:-1])
+    x = np.concatenate([_squared_singular_values(d[:n], e[:n - 1]) for n in orders])
+    x, weights = _newton_christoffel(x.astype(ld), diag.astype(ld), off.astype(ld), 1.0,
                                      np.repeat(orders, orders))
-    weights = _finite_weights((mu0 * weights).astype(float),
-                              f"the Gauss rules of orders {list(orders)} of a discrete measure")
+    weights = _finite_weights((mu0 * weights).astype(float), rule)
     bounds = np.cumsum(orders)[:-1]
     return list(zip(np.split(x.astype(float), bounds), np.split(weights, bounds)))
 
 
-def _cholesky_bidiagonals(diag, off):
-    """(diagonal, subdiagonal) of the lower bidiagonal Cholesky factors of
-    J and of I - J, for a Jacobi matrix J (``diag``, ``off``) with its
-    spectrum in (0, 1)."""
-    lo_d, lo_e, hi_d, hi_e = [], [], [], []
-    lo, hi = float(diag[0]), 1.0 - float(diag[0])
-    for a, b in zip(diag[1:].tolist(), off.tolist()):
-        lo_d.append(math.sqrt(lo))
-        hi_d.append(math.sqrt(hi))
-        lo_e.append(b / lo_d[-1])
-        hi_e.append(b / hi_d[-1])
-        lo = a - lo_e[-1] * lo_e[-1]
-        hi = (1.0 - a) - hi_e[-1] * hi_e[-1]
-    lo_d.append(math.sqrt(lo))
-    hi_d.append(math.sqrt(hi))
-    return (np.array(lo_d), np.array(lo_e)), (np.array(hi_d), np.array(hi_e))
+def _cholesky_bidiagonal(diag, off):
+    """(diagonal, subdiagonal) of the lower bidiagonal Cholesky factor of a
+    positive definite Jacobi matrix J (``diag``, ``off``), in float64."""
+    d, e = [], []
+    pivot = float(diag[0])
+    for a, b in zip(diag[1:].astype(float).tolist(), off.astype(float).tolist()):
+        d.append(math.sqrt(pivot))
+        e.append(b / d[-1])
+        pivot = a - e[-1] * e[-1]
+    d.append(math.sqrt(pivot))
+    return np.array(d), np.array(e)
 
 
 def _polar_rule(kind: str, u, wu, n_theta: int, meta: dict) -> QuadratureRule:

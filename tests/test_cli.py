@@ -116,6 +116,19 @@ def test_transform_refuses_a_non_finite_value(tmp_path, capsys):
     assert out == "" and err.startswith("error:") and "not finite" in err
 
 
+@pytest.mark.parametrize("m", ["14", "17", "200"])
+def test_kernel_eval_refuses_omega_past_its_last_order(m, capsys):
+    # past m = 13 the Talbot sum leaves omega's 1e-13 bound; at m = 17 it
+    # raised RuntimeError (exit 1), and at m = 200 every sample was 0, the
+    # t-rule's SVD failed and the kernel past |z| = 0.9 was NaN: a usage
+    # error now, with nothing printed
+    code, out, err = run_cli(capsys, ["kernel-eval", "--family", "gen_bergman_dirichlet",
+                                      "--alpha", "0.5", "--m", m, "--z", "0.3,0.1",
+                                      "--x", "0.5"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "m <= 13" in err
+
+
 def test_kernel_eval_refuses_level_at_nu_minus_ell_one_half(capsys):
     # at nu - ell = 1/2 the kernel's norm constant is 0; the level is
     # outside the eigenspace family, a usage error, not a printed 0

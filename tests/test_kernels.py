@@ -310,7 +310,7 @@ def _gauss_rule(measure, n):
     """(nodes, weights) of the n-point Gauss rule of a discrete measure, from
     its own Stieltjes pass to order n."""
     return quadrature._tridiagonal_gauss(
-        *kernels._stieltjes(measure.nodes, measure.weights, n), (n,))[0]
+        *kernels._stieltjes(measure.nodes, measure.weights, n), (n,), "a test rule")[0]
 
 
 # a few points on each rung's largest circle, and x up to querygen.X_MAX = 30;
@@ -694,8 +694,11 @@ def test_omega_meets_mpmath_inversion():
 def test_omega_at_order_12_meets_mpmath_inversion():
     # on a 36-node contour omega(1.5, 12) was up to 2.6e-13 of max omega off
     # at t ~ 1-2, and omega_laplace_closed, then a log-sum, 1.7e-14 relative
-    # at j = 2
-    _check_omega_against_mpmath([(1.5, 11), (1.5, 12)])
+    # at j = 2.  m = 13 is the last order omega takes: (2.5, 13) reads
+    # 4.1e-14, the largest of alpha = -0.99 ... 30 there, and (3, 14) 1.3e-13
+    _check_omega_against_mpmath([(1.5, 11), (1.5, 12), (2.5, 13), (-0.9, 13)])
+    with pytest.raises(ValueError, match="m <= 13"):
+        omega(2.5, 14)
 
 
 @pytest.mark.parametrize("alpha, m", [(0.5, 2), (3.0, 4), (1.5, 12)])

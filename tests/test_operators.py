@@ -294,6 +294,12 @@ def test_point_spectrum_validation():
         point_spectrum("hyperbolic_landau", 0.5)
     with pytest.raises(ValueError):
         point_spectrum("gen_invariant_laplacian", -1.5)
+    # inf raised OverflowError and NaN numpy's own message from int(ceil())
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="nu"):
+            point_spectrum("hyperbolic_landau", bad)
+        with pytest.raises(ValueError, match="alpha"):
+            point_spectrum("gen_invariant_laplacian", bad)
     with pytest.raises(ValueError):
         point_spectrum("dirac", 1.0)
 
