@@ -1,6 +1,11 @@
 """Command-line front end: quadrature dumps, kernel evaluation, transform
 application, operator application, and the verification suites.
 
+``transform`` sums source coefficients on the kernel's steepest-descent
+contour (``transforms.forward``) on the least source rule exact for their
+degree: exact for coefficient input at every z, up to rounding.  Its
+``est_error`` is the distance from the series image sum_j c_j psi_j(z).
+
 Exit codes: 0 success (all checks passed for ``verify``), 1 a verification
 check failed, 2 usage or configuration error, or a result not finite in
 float64.  Reports are JSON on stdout; node dumps are CSV.  ``verify`` takes
@@ -25,12 +30,12 @@ import sys
 
 import numpy as np
 
-from .kernels import FAMILIES, KernelFamily, kernel_matrix
+from .kernels import FAMILIES, KernelFamily, contour_t_rule, kernel_matrix
 from .operators import (DiskOperator, MonomialExpansion, _is_real, _json_complex, apply_exact,
                         apply_fd, casimir)
 from .quadrature import disk_rule, gauss_halfline, gauss_line, gaussian_plane_rule
-from .special import basis_matrix
-from .transforms import forward, make_transform
+from .transforms import (CoefficientVector, contour_order, forward, make_transform,
+                         series_transform)
 from .verify import SUITES, RunConfig, run_suite
 
 __all__ = ["build_parser", "main"]
@@ -143,25 +148,33 @@ def _load_coefficients(path: str) -> np.ndarray:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    op = make_transform(args.family, *_family_params(args))
+    kernel = KernelFamily(args.family, _family_params(args))
     coeffs = _load_coefficients(args.input)
-    if coeffs.shape[0] - 1 > op.series_truncation:
+    degree = coeffs.shape[0] - 1
+    # the contour is exact for this degree on a rule of the exact order
+    op = make_transform(args.family, *kernel.params, source_order=contour_order(kernel, degree))
+    if degree > op.series_truncation:
         raise ValueError(
-            f"coefficient degree {coeffs.shape[0] - 1} exceeds the series "
+            f"coefficient degree {degree} exceeds the series "
             f"truncation {op.series_truncation}"
         )
-    fv = basis_matrix(op.kernel.source_basis(), coeffs.shape[0] - 1,
-                      op.source_rule.nodes) @ coeffs
-    value = complex(forward(op, fv, args.at))
-    # a-posteriori estimate: the same evaluation through the independent
-    # series route; the two routes share only the source rule
-    other = complex(forward(op, fv, args.at, strategy="series"))
-    _emit({
+    c = CoefficientVector(coeffs, kernel.source_basis(), degree)
+    value = complex(forward(op, c, args.at))
+    # a-posteriori estimate: the exact image sum_j c_j psi_j(z) by the
+    # series route, which shares only the coefficients with the contour
+    other = complex(series_transform(c, kernel.target_basis(), args.at))
+    payload = {
         "value_re": value.real,
         "value_im": value.imag,
         "truncation": op.series_truncation,
         "est_error": abs(value - other),
-    })
+        "route": "contour",
+        "source_order": op.source_rule.nodes.shape[0],
+    }
+    t_rule = contour_t_rule(kernel, degree)
+    if t_rule is not None:
+        payload["t_order"] = t_rule.nodes.shape[0]
+    _emit(payload)
     return 0
 
 
@@ -234,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_eval)
 
     p = sub.add_parser("transform", help="apply a forward transform to source "
-                                         "coefficients at one target point")
+                                         "coefficients at one target point, on the "
+                                         "kernel's steepest-descent contour: exact for "
+                                         "coefficient input at every z")
     _add_family_arguments(p)
     p.add_argument("--input", required=True,
                    help="JSON file: list of source-basis coefficients, "

@@ -8,6 +8,13 @@ a rule of the target measure mu_2 (``_target_rule``, from
 and kept by the operator; ``forward``, ``forward_map`` and every circle
 extraction never read it.
 
+``forward`` of source coefficients (a ``CoefficientVector``) sums on the
+kernel's steepest-descent contour (``kernels.contour_rule``), exact at
+every z on a source rule of ``contour_order`` nodes.  Every other input
+and every route below sums over the source rule on the real axis, where
+the kernel oscillates ever faster near the disk boundary and far out in
+the plane, so a fixed rule resolves it only on compacta.
+
 The forward checks of all five families, isometry and Gram, take one route
 through the primary kernel: the target inner products <B f, psi_j> are read
 off the forward image on one circle |z| = r (``_circle_coefficients``).
@@ -78,9 +85,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import BasisFamily, basis_matrix
+from .special import BasisFamily, _contour_matrix, basis_matrix
 from .quadrature import QuadratureRule, _check_integer
-from .kernels import FAMILIES, KernelFamily, _default_omega, kernel_matrix
+from .kernels import FAMILIES, KernelFamily, _default_omega, contour_rule, kernel_matrix
 
 __all__ = [
     "TransformOperator",
@@ -88,6 +95,7 @@ __all__ = [
     "make_transform",
     "forward",
     "forward_map",
+    "contour_order",
     "inverse_integral",
     "series_transform",
     "circle_points",
@@ -221,9 +229,12 @@ def make_transform(kind: str, *params, source_order: int = 120,
     The default source order keeps Gram matrices of the basis exact well
     beyond the series truncations in use, while the forward integrands
     (kernel times polynomial times the measure weight) are entire and
-    converge superexponentially.  For the generalized family this builds
-    the convolution weight of its (alpha, m) and the weight's Gauss rules
-    sized from |z| (``kernels._default_omega``, ``OmegaWeight.rungs``), the
+    converge superexponentially on the compacta the real-axis routes are
+    used on.  A ``CoefficientVector`` of degree d needs only
+    ``contour_order(kernel, d)`` nodes (the CLI's ``transform`` builds that).
+
+    For the generalized family this builds the convolution weight of its
+    (alpha, m) and the weight's Gauss rules sized from |z| (``kernels._default_omega``, ``OmegaWeight.rungs``), the
     ones its kernel looks up wherever |z| <= 0.9, so an operator's first
     forward map does not pay for them and a transform and a kernel
     evaluation of one pair share them.  Points past |z| = 0.9 integrate on
@@ -288,18 +299,39 @@ def _weighted_kernel(kernel: KernelFamily, z, rule: QuadratureRule,
     return out
 
 
+def contour_order(kernel: KernelFamily, degree: int) -> int:
+    """The least source rule order on which ``forward`` of a degree-d
+    ``CoefficientVector`` is exact: (d + extra)//2 + 1, where extra is the
+    degree the kernel adds on its contour (``FamilySpec.contour_degree``:
+    the level ell of the eigenspaces, m for the Dirichlet-type families, 0
+    for the classical and second families)."""
+    return (degree + FAMILIES[kernel.kind].contour_degree(*kernel.params)) // 2 + 1
+
+
 def forward(op: TransformOperator, f, z, strategy: str = "primary"):
-    """B[f](z) = sum_i w_i K(z, x_i) f(x_i) over the source rule.
+    """B[f](z) = integral of K(z, x) f(x) against the source measure.
 
-    ``f`` is a callable on the source domain, an array of values on the
-    source nodes, or a matrix of such values with one column per function;
-    ``z`` is a point or array in the target domain.
+    ``f`` is a ``CoefficientVector`` of the source basis, a callable on the
+    source domain, an array of values on the source nodes, or a matrix of
+    such values with one column per function; ``z`` is a point or array in
+    the target domain.  There are two routes:
 
-    The series kernel is the truncated sum psi_J(z) phi_J(x)^T, so the
-    series route contracts through its (J+1) x k coefficients,
-    psi_J(z) (phi_J(x)^T (w * f)), at the cost of the two basis matrices;
-    the other routes apply ``forward_map``.
+    - *the contour* (a ``CoefficientVector``): the polynomial f = sum_j
+      c_j phi_j at the points of the kernel's steepest-descent contour
+      (``kernels.contour_rule``), where the integrand is a polynomial times
+      the source weight, so the sum is exact, up to rounding, at every z
+      on a rule of at least ``contour_order(op.kernel, d)`` nodes for
+      degree d.  A smaller rule raises ValueError, and so does a
+      ``strategy`` other than "primary".
+    - *the real axis* (everything else): sum_i w_i K(z, x_i) f(x_i) over the
+      source nodes, which resolves the kernel only on compacta.  The
+      series kernel is the truncated sum psi_J(z) phi_J(x)^T, so the series
+      route contracts through its (J+1) x k coefficients,
+      psi_J(z) (phi_J(x)^T (w * f)), at the cost of the two basis
+      matrices; the other routes apply ``forward_map``.
     """
+    if isinstance(f, CoefficientVector):
+        return _contour_forward(op, f, z, strategy)
     fv = _source_values(op, f)
     if strategy == "series":
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -308,6 +340,26 @@ def forward(op: TransformOperator, f, z, strategy: str = "primary"):
     else:
         out = forward_map(op, z, strategy) @ fv
     return out[0] if np.ndim(z) == 0 else out
+
+
+def _contour_forward(op: TransformOperator, c: CoefficientVector, z, strategy: str):
+    """``forward`` of a coefficient vector on the kernel's contour."""
+    if strategy != "primary":
+        raise ValueError(f"a CoefficientVector takes the primary kernel's contour, not "
+                         f"the {strategy!r} route")
+    if c.basis != op.kernel.source_basis():
+        raise ValueError(f"{op.kernel} takes coefficients of {op.kernel.source_basis()}, "
+                         f"not of {c.basis}")
+    n, order = op.source_rule.nodes.shape[0], contour_order(op.kernel, c.truncation)
+    if n < order:
+        raise ValueError(f"{op.kernel}: degree {c.truncation} is exact on the contour from "
+                         f"{order} source nodes; the source rule has {n}")
+    x, w = contour_rule(op.kernel, z, op.source_rule, c.truncation)
+    if not np.isfinite(w).all():    # as on the real axis (``_weighted_kernel``)
+        raise ValueError(f"{op.kernel}: a contour weight on the {n}-node source rule is "
+                         "not finite in float64")
+    out = np.sum(w * (_contour_matrix(c.basis, c.truncation, x) @ c.values), axis=-1)
+    return out[0] if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def _series_coefficients(op: TransformOperator, fv: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import bargmann
-from bargmann import basis_matrix, cli, forward, kernels, make_transform, verify
+from bargmann import (CoefficientVector, basis_matrix, cli, forward, kernels, make_transform,
+                      series_transform, special, verify)
 from bargmann.cli import build_parser, main
 
 
@@ -108,10 +109,13 @@ def test_kernel_eval_refuses_a_non_finite_value(capsys):
 
 @_LET_OVERFLOW
 def test_transform_refuses_a_non_finite_value(tmp_path, capsys):
+    # the true image psi_20(1e20 i) = (1e20 i)^20 / sqrt(pi 20!) has modulus
+    # ~3.6e390, past float64.  ([1.0, 0.5] at 40i, which the real-axis route
+    # overflowed on, is 0.56 + 11.3i on the contour)
     path = tmp_path / "coeffs.json"
-    path.write_text("[1.0, 0.5]")
+    path.write_text(json.dumps([0.0] * 20 + [1.0]))
     code, out, err = run_cli(capsys, ["transform", "--family", "classical",
-                                      "--input", str(path), "--at", "0,40"])
+                                      "--input", str(path), "--at", "0,1e20"])
     assert code == 2
     assert out == "" and err.startswith("error:") and "not finite" in err
 
@@ -154,7 +158,9 @@ def test_transform_matches_library(tmp_path, capsys):
                                     "--input", str(path), "--at", "0.3,-0.2"])
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"value_re", "value_im", "truncation", "est_error"}
+    assert set(payload) == {"value_re", "value_im", "truncation", "est_error", "route",
+                            "source_order"}
+    assert (payload["route"], payload["source_order"]) == ("contour", 2)
 
     op = make_transform("classical")
     values = np.array([1.0, 0.5j, -0.25])
@@ -163,6 +169,57 @@ def test_transform_matches_library(tmp_path, capsys):
     assert payload["value_re"] == pytest.approx(want.real, rel=1e-12)
     assert payload["value_im"] == pytest.approx(want.imag, rel=1e-12)
     assert payload["est_error"] < 1e-9
+
+
+# the quiet wrong answers of the real-axis route: second(20) near the disk
+# boundary printed 6.13 + 0.95i (est_error 0.043) and 3.8e7 + 3.3e7i
+# (est_error 5.0e7), classical [1, 0.5] at 27i a modulus of ~1.75e153
+@pytest.mark.parametrize("family, coeffs, at", [
+    (["--family", "second", "--delta", "20"], [1, 0.5, 0.25], "0.9,0.1"),
+    (["--family", "second", "--delta", "20"], [1, 0.5, 0.25], "0.95,0.1"),
+    (["--family", "classical"], [1.0, 0.5], "0,27"),
+    (["--family", "classical"], [1.0, 0.5], "45,0"),
+])
+def test_transform_prints_the_series_value_at_every_z(tmp_path, capsys, family, coeffs, at):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(coeffs))
+    code, out, _ = run_cli(capsys, ["transform", *family, "--input", str(path), "--at", at])
+    assert code == 0
+    payload = json.loads(out)
+    kernel = kernels.KernelFamily(family[1], tuple(float(p) for p in family[3:]))
+    c = CoefficientVector(np.array(coeffs, dtype=complex), kernel.source_basis(),
+                          len(coeffs) - 1)
+    want = complex(series_transform(c, kernel.target_basis(), complex(*map(float, at.split(",")))))
+    got = complex(payload["value_re"], payload["value_im"])
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert payload["est_error"] <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("family, order, t_order", [
+    (["--family", "classical"], 8, None),
+    (["--family", "second", "--delta", "2.5"], 8, None),
+    (["--family", "generalized_second", "--nu", "3.5", "--ell", "2"], 9, None),
+    (["--family", "dirichlet"], 9, 16),
+    (["--family", "gen_bergman_dirichlet", "--alpha", "0.5", "--m", "3"], 10, 16),
+])
+def test_transform_builds_no_rule_past_the_exact_order(tmp_path, capsys, monkeypatch,
+                                                       family, order, t_order):
+    # a degree-15 request builds its source rule at the exact order
+    # (15 + extra)//2 + 1, and no 120-node rule; the Dirichlet-type tail runs
+    # on the 16-node rung
+    built = []
+    for name in ("gauss_line", "gauss_halfline"):
+        inner = getattr(special, name)
+        monkeypatch.setattr(special, name, lambda n, *a, inner=inner: built.append(n)
+                            or inner(n, *a))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([[1.0, 0.5]] * 16))
+    code, out, _ = run_cli(capsys, ["transform", *family, "--input", str(path),
+                                    "--at", "0.6,-0.7"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(built) == {order} and payload["source_order"] == order
+    assert payload.get("t_order") == t_order
 
 
 def test_transform_rejects_degree_above_truncation(tmp_path, capsys):

@@ -364,7 +364,8 @@ def test_laguerre_family_orthonormal_under_halfline_rule():
 def _disk_eigen_per_degree_powers(nu, ell, jmax, z):
     """The j >= ell disk eigenfunctions with z^(j - ell) and (1-u)^(-ell)
     raised separately for each degree, as a reference for the running
-    product the library uses."""
+    product the library uses; the terminating 2F1 is (beta+1)_ell / ell!
+    P_ell^(beta, j - ell)(2u - 1), by ``jacobi_sequence`` per degree."""
     beta_p = 2.0 * (nu - ell) - 1.0
     u = (z * np.conj(z)).real
     one_minus_u = 1.0 - u
@@ -374,12 +375,8 @@ def _disk_eigen_per_degree_powers(nu, ell, jmax, z):
                          + gammaln(beta_p + 1.0 + ell) - gammaln(ell + 1.0)
                          - gammaln(beta_p + 1.0 + j))
         logbin = gammaln(j + beta_p + 1.0) - gammaln(j + 1.0) - gammaln(beta_p + 1.0)
-        f = np.ones_like(u)
-        term = np.ones_like(u)
-        for k in range(ell):
-            term = term * ((-ell + k) * (1.0 + beta_p + j + k)
-                           / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
-            f = f + term
+        f = (np.exp(gammaln(ell + 1.0) + gammaln(beta_p + 1.0) - gammaln(beta_p + 1.0 + ell))
+             * jacobi_sequence(ell, beta_p, j - ell, 2.0 * u - 1.0)[..., ell])
         out[..., j] = (np.exp(lognorm + logbin) * z ** (j - ell)
                        * one_minus_u ** (-ell) * f)
     return out
@@ -395,8 +392,10 @@ def test_disk_eigen_running_powers_match_per_degree_powers(nu, ell):
 
 def _disk_eigen_per_degree_loop(nu, ell, jmax, z):
     """psi_j^{nu,ell}(z), j = 0..jmax, one degree at a time: the scalar
-    log-Gamma normalizers, the terminating 2F1 and a running z^(j - ell)
-    per degree, which the evaluator now forms over all degrees at once."""
+    log-Gamma normalizers, the terminating 2F1 as ell!/(beta+1)_ell
+    P_ell^(beta, j - ell)(2u - 1) by ``jacobi_sequence``, and a running
+    z^(j - ell) per degree, which the evaluator forms over all degrees at
+    once."""
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape + (jmax + 1,), dtype=complex)
     beta_p = 2.0 * (nu - ell) - 1.0
@@ -410,13 +409,8 @@ def _disk_eigen_per_degree_loop(nu, ell, jmax, z):
         lognorm = 0.5 * (np.log(beta_p / np.pi) + log_gamma(j + 1.0) + lg_bl - lg_l
                          - log_gamma(beta_p + 1.0 + j))
         if j >= ell:
-            logbin = log_gamma(j + beta_p + 1.0) - log_gamma(j + 1.0) - log_gamma(beta_p + 1.0)
-            f = np.ones_like(u)
-            term = np.ones_like(u)
-            for k in range(ell):
-                term = term * ((-ell + k) * (1.0 + beta_p + j + k)
-                               / ((1.0 + beta_p + k) * (k + 1.0))) * one_minus_u
-                f = f + term
+            logbin = log_gamma(j + beta_p + 1.0) - log_gamma(j + 1.0) + lg_l - lg_bl
+            f = jacobi_sequence(ell, beta_p, j - ell, 2.0 * u - 1.0)[..., ell]
             if j > ell:
                 zp = zp * z
             out[..., j] = np.exp(lognorm + logbin) * zp * fold * f
@@ -441,6 +435,34 @@ def test_disk_eigen_matrix_matches_per_degree_loop(nu, ell):
             assert got.shape == want.shape == z.shape + (jmax + 1,)
             # relative per entry; where the loop gives 0 (z = 0), exactly 0
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (jmax, z.shape)
+
+
+def _mp_disk_eigen(mp, nu, ell, j, z):
+    """psi_j^{nu,ell}(z) in mpmath: the defining Jacobi form below ell, the
+    terminating 2F1 from ell on."""
+    z = mp.mpc(z)
+    u = (z * mp.conj(z)).real
+    b = 2 * (mp.mpf(nu) - ell) - 1
+    norm = mp.sqrt(b / mp.pi * mp.gamma(j + 1) * mp.gamma(b + 1 + ell)
+                   / (mp.gamma(ell + 1) * mp.gamma(b + 1 + j)))
+    if j < ell:
+        return ((-1) ** j * norm * mp.conj(z) ** (ell - j) * (1 - u) ** (-ell)
+                * mp.jacobi(j, ell - j, b, 1 - 2 * u))
+    return (norm * mp.binomial(j + b, j) * z ** (j - ell) * (1 - u) ** (-ell)
+            * mp.hyp2f1(-ell, 1 + b + j, 1 + b, 1 - u))
+
+
+@pytest.mark.parametrize("nu, ell", [(12.5, 10), (3.0, 2)])
+def test_disk_eigen_meets_mpmath_at_a_high_level(nu, ell):
+    # the terminating 2F1 summed as ell alternating terms was 8.6e-9 off at
+    # (12.5, 10), z = 0.3 + 0.4i; the Jacobi recurrence reads ~6e-15
+    mp = pytest.importorskip("mpmath")
+    z = np.array([0.3 + 0.4j, 0.7 - 0.5j])
+    got = basis_matrix(disk_eigen(nu, ell), 15, z)
+    with mp.workdps(40):
+        want = np.array([[complex(_mp_disk_eigen(mp, nu, ell, j, w)) for j in range(16)]
+                         for w in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 def test_disk_bases_reject_points_off_the_open_disk():

@@ -640,6 +640,9 @@ def test_forward_raises_rather_than_return_nan(kind, params, fresh_circle_maps):
             forward_map(op, z)
         with pytest.raises(ValueError, match="not finite"):
             transforms._circle_map(op.kernel, 480, 64, 0.75)
+        # the contour's weights overflow there too (e^(-zy) or e^(zsy))
+        with pytest.raises(ValueError, match="not finite"):
+            forward(op, CoefficientVector(np.ones(3), op.kernel.source_basis(), 2), z)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +706,76 @@ def test_inverse_series_undoes_forward():
     z = np.array([0.2 - 0.3j])
     image = forward(op, f, z, strategy="series")
     assert np.max(np.abs(series_transform(F, op.kernel.target_basis(), z) - image)) < 1e-9
+
+
+# ROADMAP item 34's table, each point where the real-axis route was off by
+# up to 2e20 relative, with z = 0.99 and 0.9999 on the disk and the plane
+# out to |z| = 30; an int is the degree of a real normal input (seed 1 for
+# 8, 2 for 11 and 15)
+_CONTOUR_CASES = [
+    ("second", (1.5,), [1.0, 0.5, 0.25], (0.95 + 0.1j, 0.995 + 0.05j, 0.99, 0.9999)),
+    ("second", (20.0,), [1.0, 0.5, 0.25], (0.9 + 0.1j, 0.995 + 0.05j, 0.99, 0.9999)),
+    ("generalized_second", (3.0, 2), 8, (0.99, 0.9999)),
+    ("generalized_second", (12.5, 10), 8, (0.95 + 0.1j, 0.995 + 0.05j, 0.99, 0.9999)),
+    ("dirichlet", (), 11, (0.999, 0.99, 0.9999)),
+    ("gen_bergman_dirichlet", (0.5, 2), 11, (0.9999, 0.99)),
+    ("gen_bergman_dirichlet", (3.0, 4), 11, (0.9999, 0.99)),
+    ("classical", (), [1.0, 0.5], (27j, 27 + 27j, 30, -30j, -21 + 21j, 45)),
+    ("classical", (), 15, (27j, 27 + 27j, 30, -30j, -21 + 21j)),
+]
+
+
+def _contour_input(kind, params, coeffs):
+    kernel = kernels.KernelFamily(kind, params)
+    if isinstance(coeffs, int):
+        coeffs = np.random.default_rng(1 if coeffs == 8 else 2).standard_normal(coeffs + 1)
+    return kernel, CoefficientVector(np.asarray(coeffs, dtype=complex), kernel.source_basis(),
+                                     len(coeffs) - 1)
+
+
+@pytest.mark.parametrize("kind, params, coeffs, points", _CONTOUR_CASES)
+def test_contour_forward_is_the_series_image_at_every_z(kind, params, coeffs, points):
+    # on the contour the integrand of a polynomial input is a polynomial times
+    # the source weight, so a rule of the exact order and the default
+    # 120-node rule both give the exact image sum_j c_j psi_j(z)
+    kernel, c = _contour_input(kind, params, coeffs)
+    z = np.array(points)
+    want = series_transform(c, kernel.target_basis(), z)
+    order = transforms.contour_order(kernel, c.truncation)
+    got = forward(make_transform(kind, *params, source_order=order), c, z)
+    assert got.shape == z.shape
+    # the eigenspace kernel and basis each carry (1-|z|^2)^(-ell) from a
+    # rounded |z|^2, off by up to eps/(1-|z|^2) relative and raised to ell:
+    # at 0.9999 the two read 1.0e-12 (ell = 2) and 5.0e-12 (ell = 10) apart
+    ell = kernel.target_basis().shift
+    rtol = np.maximum(1e-12, 2 * ell * np.finfo(float).eps / (1.0 - np.abs(z) ** 2))
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+    full = forward(make_transform(kind, *params), c, z)
+    assert np.all(np.abs(got - full) <= 1e-13 * np.abs(full))
+    assert forward(make_transform(kind, *params, source_order=order), c, z[0]) == got[0]
+
+
+def test_contour_forward_refuses_a_rule_below_the_exact_order():
+    kernel, c = _contour_input("gen_bergman_dirichlet", (3.0, 4), 11)
+    assert transforms.contour_order(kernel, 11) == 8          # (11 + m)//2 + 1
+    forward(make_transform("gen_bergman_dirichlet", 3.0, 4, source_order=8), c, 0.5)
+    small = make_transform("gen_bergman_dirichlet", 3.0, 4, source_order=7)
+    with pytest.raises(ValueError, match="8 source nodes"):
+        forward(small, c, 0.5)
+    with pytest.raises(ValueError, match="contour"):
+        forward(OPS["gen_bergman_dirichlet"], c, 0.5, strategy="series")
+    with pytest.raises(ValueError, match="coefficients of"):
+        forward(OPS["second"], c, 0.5)        # laguerre_l2(3), not laguerre_l2(1.5)
+
+
+def test_contour_t_rule_is_the_first_rung_exact_for_the_tail():
+    # the tail's t-integrand is a polynomial of degree d - m in s
+    family = kernels.KernelFamily("gen_bergman_dirichlet", (0.5, 2))
+    rungs = kernels._default_omega(0.5, 2).rungs
+    assert kernels.contour_t_rule(family, 33) is rungs[0]      # degree 31: 16 nodes
+    assert kernels.contour_t_rule(family, 34) is rungs[1]
+    assert kernels.contour_t_rule(family, 200) is kernels._default_omega(0.5, 2).measure
+    assert kernels.contour_t_rule(kernels.KernelFamily("second", (1.5,)), 15) is None
 
 
 def test_coefficient_vector_validation():
